@@ -1,28 +1,22 @@
 """E17 — log-shipping replication: write throughput vs partition size.
 
-The claim under test: **delta replication decouples write cost from
-partition size**.  Full-partition write-through re-copies every servant
-in the partition after each mutating call — O(partition) per write — so
-throughput collapses as partitions grow.  Per-servant dirty tracking
-plus the append-only replication log make the per-write replication
-work O(touched servants): one state snapshot appended to the partition
-log and replayed onto the standby.
+The claim under test: **replication cost does not grow with partition
+size**.  Per-servant dirty tracking plus the append-only replication log
+make the per-write replication work O(touched servants): one state
+snapshot appended to the partition log and replayed onto the standby.
+A path that re-copied the whole partition after every write would do
+O(partition) work per write and collapse as partitions grow.
 
-Three variants are measured at each partition size (64 → 4096 servants,
-one standby):
-
-* ``full_sync``  — write-through with dirty narrowing disabled (the
-  pre-log behavior: every write re-copies the whole partition);
-* ``write_through`` — write-through narrowed to the touched servants;
-* ``log``       — the replication log: narrowed appends + replay, with
-  snapshot+truncate every 64 entries.
-
-The CI bar is **log >= 3x full_sync at 1024 servants**.  Replica lag
-(applied-watermark deficit) and failover recovery time with log-replay
-promotion are reported alongside.  Every run asserts effect
-conservation on the *standby* copies: each successful deposit must be
-visible in the replicated state, so a mode that loses writes cannot
-pass.
+Each partition size (64 → 4096 servants in one replicated partition,
+one standby, snapshot+truncate every 64 entries) gets its own
+federation; the timed write windows then alternate across the sizes,
+round by round with the order reversed every other round, so host drift
+hits every size alike.  The CI floor is a size-independence ratio:
+**median ops/s at 4096 servants >= 0.5x the median at 64**.  Replica
+lag (applied-watermark deficit) and failover recovery time with
+log-replay promotion are reported alongside.  Every run asserts effect
+conservation on the *standby* copies: each deposit must be visible in
+the replicated state, so a path that loses writes cannot pass.
 
 Run standalone:  python benchmarks/bench_replication.py
 """
@@ -30,6 +24,7 @@ Run standalone:  python benchmarks/bench_replication.py
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 from _benchjson import write_bench_json
@@ -39,15 +34,12 @@ from repro.runtime import Federation
 
 #: partition sizes swept (servants in the one replicated partition)
 SIZES = (64, 256, 1024, 4096)
-#: the CI floor: log-shipping throughput over full-partition sync at 1024
-FLOOR_SPEEDUP = 3.0
-FLOOR_AT_SIZE = 1024
-#: ops per log/narrowed window (cheap writes: fixed count)
-OPS_FAST = 1_500
-#: full-sync ops shrink with partition size so the O(size^2) total
-#: copy work stays bounded; throughput is a rate, so windows need not
-#: match across variants
-OPS_FULL_BUDGET = 120_000
+#: the CI floor: median ops/s at the large size over the small size
+FLOOR_RATIO = 0.5
+FLOOR_SIZES = (64, 4096)
+#: alternating rounds; every size gets one window per round
+ROUNDS = 5
+OPS_PER_WINDOW = 1_500
 #: retry budget that absorbs the dead-node fault during failover
 RETRY = QoS(timeout_ms=30_000.0, retries=2)
 
@@ -71,7 +63,7 @@ class Account:
 MODULE = type("BenchReplicationModule", (), {"Account": Account})
 
 
-def build_federation(size, mode, narrowing=True):
+def build_federation(size):
     federation = Federation(seed=1, latency_ms=0.0)
     for i in range(2):
         federation.add_node(f"node-{i}").module = MODULE
@@ -83,8 +75,7 @@ def build_federation(size, mode, narrowing=True):
         names.append(name)
     # enabled after the binds: seeding syncs once per partition instead
     # of once per bind
-    federation.enable_replication(1, mode=mode, snapshot_every=64)
-    federation.replicas.dirty_narrowing = narrowing
+    federation.enable_replication(1, snapshot_every=64)
     return federation, names
 
 
@@ -108,55 +99,53 @@ def write_window(federation, names, ops, seed):
     return ops / (time.perf_counter() - start)
 
 
-def bench_variant(size, mode, narrowing, ops):
-    federation, names = build_federation(size, mode, narrowing)
-    ops_s = write_window(federation, names, ops, seed=size)
-    stats = federation.replicas.stats()
-    # effect conservation ON THE STANDBY: every deposit must have been
-    # replicated — a variant that drops writes cannot report a speedup
-    replicated = standby_total(federation, names)
-    assert replicated == float(ops), (
-        f"{mode} (narrowing={narrowing}) lost writes: standby holds "
-        f"{replicated}, expected {float(ops)}"
-    )
-    federation.shutdown()
-    return {
-        "ops": ops,
-        "ops_s": round(ops_s),
-        "syncs": stats["syncs"],
-        "log_appends": stats["log_appends"],
-        "snapshots": stats["snapshots"],
-        "replica_lag": stats["replica_lag"],
-        "max_replica_lag": stats["max_replica_lag"],
-    }
-
-
 def bench_sizes():
+    built = {size: build_federation(size) for size in SIZES}
+    windows = {size: [] for size in SIZES}
+    for round_index in range(ROUNDS):
+        order = SIZES if round_index % 2 == 0 else SIZES[::-1]
+        for size in order:
+            federation, names = built[size]
+            windows[size].append(
+                write_window(
+                    federation, names, OPS_PER_WINDOW, seed=size * 31 + round_index
+                )
+            )
     results = []
     for size in SIZES:
-        ops_full = max(60, OPS_FULL_BUDGET // size)
+        federation, names = built[size]
+        ops = OPS_PER_WINDOW * ROUNDS
+        stats = federation.replicas.stats()
+        # effect conservation ON THE STANDBY: every deposit must have
+        # been replicated — a path that drops writes cannot pass
+        replicated = standby_total(federation, names)
+        assert replicated == float(ops), (
+            f"size {size} lost writes: standby holds {replicated}, "
+            f"expected {float(ops)}"
+        )
+        federation.shutdown()
         row = {
             "partition_size": size,
-            "full_sync": bench_variant(size, "full", False, ops_full),
-            "write_through": bench_variant(size, "full", True, OPS_FAST),
-            "log": bench_variant(size, "log", True, OPS_FAST),
+            "ops": ops,
+            "windows_ops_s": [round(value) for value in windows[size]],
+            "median_ops_s": round(statistics.median(windows[size])),
+            "syncs": stats["syncs"],
+            "log_appends": stats["log_appends"],
+            "snapshots": stats["snapshots"],
+            "replica_lag": stats["replica_lag"],
+            "max_replica_lag": stats["max_replica_lag"],
         }
-        row["speedup_log_vs_full"] = round(
-            row["log"]["ops_s"] / row["full_sync"]["ops_s"], 2
-        )
         results.append(row)
         print(
-            f"size {size:5d}: full_sync {row['full_sync']['ops_s']:>7} ops/s, "
-            f"write_through {row['write_through']['ops_s']:>7} ops/s, "
-            f"log {row['log']['ops_s']:>7} ops/s "
-            f"({row['speedup_log_vs_full']:.1f}x vs full)"
+            f"size {size:5d}: median {row['median_ops_s']:>7} ops/s "
+            f"(windows {row['windows_ops_s']})"
         )
     return results
 
 
-def bench_failover(size=FLOOR_AT_SIZE):
+def bench_failover(size=1024):
     """Kill the primary after a log-shipped tail; time the promotion."""
-    federation, names = build_federation(size, "log")
+    federation, names = build_federation(size)
     write_window(federation, names, 500, seed=99)
     victim = federation.naming.owner_of(PARTITION)
     last = federation.call(names[0], "deposit", 1.0)
@@ -188,24 +177,31 @@ def main():
         f"{failover['recovery_ms']:.1f} ms to first successful call, "
         f"last write survived"
     )
-    at_floor = next(r for r in sizes if r["partition_size"] == FLOOR_AT_SIZE)
-    speedup = at_floor["speedup_log_vs_full"]
-    passed = speedup >= FLOOR_SPEEDUP
+    medians = {row["partition_size"]: row["median_ops_s"] for row in sizes}
+    small, large = FLOOR_SIZES
+    ratio = round(medians[large] / medians[small], 3)
+    passed = ratio >= FLOOR_RATIO
+    print(
+        f"ops/s at {large} servants = {ratio:.2f}x of {small} "
+        f"(floor {FLOOR_RATIO}x)"
+    )
     write_bench_json(
         "replication",
         {
             "sizes": sizes,
+            "rounds": ROUNDS,
+            "ops_per_window": OPS_PER_WINDOW,
             "failover": failover,
-            "floor_speedup": FLOOR_SPEEDUP,
-            "floor_at_size": FLOOR_AT_SIZE,
-            "speedup_at_floor": speedup,
+            "floor_ratio": FLOOR_RATIO,
+            "floor_sizes": list(FLOOR_SIZES),
+            "size_ratio": ratio,
             "passed": passed,
         },
     )
     if not passed:
         raise SystemExit(
-            f"log-shipping speedup {speedup:.2f}x at {FLOOR_AT_SIZE} "
-            f"servants dropped below the {FLOOR_SPEEDUP}x floor"
+            f"ops/s at {large} servants fell to {ratio:.2f}x of {small} "
+            f"(floor {FLOOR_RATIO}x): replication cost grows with partition size"
         )
 
 

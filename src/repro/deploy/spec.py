@@ -13,8 +13,8 @@ refined application runs*:
 * the application — :class:`ApplicationSpec`: a PIM source (builder name
   or XMI path) plus the ordered :class:`ConcernSpec` selections lowered
   through the configuration pipeline;
-* policies — :class:`ReplicationSpec` (standby count, write-through vs
-  log-shipping mode, snapshot threshold),
+* policies — :class:`ReplicationSpec` (standby count, log snapshot
+  threshold),
   :class:`FaultCampaignSpec` (site probabilities), named
   :class:`QoSProfile` s with per-binding defaults, and provisioned
   :class:`UserSpec` s.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import DeploymentError
@@ -122,8 +122,8 @@ class ServantSpec:
     (``<partition>/<Type>/<index>``); ``state`` is the constructor
     keyword dict (JSON-shaped — it travels in spec files and shard
     manifests); ``read_only_ops`` classifies operations whose dispatch
-    mutates no servant state, which lets write-through replication skip
-    the sync for routed calls that touched nothing mutable; ``qos``
+    mutates no servant state, which lets replication skip the sync for
+    routed calls that touched nothing mutable; ``qos``
     names a :class:`QoSProfile` used as this binding's default policy.
     """
 
@@ -195,31 +195,33 @@ class PartitionSpec:
 class ReplicationSpec:
     """Standby copies per partition (0 = replication disabled).
 
-    ``mode`` selects the replication machinery: ``"full"`` write-through
-    (every mutating call overwrites the standby copies in place) or
-    ``"log"`` log shipping (per-servant deltas appended to a sequenced
-    partition log that standbys replay).  ``snapshot_every`` is the
-    log-mode truncation threshold: after that many retained entries the
-    tail is folded into a base snapshot.  Old spec files without these
-    keys parse as write-through.
+    Standbys replay a sequenced per-partition log of per-servant state
+    deltas; ``snapshot_every`` is the log's truncation threshold: after
+    that many retained entries the tail is folded into a base snapshot.
+
+    ``mode`` is accepted, never stored: spec files and callers from when
+    replication had a write-through mode may still say ``"full"`` or
+    ``"log"``, and both mean the log.  Any other value is refused.
     """
 
     count: int = 0
-    mode: str = "full"
+    mode: InitVar[str] = "log"
     snapshot_every: int = 64
 
+    def __post_init__(self, mode: str):
+        if mode not in ("full", "log"):
+            raise DeploymentError(
+                f"replication mode must be 'full' or 'log', got {mode!r}"
+            )
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "mode": self.mode,
-            "snapshot_every": self.snapshot_every,
-        }
+        return {"count": self.count, "snapshot_every": self.snapshot_every}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReplicationSpec":
         return cls(
             count=data.get("count", 0),
-            mode=data.get("mode", "full"),
+            mode=data.get("mode", "log"),
             snapshot_every=data.get("snapshot_every", 64),
         )
 
@@ -564,11 +566,6 @@ class DeploymentSpec:
                     f"smaller than the node count {len(self.nodes)} "
                     "(every standby needs a distinct successor node)"
                 )
-        if self.replication.mode not in ("full", "log"):
-            problems.append(
-                f"replication mode must be 'full' or 'log', "
-                f"got {self.replication.mode!r}"
-            )
         if self.replication.snapshot_every < 1:
             problems.append(
                 f"replication snapshot_every must be >= 1, "
@@ -750,7 +747,6 @@ class DeploymentSpec:
             f"({servant_count} servant(s))",
             f"  replication: {self.replication.count} standby(s)/partition"
             + (
-                f", {self.replication.mode} mode"
                 f" (snapshot every {self.replication.snapshot_every})"
                 if self.replication.count
                 else ""

@@ -12,8 +12,7 @@ concrete aspects target (see the substitution table in DESIGN.md):
   reply-to future, propagated context, QoS policy) and the ordered
   interceptor-chain element pipeline every delivery runs through;
 * :mod:`repro.middleware.transport` — pluggable transports: in-process
-  synchronous, queued-asynchronous (delivery threads), and
-  simulated-latency network;
+  synchronous and queued-asynchronous (delivery threads);
 * :mod:`repro.middleware.bus` — message bus with pass-by-value
   marshalling, latency accounting and delivery statistics;
 * :mod:`repro.middleware.naming` — naming service (bind/resolve);
@@ -42,7 +41,6 @@ from repro.middleware.envelope import (
 from repro.middleware.transport import (
     InProcessTransport,
     QueuedTransport,
-    SimulatedNetworkTransport,
     Transport,
 )
 from repro.middleware.naming import NamingService
@@ -81,7 +79,6 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "QueuedTransport",
-    "SimulatedNetworkTransport",
     "NamingService",
     "Orb",
     "ObjectRef",

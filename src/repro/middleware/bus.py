@@ -4,9 +4,9 @@ The bus is the transport endpoint of the simulated middleware: the ORB
 (S10/rpc) turns proxy calls into :class:`Request` messages wrapped in
 :class:`~repro.middleware.envelope.Envelope` objects, and the bus delivers
 them to registered servants, producing :class:`Response` messages.
-Delivery runs through a pluggable
-:class:`~repro.middleware.transport.Transport` (in-process synchronous by
-default; queued-asynchronous for ``async``/oneway invocations) and a
+Delivery runs through a
+:class:`~repro.middleware.transport.Transport` (in-process synchronous,
+or queued-asynchronous for ``async``/oneway invocations) and a
 single ordered :class:`~repro.middleware.envelope.InterceptorChain` that
 carries the cross-cutting transport behaviour — fault injection, latency
 simulation, delivery statistics — as named elements instead of inline
@@ -59,7 +59,6 @@ from repro.middleware.transport import (
     InProcessTransport,
     LazyQueuedTransport,
     QueuedTransport,
-    Transport,
     in_serving_thread,
 )
 
@@ -258,14 +257,13 @@ class MessageBus:
         clock: Optional[SimClock] = None,
         faults: Optional[FaultInjector] = None,
         latency_ms: float = 0.5,
-        transport: Optional[Transport] = None,
         delivery_workers: int = 2,
     ):
         self.clock = clock or SimClock()
         self.faults = faults or FaultInjector()
         self.latency_ms = latency_ms
-        #: synchronous delivery path (caller-thread semantics by default)
-        self.transport = transport or InProcessTransport()
+        #: synchronous delivery path (caller-thread semantics)
+        self.transport = InProcessTransport()
         #: asynchronous delivery path, created lazily on first async call
         self.delivery_workers = delivery_workers
         self._async = LazyQueuedTransport(
@@ -277,7 +275,7 @@ class MessageBus:
         #: declared by the deployment spec (``ServantSpec.read_only_ops``).
         #: Deliveries whose operation is NOT in its type's set bump
         #: :attr:`mutations` — the per-call mutation flag the federation's
-        #: write-through replication consults to skip syncing partitions
+        #: replication consults to skip syncing partitions
         #: a routed call never mutated.  Unknown types default to
         #: "everything mutates" (the safe direction).
         self.read_only_ops: Dict[str, frozenset] = {}
@@ -341,8 +339,7 @@ class MessageBus:
 
         *Replace* semantics, not merge: reconciling onto a spec that
         reclassifies an operation as mutating must actually remove it
-        from the set, or write-through replication would keep skipping
-        its syncs.
+        from the set, or replication would keep skipping its syncs.
         """
         with self._stats_lock:
             self.read_only_ops[type_name] = frozenset(operations)

@@ -3,7 +3,7 @@
 Every invocation layer (bus, federation) hands its envelopes to a
 :class:`Transport` with a *handler* — the layer's interceptor chain plus
 terminal dispatch — and gets a
-:class:`~repro.middleware.envelope.ReplyFuture` back.  Three flavours:
+:class:`~repro.middleware.envelope.ReplyFuture` back.  Two flavours:
 
 * :class:`InProcessTransport` — delivers inline on the caller's thread
   and returns an already-completed future.  The synchronous baseline:
@@ -13,9 +13,6 @@ terminal dispatch — and gets a
   async invocation, oneway fire-and-forget, and reply pipelining all
   ride on it.  ``drain()`` quiesces (waits until nothing is queued or in
   flight) so harnesses can check invariants after the last oneway lands.
-* :class:`SimulatedNetworkTransport` — decorates another transport with
-  per-hop simulated-clock latency and optional real sleep, modelling a
-  network link without the layers knowing.
 
 All transports honour the envelope's :class:`~repro.middleware.envelope.QoS`
 retry budget: a *bare* :class:`~repro.errors.MiddlewareError` (the fault
@@ -260,46 +257,3 @@ class LazyQueuedTransport:
         transport = self._transport
         if transport is not None:
             transport.shutdown()
-
-
-class SimulatedNetworkTransport(Transport):
-    """A network link in front of another transport.
-
-    Charges simulated-clock latency for the request and reply hops and
-    optionally sleeps real time (the I/O that concurrent delivery
-    overlaps), then delegates delivery to the inner transport.
-    """
-
-    name = "simulated-network"
-
-    def __init__(
-        self,
-        inner: Transport,
-        clock,
-        sim_latency_ms: float = 0.5,
-        real_latency_s: float = 0.0,
-    ):
-        self.inner = inner
-        self.clock = clock
-        self.sim_latency_ms = sim_latency_ms
-        self.real_latency_s = real_latency_s
-
-    def submit(self, envelope: Envelope, handler: Handler) -> ReplyFuture:
-        def networked(env: Envelope) -> Any:
-            self.clock.advance(self.sim_latency_ms)
-            if self.real_latency_s > 0:
-                import time
-
-                time.sleep(self.real_latency_s)
-            try:
-                return handler(env)
-            finally:
-                self.clock.advance(self.sim_latency_ms)
-
-        return self.inner.submit(envelope, networked)
-
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        return self.inner.drain(timeout_s)
-
-    def shutdown(self) -> None:
-        self.inner.shutdown()

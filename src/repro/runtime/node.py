@@ -7,17 +7,18 @@ node's naming service doubles as its shard of the federation's sharded
 naming service, so binding a servant locally *is* publishing it to the
 federation.
 
-Applications are deployed per node: each node refines its own copy of the
-PIM through the configured concerns and builds its own woven module, so
-the weaver instruments node-private classes and aspects close over
-node-private services — exactly the deployment unit a real ORB federation
-replicates onto every host.
+Applications are refined once and replayed per node: the deployment
+compiler ships the refined application as a
+:class:`~repro.core.shipping.ComponentPackage`, and each node replays it
+against its own services and hosts the woven module it builds
+(:meth:`Node.host`), so the weaver instruments node-private classes and
+aspects close over node-private services — exactly the deployment unit
+a real ORB federation replicates onto every host.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional
 
 from repro.analysis.witness import named_lock
 from repro.core.lifecycle import MdaLifecycle
@@ -26,18 +27,6 @@ from repro.errors import NamingError
 from repro.middleware.bus import ObjectRefData
 from repro.middleware.envelope import delivering
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
-
-_module_counter = itertools.count(1)
-
-ConcernPlan = Union[
-    Mapping[str, Mapping[str, Any]], Iterable[Tuple[str, Mapping[str, Any]]]
-]
-
-
-def _concern_pairs(concerns: ConcernPlan):
-    if isinstance(concerns, Mapping):
-        return list(concerns.items())
-    return list(concerns)
 
 
 class Node:
@@ -75,30 +64,10 @@ class Node:
 
     # -- application deployment ------------------------------------------------
 
-    def deploy(
-        self,
-        resource,
-        concerns: ConcernPlan = (),
-        module_name: Optional[str] = None,
-    ):
-        """Refine ``resource`` through ``concerns`` and build the woven app.
-
-        Returns the generated module; the node keeps the lifecycle for
-        introspection (``node.lifecycle``) and the module for instancing
-        servants (``node.module``).
-        """
-        lifecycle = MdaLifecycle(resource, services=self.services)
-        for concern, params in _concern_pairs(concerns):
-            lifecycle.apply_concern(concern, **params)
-        name = module_name or (
-            f"{self.name.replace('-', '_')}_app_{next(_module_counter)}"
-        )
-        module = lifecycle.build_application(name)
-        self.host(lifecycle, module)
-        return module
-
     def host(self, lifecycle: Optional[MdaLifecycle], module) -> None:
-        """Adopt an application built elsewhere (e.g. replayed packages)."""
+        """Adopt the application replayed onto this node: the node keeps
+        the lifecycle for introspection (``node.lifecycle``) and the
+        woven module for instancing servants (``node.module``)."""
         self.lifecycle = lifecycle
         self.module = module
 
@@ -124,7 +93,7 @@ class Node:
         if self.federation is not None and self.federation.replicas is not None:
             # seed the standby copies immediately: a partition must be
             # recoverable even if it is killed before any routed call
-            # ever write-through-replicated it
+            # ever replicated it
             self.federation.replicas.sync_partition(
                 self.federation.naming.partition_key(name)
             )

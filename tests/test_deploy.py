@@ -750,7 +750,7 @@ class TestLiveReconcileUnderLoad:
 
 
 # ---------------------------------------------------------------------------
-# mutation narrowing: read-only routed calls skip the write-through sync
+# mutation narrowing: read-only routed calls skip the replication sync
 # ---------------------------------------------------------------------------
 
 

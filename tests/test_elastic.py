@@ -290,7 +290,7 @@ class TestFailover:
     def test_failover_promotes_standby_state_under_retry_budget(self):
         federation, names = build(replication=1)
         for name in names:
-            federation.call(name, "bump", 5.0)  # write-through replicates
+            federation.call(name, "bump", 5.0)  # replicated through the log
         federation.kill("node-2")
         # the retry budget absorbs the dead-node fault: first attempt sees
         # NodeDownError, the failover element promotes, the retry lands on

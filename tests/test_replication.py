@@ -44,7 +44,7 @@ MODULE = type("ReplicationTestModule", (), {"Counter": Counter})
 RETRY = QoS(timeout_ms=30_000.0, retries=2)
 
 
-def build(nodes=3, partitions=6, per_partition=3, mode="log", snapshot_every=8):
+def build(nodes=3, partitions=6, per_partition=3, snapshot_every=8):
     federation = Federation(seed=7, latency_ms=0.0)
     for i in range(nodes):
         federation.add_node(f"node-{i}").module = MODULE
@@ -56,7 +56,7 @@ def build(nodes=3, partitions=6, per_partition=3, mode="log", snapshot_every=8):
             name = f"{partition}/Counter/{j}"
             node.bind(name, Counter(100.0))
             names.append(name)
-    federation.enable_replication(1, mode=mode, snapshot_every=snapshot_every)
+    federation.enable_replication(1, snapshot_every=snapshot_every)
     return federation, names
 
 
@@ -125,43 +125,43 @@ class TestReplicationLog:
 
 
 class TestReplicationConfig:
-    def test_unknown_mode_rejected(self):
-        federation, _ = build()
-        with pytest.raises(FederationError, match="unknown replication mode"):
-            ReplicaManager(federation, count=1, mode="paxos")
-        federation.shutdown()
-
     def test_snapshot_threshold_must_be_positive(self):
         federation, _ = build()
         with pytest.raises(FederationError, match="snapshot_every"):
-            ReplicaManager(federation, count=1, mode="log", snapshot_every=0)
-        federation.shutdown()
-
-    def test_enable_with_conflicting_mode_rejected(self):
-        federation, _ = build(mode="log")
-        with pytest.raises(FederationError, match="'log' mode"):
-            federation.enable_replication(1, mode="full")
-        federation.shutdown()
-
-    def test_live_mode_change_refused(self):
-        federation, _ = build(mode="log")
-        with pytest.raises(FederationError, match="mode cannot change live"):
-            federation.set_replication(1, mode="full")
+            ReplicaManager(federation, count=1, snapshot_every=0)
         federation.shutdown()
 
     def test_set_replication_retunes_snapshot_threshold(self):
-        federation, _ = build(mode="log", snapshot_every=8)
+        federation, _ = build(snapshot_every=8)
         federation.set_replication(1, snapshot_every=2)
         assert federation.replicas.snapshot_every == 2
         federation.shutdown()
 
     def test_spec_round_trip_and_legacy_default(self):
-        spec = ReplicationSpec(count=2, mode="log", snapshot_every=16)
+        spec = ReplicationSpec(count=2, snapshot_every=16)
         assert ReplicationSpec.from_dict(spec.to_dict()) == spec
-        # pre-log spec files carry only the count: parse as write-through
+        # pre-log spec files carry only the count
         legacy = ReplicationSpec.from_dict({"count": 1})
-        assert legacy.mode == "full"
+        assert legacy == ReplicationSpec(count=1)
         assert legacy.snapshot_every == 64
+
+    def test_legacy_mode_key_parses_to_the_log(self):
+        # spec files from when replication had a write-through mode
+        # still parse: "full" and "log" both mean the log, nothing of
+        # the mode survives into the spec, its JSON, or its digest
+        parsed = [
+            ReplicationSpec.from_dict(data)
+            for data in (
+                {"count": 1, "mode": "full", "snapshot_every": 16},
+                {"count": 1, "mode": "log", "snapshot_every": 16},
+                {"count": 1, "snapshot_every": 16},
+            )
+        ]
+        assert parsed[0] == parsed[1] == parsed[2]
+        for spec in parsed:
+            assert "mode" not in spec.to_dict()
+        with pytest.raises(DeploymentError, match="paxos"):
+            ReplicationSpec.from_dict({"count": 1, "mode": "paxos"})
 
 
 class TestReconcileModeChanges:
@@ -174,24 +174,21 @@ class TestReconcileModeChanges:
             replication=replication,
         )
 
-    def test_diff_refuses_live_mode_change(self):
-        current = self._spec(ReplicationSpec(count=1, mode="full"))
-        target = self._spec(ReplicationSpec(count=1, mode="log"))
-        with pytest.raises(DeploymentError, match="mode cannot be changed"):
-            DeploymentDiff.between(current, target)
-
     def test_diff_allows_mode_choice_when_first_enabled(self):
         current = self._spec(ReplicationSpec(count=0))
         target = self._spec(ReplicationSpec(count=1, mode="log", snapshot_every=4))
         diff = DeploymentDiff.between(current, target)
         plan = diff.plan()
         (action,) = [a for a in plan.actions if a.kind == "set_replication"]
-        assert action.payload["mode"] == "log"
+        assert "mode" not in action.payload
         assert action.payload["snapshot_every"] == 4
+        # a spec that still says "full" is the same deployment
+        legacy = self._spec(ReplicationSpec(count=1, mode="full", snapshot_every=4))
+        assert DeploymentDiff.between(target, legacy).empty
 
     def test_diff_retunes_snapshot_threshold(self):
-        current = self._spec(ReplicationSpec(count=1, mode="log", snapshot_every=64))
-        target = self._spec(ReplicationSpec(count=1, mode="log", snapshot_every=8))
+        current = self._spec(ReplicationSpec(count=1, snapshot_every=64))
+        target = self._spec(ReplicationSpec(count=1, snapshot_every=8))
         diff = DeploymentDiff.between(current, target)
         assert not diff.empty
         (action,) = [a for a in diff.plan().actions if a.kind == "set_replication"]
@@ -206,7 +203,7 @@ class TestReconcileModeChanges:
 
 class TestStatsAccounting:
     def test_noop_sync_does_not_inflate_syncs(self):
-        federation, _ = build(mode="full")
+        federation, _ = build()
         before = federation.replicas.stats()["syncs"]
         # no such partition: the early return must not count as a sync
         federation.replicas.sync_partition("no-such-partition")
@@ -214,17 +211,16 @@ class TestStatsAccounting:
         federation.shutdown()
 
     def test_mutating_call_counts_one_refreshing_sync(self):
-        federation, names = build(mode="log")
+        federation, names = build()
         before = federation.replicas.stats()["syncs"]
         federation.call(names[0], "bump", 1.0)
         assert federation.replicas.stats()["syncs"] == before + 1
         federation.shutdown()
 
     def test_stats_expose_log_counters(self):
-        federation, names = build(mode="log")
+        federation, names = build()
         federation.call(names[0], "bump", 1.0)
         stats = federation.replicas.stats()
-        assert stats["mode"] == "log"
         assert stats["log_appends"] > 0
         assert stats["replica_lag"] == 0
         assert stats["max_replica_lag"] >= 1
@@ -232,21 +228,13 @@ class TestStatsAccounting:
             assert key in stats
         federation.shutdown()
 
-    def test_full_mode_reports_zero_log_activity(self):
-        federation, names = build(mode="full")
-        federation.call(names[0], "bump", 1.0)
-        stats = federation.replicas.stats()
-        assert stats["mode"] == "full"
-        assert stats["log_appends"] == 0
-        assert stats["snapshots"] == 0
-        federation.shutdown()
-
     def test_lag_is_measurable_for_an_unreachable_standby(self):
-        federation, names = build(mode="log")
+        federation, names = build(snapshot_every=4)
         name = names[0]
         partition = federation.naming.partition_key(name)
         group = federation.replicas._groups[partition]
         (standby_name,) = list(group.standbys)
+        log = federation.replicas._logs[partition]
         # an undeployed standby cannot apply the shipped tail: its
         # watermark freezes and the lag becomes visible in stats()
         module, federation.nodes[standby_name].module = (
@@ -254,14 +242,17 @@ class TestStatsAccounting:
             None,
         )
         try:
-            federation.call(name, "bump", 1.0)
-            assert federation.replicas.stats()["replica_lag"] >= 1
+            for _ in range(10):
+                federation.call(name, "bump", 1.0)
+            assert federation.replicas.stats()["replica_lag"] >= 10
         finally:
             federation.nodes[standby_name].module = module
-        # the next write catches the standby back up through the log
-        federation.call(name, "bump", 1.0)
+        # it missed writes across folds: the next write reseeds it from
+        # the base snapshot, then replays the remaining tail
+        assert group.watermarks[standby_name] < log.base_seq
+        federation.call(names[1], "bump", 1.0)
         assert federation.replicas.stats()["replica_lag"] == 0
-        assert_standbys_match_primaries(federation, [name])
+        assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
 
@@ -272,7 +263,7 @@ class TestStatsAccounting:
 
 class TestReplayEquivalence:
     def test_sequential_writes_replay_identically(self):
-        federation, names = build(mode="log", snapshot_every=8)
+        federation, names = build(snapshot_every=8)
         rng = random.Random(11)
         for _ in range(200):
             federation.call(rng.choice(names), "bump", rng.choice((1.0, 2.5)))
@@ -280,9 +271,10 @@ class TestReplayEquivalence:
         federation.shutdown()
 
     def test_truncation_preserves_equivalence(self):
-        # snapshot_every=1 folds+truncates after every single append —
-        # every standby refresh goes through the reseed-from-base path
-        federation, names = build(mode="log", snapshot_every=1)
+        # snapshot_every=1 folds+truncates after every sync — no tail
+        # survives between calls, yet every standby replays the fresh
+        # entries before the fold, so none falls behind the base
+        federation, names = build(snapshot_every=1)
         rng = random.Random(13)
         for _ in range(120):
             federation.call(rng.choice(names), "bump", 1.0)
@@ -291,22 +283,32 @@ class TestReplayEquivalence:
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
-    def test_log_and_full_modes_converge_to_identical_state(self):
-        ops = [(i % 18, float(1 + i % 5)) for i in range(90)]
-        finals = []
-        for mode in ("full", "log"):
-            federation, names = build(mode=mode)
-            for index, amount in ops:
-                federation.call(names[index], "bump", amount)
-            finals.append(
-                {name: federation.servant(name).__dict__.copy() for name in names}
-            )
-            assert_standbys_match_primaries(federation, names)
-            federation.shutdown()
-        assert finals[0] == finals[1]
+    def test_standby_replays_only_fresh_entries_across_folds(self, monkeypatch):
+        # one standby, one 256-servant partition, a fold every 8
+        # entries: each write must apply exactly one copy — a fold that
+        # ran before the catch-up would reseed the whole partition from
+        # the base every 8th write
+        federation, names = build(
+            nodes=2, partitions=1, per_partition=256, snapshot_every=8
+        )
+        applied = []
+        apply_state = ReplicaManager._apply_state
+
+        def counting(*args):
+            applied.append(args[2])
+            return apply_state(*args)
+
+        monkeypatch.setattr(ReplicaManager, "_apply_state", staticmethod(counting))
+        folds = federation.replicas.stats()["snapshots"]
+        for i in range(64):
+            federation.call(names[i * 3], "bump", 1.0)
+        assert len(applied) == 64
+        assert federation.replicas.stats()["snapshots"] - folds == 8
+        assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
 
     def test_join_reseeds_new_standbys_through_the_log(self):
-        federation, names = build(nodes=3, mode="log", snapshot_every=4)
+        federation, names = build(nodes=3, snapshot_every=4)
         rng = random.Random(17)
         for _ in range(60):
             federation.call(rng.choice(names), "bump", 1.0)
@@ -317,7 +319,7 @@ class TestReplayEquivalence:
         federation.shutdown()
 
     def test_kill_after_log_tail_promotes_last_write(self):
-        federation, names = build(mode="log", snapshot_every=4)
+        federation, names = build(snapshot_every=4)
         name = names[0]
         victim = federation.naming.owner_of(name)
         expected = federation.call(name, "bump", 41.0)
@@ -347,9 +349,7 @@ class TestReplayStress:
                 name = f"{partition}/Counter/{j}"
                 node.bind(name, Counter(100.0))
                 names.append(name)
-        federation.enable_replication(
-            1, mode="log", snapshot_every=snapshot_every
-        )
+        federation.enable_replication(1, snapshot_every=snapshot_every)
 
         successes = []
         unexpected = []

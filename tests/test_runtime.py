@@ -2,9 +2,11 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.deploy import DeploymentCompiler
 from repro.errors import (
     FederationError,
     NamingError,
@@ -19,6 +21,7 @@ from repro.runtime import (
     HashRing,
     MetricsRegistry,
     RunConfig,
+    Scenario,
     ScenarioRunner,
     SerialDispatcher,
     ShardedNamingService,
@@ -275,14 +278,12 @@ class TestMetrics:
 
 class TestFederation:
     def _banking_federation(self, nodes=2):
-        federation = Federation(seed=7)
-        for i in range(nodes):
-            federation.add_node(f"node-{i}")
         spec = get_scenario("banking")
-        config = RunConfig(scenario="banking", nodes=nodes)
-        spec.deploy(federation, config)
-        for user, password, roles in spec.users:
-            federation.add_user(user, password, roles=roles)
+        config = RunConfig(scenario="banking", nodes=nodes, seed=7, concurrent=False)
+        # the scenario's topology, woven application and users, but none
+        # of its servants: each test binds the entities it needs
+        deployment = replace(spec.deployment_spec(config), partitions=())
+        federation = DeploymentCompiler().deploy(deployment)
         return federation, spec, config
 
     def test_nodes_host_independent_apps(self):
@@ -469,6 +470,13 @@ class TestScenarioHarness:
                 "banking",
                 RunConfig(scenario="banking", workers=0, concurrent=True),
             )
+
+    def test_scenario_without_servant_layout_refused(self):
+        class Layoutless(Scenario):
+            name = "layoutless"
+
+        with pytest.raises(ScenarioError, match="servant_layout"):
+            ScenarioRunner(Layoutless(), RunConfig(scenario="layoutless"))
 
     def test_result_serializes(self):
         import json
