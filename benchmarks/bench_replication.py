@@ -86,7 +86,7 @@ def standby_total(federation, names):
     total = 0.0
     for standby_name in group.standbys:
         copies = replicas.take(PARTITION, standby_name)
-        total += sum(copies[name].balance for name in names)
+        total += sum(copies[name][1]["balance"] for name in names)
     return total
 
 

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 from _benchjson import write_bench_json
 
-from repro.deploy.compiler import register_application
+from repro.deploy.compiler import DeploymentCompiler, register_application
 from repro.deploy.spec import (
     ApplicationSpec,
     ConcernSpec,
@@ -41,7 +41,6 @@ from repro.deploy.spec import (
     ServantSpec,
 )
 from repro.runtime import Federation
-from repro.runtime.procfed import ProcessFederation
 from repro.uml import (
     add_class,
     add_operation,
@@ -130,6 +129,7 @@ def grinder_spec(nodes: int, partitions_per_node: int = 2) -> DeploymentSpec:
             for k in range(n_partitions)
         ),
         seed=1,
+        transport="process",
     )
 
 
@@ -173,7 +173,8 @@ def run_scaling():
     for nodes in TOPOLOGIES:
         spec = grinder_spec(nodes)
         names = [f"{p.key}/Grinder/0" for p in spec.partitions]
-        with ProcessFederation(spec) as federation:
+        federation = DeploymentCompiler().deploy(spec)
+        try:
             # every grind(ROUNDS) returns the same digest — assert it so
             # a worker that dropped or corrupted work cannot pass
             probe = federation.call(names[0], "grind", ROUNDS)
@@ -181,12 +182,14 @@ def run_scaling():
                 expected = probe
             assert probe == expected
             elapsed = _drive(
-                lambda name: federation.call(name, "grind", ROUNDS),
+                lambda name, fed=federation: fed.call(name, "grind", ROUNDS),
                 names,
                 OPS,
                 CLIENTS,
             )
-            stats = federation.stats()["transport"]
+            stats = federation.transport.stats()
+        finally:
+            federation.shutdown()
         points[nodes] = {
             "ops": OPS,
             "duration_s": elapsed,

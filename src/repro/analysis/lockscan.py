@@ -25,7 +25,8 @@ Receivers are typed through ordinary annotations — ``self.federation:
 "Federation" = federation``, annotated ``__init__`` parameters, ``->
 Node`` return annotations, and ``Dict[str, Node]`` value types — so the
 interprocedural pass can follow ``self.federation.naming.swap(…)``
-chains without executing anything.
+chains without executing anything.  ``Union[Node, RemoteNode]`` types a
+receiver as every member, so a call follows each class's method.
 
 Limitations (documented in docs/CONCURRENCY.md): nested ``def`` bodies
 are not walked (lambdas are), and a context manager that holds a lock
@@ -363,6 +364,11 @@ def _type_names(annotation: Optional[ast.expr]) -> Tuple[str, ...]:
         )
         if base_name == "Optional":
             return _type_names(annotation.slice)
+        if base_name == "Union" and isinstance(annotation.slice, ast.Tuple):
+            return tuple(
+                name for member in annotation.slice.elts
+                for name in _type_names(member)
+            )
         return ()
     return ()
 
@@ -786,6 +792,15 @@ class _FuncBuilder:
             ops = []
             if stmt.value is not None:
                 ops.extend(self.walk_expr(stmt.value))
+            if isinstance(stmt.target, ast.Name):
+                # `owner: Union[Node, RemoteNode] = …` types the local
+                types = {
+                    name for name in _type_names(stmt.annotation)
+                    if _looks_like_class(name)
+                }
+                self.local_types.pop(stmt.target.id, None)
+                if types:
+                    self.local_types[stmt.target.id] = types
             attr = _self_attr(stmt.target)
             if attr is not None:
                 ops.append(Mutate(stmt.lineno, attr=attr, desc="assignment"))
@@ -845,10 +860,12 @@ class _FuncBuilder:
             if isinstance(target, ast.Name):
                 self.local_locks.pop(target.id, None)
                 self.local_types.pop(target.id, None)
-                if spec is not None:
-                    self.local_locks[target.id] = spec
-                elif value_types:
+                # `node = self.node(name)`: a call typed `-> Node` is a
+                # value, not a helper-returned lock
+                if value_types - set(_LOCK_FACTORIES):
                     self.local_types[target.id] = set(value_types)
+                elif spec is not None:
+                    self.local_locks[target.id] = spec
             attr = _self_attr(target)
             if attr is not None:
                 ops.append(Mutate(stmt.lineno, attr=attr, desc="assignment"))

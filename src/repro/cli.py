@@ -722,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'REPRO-NODE <name> <endpoint>', and serve requests until a "
         "control 'stop' arrives.  The application arrives over the "
         "wire as a shipped component package — spawned and driven by "
-        "ProcessFederation, or by hand for debugging.",
+        "a federation deployed with transport \"process\", or by hand "
+        "for debugging.",
     )
     node_sub = node_cmd.add_subparsers(
         dest="node_command",

@@ -263,8 +263,8 @@ class DeploymentCompiler:
                     federation.mark_read_only(type_name, ops)
             for partition in spec.partitions:
                 owner = federation.node_for(partition.key)
-                for servant_spec in partition.servants:
-                    self._bind_servant(owner, servant_spec)
+                for servant in partition.servants:
+                    owner.create(servant.name, servant.type_name, servant.state)
             for user in spec.users:
                 federation.add_user(user.name, user.password, roles=user.roles)
             for pattern, profile in self._binding_qos(spec):
@@ -286,42 +286,13 @@ class DeploymentCompiler:
 
     @staticmethod
     def deploy_node(federation, node) -> None:
-        """Replay the federation's shipped application onto one node.
-
-        The package was verified against the vendor model when it was
-        shipped moments earlier in this process, so the per-node replay
-        skips the fingerprint re-check (pure cost at N nodes).
-        """
-        from repro.core import replay
-
+        """Replay the federation's shipped application onto one node
+        (in process or in a worker process — the node installs it)."""
         if federation.app_package is None:
             raise DeploymentError(
                 "federation has no shipped application package to replay"
             )
-        lifecycle = replay(
-            federation.app_package, services=node.services, verify=False
-        )
-        module = lifecycle.build_application(
-            f"deploy_{node.name.replace('-', '_')}"
-        )
-        node.host(lifecycle, module)
-
-    @staticmethod
-    def _bind_servant(node, servant_spec: ServantSpec) -> None:
-        cls = getattr(node.module, servant_spec.type_name, None)
-        if cls is None:
-            raise DeploymentError(
-                f"application has no class {servant_spec.type_name!r} "
-                f"(servant {servant_spec.name!r})"
-            )
-        try:
-            servant = cls(**servant_spec.state)
-        except TypeError as exc:
-            raise DeploymentError(
-                f"servant {servant_spec.name!r}: state does not match "
-                f"{servant_spec.type_name!r} constructor: {exc}"
-            ) from exc
-        node.bind(servant_spec.name, servant)
+        node.install(federation.app_package)
 
 
 # ---------------------------------------------------------------------------

@@ -106,18 +106,13 @@ class MigrationPlan:
             # the per-type sets, spec-wide — a single servant's view
             # must never replace its type's classification
             for entry in payload["servants"]:
-                servant_spec = ServantSpec.from_dict(entry)
-                owner = federation.node_for(
-                    federation.naming.partition_key(servant_spec.name)
+                servant = ServantSpec.from_dict(entry)
+                federation.node_for(servant.name).create(
+                    servant.name, servant.type_name, servant.state
                 )
-                DeploymentCompiler._bind_servant(owner, servant_spec)
         elif action.kind == "unbind_servants":
             for name in payload["servants"]:
-                node, ref = federation.resolve(name)
-                node.services.naming.unbind(name)
-                node.services.orb.unregister(
-                    node.services.bus.servant(ref.object_id)
-                )
+                federation.resolve(name)[0].release([name])
         elif action.kind == "set_observability":
             from repro.deploy.spec import ObservabilitySpec
 

@@ -15,7 +15,11 @@ The federation is the inter-node fabric:
   latency → routing statistics → the owner node's dispatcher) over a
   pluggable transport: in-process synchronous for classic blocking
   calls, queued-asynchronous (delivery threads) for futures, oneways,
-  and pipelined batches.
+  and pipelined batches.  Membership, replication and provisioning
+  drive a node only through the narrow surface documented in
+  :mod:`repro.runtime.node`, so with ``transport="process"`` every node
+  is a worker process (:class:`~repro.runtime.procfed.RemoteNode`)
+  and the same federation routes to it over the wire.
 * :class:`InvocationPipeline` — client-side batching: consecutive calls
   to the same node travel as one envelope, so a latency-bound client
   pays one transport hop per batch instead of per call.
@@ -49,15 +53,26 @@ from __future__ import annotations
 import bisect
 import contextlib
 import fnmatch
+import functools
 import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import FederationError, NamingError, NodeDownError, ReproError
-from repro.middleware.bus import ObjectRefData, Request, marshal
+from repro.middleware.bus import MessageBus, ObjectRefData, Request, marshal
 from repro.middleware.clock import SimClock
 from repro.middleware.envelope import (
     DEFAULT_QOS,
@@ -80,6 +95,9 @@ from repro.middleware.rpc import RemoteProxy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.node import Node
 from repro.runtime.observability import TRACE_KEY, Observability
+
+if TYPE_CHECKING:
+    from repro.runtime.procfed import RemoteNode
 
 
 class HashRing:
@@ -480,15 +498,15 @@ class _MigrationGate:
 
 
 class ReplicaGroup:
-    """One partition's replication view: primary + standby servant copies."""
+    """One partition's replication view: primary + standby state copies."""
 
     __slots__ = ("partition", "primary", "standbys", "watermarks")
 
     def __init__(self, partition: str, primary: str, standby_names: List[str]):
         self.partition = partition
         self.primary = primary
-        #: standby node name -> {binding name -> servant copy}
-        self.standbys: Dict[str, Dict[str, Any]] = {
+        #: standby node name -> {binding name -> (type name, state)}
+        self.standbys: Dict[str, Dict[str, Tuple[str, Dict[str, Any]]]] = {
             name: {} for name in standby_names
         }
         #: standby node name -> applied log sequence: the
@@ -552,24 +570,32 @@ class ReplicationLog:
 
 
 class ReplicaManager:
-    """Per-partition primary + N standby servant copies (failover state).
+    """Per-partition primary + N standby state copies (failover state).
 
     Standbys are the partition's ring successors, so when the primary
     leaves the ring the new hash owner *is* the first standby — the node
-    already holding current state.  Copies are instances of the standby
-    node's own woven module classes; each servant's attribute dict is
-    snapshot under that servant's dispatch lock (so a single snapshot is
-    never torn by a concurrent mutation; shallow — scenario servant
-    state is primitive by construction).
+    whose copies already hold current state.  A copy is a ``(type name,
+    state)`` pair kept in the front-end's memory, exported from the
+    primary through the node surface (each servant snapshot under its
+    dispatch lock), and promotion imports the pairs onto the new owner
+    through the same call shard migration uses — so a worker process's
+    classes never need to exist where the copies live.  A standby holds
+    copies only once it hosts the application it would promote them
+    into.
 
     Replication is log shipping driven by **per-servant dirty
     tracking**: the bus records which servants each delivery mutated
     (:meth:`MessageBus.touched_since`), so a sync appends only the
     touched servants' states to the partition's :class:`ReplicationLog`
     instead of re-copying the whole partition, and standbys *replay*
-    the tail past their applied watermark.  The log is
-    snapshot+truncated every ``snapshot_every`` entries, and
-    seeding/catch-up/failover promotion all ride the same replay path.
+    the tail past their applied watermark.  A worker-process primary has
+    no in-process bus to ask, so its mutating calls take the
+    full-partition path (one export round trip).  That export runs
+    under a per-partition sync lock, not the manager lock: syncs of
+    different partitions overlap their round trips, and one partition's
+    appends stay in export order.  The log is snapshot+truncated every
+    ``snapshot_every`` entries, and seeding/catch-up/failover promotion
+    all ride the same replay path.
 
     Cross-servant coherence comes from the sync discipline itself:
     every mutating call replicates its effects before it releases the
@@ -601,6 +627,9 @@ class ReplicaManager:
         self._index: Dict[str, Dict[str, str]] = {}  # guarded_by: _lock
         self._index_epoch: Dict[str, int] = {}  # guarded_by: _lock
         self._lock = named_rlock("replication.manager")
+        #: partition -> its sync lock, held from export to append so a
+        #: partition's log entries land in the order they were exported
+        self._sync_locks: Dict[str, Any] = {}
         #: syncs that actually refreshed at least one standby copy /
         #: skipped because the routed call touched no mutable servant
         self.syncs = 0
@@ -628,42 +657,59 @@ class ReplicaManager:
         index the narrowed path needs.
 
         Best-effort by design: it runs *after* the triggering call's
-        servant effect, so it must never fail that call.  A topology
+        servant effect, so it must never fail that call — failing it
+        would invite a retry that runs the effect twice.  A topology
         swap racing the sync (owner read from one snapshot, gone in the
         next) just skips the refresh — the rebuild that every membership
-        change performs re-syncs the partition moments later.
+        change performs re-syncs the partition moments later — and so
+        does an export a worker-process owner cannot answer.
+
+        The full path exports outside the manager lock (for a worker
+        owner it is a round trip), holding only the partition's sync
+        lock; both paths take that lock, so a full export can never be
+        appended behind a newer narrowed one.
         """
         federation = self.federation
-        if touched is not None:
-            with self._lock:
-                if self._sync_narrow(partition, touched):
-                    return
-        view = federation.naming.partition_view(partition)
-        if view is None:
-            return
-        owner_name, names = view
-        owner = federation.nodes.get(owner_name)
-        if owner is None:
-            return
-        try:
-            standby_names = self._standby_names(partition)
-        except FederationError:
-            return
-        with self._lock:
-            group = self._ensure_group(partition, owner_name, standby_names)
+        with self._sync_lock(partition):
+            if touched is not None:
+                with self._lock:
+                    if self._sync_narrow(partition, touched):
+                        return
+            epoch = federation.naming.epoch
+            view = federation.naming.partition_view(partition)
+            if view is None:
+                return
+            owner_name, names = view
+            owner: Optional[Union[Node, RemoteNode]] = federation.nodes.get(
+                owner_name
+            )
+            if owner is None:
+                return
+            try:
+                standby_names = self._standby_names(partition)
+                entries = owner.export(names)
+            except ReproError:
+                return
             index: Dict[str, str] = {}
-            pairs = []
             for name in names:
-                found = federation._servant_on(owner, name)
-                if found is None:
+                try:
+                    index[owner.naming.resolve(name).object_id] = name
+                except NamingError:
                     continue
-                ref, servant = found
-                index[ref.object_id] = name
-                pairs.append((name, ref, servant))
-            self._index[partition] = index
-            self._index_epoch[partition] = federation.naming.epoch
-            if self._replicate(partition, group, owner, pairs, full=True):
-                self.syncs += 1
+            with self._lock:
+                group = self._ensure_group(partition, owner_name, standby_names)
+                self._index[partition] = index
+                self._index_epoch[partition] = epoch
+                if self._replicate(partition, group, entries, full=True):
+                    self.syncs += 1
+
+    def _sync_lock(self, partition: str):
+        lock = self._sync_locks.get(partition)
+        if lock is None:
+            lock = self._sync_locks.setdefault(
+                partition, named_lock("replication.partition")
+            )
+        return lock
 
     def _sync_narrow(self, partition: str, touched) -> bool:
         """Refresh only the ``touched`` servants; False -> full path.
@@ -685,21 +731,23 @@ class ReplicaManager:
         if owner is None:
             return False
         index = self._index.get(partition, {})
-        pairs = []
+        names = []
         for object_id in touched:
             name = index.get(object_id)
             if name is None:
                 continue
-            found = federation._servant_on(owner, name)
-            if found is None or found[0].object_id != object_id:
+            try:
+                if owner.naming.resolve(name).object_id != object_id:
+                    return False
+            except NamingError:
                 return False
-            pairs.append((name, found[0], found[1]))
-        if not pairs:
+            names.append(name)
+        if not names:
             # every touched id is foreign to this partition — either a
             # concurrent foreign mutation landed in our window, or the
             # index is stale; the full path resolves both safely
             return False
-        if self._replicate(partition, group, owner, pairs, full=False):
+        if self._replicate(partition, group, owner.export(names), full=False):
             self.syncs += 1
         return True
 
@@ -716,38 +764,24 @@ class ReplicaManager:
             self._groups[partition] = group
         return group
 
-    def _snapshot_states(self, owner, pairs):
-        """[(name, type name, state)] snapshot under each servant's
-        dispatch lock — a concurrent call on the servant cannot tear it."""
-        snapshots = []
-        for name, ref, servant in pairs:
-            state = owner.dispatcher.serialize(
-                ref.object_id, lambda s=servant: dict(s.__dict__)
-            )
-            snapshots.append((name, type(servant).__name__, state))
-        return snapshots
-
-    def _replicate(self, partition, group, owner, pairs, full) -> int:
-        """Append ``pairs`` [(name, ref, servant)] to the partition log
-        and replay it onto the standbys; returns the number of copies
-        actually refreshed."""
-        federation = self.federation
+    def _replicate(self, partition, group, entries, full) -> int:
+        """Append exported ``entries`` [(name, type name, state)] to the
+        partition log and replay it onto the standbys; returns the
+        number of copies actually refreshed."""
         log = self._logs.get(partition)
         if log is None:
             log = self._logs[partition] = ReplicationLog(partition)
-        for name, type_name, state in self._snapshot_states(owner, pairs):
+        for name, type_name, state in entries:
             log.append(name, type_name, state)
             self.log_appends += 1
         if full:
             # a full append re-states every live binding, so base
             # entries for since-unbound names can be dropped
-            log.prune({name for name, _ref, _servant in pairs})
+            log.prune({name for name, _type_name, _state in entries})
         refreshed = 0
         for standby_name in group.standbys:
-            standby = federation.nodes.get(standby_name)
-            if standby is None or standby.module is None:
-                continue
-            refreshed += self._catch_up(group, log, standby_name, standby)
+            if self._hosts_application(standby_name):
+                refreshed += self._catch_up(group, log, standby_name)
         # fold only once the standbys replayed the fresh tail: folding
         # first would leave every watermark behind base_seq, and each
         # standby would reseed from the whole base on every fold
@@ -756,7 +790,11 @@ class ReplicaManager:
             self.snapshots += 1
         return refreshed
 
-    def _catch_up(self, group, log, standby_name, standby) -> int:
+    def _hosts_application(self, node_name: str) -> bool:
+        node = self.federation.nodes.get(node_name)
+        return node is not None and node.deployed
+
+    def _catch_up(self, group, log, standby_name) -> int:
         """Replay the log tail past ``standby_name``'s watermark."""
         applied = group.watermarks.get(standby_name, 0)
         lag = log.seq - applied
@@ -770,29 +808,17 @@ class ReplicaManager:
             # truncated past this watermark: reseed from the base
             # snapshot, then replay the remaining tail
             for name, (type_name, state) in log.base.items():
-                refreshed += self._apply_state(
-                    standby.module, copies, name, type_name, state
-                )
+                refreshed += self._apply_state(copies, name, type_name, state)
             applied = log.base_seq
         # sequence numbers are contiguous: entries[i] is seq base_seq+1+i
         for _seq, name, type_name, state in log.entries[applied - log.base_seq:]:
-            refreshed += self._apply_state(
-                standby.module, copies, name, type_name, state
-            )
+            refreshed += self._apply_state(copies, name, type_name, state)
         group.watermarks[standby_name] = log.seq
         return refreshed
 
     @staticmethod
-    def _apply_state(module, copies, name, type_name, state) -> int:
-        copy = copies.get(name)
-        if copy is None or type(copy).__name__ != type_name:
-            cls = getattr(module, type_name, None)
-            if cls is None:
-                return 0
-            copy = cls.__new__(cls)
-            copies[name] = copy
-        copy.__dict__.clear()
-        copy.__dict__.update(state)
+    def _apply_state(copies, name, type_name, state) -> int:
+        copies[name] = (type_name, state)
         return 1
 
     def note_skip(self) -> None:
@@ -800,8 +826,11 @@ class ReplicaManager:
         with self._lock:
             self.skipped_syncs += 1
 
-    def take(self, partition: str, node_name: str) -> Dict[str, Any]:
-        """The standby copies ``node_name`` holds for ``partition``.
+    def take(
+        self, partition: str, node_name: str
+    ) -> Dict[str, Tuple[str, Dict[str, Any]]]:
+        """The ``{binding: (type name, state)}`` copies ``node_name``
+        holds for ``partition``.
 
         The standby is caught up to the log head first, so failover
         promotion rides the log: the promoted copies replay any
@@ -812,10 +841,12 @@ class ReplicaManager:
             if group is None:
                 return {}
             log = self._logs.get(partition)
-            if log is not None and node_name in group.standbys:
-                standby = self.federation.nodes.get(node_name)
-                if standby is not None and standby.module is not None:
-                    self._catch_up(group, log, node_name, standby)
+            if (
+                log is not None
+                and node_name in group.standbys
+                and self._hosts_application(node_name)
+            ):
+                self._catch_up(group, log, node_name)
             return dict(group.standbys.get(node_name, {}))
 
     def drop(self, partition: str) -> None:
@@ -880,7 +911,7 @@ class Federation:
     """Named nodes + sharded naming + routed, metered invocation."""
 
     #: transport modes a federation can route hops through
-    TRANSPORT_MODES = ("inproc", "queued", "socket")
+    TRANSPORT_MODES = ("inproc", "queued", "socket", "process")
 
     def __init__(
         self,
@@ -906,7 +937,7 @@ class Federation:
         #: ObservabilitySpec, run-level tracing toggled by the harness
         self.observability = Observability(seed=seed)
         self.naming = ShardedNamingService(replicas)
-        self.nodes: Dict[str, Node] = {}
+        self.nodes: Dict[str, Union[Node, RemoteNode]] = {}
         self.latency_ms = latency_ms
         self.real_latency_s = real_latency_s
         self._route_lock = named_lock("federation.route")
@@ -915,19 +946,22 @@ class Federation:
         #: pipelined batches delivered per target node
         self.batches: Dict[str, int] = {}  # guarded_by: _route_lock
         #: how routed hops travel: "inproc" (caller thread), "queued"
-        #: (delivery threads even for sync calls), or "socket" (every
-        #: hop crosses a real wire connection to the node's listener)
+        #: (delivery threads even for sync calls), "socket" (every hop
+        #: crosses a real wire connection to the node's listener), or
+        #: "process" (every node is a worker process, reached over the
+        #: wire; see repro.runtime.procfed)
         self.transport_mode = transport
         self.socket_family = socket_family
-        #: per-node wire listeners and their endpoints (socket mode)
+        #: per-node wire listeners (socket mode) and the endpoints of
+        #: listeners and worker processes
         self._wire_servers: Dict[str, Any] = {}
         self._endpoints: Dict[str, str] = {}
         self._socket_transport = None
         self._unix_sock_dir: Optional[str] = None
-        #: synchronous hop transport (caller-thread semantics; in socket
-        #: mode delivery still runs inline — the wire wait is in the
+        #: synchronous hop transport (caller-thread semantics; over the
+        #: wire delivery still runs inline — the wire wait is in the
         #: routing terminal, where the GIL is released)
-        if transport == "socket":
+        if transport in ("socket", "process"):
             from repro.middleware.sockets import SocketTransport
 
             self._socket_transport = SocketTransport(
@@ -995,40 +1029,50 @@ class Federation:
         name: str,
         workers: int = 0,
         seed: Optional[int] = None,
-        node: Optional[Node] = None,
-    ) -> Node:
+    ) -> Union[Node, RemoteNode]:
         if name in self.nodes:
             raise FederationError(f"node {name!r} already exists")
-        node = node or Node(
-            name,
-            workers=workers,
-            seed=seed if seed is not None else len(self.nodes) + 1,
-        )
-        node.federation = self
-        self._instrument_node(node)
-        self.naming.add_shard(name, node.services.naming)
+        node = self._create_node(name, workers, seed)
+        self.naming.add_shard(name, node.naming)
         self.nodes[name] = node
-        if self.transport_mode == "socket":
-            self._start_wire_server(node)
         return node
 
-    def _instrument_node(self, node: Node) -> None:
-        """Weave the bus-level tracing element into the node's chain."""
-        chain = node.services.bus.chain
-        if not chain.has("trace"):
-            chain.add(
-                "trace",
-                self.observability.tracer.bus_element(node.name),
-                before="faults",
-            )
+    def _create_node(
+        self, name: str, workers: int, seed: Optional[int]
+    ) -> Union[Node, RemoteNode]:
+        """The one place nodes come from (``add_node`` and ``join``):
+        in socket mode the node's listener starts here, in process mode
+        the node *is* a spawned worker process."""
+        seed = seed if seed is not None else len(self.nodes) + 1
+        if self.transport_mode == "process":
+            from repro.runtime.procfed import RemoteNode
 
-    def node(self, name: str) -> Node:
+            node = RemoteNode.spawn(
+                name,
+                self._listen_endpoint(name),
+                self._socket_transport,
+                workers=workers,
+                seed=seed,
+            )
+            self._endpoints[name] = node.endpoint
+        else:
+            node = Node(name, workers=workers, seed=seed)
+            # weave the bus-level tracing element into the node's chain
+            node.services.bus.chain.add(
+                "trace", self.observability.tracer.bus_element(name), before="faults"
+            )
+            node.federation = self
+            if self.transport_mode == "socket":
+                self._start_wire_server(node)
+        return node
+
+    def node(self, name: str) -> Union[Node, RemoteNode]:
         try:
             return self.nodes[name]
         except KeyError:
             raise FederationError(f"unknown node {name!r}") from None
 
-    def node_for(self, key: str) -> Node:
+    def node_for(self, key: str) -> Union[Node, RemoteNode]:
         """The node owning partition ``key`` (or any name below it)."""
         return self.node(self.naming.ring.owner(self.naming.partition_key(key)))
 
@@ -1036,17 +1080,15 @@ class Federation:
         """Wait until every asynchronous delivery (oneways included) landed."""
         quiet = self._async.drain(timeout_s)
         for node in list(self.nodes.values()):
-            quiet = node.services.bus.drain(timeout_s) and quiet
+            quiet = node.drain(timeout_s) and quiet
         return quiet
 
     def shutdown(self) -> None:
         self._async.shutdown()
+        for node in list(self.nodes.values()):
+            self._discard(node)
         if self._socket_transport is not None:
             self._socket_transport.shutdown()
-        for name in list(self._wire_servers):
-            self._stop_wire_server(name)
-        for node in list(self.nodes.values()):
-            node.shutdown()
         if self._unix_sock_dir is not None:
             import shutil
 
@@ -1129,7 +1171,7 @@ class Federation:
         ops = frozenset(operations)
         self.read_only_ops[type_name] = ops
         for node in self.nodes.values():
-            node.services.bus.mark_read_only(type_name, ops)
+            node.mark_read_only(type_name, ops)
 
     def set_binding_qos(self, pattern: str, qos: QoS) -> None:
         """Declare the default QoS for bindings matching ``pattern``
@@ -1172,78 +1214,33 @@ class Federation:
     def _bindings_by_partition(self) -> Dict[str, List[str]]:
         return self._group_by_partition(self.naming.list())
 
-    def _servant_on(
-        self, node: Node, name: str
-    ) -> Optional[Tuple[ObjectRefData, Any]]:
-        """The live (ref, servant) behind ``name`` on ``node`` (or None)."""
-        try:
-            ref = node.services.naming.resolve(name)
-            return ref, node.services.bus.servant(ref.object_id)
-        except (NamingError, ReproError):
-            return None
-
     def servant(self, name: str) -> Any:
         """The live servant currently serving ``name`` — follows
-        migrations and failovers, unlike a reference captured at setup."""
+        migrations and failovers, unlike a reference captured at setup.
+        Refused for worker-owned bindings: their servants live in the
+        worker process."""
         owner, ref = self.naming.resolve_with_owner(name)
-        return self.node(owner).services.bus.servant(ref.object_id)
+        return self.node(owner).servant(ref)
 
-    def _export_shard(self, source: Node, partition: str, names: List[str]) -> ShardManifest:
-        manifest = ShardManifest(partition=partition, source=source.name)
-        for name in sorted(names):
-            found = self._servant_on(source, name)
-            if found is None:
-                continue
-            ref, servant = found
-            # snapshot under the servant's dispatch lock: the freeze
-            # drained routed calls, but a nested delivery that bypassed
-            # the frozen wait could still be mutating this servant
-            state = source.dispatcher.serialize(
-                ref.object_id, lambda s=servant: dict(s.__dict__)
-            )
-            manifest.entries.append((name, type(servant).__name__, state))
-        return manifest
+    @staticmethod
+    def _export_shard(
+        source: Union[Node, RemoteNode], partition: str, names: List[str]
+    ) -> ShardManifest:
+        """One partition's servant state on ``source`` as a manifest.
 
-    def _import_shard(self, target: Node, manifest: ShardManifest) -> int:
-        """Materialize a manifest's servants on ``target``; returns count."""
-        if target.module is None:
-            raise FederationError(
-                f"node {target.name!r} has no application deployed; "
-                f"cannot adopt shard {manifest.partition!r}"
-            )
-        for name, type_name, state in manifest.entries:
-            cls = getattr(target.module, type_name, None)
-            if cls is None:
-                raise FederationError(
-                    f"node {target.name!r} has no class {type_name!r}; "
-                    f"cannot adopt {name!r}"
-                )
-            servant = cls.__new__(cls)
-            servant.__dict__.update(state)
-            ref = target.services.orb.register(servant)
-            target.services.naming.rebind(name, ref)
-        return len(manifest.entries)
-
-    def _release_exported(self, source: Node, manifest: ShardManifest) -> None:
-        """Drop the moved bindings (and servants) from the old owner."""
-        for name, _type_name, _state in manifest.entries:
-            found = self._servant_on(source, name)
-            try:
-                source.services.naming.unbind(name)
-            except NamingError:
-                pass
-            if found is not None:
-                source.services.orb.unregister(found[1])
+        Each snapshot is taken under its servant's dispatch lock: the
+        freeze drained routed calls, but a nested delivery that bypassed
+        the frozen wait could still be mutating a servant."""
+        return ShardManifest(partition, source.name, source.export(sorted(names)))
 
     def join(
         self,
         name: str,
         workers: int = 0,
         seed: Optional[int] = None,
-        node: Optional[Node] = None,
         deploy: Optional[Callable[[Node], Any]] = None,
         drain_timeout_s: float = 30.0,
-    ) -> Node:
+    ) -> Union[Node, RemoteNode]:
         """Add a node to a *live* federation, migrating only what rehashes.
 
         The joiner is fully prepared off-ring (application deployed via
@@ -1257,47 +1254,15 @@ class Federation:
             if name in self.nodes:
                 raise FederationError(f"node {name!r} already exists")
             self.reconcile()
-            node = node or Node(
-                name,
-                workers=workers,
-                seed=seed if seed is not None else len(self.nodes) + 1,
-            )
-            node.federation = self
-            self._instrument_node(node)
-            if deploy is not None:
-                deploy(node)
-            for user, password, roles in self._provisioned_users:
-                node.services.credentials.add_user(user, password, roles=roles)
-            for site, probability, kwargs in self._fault_sites:
-                node.services.faults.configure(site, probability, **kwargs)
-            for type_name, ops in self.read_only_ops.items():
-                node.services.bus.mark_read_only(type_name, ops)
-            grouped = self._bindings_by_partition()
-            total = sum(len(names) for names in grouped.values())
-            next_ring = self.naming.preview_ring(add=name)
-            moving = {
-                partition: names
-                for partition, names in sorted(grouped.items())
-                if next_ring.owner(partition) == name
-            }
-            moved = 0
-            with self._gate.freeze(moving, timeout_s=drain_timeout_s):
-                manifests = []
-                for partition, names in moving.items():
-                    source = self.node(self.naming.owner_of(partition))
-                    manifests.append(
-                        (source, self._export_shard(source, partition, names))
-                    )
-                for _source, manifest in manifests:
-                    moved += self._import_shard(node, manifest)
-                # the atomic ownership-epoch swap: the joiner becomes
-                # routable only now, with its bindings already in place
-                # (and its node entry published first, so a resolver that
-                # sees the new topology always finds the node)
-                self.nodes[name] = node
-                self.naming.add_shard(name, node.services.naming)
-                for source, manifest in manifests:
-                    self._release_exported(source, manifest)
+            node = self._create_node(name, workers, seed)
+            try:
+                moving, moved, total = self._adopt_moving_shards(
+                    node, deploy, drain_timeout_s
+                )
+            except BaseException:
+                if name not in self.nodes:  # never published: discard it
+                    self._discard(node)
+                raise
             self.joins += 1
             self.bindings_moved += moved
             self.last_rebalance = {
@@ -1313,6 +1278,48 @@ class Federation:
             if self.replicas is not None:
                 self.replicas.rebuild()
             return node
+
+    def _adopt_moving_shards(
+        self, node: Union[Node, RemoteNode], deploy, drain_timeout_s: float
+    ):
+        """Prepare the joiner off-ring, then move the partitions the new
+        ring assigns to it; returns (moving partitions, moved, total)."""
+        name = node.name
+        if deploy is not None:
+            deploy(node)
+        for user, password, roles in self._provisioned_users:
+            node.add_user(user, password, roles=roles)
+        for site, probability, kwargs in self._fault_sites:
+            node.configure_fault(site, probability, **kwargs)
+        for type_name, ops in self.read_only_ops.items():
+            node.mark_read_only(type_name, ops)
+        grouped = self._bindings_by_partition()
+        total = sum(len(names) for names in grouped.values())
+        next_ring = self.naming.preview_ring(add=name)
+        moving = {
+            partition: names
+            for partition, names in sorted(grouped.items())
+            if next_ring.owner(partition) == name
+        }
+        moved = 0
+        with self._gate.freeze(moving, timeout_s=drain_timeout_s):
+            manifests = []
+            for partition, names in moving.items():
+                source = self.node(self.naming.owner_of(partition))
+                manifests.append(
+                    (source, self._export_shard(source, partition, names))
+                )
+            for _source, manifest in manifests:
+                moved += len(node.import_states(manifest.entries))
+            # the atomic ownership-epoch swap: the joiner becomes
+            # routable only now, with its bindings already in place
+            # (and its node entry published first, so a resolver that
+            # sees the new topology always finds the node)
+            self.nodes[name] = node
+            self.naming.add_shard(name, node.naming)
+            for source, manifest in manifests:
+                source.release(bound for bound, _t, _s in manifest.entries)
+        return moving, moved, total
 
     def retire(self, name: str, drain_timeout_s: float = 30.0) -> Dict[str, Any]:
         """Gracefully remove a node: migrate its shard, then drop it.
@@ -1343,13 +1350,12 @@ class Federation:
                 for partition, pnames in sorted(grouped.items()):
                     target = self.node(survivors.owner(partition))
                     manifest = self._export_shard(node, partition, pnames)
-                    moved += self._import_shard(target, manifest)
+                    moved += len(target.import_states(manifest.entries))
                 # epoch swap: the retiree's shard vanishes atomically
                 self.naming.remove_shard(name)
                 node.alive = False
                 del self.nodes[name]
-            self._stop_wire_server(name)
-            node.shutdown()
+            self._discard(node)
             self.retires += 1
             self.bindings_moved += moved
             self.last_rebalance = {
@@ -1378,14 +1384,16 @@ class Federation:
 
     def kill(self, name: str, drain_timeout_s: float = 30.0) -> None:
         """Fail-stop a node: requests already executing finish (and
-        replicate), new routed calls see :class:`NodeDownError`.  The
-        node stays in the ring until the failover interceptor (or an
-        explicit :meth:`fail_over`) promotes its standbys."""
+        replicate), new routed calls see :class:`NodeDownError`.  A
+        worker process is SIGKILLed instead, so its in-flight requests
+        die with it.  The node stays in the ring until the failover
+        interceptor (or an explicit :meth:`fail_over`) promotes its
+        standbys."""
         node = self.node(name)
         with self._flight_cond:
             if not node.alive:
                 return
-            node.alive = False
+            node.kill()
         self.observability.emit("kill", node=name)
         self._await_node_idle(name, drain_timeout_s)
 
@@ -1434,21 +1442,19 @@ class Federation:
             for partition, pnames in sorted(grouped.items()):
                 new_owner = self.node(survivors.owner(partition))
                 copies = self.replicas.take(partition, new_owner.name)
+                promoted = []
                 for bound in sorted(pnames):
-                    standby = copies.get(bound)
-                    if standby is None:
+                    if bound in copies:
+                        promoted.append((bound, *copies[bound]))
+                    else:
                         lost.append(bound)
-                        continue
-                    ref = new_owner.services.orb.register(standby)
-                    new_owner.services.naming.rebind(bound, ref)
-                    moved += 1
+                moved += len(new_owner.import_states(promoted))
                 self.replicas.drop(partition)
             # epoch swap: ownership falls to the ring successors — the
             # nodes whose standby copies were just promoted
             self.naming.remove_shard(name)
             del self.nodes[name]
-            self._stop_wire_server(name)
-            node.shutdown()
+            self._discard(node)
             self.failovers += 1
             self.bindings_moved += moved
             self.last_rebalance = {
@@ -1494,24 +1500,28 @@ class Federation:
         topology lock may be waiting for exactly that entry to drain —
         blocking here would stall both until the freeze timeout.
 
-        A ``mid_call`` fault (socket mode: the reply vanished after the
-        request frame was written) is upgraded to pre-effect only when
-        the node is confirmed dead or already removed — under fail-stop
-        its unacked effect died with it and re-delivery re-resolves onto
-        the promoted owner.  While the node is still alive the fault
-        stays non-retryable: a lost reply must not re-run the effect."""
+        Only a node confirmed dead (or already removed) is promoted.  A
+        ``mid_call`` fault (the reply vanished after the request frame
+        was written) is upgraded to pre-effect only then — under
+        fail-stop its unacked effect died with it and re-delivery
+        re-resolves onto the promoted owner.  While the node is still
+        alive every fault stays as raised: a pre-effect one (a refused
+        dial) keeps its retryability, a mid-call one stays
+        non-retryable, because a lost reply must not re-run the
+        effect."""
         try:
             return proceed()
         except NodeDownError as exc:
             if exc.node:
+                node = self.nodes.get(exc.node)
+                dead = node is None or not node.alive
                 if exc.pre_effect:
-                    self.fail_over(exc.node, blocking=False)
-                elif exc.mid_call:
-                    node = self.nodes.get(exc.node)
-                    if node is None or not node.alive:
-                        with contextlib.suppress(FederationError):
-                            self.fail_over(exc.node, blocking=False)
-                        exc.pre_effect = True
+                    if dead:
+                        self.fail_over(exc.node, blocking=False)
+                elif exc.mid_call and dead:
+                    with contextlib.suppress(FederationError):
+                        self.fail_over(exc.node, blocking=False)
+                    exc.pre_effect = True
             raise
 
     # -- users ------------------------------------------------------------------
@@ -1521,7 +1531,7 @@ class Federation:
         so joining nodes are provisioned identically)."""
         self._provisioned_users.append((name, password, tuple(roles)))
         for node in self.nodes.values():
-            node.services.credentials.add_user(name, password, roles=roles)
+            node.add_user(name, password, roles=roles)
 
     # -- faults -------------------------------------------------------------------
 
@@ -1531,13 +1541,13 @@ class Federation:
         self.observability.emit("fault_armed", site=site, probability=probability)
         self.faults.configure(site, probability, **kwargs)
         for node in self.nodes.values():
-            node.services.faults.configure(site, probability, **kwargs)
+            node.configure_fault(site, probability, **kwargs)
 
     def faults_injected(self) -> Dict[str, int]:
         """Injected-fault counters summed over the transport and all nodes."""
         totals: Dict[str, int] = dict(self.faults.injected)
         for node in self.nodes.values():
-            for site, count in node.services.faults.injected.items():
+            for site, count in node.faults_injected().items():
                 totals[site] = totals.get(site, 0) + count
         return totals
 
@@ -1644,13 +1654,42 @@ class Federation:
         wire connection to the owner node's listener, whose server-side
         handler runs the *same* :meth:`_local_dispatch` — so the node
         guard, dispatcher serialization, and replication semantics are
-        identical on both sides of the wire.
+        identical on both sides of the wire.  Process mode sends it to
+        a worker process (:meth:`_remote_dispatch`).
         """
-        if self.transport_mode == "socket" and envelope is not None:
+        if envelope is not None and self._socket_transport is not None:
+            if self.transport_mode == "process":
+                return self._remote_dispatch(
+                    node, ref, operation, partition, envelope
+                )
             return self._wire_dispatch(node, ref, envelope)
         return self._local_dispatch(
             node, ref, operation, args, kwargs, context, partition
         )
+
+    def _remote_dispatch(
+        self,
+        node: RemoteNode,
+        ref: ObjectRefData,
+        operation: str,
+        partition: Optional[str],
+        envelope: Envelope,
+    ):
+        """The hop to a worker process: the wire round trip runs inside
+        the node guard, held here on the front-end because the worker's
+        ``Node`` has no federation.  A worker has no in-process bus to
+        report which servants a call touched, so a call the read-only
+        classification does not skip replicates its whole partition (one
+        export round trip) — still inside the guard, like the local
+        terminal's sync."""
+        with self._node_guard(node):
+            value = self._wire_dispatch(node, ref, envelope)
+            if partition is not None and self.replicas is not None:
+                if operation in self.read_only_ops.get(ref.type_name, ()):
+                    self.replicas.note_skip()
+                else:
+                    self.replicas.sync_partition(partition)
+            return value
 
     def _local_dispatch(
         self,
@@ -1738,7 +1777,10 @@ class Federation:
         if response is None:  # oneway: the ack is the whole reply
             return None
         if response.is_error:
-            node.services.bus.raise_remote(response)
+            MessageBus.raise_remote(response)
+        if self.transport_mode == "process":
+            # results stay wire values: the front-end hosts no servants
+            return response.result
         # hydrate through the owner's orb, as an in-process hop would
         return node.services.orb._from_wire(response.result)
 
@@ -1770,22 +1812,31 @@ class Federation:
         )
         return marshal(result, self._proxy_ref, root="result")
 
+    def _listen_endpoint(self, name: str) -> str:
+        """Where node ``name``'s listener binds (OS-assigned TCP port)."""
+        if self.socket_family == "unix":
+            return f"unix://{self._unix_dir()}/{name}.sock"
+        return "tcp://127.0.0.1:0"
+
     def _start_wire_server(self, node: Node) -> None:
         """Bind a per-node listener and publish its endpoint (socket mode)."""
         from repro.middleware.sockets import WireServer
 
-        if self.socket_family == "unix":
-            endpoint = f"unix://{self._unix_dir()}/{node.name}.sock"
-        else:
-            endpoint = "tcp://127.0.0.1:0"
         server = WireServer(
             node=node.name,
-            request_handler=lambda env, n=node: self._serve_wire_request(n, env),
-            endpoint=endpoint,
+            request_handler=functools.partial(self._serve_wire_request, node),
+            endpoint=self._listen_endpoint(node.name),
         )
         server.start()
         self._wire_servers[node.name] = server
         self._endpoints[node.name] = server.endpoint
+
+    def _discard(self, node: Union[Node, RemoteNode]) -> None:
+        """Shut a removed node down, then drop its listener and endpoint
+        — in that order, because a worker process receives its stop
+        over the endpoint."""
+        node.shutdown()
+        self._stop_wire_server(node.name)
 
     def _stop_wire_server(self, name: str) -> None:
         """Tear down a removed node's listener; in-flight connections to
@@ -2271,6 +2322,11 @@ class InvocationPipeline:
     ):
         if max_batch < 1:
             raise FederationError(f"pipeline batch must be >= 1, got {max_batch}")
+        if federation.transport_mode == "process":
+            raise FederationError(
+                "pipelined batches to worker-process nodes are not supported; "
+                "use call / call_async / oneway"
+            )
         self.federation = federation
         self.max_batch = max_batch
         self.context_for = context_for
@@ -2336,8 +2392,7 @@ class FederationClient:
     def _token_for(self, node: Node) -> str:
         token = self._tokens.get(node.name)
         if token is None:
-            credential = node.services.auth.login(self.user, self.password)
-            token = self._tokens[node.name] = credential.token
+            token = self._tokens[node.name] = node.login(self.user, self.password)
         return token
 
     def _context_for(self, node: Node) -> Optional[Dict[str, Any]]:

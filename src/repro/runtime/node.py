@@ -11,20 +11,32 @@ Applications are refined once and replayed per node: the deployment
 compiler ships the refined application as a
 :class:`~repro.core.shipping.ComponentPackage`, and each node replays it
 against its own services and hosts the woven module it builds
-(:meth:`Node.host`), so the weaver instruments node-private classes and
-aspects close over node-private services — exactly the deployment unit
-a real ORB federation replicates onto every host.
+(:meth:`Node.install`), so the weaver instruments node-private classes
+and aspects close over node-private services — exactly the deployment
+unit a real ORB federation replicates onto every host.
+
+The federation, its replica manager, the deployment compiler and the
+reconciler drive a node only through a narrow surface: ``install`` /
+``create`` (application and spec-state servants), ``export`` /
+``import_states`` / ``release`` (servant state snapshots for
+migration, replication and failover), ``add_user`` / ``login``,
+``configure_fault`` / ``faults_injected`` / ``mark_read_only``,
+``drain`` / ``kill`` / ``stats``, and ``naming`` (the shard on the
+federation's ring).  :class:`~repro.runtime.procfed.RemoteNode` offers
+the same surface over the wire to a worker process, whose host serves
+it by calling this class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.witness import named_lock
 from repro.core.lifecycle import MdaLifecycle
 from repro.core.runtime import MiddlewareServices
-from repro.errors import NamingError
+from repro.errors import DeploymentError, FederationError, NamingError, ReproError
 from repro.middleware.bus import ObjectRefData
+from repro.middleware.naming import NamingService
 from repro.middleware.envelope import delivering
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
 
@@ -71,6 +83,31 @@ class Node:
         self.lifecycle = lifecycle
         self.module = module
 
+    def install(self, package) -> None:
+        """Replay a shipped :class:`~repro.core.shipping.ComponentPackage`
+        against this node's own services and host the module it builds.
+
+        The package was verified against the vendor model when it was
+        shipped, so the per-node replay skips the fingerprint re-check
+        (pure cost at N nodes)."""
+        from repro.core import replay
+
+        lifecycle = replay(package, services=self.services, verify=False)
+        self.host(
+            lifecycle,
+            lifecycle.build_application(f"deploy_{self.name.replace('-', '_')}"),
+        )
+
+    @property
+    def deployed(self) -> bool:
+        """True once the node hosts an application module."""
+        return self.module is not None
+
+    @property
+    def naming(self) -> NamingService:
+        """The naming shard the federation puts on its ring."""
+        return self.services.naming
+
     # -- servants -------------------------------------------------------------
 
     def bind(self, name: str, servant: Any) -> ObjectRefData:
@@ -98,6 +135,102 @@ class Node:
                 self.federation.naming.partition_key(name)
             )
         return ref
+
+    def _servant_class(self, type_name: str, error=FederationError):
+        if self.module is None:
+            raise error(f"node {self.name!r} has no application deployed")
+        cls = getattr(self.module, type_name, None)
+        if cls is None:
+            raise error(
+                f"node {self.name!r}: application has no class {type_name!r}"
+            )
+        return cls
+
+    def create(
+        self, name: str, type_name: str, state: Dict[str, Any]
+    ) -> ObjectRefData:
+        """Construct a servant from spec state (its constructor keywords)
+        and bind it under ``name``."""
+        cls = self._servant_class(type_name, DeploymentError)
+        try:
+            servant = cls(**state)
+        except TypeError as exc:
+            raise DeploymentError(
+                f"servant {name!r}: state does not match {type_name!r} "
+                f"constructor: {exc}"
+            ) from exc
+        return self.bind(name, servant)
+
+    def export(self, names: Iterable[str]) -> List[Tuple[str, str, Dict[str, Any]]]:
+        """``(name, type name, state)`` snapshots of the named servants.
+
+        Each attribute dict is copied under the servant's dispatch lock,
+        so a concurrent call cannot tear it (shallow — servant state is
+        primitive by construction).  Names no longer bound here are
+        skipped."""
+        entries = []
+        for name in names:
+            try:
+                ref = self.services.naming.resolve(name)
+                servant = self.services.bus.servant(ref.object_id)
+            except ReproError:
+                continue
+            state = self.dispatcher.serialize(
+                ref.object_id, lambda s=servant: dict(s.__dict__)
+            )
+            entries.append((name, type(servant).__name__, state))
+        return entries
+
+    def import_states(
+        self, entries: Iterable[Tuple[str, str, Dict[str, Any]]]
+    ) -> List[ObjectRefData]:
+        """Rebuild servants from ``(name, type name, state)`` snapshots
+        and bind them; the constructor is bypassed, the state installed
+        verbatim (shard migration and failover promotion)."""
+        refs = []
+        for name, type_name, state in entries:
+            cls = self._servant_class(type_name)
+            servant = cls.__new__(cls)
+            servant.__dict__.update(state)
+            ref = self.services.orb.register(servant)
+            self.services.naming.rebind(name, ref)
+            refs.append(ref)
+        return refs
+
+    def release(self, names: Iterable[str]) -> None:
+        """Unbind ``names`` and drop their servants from this node."""
+        for name in names:
+            try:
+                ref = self.services.naming.resolve(name)
+            except NamingError:
+                continue
+            self.services.naming.unbind(name)
+            try:
+                self.services.orb.unregister(self.services.bus.servant(ref.object_id))
+            except ReproError:
+                pass
+
+    def servant(self, ref: ObjectRefData) -> Any:
+        """The live servant object behind ``ref``."""
+        return self.services.bus.servant(ref.object_id)
+
+    # -- provisioning ------------------------------------------------------------
+
+    def add_user(self, name: str, password: str, roles=()) -> None:
+        self.services.credentials.add_user(name, password, roles=roles)
+
+    def login(self, user: str, password: str) -> str:
+        """A node-local credential token: tokens never roam between nodes."""
+        return self.services.auth.login(user, password).token
+
+    def configure_fault(self, site: str, probability: float, **kwargs) -> None:
+        self.services.faults.configure(site, probability, **kwargs)
+
+    def faults_injected(self) -> Dict[str, int]:
+        return dict(self.services.faults.injected)
+
+    def mark_read_only(self, type_name: str, operations) -> None:
+        self.services.bus.mark_read_only(type_name, operations)
 
     # -- request entry point -----------------------------------------------------
 
@@ -160,6 +293,14 @@ class Node:
         )
 
     # -- lifecycle ---------------------------------------------------------------
+
+    def drain(self, timeout_s: Optional[float] = None) -> bool:
+        """Wait until the bus delivered every queued oneway."""
+        return self.services.bus.drain(timeout_s)
+
+    def kill(self) -> None:
+        """Fail-stop: the federation routes no further hop here."""
+        self.alive = False
 
     def shutdown(self) -> None:
         self.dispatcher.shutdown()

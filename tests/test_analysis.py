@@ -70,6 +70,15 @@ class TestLockGraph:
         edge = analysis.graph.edges[("fixture.outer", "fixture.inner")]
         assert any("via_return" in site[2] for site in edge.sites)
 
+    def test_union_receiver_follows_every_member(self):
+        analysis = analyze_paths([fixture("union_receiver.py")])
+        edges = set(analysis.graph.edges)
+        for held in ("fixture.topology", "fixture.sync"):
+            # the -> Union[...] return types one, the annotated local
+            # the other; each reaches both classes' export()
+            assert (held, "fixture.local_state") in edges
+            assert (held, "fixture.wire_pool") in edges
+
     def test_clean_module_has_no_findings(self):
         analysis = analyze_paths([fixture("clean.py")])
         assert analysis.findings == []

@@ -371,9 +371,9 @@ class TestReplication:
         partition = name.split("/")[0]
         federation.call(name, "bump", 41.0)
         standby_name = federation.naming.ring.preference(partition, 2)[1]
-        copy = federation.replicas.take(partition, standby_name)[name]
-        assert copy.value == 141.0
-        assert copy is not federation.servant(name)
+        _type_name, state = federation.replicas.take(partition, standby_name)[name]
+        assert state["value"] == 141.0
+        assert state is not federation.servant(name).__dict__
         federation.shutdown()
 
     def test_replica_manager_rejects_zero_standbys(self):

@@ -65,7 +65,7 @@ def deploy_module(node):
 
 
 def assert_standbys_match_primaries(federation, names):
-    """Every standby copy's attribute dict equals its primary's."""
+    """Every standby copy's (type, state) equals its primary's."""
     replicas = federation.replicas
     for name in names:
         primary = federation.servant(name)
@@ -74,11 +74,12 @@ def assert_standbys_match_primaries(federation, names):
         for standby_name in group.standbys:
             copies = replicas.take(partition, standby_name)
             assert name in copies, f"{standby_name} holds no copy of {name}"
-            copy = copies[name]
-            assert copy is not primary
-            assert copy.__dict__ == primary.__dict__, (
+            type_name, state = copies[name]
+            assert type_name == type(primary).__name__
+            assert state is not primary.__dict__
+            assert state == primary.__dict__, (
                 f"standby {standby_name} diverged on {name}: "
-                f"{copy.__dict__} != {primary.__dict__}"
+                f"{state} != {primary.__dict__}"
             )
 
 
@@ -328,6 +329,100 @@ class TestReplayEquivalence:
         # write included — the QoS budget absorbs the dead-node fault
         assert federation.call(name, "read", qos=RETRY) == expected
         assert federation.failovers == 1
+        federation.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# sync locking: per-partition export order, no manager-wide stall
+# ---------------------------------------------------------------------------
+
+
+def stall_export(monkeypatch, node, names):
+    """Make ``node``'s next export of ``names`` take its snapshot, then
+    wait for the returned release event before handing it back (a
+    worker round trip that has not answered yet)."""
+    exported, release = threading.Event(), threading.Event()
+    real = node.export
+
+    def stalled(requested):
+        entries = real(requested)
+        if sorted(requested) == sorted(names) and not exported.is_set():
+            exported.set()
+            release.wait(10)
+        return entries
+
+    monkeypatch.setattr(node, "export", stalled)
+    return exported, release
+
+
+def in_thread(fn, *args):
+    done = threading.Event()
+
+    def run():
+        fn(*args)
+        done.set()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, done
+
+
+class TestSyncLocking:
+    def test_stalled_export_holds_up_only_its_partition(self, monkeypatch):
+        federation, names = build(nodes=3, partitions=6)
+        replicas = federation.replicas
+        partitions = sorted({federation.naming.partition_key(n) for n in names})
+        stalled, other = partitions[0], partitions[1]
+        owner = federation.node(federation.naming.owner_of(stalled))
+        exported, release = stall_export(
+            monkeypatch, owner, federation.naming.partition_view(stalled)[1]
+        )
+        syncing, _ = in_thread(replicas.sync_partition, stalled)
+        assert exported.wait(10)
+        try:
+            standby = replicas._standby_names(stalled)[0]
+            # another partition's sync, failover's take() and stats()
+            # all need the manager lock — none may wait for the export
+            _, done = in_thread(
+                lambda: (
+                    replicas.sync_partition(other),
+                    replicas.take(stalled, standby),
+                    replicas.stats(),
+                )
+            )
+            assert done.wait(5), "the manager lock was held across an export"
+        finally:
+            release.set()
+        syncing.join(10)
+        assert not syncing.is_alive()
+        assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
+
+    def test_newer_narrowed_sync_lands_after_a_stalled_full_export(
+        self, monkeypatch
+    ):
+        federation, names = build(nodes=3, partitions=6)
+        name = names[0]
+        partition = federation.naming.partition_key(name)
+        owner = federation.node(federation.naming.owner_of(name))
+        exported, release = stall_export(
+            monkeypatch, owner, federation.naming.partition_view(partition)[1]
+        )
+        syncing, _ = in_thread(federation.replicas.sync_partition, partition)
+        assert exported.wait(10)  # a full snapshot with value 100.0 taken
+        writing, wrote = in_thread(federation.call, name, "bump", 5.0)
+        try:
+            # the write's own sync queues behind the partition's export,
+            # so the stale snapshot cannot be appended after it
+            assert not wrote.wait(0.3)
+        finally:
+            release.set()
+        syncing.join(10)
+        assert not syncing.is_alive()
+        assert wrote.wait(10)
+        writing.join(10)
+        assert federation.servant(name).value == 105.0
+        assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
 

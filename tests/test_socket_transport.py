@@ -490,3 +490,34 @@ class TestSocketFederation:
                 federation.call(name, "read", qos=RETRY)
         finally:
             federation.shutdown()
+
+    def test_joined_node_serves_moved_bindings_over_its_listener(self):
+        """A node joining a socket-mode federation gets a listener like
+        one added at build time, so the bindings it adopted serve."""
+        federation, names = build(nodes=2, partitions=12)
+        try:
+            federation.join("node-j", deploy=lambda node: node.host(None, MODULE))
+            moved = federation.last_rebalance["partitions"]
+            assert moved
+            assert "node-j" in federation._endpoints
+            for name in names:
+                if federation.naming.partition_key(name) in moved:
+                    assert federation.call(name, "bump", 1.0) == 101.0
+        finally:
+            federation.shutdown()
+
+    def test_refused_dial_to_a_live_node_keeps_its_retry_budget(self):
+        """A pre-effect fault from a node that is still alive is not a
+        failover: the fault stays retryable and the QoS budget runs out
+        on it, rather than a FederationError replacing it."""
+        federation, names = build(replication=1)
+        try:
+            owner = federation.naming.owner_of(names[0])
+            del federation._endpoints[owner]  # every dial is refused
+            with pytest.raises(NodeDownError) as excinfo:
+                federation.call(names[0], "read", qos=QoS(retries=2))
+            assert excinfo.value.pre_effect
+            assert federation.failovers == 0
+            assert owner in federation.nodes
+        finally:
+            federation.shutdown()
