@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.lockgraph import LockGraph
 from repro.analysis.report import Finding
 
@@ -76,6 +74,11 @@ class Baseline:
 
 def find_cycles(graph: LockGraph) -> List[List[str]]:
     """Simple cycles among blocking edges, each rotated to a stable form."""
+    # imported here, not at module level: every runtime module imports
+    # this package for its lock witness, and networkx adds about 10 MB to
+    # a process's memory
+    import networkx as nx
+
     digraph = nx.DiGraph()
     digraph.add_edges_from(graph.blocking_pairs())
     cycles = []

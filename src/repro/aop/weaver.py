@@ -80,7 +80,8 @@ class Weaver:
         self._woven_methods: Dict[type, Dict[str, Callable]] = {}
         #: class → {field name: previous class attribute or sentinel}
         self._woven_fields: Dict[type, Dict[str, object]] = {}
-        #: static-signature → (matched static advice by kind, dynamic advice)
+        #: static-signature → (matched static (seq, advice) pairs by kind,
+        #: the same advice as per-kind lists, dynamic advice)
         self._match_memo: Dict[tuple, tuple] = {}
         #: epoch counter bumped on every deploy/undeploy and on advice
         #: mutation of a deployed aspect (the aspects notify us); memo
@@ -213,10 +214,12 @@ class Weaver:
         """Advice matching ``jp``, grouped by kind, in precedence order.
 
         Matching against *static* pointcuts depends only on the join
-        point's (kind, class, member) signature, so those results are
-        memoized per signature (invalidated on deploy/undeploy).  Advice
-        guarded by a cflow-containing pointcut is re-evaluated on every
-        dispatch — its match depends on the live call stack.
+        point's (kind, class, member) signature, so those results — and
+        the per-kind lists returned for them — are memoized per
+        signature (invalidated on deploy/undeploy).  The returned lists
+        are shared between dispatches: callers must not mutate them.
+        Advice guarded by a cflow-containing pointcut is re-evaluated on
+        every dispatch — its match depends on the live call stack.
         """
         key = (jp.kind, jp.class_name, jp.member_name)
         with self._memo_lock:
@@ -238,16 +241,17 @@ class Weaver:
                         elif advice.matches(jp):
                             static_matched[advice.kind].append((seq, advice))
                         seq += 1
-                memo = (static_matched, dynamic)
+                static_grouped = {
+                    kind: [advice for _, advice in entries]
+                    for kind, entries in static_matched.items()
+                }
+                memo = (static_matched, static_grouped, dynamic)
                 self._match_memo[key] = memo
             else:
                 self.pointcut_memo_hits += 1
-            static_matched, dynamic = memo
+        static_matched, static_grouped, dynamic = memo
         if not dynamic:
-            return {
-                kind: [advice for _, advice in entries]
-                for kind, entries in static_matched.items()
-            }
+            return static_grouped
         grouped: Dict[AdviceKind, List[Advice]] = {}
         dynamic_matched: Dict[AdviceKind, List[tuple]] = {}
         for seq, advice in dynamic:

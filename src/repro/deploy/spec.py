@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -599,6 +600,10 @@ class DeploymentSpec:
             )
         if self.sim_latency_ms < 0 or self.real_latency_ms < 0:
             problems.append("latencies must be >= 0")
+        for field_name in ("sim_latency_ms", "real_latency_ms"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                problems.append(f"{field_name} must be finite, got {value}")
         if self.delivery_workers < 1:
             problems.append(
                 f"delivery_workers must be >= 1, got {self.delivery_workers}"

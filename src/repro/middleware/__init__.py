@@ -9,7 +9,7 @@ concrete aspects target (see the substitution table in DESIGN.md):
 * :mod:`repro.middleware.clock` — logical simulation clock;
 * :mod:`repro.middleware.faults` — deterministic fault injection;
 * :mod:`repro.middleware.envelope` — envelopes (correlation id,
-  reply-to future, propagated context, QoS policy) and the ordered
+  propagated context, QoS policy), reply futures, and the ordered
   interceptor-chain element pipeline every delivery runs through;
 * :mod:`repro.middleware.transport` — pluggable transports: in-process
   synchronous and queued-asynchronous (delivery threads);
@@ -19,7 +19,7 @@ concrete aspects target (see the substitution table in DESIGN.md):
 * :mod:`repro.middleware.rpc` — object request broker with dynamic
   proxies, remote object references, and client/server interceptors;
 * :mod:`repro.middleware.locks` — strict two-phase lock manager with
-  wait-for-graph deadlock detection (networkx);
+  wait-for-graph deadlock detection;
 * :mod:`repro.middleware.txn` — flat transaction manager with two-phase
   commit over enlisted resources and object-snapshot resources;
 * :mod:`repro.middleware.security` — principals, credential store,

@@ -434,7 +434,7 @@ class MessageBus:
         fault element) keep raising out, as a lost message would.
         """
         envelope = Envelope(request=request)
-        return self.transport.submit(envelope, self._handler(dispatch)).raw()
+        return self.transport.call(envelope, self._handler(dispatch))
 
     def submit(
         self,

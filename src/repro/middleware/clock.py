@@ -15,6 +15,7 @@ simulated clients schedulable without a thread apiece.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.analysis.witness import named_condition
@@ -34,9 +35,11 @@ class SimClock:
         return self._now
 
     def advance(self, delta_ms: float) -> float:
-        """Move time forward; negative deltas are rejected."""
+        """Move time forward; negative and non-finite deltas are rejected."""
         if delta_ms < 0:
             raise MiddlewareError(f"clock cannot go backwards ({delta_ms} ms)")
+        if not math.isfinite(delta_ms):
+            raise MiddlewareError(f"clock cannot advance by {delta_ms} ms")
         with self._cond:
             self._now += delta_ms
             self._cond.notify_all()

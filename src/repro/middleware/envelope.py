@@ -1,13 +1,10 @@
 """Envelopes: the unit every transport carries, plus the element pipeline.
 
-An :class:`Envelope` wraps a :class:`~repro.middleware.bus.Request` (and,
-once delivered, its :class:`~repro.middleware.bus.Response`) with the
-metadata the invocation path needs end to end:
+An :class:`Envelope` wraps a :class:`~repro.middleware.bus.Request` with
+the metadata the invocation path needs end to end:
 
 * a **correlation id** pairing replies with requests across asynchronous
   transports;
-* a **reply-to** completion target (the :class:`ReplyFuture` the caller
-  holds);
 * the **propagated context** (transaction id, credentials, ...) captured
   on the caller's thread when the envelope is built;
 * a per-call :class:`QoS` policy — oneway, timeout, retry budget.
@@ -125,8 +122,6 @@ class Envelope:
     qos: QoS = DEFAULT_QOS
     #: pairs this envelope's reply with the caller-held future
     correlation_id: int = field(default_factory=lambda: next(_correlation_counter))
-    #: where the reply goes (set by transports when a caller waits)
-    reply_to: Optional["ReplyFuture"] = None
     #: routing target (federation node name; None for in-process buses)
     target: Optional[str] = None
     #: the federation *name* this call was routed by, when known; retries
@@ -137,8 +132,6 @@ class Envelope:
     label: Optional[str] = None
     #: delivery attempt number (0 = first try; bumped by retrying transports)
     attempt: int = 0
-    #: the delivered reply payload, once the terminal produced one
-    response: Any = None
 
     @property
     def context(self) -> Dict[str, Any]:
@@ -158,8 +151,7 @@ class Envelope:
         the marshalled request (with its propagated context), the QoS
         policy (so the receiving side can honour oneway semantics), the
         correlation id (pairing the reply frame), and the routing
-        metadata.  ``reply_to`` and ``response`` stay local by design —
-        they are the *caller's* half of the conversation.
+        metadata.
         """
         return {
             "correlation_id": self.correlation_id,
@@ -236,8 +228,6 @@ class ReplyFuture:
             if self._event.is_set():
                 return
             self._value = value
-            if self.envelope is not None:
-                self.envelope.response = value
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:

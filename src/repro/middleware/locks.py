@@ -3,8 +3,8 @@
 Locks are held until the owning transaction releases them all (strict
 2PL — the transaction manager releases at commit/rollback).  A request
 that cannot be granted never blocks: it either detects a deadlock through
-the wait-for graph (networkx cycle check) and raises
-:class:`~repro.errors.DeadlockError`, or raises
+the wait-for graph (a transaction that waits on itself, directly or
+transitively) and raises :class:`~repro.errors.DeadlockError`, or raises
 :class:`~repro.errors.LockTimeoutError` to model a would-block conflict
 the caller may retry.  The table itself is guarded by a mutex so the
 concurrent dispatcher's worker threads see consistent state; because the
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import enum
 from typing import Dict, Set
-
-import networkx as nx
 
 from repro.analysis.witness import named_rlock
 from repro.errors import DeadlockError, LockTimeoutError
@@ -42,7 +40,8 @@ class LockManager:
     def __init__(self):
         self._table: Dict[str, _LockEntry] = {}
         self._held_by_tx: Dict[str, Set[str]] = {}
-        self._waits_for = nx.DiGraph()
+        #: wait-for graph: refused transaction -> the holders it waited on
+        self._waits_for: Dict[str, Set[str]] = {}
         # one mutex guards the whole lock table: acquire/release from
         # concurrent dispatcher workers must see a consistent table and
         # wait-for graph (the 2PL protocol itself never blocks — it
@@ -88,17 +87,10 @@ class LockManager:
     def _conflict(self, txid: str, holders: Set[str], key: str) -> None:
         """Register wait edges, detect deadlock, raise the right error."""
         self.conflicts += 1
-        for holder in holders:
-            self._waits_for.add_edge(txid, holder)
-        try:
-            cycles = txid in self._waits_for and any(
-                txid in cycle for cycle in nx.simple_cycles(self._waits_for)
-            )
-        finally:
-            pass
-        if cycles:
+        self._waits_for.setdefault(txid, set()).update(holders)
+        if self._waits_on_itself(txid):
             self.deadlocks += 1
-            self._waits_for.remove_node(txid)
+            self._forget_waits(txid)
             raise DeadlockError(
                 f"transaction {txid} deadlocked acquiring {key!r} "
                 f"(held by {sorted(holders)})"
@@ -107,6 +99,25 @@ class LockManager:
             f"transaction {txid} would block acquiring {key!r} "
             f"(held by {sorted(holders)})"
         )
+
+    def _waits_on_itself(self, txid: str) -> bool:
+        """True when ``txid`` lies on a cycle of the wait-for graph."""
+        seen: Set[str] = set()
+        pending = list(self._waits_for.get(txid, ()))
+        while pending:
+            waited_on = pending.pop()
+            if waited_on == txid:
+                return True
+            if waited_on not in seen:
+                seen.add(waited_on)
+                pending.extend(self._waits_for.get(waited_on, ()))
+        return False
+
+    def _forget_waits(self, txid: str) -> None:
+        """Drop ``txid`` from the wait-for graph, as waiter and as holder."""
+        self._waits_for.pop(txid, None)
+        for holders in self._waits_for.values():
+            holders.discard(txid)
 
     # -- release ------------------------------------------------------------------
 
@@ -124,15 +135,8 @@ class LockManager:
             entry.holders.discard(txid)
             if not entry.holders:
                 del self._table[key]
-        if txid in self._waits_for:
-            self._waits_for.remove_node(txid)
-        # waits on txid are now resolvable; drop stale edges pointing at it
-        stale = [
-            (waiter, holder)
-            for waiter, holder in self._waits_for.edges
-            if holder == txid
-        ]
-        self._waits_for.remove_edges_from(stale)
+        # waits on txid are now resolvable
+        self._forget_waits(txid)
         return len(keys)
 
     # -- queries ---------------------------------------------------------------------

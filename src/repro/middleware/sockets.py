@@ -479,9 +479,10 @@ class ConnectionPool:
 class SocketTransport(Transport):
     """Envelope delivery over pooled wire connections.
 
-    ``submit`` delivers inline on the caller's thread — synchronous
-    semantics, like :class:`~repro.middleware.transport.InProcessTransport`
-    — through the shared retry core, so the envelope's QoS budget drives
+    ``call`` and ``submit`` deliver inline on the caller's thread —
+    synchronous semantics, like
+    :class:`~repro.middleware.transport.InProcessTransport` — through the
+    shared retry core, so the envelope's QoS budget drives
     reconnection: a pre-effect failure (no endpoint, dial refused, the
     request frame rejected before it was fully written) raises
     :class:`~repro.errors.NodeDownError`, the failover element reacts,
@@ -519,9 +520,10 @@ class SocketTransport(Transport):
         self.disconnects = 0  # guarded_by: _stats_lock
         self._stats_lock = named_lock("sockets.stats")
 
+    # defined on this class, not inherited: perfbench's traced run wraps
+    # each transport's own ``submit``
     def submit(self, envelope: Envelope, handler: Handler) -> ReplyFuture:
         future = ReplyFuture(envelope)
-        envelope.reply_to = future
         self._deliver(envelope, handler, future)
         return future
 

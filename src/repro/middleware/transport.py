@@ -2,12 +2,17 @@
 
 Every invocation layer (bus, federation) hands its envelopes to a
 :class:`Transport` with a *handler* — the layer's interceptor chain plus
-terminal dispatch — and gets a
-:class:`~repro.middleware.envelope.ReplyFuture` back.  Two flavours:
+terminal dispatch.  A synchronous call goes through :meth:`Transport.call`,
+which delivers on the caller's thread and returns the value or raises: no
+future is built for a reply the caller is already waiting on.
+:meth:`Transport.submit` returns a
+:class:`~repro.middleware.envelope.ReplyFuture` for asynchronous, oneway,
+pipelined and nested-inline submissions.  Two flavours:
 
 * :class:`InProcessTransport` — delivers inline on the caller's thread
-  and returns an already-completed future.  The synchronous baseline:
-  identical semantics (thread-locality, determinism) to a direct call.
+  (``submit`` returns an already-completed future).  The synchronous
+  baseline: identical semantics (thread-locality, determinism) to a
+  direct call.
 * :class:`QueuedTransport` — a bounded set of daemon delivery threads
   draining a FIFO queue.  The caller keeps its future and continues —
   async invocation, oneway fire-and-forget, and reply pipelining all
@@ -86,21 +91,27 @@ class Transport:
 
     # -- shared delivery core ------------------------------------------------
 
-    def _deliver(self, envelope: Envelope, handler: Handler, future: ReplyFuture) -> None:
-        """Run ``handler`` with the QoS retry budget; complete ``future``."""
+    def call(self, envelope: Envelope, handler: Handler) -> Any:
+        """Run ``handler`` on this thread with the QoS retry budget;
+        return its value or raise its final error."""
         attempt = 0
         while True:
             envelope.attempt = attempt
             try:
-                value = handler(envelope)
-            except BaseException as exc:  # noqa: BLE001 - routed to the future
-                if will_retry(envelope, exc):
-                    attempt += 1
-                    continue
-                future._fail(exc)
-                return
-            future._complete(value)
+                return handler(envelope)
+            except Exception as exc:
+                if not will_retry(envelope, exc):
+                    raise
+            attempt += 1
+
+    def _deliver(self, envelope: Envelope, handler: Handler, future: ReplyFuture) -> None:
+        """:meth:`call`, with the outcome completing ``future``."""
+        try:
+            value = self.call(envelope, handler)
+        except BaseException as exc:  # noqa: BLE001 - routed to the future
+            future._fail(exc)
             return
+        future._complete(value)
 
 
 class InProcessTransport(Transport):
@@ -108,9 +119,10 @@ class InProcessTransport(Transport):
 
     name = "in-process"
 
+    # defined on this class, not inherited: perfbench's traced run wraps
+    # each transport's own ``submit``
     def submit(self, envelope: Envelope, handler: Handler) -> ReplyFuture:
         future = ReplyFuture(envelope)
-        envelope.reply_to = future
         self._deliver(envelope, handler, future)
         return future
 
@@ -172,7 +184,6 @@ class QueuedTransport(Transport):
 
     def submit(self, envelope: Envelope, handler: Handler) -> ReplyFuture:
         future = ReplyFuture(envelope)
-        envelope.reply_to = future
         with self._mutex:
             if self._closed:
                 raise TransportError(f"transport {self._name!r} is shut down")

@@ -101,7 +101,13 @@ if TYPE_CHECKING:
 
 
 class HashRing:
-    """Consistent-hash ring with virtual nodes."""
+    """Consistent-hash ring with virtual nodes.
+
+    :meth:`owner` caches each key's owner until the next :meth:`add` or
+    :meth:`remove`.  A ring published by :class:`ShardedNamingService`
+    is never mutated (every membership change builds a fresh ring), so
+    routing hashes each partition key once per topology.
+    """
 
     def __init__(self, replicas: int = 64):
         if replicas < 1:
@@ -110,6 +116,7 @@ class HashRing:
         self._points: List[int] = []
         self._owners: Dict[int, str] = {}
         self._members: List[str] = []
+        self._owner_cache: Dict[str, str] = {}
 
     @staticmethod
     def _hash(value: str) -> int:
@@ -124,6 +131,7 @@ class HashRing:
     def add(self, name: str) -> None:
         if name in self._members:
             raise FederationError(f"ring member {name!r} already present")
+        self._owner_cache.clear()
         self._members.append(name)
         for i in range(self.replicas):
             point = self._hash(f"{name}#{i}")
@@ -138,6 +146,7 @@ class HashRing:
     def remove(self, name: str) -> None:
         if name not in self._members:
             raise FederationError(f"ring member {name!r} not present")
+        self._owner_cache.clear()
         self._members.remove(name)
         for i in range(self.replicas):
             point = self._hash(f"{name}#{i}")
@@ -148,13 +157,18 @@ class HashRing:
 
     def owner(self, key: str) -> str:
         """The member owning ``key`` (clockwise successor on the ring)."""
+        owner = self._owner_cache.get(key)
+        if owner is not None:
+            return owner
         if not self._points:
             raise FederationError("hash ring is empty")
         point = self._hash(key)
         index = bisect.bisect_right(self._points, point)
         if index == len(self._points):
             index = 0
-        return self._owners[self._points[index]]
+        owner = self._owners[self._points[index]]
+        self._owner_cache[key] = owner
+        return owner
 
     def preference(self, key: str, count: int) -> List[str]:
         """The first ``count`` distinct members clockwise from ``key``.
@@ -1974,7 +1988,7 @@ class Federation:
         envelope, handler = self._envelope(
             node, ref, operation, args, kwargs, context, qos, binding
         )
-        return self.transport.submit(envelope, handler).raw()
+        return self.transport.call(envelope, handler)
 
     def invoke_async(
         self,

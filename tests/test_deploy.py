@@ -264,6 +264,16 @@ class TestSpecValidation:
         )
         assert any("not JSON-shaped" in p for p in bad.problems())
 
+    @pytest.mark.parametrize("field_name", ["sim_latency_ms", "real_latency_ms"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_latencies_must_be_finite(self, field_name, value):
+        # a spec file may spell non-finite floats NaN or Infinity
+        text = json.dumps({**tiny_spec().to_dict(), field_name: float(value)})
+        assert value in text
+        spec = DeploymentSpec.from_json(text)
+        with pytest.raises(DeploymentError, match=f"{field_name} must be finite"):
+            spec.validate()
+
 
 # ---------------------------------------------------------------------------
 # compile layer

@@ -45,6 +45,13 @@ class TestClock:
         with pytest.raises(MiddlewareError):
             SimClock().advance(-1)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, delta):
+        clock = SimClock(5.0)
+        with pytest.raises(MiddlewareError):
+            clock.advance(delta)
+        assert clock.now() == 5.0
+
 
 class TestFaultInjector:
     def test_scripted_faults(self):
@@ -358,6 +365,48 @@ class TestLocks:
         with pytest.raises(DeadlockError):
             locks.acquire("t1", "y", LockMode.WRITE)
         assert locks.deadlocks == 1
+
+    def test_deadlock_detected_through_a_chain_of_waits(self):
+        locks = LockManager()
+        for tx, key in (("t1", "a"), ("t2", "b"), ("t3", "c")):
+            locks.acquire(tx, key, LockMode.WRITE)
+        with pytest.raises(LockTimeoutError):
+            locks.acquire("t1", "b", LockMode.WRITE)  # t1 waits on t2
+        with pytest.raises(LockTimeoutError):
+            locks.acquire("t2", "c", LockMode.WRITE)  # t2 waits on t3
+        with pytest.raises(DeadlockError):
+            locks.acquire("t3", "a", LockMode.WRITE)  # closes t3 -> t1 -> t2 -> t3
+        assert locks.deadlocks == 1
+        # once t2 commits, nobody waits on it: t1's next refusal is no deadlock
+        locks.release_all("t2")
+        locks.acquire("t3", "b", LockMode.WRITE)
+        with pytest.raises(LockTimeoutError):
+            locks.acquire("t1", "b", LockMode.WRITE)
+        assert locks.deadlocks == 1
+
+    def test_runtime_import_leaves_networkx_unloaded(self):
+        # only the static lock-order analyzer uses networkx, and importing
+        # it adds about 10 MB to every node and worker process
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro.cli, repro.runtime, repro.deploy.compiler; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_statistics(self):
         locks = LockManager()

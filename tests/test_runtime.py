@@ -529,3 +529,18 @@ class TestSimulateCli:
 
         assert main(["simulate", "--scenario", "nope"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, field_name",
+        [("--latency-ms", "real_latency_ms"), ("--sim-latency-ms", "sim_latency_ms")],
+    )
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_simulate_rejects_non_finite_latency(self, capsys, flag, field_name, value):
+        from repro.cli import main
+
+        code = main(
+            ["simulate", "--scenario", "banking", "--nodes", "2", "--ops", "4",
+             "--serial", flag, value]
+        )
+        assert code == 1
+        assert f"{field_name} must be finite" in capsys.readouterr().err
