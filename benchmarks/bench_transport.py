@@ -53,9 +53,12 @@ class Account:
         return self.balance
 
 
-def build_federation(nodes=2, accounts=8):
+def build_federation(nodes=2, accounts=8, delivery_workers=2):
     federation = Federation(
-        seed=1, latency_ms=0.0, real_latency_s=HOP_LATENCY_MS / 1000.0
+        seed=1,
+        latency_ms=0.0,
+        real_latency_s=HOP_LATENCY_MS / 1000.0,
+        delivery_workers=delivery_workers,
     )
     for i in range(nodes):
         federation.add_node(f"node-{i}", workers=4)
@@ -106,8 +109,7 @@ def run_sync(script):
 
 def run_async_window(script, window=BATCH):
     """Reply futures with a bounded in-flight window."""
-    federation, servants = build_federation()
-    federation.delivery_workers = 4
+    federation, servants = build_federation(delivery_workers=4)
     try:
         started = time.perf_counter()
         pending = []
@@ -129,8 +131,7 @@ def run_async_window(script, window=BATCH):
 
 def run_pipelined(script, batch=BATCH):
     """Consecutive same-node calls share one envelope: latency per batch."""
-    federation, servants = build_federation()
-    federation.delivery_workers = 4
+    federation, servants = build_federation(delivery_workers=4)
     try:
         # order the script so consecutive calls target the same node —
         # the locality a real batching client creates on purpose

@@ -412,10 +412,10 @@ class DeploymentSpec:
     real_latency_ms: float = 0.0
     delivery_workers: int = 2
     seed: int = 0
-    #: how routed hops travel ("inproc", "queued", "socket", or
-    #: "process" — one worker process per node); the default is omitted
-    #: from the serialized form and the digest, so a spec that never
-    #: mentions transports hashes exactly as before
+    #: how routed hops travel ("inproc", "socket", or "process" — one
+    #: worker process per node); the default is omitted from the
+    #: serialized form and the digest, so a spec that never mentions
+    #: transports hashes exactly as before
     transport: str = "inproc"
 
     def __post_init__(self):
@@ -608,7 +608,7 @@ class DeploymentSpec:
             problems.append(
                 f"delivery_workers must be >= 1, got {self.delivery_workers}"
             )
-        transports = ("inproc", "queued", "socket", "process")
+        transports = ("inproc", "socket", "process")
         if self.transport not in transports:
             problems.append(
                 f"transport must be one of {transports}, got {self.transport!r}"

@@ -4,13 +4,13 @@ The bus is the transport endpoint of the simulated middleware: the ORB
 (S10/rpc) turns proxy calls into :class:`Request` messages wrapped in
 :class:`~repro.middleware.envelope.Envelope` objects, and the bus delivers
 them to registered servants, producing :class:`Response` messages.
-Delivery runs through a
-:class:`~repro.middleware.transport.Transport` (in-process synchronous,
-or queued-asynchronous for ``async``/oneway invocations) and a
-single ordered :class:`~repro.middleware.envelope.InterceptorChain` that
+Delivery is synchronous, on the caller's thread, through a single
+ordered :class:`~repro.middleware.envelope.InterceptorChain` that
 carries the cross-cutting transport behaviour — fault injection, latency
 simulation, delivery statistics — as named elements instead of inline
-special cases.
+special cases.  A bus envelope carries the default QoS (no retry
+budget): an injected fault surfaces to the caller as a lost message
+would.
 
 Wire-type contract (what `marshal` guarantees end to end):
 
@@ -46,21 +46,8 @@ import repro.errors as errors_module
 from repro.analysis.witness import named_lock
 from repro.errors import MarshallingError, RemoteInvocationError, ReproError
 from repro.middleware.clock import SimClock
-from repro.middleware.envelope import (
-    DEFAULT_QOS,
-    Envelope,
-    InterceptorChain,
-    QoS,
-    ReplyFuture,
-    sim_latency_element,
-)
+from repro.middleware.envelope import Envelope, InterceptorChain, sim_latency_element
 from repro.middleware.faults import FaultInjector
-from repro.middleware.transport import (
-    InProcessTransport,
-    LazyQueuedTransport,
-    QueuedTransport,
-    in_serving_thread,
-)
 
 _message_counter = itertools.count(1)
 
@@ -257,18 +244,10 @@ class MessageBus:
         clock: Optional[SimClock] = None,
         faults: Optional[FaultInjector] = None,
         latency_ms: float = 0.5,
-        delivery_workers: int = 2,
     ):
         self.clock = clock or SimClock()
         self.faults = faults or FaultInjector()
         self.latency_ms = latency_ms
-        #: synchronous delivery path (caller-thread semantics)
-        self.transport = InProcessTransport()
-        #: asynchronous delivery path, created lazily on first async call
-        self.delivery_workers = delivery_workers
-        self._async = LazyQueuedTransport(
-            lambda: QueuedTransport(workers=self.delivery_workers, name="bus")
-        )
         self._servants: Dict[str, Any] = {}
         self._stats_lock = named_lock("bus.stats")
         #: read-only operation classification per servant *type* name,
@@ -387,10 +366,6 @@ class MessageBus:
 
     # -- delivery ----------------------------------------------------------------
 
-    @property
-    def async_transport(self) -> QueuedTransport:
-        return self._async.get()
-
     def _terminal(self, envelope: Envelope, dispatch) -> Response:
         """Execute the request against its servant; errors become wire
         responses — the terminal never leaks servant exceptions."""
@@ -420,13 +395,8 @@ class MessageBus:
                 error_message=str(exc),
             )
 
-    def _handler(self, dispatch) -> Callable[[Envelope], Response]:
-        return lambda envelope: self.chain.execute(
-            envelope, lambda: self._terminal(envelope, dispatch)
-        )
-
     def deliver(self, request: Request, dispatch: Callable[[Request, Any], Any]) -> Response:
-        """Deliver ``request`` synchronously; ``dispatch`` invokes the servant.
+        """Deliver ``request`` on this thread; ``dispatch`` invokes the servant.
 
         The two-hop latency (request + reply) is charged to the clock by
         the chain's latency element; servant exceptions come back as
@@ -434,38 +404,7 @@ class MessageBus:
         fault element) keep raising out, as a lost message would.
         """
         envelope = Envelope(request=request)
-        return self.transport.call(envelope, self._handler(dispatch))
-
-    def submit(
-        self,
-        request: Request,
-        dispatch: Callable[[Request, Any], Any],
-        qos: QoS = DEFAULT_QOS,
-    ) -> ReplyFuture:
-        """Deliver ``request`` asynchronously; returns the reply future.
-
-        The envelope (including its propagated context) is fully built on
-        the caller's thread; only delivery happens on the queued
-        transport's threads.  Oneway QoS still returns the future — the
-        caller just never waits on it.
-
-        Issued from a thread that is itself serving a request (a
-        delivery thread or a dispatcher pool worker), the submission
-        delivers inline instead: queueing it behind the bounded pools
-        the caller occupies could deadlock, exactly like nested
-        synchronous dispatch.
-        """
-        envelope = Envelope(request=request, qos=qos)
-        if in_serving_thread():
-            return self.transport.submit(envelope, self._handler(dispatch))
-        return self.async_transport.submit(envelope, self._handler(dispatch))
-
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        """Wait for all in-flight asynchronous deliveries (oneways included)."""
-        return self._async.drain(timeout_s)
-
-    def shutdown(self) -> None:
-        self._async.shutdown()
+        return self.chain.execute(envelope, lambda: self._terminal(envelope, dispatch))
 
     @staticmethod
     def raise_remote(response: Response):

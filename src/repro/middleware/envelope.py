@@ -124,9 +124,10 @@ class Envelope:
     correlation_id: int = field(default_factory=lambda: next(_correlation_counter))
     #: routing target (federation node name; None for in-process buses)
     target: Optional[str] = None
-    #: the federation *name* this call was routed by, when known; retries
-    #: re-resolve it, so a redelivery lands on the current owner even if
-    #: the shard migrated (or failed over) between attempts
+    #: the federation *name* a routed call is addressed to (None on bus
+    #: and batch envelopes); retries re-resolve it, so a redelivery
+    #: lands on the current owner even if the shard migrated (or failed
+    #: over) between attempts
     binding: Optional[str] = None
     #: metrics label (``Class.operation``); None suppresses recording
     label: Optional[str] = None
@@ -200,21 +201,13 @@ class Envelope:
 class ReplyFuture:
     """The caller's handle on an in-flight invocation.
 
-    Transports complete the future with the terminal's raw value (a
-    :class:`Response` for bus deliveries, an already-hydrated result for
-    federation hops) or fail it with the raised exception.  ``decode``
-    post-processes the raw value on the *caller's* thread when
-    :meth:`result` is called — the bus uses it to re-raise wire errors
-    and hydrate references.
+    Transports complete the future with the routed hop's result (already
+    hydrated by the federation's terminal) or fail it with the raised
+    exception.
     """
 
-    def __init__(
-        self,
-        envelope: Optional[Envelope] = None,
-        decode: Optional[Callable[[Any], Any]] = None,
-    ):
+    def __init__(self, envelope: Optional[Envelope] = None):
         self.envelope = envelope
-        self._decode = decode
         self._event = threading.Event()
         self._value: Any = None
         self._exception: Optional[BaseException] = None
@@ -271,15 +264,8 @@ class ReplyFuture:
         self._wait(timeout_ms)
         return self._exception
 
-    def raw(self, timeout_ms: Optional[float] = None) -> Any:
-        """The undecoded completion value (raises the failure, if any)."""
-        self._wait(timeout_ms)
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
     def result(self, timeout_ms: Any = _UNSET) -> Any:
-        """Wait for the reply and decode it; raises remote errors.
+        """Wait for the reply; raises remote errors.
 
         Without an explicit ``timeout_ms`` the envelope's QoS timeout
         applies; pass ``None`` to wait forever.
@@ -288,10 +274,10 @@ class ReplyFuture:
             timeout_ms = (
                 self.envelope.qos.timeout_ms if self.envelope is not None else None
             )
-        value = self.raw(timeout_ms)
-        if self._decode is not None:
-            return self._decode(value)
-        return value
+        self._wait(timeout_ms)
+        if self._exception is not None:
+            raise self._exception
+        return self._value
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,9 @@ Transport-level cross-cutting behaviour (faults, latency, statistics)
 lives in the bus's ordered
 :class:`~repro.middleware.envelope.InterceptorChain` instead.
 
-Invocation styles (all sharing one request-build path, so context
-capture, marshalling, and interceptors behave identically):
-
-* ``proxy.method(...)`` — synchronous round trip (in-process transport);
-* ``proxy.method.async_(...)`` — returns a
-  :class:`~repro.middleware.envelope.ReplyFuture`; delivery happens on
-  the bus's queued transport while the caller continues;
-* ``proxy.method.oneway(...)`` — fire-and-forget for void operations:
-  no reply, no error surfaces, at-most-once servant effect.
+A proxy call is a synchronous round trip on the caller's thread.
+Futures, oneways and batches are federation calls
+(:class:`~repro.runtime.federation.FederationClient`), not proxy styles.
 """
 
 from __future__ import annotations
@@ -36,10 +30,8 @@ from repro.middleware.bus import (
     MessageBus,
     ObjectRefData,
     Request,
-    Response,
     marshal,
 )
-from repro.middleware.envelope import DEFAULT_QOS, ONEWAY_QOS, QoS, ReplyFuture
 from repro.middleware.naming import NamingService
 
 ObjectRef = ObjectRefData
@@ -123,11 +115,10 @@ class Orb:
         """Marshal arguments and capture context on the *caller's* thread.
 
         Everything thread-sensitive (implicit context, argument
-        snapshots, client interceptors) happens here, so asynchronous
-        delivery threads only ever see a finished, self-contained
-        envelope payload.  Client interceptors run exactly once per
-        logical call — never per retry attempt, never for requests
-        issued through another orb sharing the same bus.
+        snapshots, client interceptors) happens here, so the envelope
+        payload is finished and self-contained before delivery starts.
+        Client interceptors run exactly once per logical call, never for
+        requests issued through another orb sharing the same bus.
         """
         if operation.startswith("_"):
             raise RemoteInvocationError(
@@ -144,43 +135,14 @@ class Orb:
             interceptor(request)
         return request
 
-    def _decode(self, response: Response):
-        """Reply post-processing on the caller's thread: raise wire errors,
-        hydrate references into proxies."""
+    def invoke(self, ref: ObjectRef, operation: str, args: tuple, kwargs: dict):
+        """One synchronous round trip: raise wire errors, hydrate
+        references in the result into proxies."""
+        request = self._build_request(ref, operation, args, kwargs)
+        response = self.bus.deliver(request, self._dispatch)
         if response.is_error:
             self.bus.raise_remote(response)
         return self._from_wire(response.result)
-
-    def invoke(self, ref: ObjectRef, operation: str, args: tuple, kwargs: dict):
-        request = self._build_request(ref, operation, args, kwargs)
-        response = self.bus.deliver(request, self._dispatch)
-        return self._decode(response)
-
-    def invoke_async(
-        self,
-        ref: ObjectRef,
-        operation: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        qos: QoS = DEFAULT_QOS,
-    ) -> ReplyFuture:
-        """Send the request and return immediately with a reply future."""
-        request = self._build_request(ref, operation, args, kwargs or {})
-        future = self.bus.submit(request, self._dispatch, qos=qos)
-        future._decode = self._decode
-        return future
-
-    def invoke_oneway(
-        self,
-        ref: ObjectRef,
-        operation: str,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        qos: QoS = ONEWAY_QOS,
-    ) -> None:
-        """Fire-and-forget: no reply, no client-visible error."""
-        request = self._build_request(ref, operation, args, kwargs or {})
-        self.bus.submit(request, self._dispatch, qos=qos)
 
     def _dispatch(self, request: Request, servant: Any):
         for interceptor in self.server_interceptors:
@@ -212,12 +174,7 @@ class Orb:
 
 
 class RemoteProxy:
-    """Dynamic client stub: attribute access yields remote invocations.
-
-    Each looked-up operation is a callable with two extra invocation
-    styles attached: ``proxy.op.async_(...)`` (reply future) and
-    ``proxy.op.oneway(...)`` (fire-and-forget).
-    """
+    """Dynamic client stub: attribute access yields remote invocations."""
 
     __slots__ = ("_orb", "_ref")
 
@@ -237,16 +194,16 @@ class RemoteProxy:
         def remote_call(*args, **kwargs):
             return orb.invoke(ref, operation, args, kwargs)
 
-        def remote_call_async(*args, qos: QoS = DEFAULT_QOS, **kwargs) -> ReplyFuture:
-            return orb.invoke_async(ref, operation, args, kwargs, qos=qos)
-
-        def remote_call_oneway(*args, qos: QoS = ONEWAY_QOS, **kwargs) -> None:
-            orb.invoke_oneway(ref, operation, args, kwargs, qos=qos)
-
         remote_call.__name__ = operation
-        remote_call.async_ = remote_call_async
-        remote_call.oneway = remote_call_oneway
         return remote_call
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<RemoteProxy {self._ref.type_name}@{self._ref.object_id}>"
+
+
+def proxy_ref(value: Any) -> Optional[ObjectRef]:
+    """Marshalling hook for values leaving a node over the wire: a proxy
+    travels as the reference it wraps."""
+    if isinstance(value, RemoteProxy):
+        return value.ref
+    return None

@@ -1,13 +1,13 @@
-"""Pluggable transports: how an envelope travels from caller to terminal.
+"""Pluggable transports: how a federation hop travels from caller to terminal.
 
-Every invocation layer (bus, federation) hands its envelopes to a
-:class:`Transport` with a *handler* — the layer's interceptor chain plus
-terminal dispatch.  A synchronous call goes through :meth:`Transport.call`,
-which delivers on the caller's thread and returns the value or raises: no
-future is built for a reply the caller is already waiting on.
-:meth:`Transport.submit` returns a
-:class:`~repro.middleware.envelope.ReplyFuture` for asynchronous, oneway,
-pipelined and nested-inline submissions.  Two flavours:
+The federation hands each routed envelope to a :class:`Transport` with a
+*handler* — its interceptor chain plus the routing terminal.  A
+synchronous call goes through :meth:`Transport.call`, which delivers on
+the caller's thread and returns the value or raises: no future is built
+for a reply the caller is already waiting on.  :meth:`Transport.submit`
+returns a :class:`~repro.middleware.envelope.ReplyFuture` for
+asynchronous, oneway, pipelined and nested-inline submissions.  Two
+flavours:
 
 * :class:`InProcessTransport` — delivers inline on the caller's thread
   (``submit`` returns an already-completed future).  The synchronous
@@ -81,13 +81,6 @@ class Transport:
 
     def submit(self, envelope: Envelope, handler: Handler) -> ReplyFuture:
         raise NotImplementedError
-
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        """Wait until no envelope is queued or in flight; True if quiet."""
-        return True
-
-    def shutdown(self) -> None:
-        """Release delivery resources (idempotent)."""
 
     # -- shared delivery core ------------------------------------------------
 
@@ -231,40 +224,3 @@ class QueuedTransport(Transport):
                 "in_flight": self._in_flight,
                 "workers": self.workers if self._started else 0,
             }
-
-
-class LazyQueuedTransport:
-    """Thread-safe lazy holder for a layer's queued (async) transport.
-
-    Layers that never go asynchronous never start delivery threads; the
-    double-checked creation is locked so two racing first async calls
-    cannot each start a transport (the loser's threads would escape
-    ``drain()``/``shutdown()``).  Both the bus and the federation hold
-    their async transport through this helper, so the pattern lives
-    once.
-    """
-
-    def __init__(self, factory: Callable[[], QueuedTransport]):
-        self._factory = factory
-        self._transport: Optional[QueuedTransport] = None
-        self._lock = named_lock("transport.lazy")
-
-    def get(self) -> QueuedTransport:
-        if self._transport is None:
-            with self._lock:
-                if self._transport is None:
-                    self._transport = self._factory()
-        return self._transport
-
-    def peek(self) -> Optional[QueuedTransport]:
-        """The transport if it was ever needed, else None."""
-        return self._transport
-
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        transport = self._transport
-        return transport.drain(timeout_s) if transport is not None else True
-
-    def shutdown(self) -> None:
-        transport = self._transport
-        if transport is not None:
-            transport.shutdown()

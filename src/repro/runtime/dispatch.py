@@ -170,9 +170,8 @@ class ConcurrentDispatcher(_DispatcherBase):
     def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
         """Hand the request to the pool without blocking on its result.
 
-        The asynchronous invocation path (batched pipelines, oneway
-        deliveries) uses this to overlap per-servant work of one batch
-        across the pool.  Calls from a worker thread run inline for the
+        Pipelined batches use this (through ``Node.invoke_async``) to
+        overlap the per-servant work of one batch across the pool.  Calls from a worker thread run inline for the
         same reason nested ``dispatch`` does: a saturated pool waiting on
         itself would deadlock.
         """

@@ -53,7 +53,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import fnmatch
-import functools
 import hashlib
 import threading
 import time
@@ -87,11 +86,10 @@ from repro.middleware.faults import FaultInjector
 from repro.middleware.naming import NamingService
 from repro.middleware.transport import (
     InProcessTransport,
-    LazyQueuedTransport,
     QueuedTransport,
     in_serving_thread,
 )
-from repro.middleware.rpc import RemoteProxy
+from repro.middleware.rpc import proxy_ref
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.node import Node
 from repro.runtime.observability import TRACE_KEY, Observability
@@ -925,7 +923,7 @@ class Federation:
     """Named nodes + sharded naming + routed, metered invocation."""
 
     #: transport modes a federation can route hops through
-    TRANSPORT_MODES = ("inproc", "queued", "socket", "process")
+    TRANSPORT_MODES = ("inproc", "socket", "process")
 
     def __init__(
         self,
@@ -959,11 +957,10 @@ class Federation:
         self.routed: Dict[str, int] = {}  # guarded_by: _route_lock
         #: pipelined batches delivered per target node
         self.batches: Dict[str, int] = {}  # guarded_by: _route_lock
-        #: how routed hops travel: "inproc" (caller thread), "queued"
-        #: (delivery threads even for sync calls), "socket" (every hop
-        #: crosses a real wire connection to the node's listener), or
-        #: "process" (every node is a worker process, reached over the
-        #: wire; see repro.runtime.procfed)
+        #: how routed hops travel: "inproc" (caller thread), "socket"
+        #: (every hop crosses a real wire connection to the node's
+        #: listener), or "process" (every node is a worker process,
+        #: reached over the wire; see repro.runtime.procfed)
         self.transport_mode = transport
         self.socket_family = socket_family
         #: per-node wire listeners (socket mode) and the endpoints of
@@ -984,13 +981,10 @@ class Federation:
             self.transport = self._socket_transport
         else:
             self.transport = InProcessTransport()
-        #: asynchronous hop transport, created lazily on first use
+        #: asynchronous hop transport; its delivery threads start on
+        #: the first submission
         self.delivery_workers = delivery_workers
-        self._async = LazyQueuedTransport(
-            lambda: QueuedTransport(
-                workers=self.delivery_workers, name="federation"
-            )
-        )
+        self._async = QueuedTransport(workers=delivery_workers, name="federation")
         #: the one ordered element pipeline every routed hop runs through
         self.chain = InterceptorChain()
         self.chain.add("metrics", self.metrics.element())
@@ -1092,10 +1086,7 @@ class Federation:
 
     def quiesce(self, timeout_s: Optional[float] = None) -> bool:
         """Wait until every asynchronous delivery (oneways included) landed."""
-        quiet = self._async.drain(timeout_s)
-        for node in list(self.nodes.values()):
-            quiet = node.drain(timeout_s) and quiet
-        return quiet
+        return self._async.drain(timeout_s)
 
     def shutdown(self) -> None:
         self._async.shutdown()
@@ -1599,10 +1590,6 @@ class Federation:
 
     # -- invocation path -----------------------------------------------------------
 
-    @property
-    def async_transport(self) -> QueuedTransport:
-        return self._async.get()
-
     def _submission_transport(self):
         """Where an asynchronous submission delivers.
 
@@ -1614,7 +1601,7 @@ class Federation:
         """
         if in_serving_thread():
             return self.transport
-        return self.async_transport
+        return self._async
 
     @staticmethod
     def _inherit(context: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -1652,112 +1639,108 @@ class Federation:
 
     def _dispatch(
         self,
-        node: Node,
+        node: Union[Node, RemoteNode],
         ref: ObjectRefData,
         operation: str,
         args: tuple,
         kwargs: Optional[dict],
         context: Optional[Dict[str, Any]],
-        partition: Optional[str] = None,
-        envelope: Optional[Envelope] = None,
-    ):
-        """The routing terminal — branches on the transport mode.
-
-        In-process and queued modes execute the node hop directly
-        (:meth:`_local_dispatch`); socket mode sends the hop over a real
-        wire connection to the owner node's listener, whose server-side
-        handler runs the *same* :meth:`_local_dispatch` — so the node
-        guard, dispatcher serialization, and replication semantics are
-        identical on both sides of the wire.  Process mode sends it to
-        a worker process (:meth:`_remote_dispatch`).
-        """
-        if envelope is not None and self._socket_transport is not None:
-            if self.transport_mode == "process":
-                return self._remote_dispatch(
-                    node, ref, operation, partition, envelope
-                )
-            return self._wire_dispatch(node, ref, envelope)
-        return self._local_dispatch(
-            node, ref, operation, args, kwargs, context, partition
-        )
-
-    def _remote_dispatch(
-        self,
-        node: RemoteNode,
-        ref: ObjectRefData,
-        operation: str,
-        partition: Optional[str],
+        partition: str,
         envelope: Envelope,
     ):
-        """The hop to a worker process: the wire round trip runs inside
-        the node guard, held here on the front-end because the worker's
-        ``Node`` has no federation.  A worker has no in-process bus to
-        report which servants a call touched, so a call the read-only
-        classification does not skip replicates its whole partition (one
-        export round trip) — still inside the guard, like the local
-        terminal's sync."""
-        with self._node_guard(node):
-            value = self._wire_dispatch(node, ref, envelope)
-            if partition is not None and self.replicas is not None:
-                if operation in self.read_only_ops.get(ref.type_name, ()):
-                    self.replicas.note_skip()
-                else:
-                    self.replicas.sync_partition(partition)
-            return value
+        """The routing terminal: picks the node hop for the transport —
+        :meth:`Node.invoke` in memory, :meth:`_wire_dispatch` to a
+        socket listener or worker process — and runs it through
+        :meth:`_local_dispatch`, the one terminal every transport
+        shares."""
+        if self._socket_transport is not None:
+
+            def hop():
+                return self._wire_dispatch(node, ref, envelope)
+
+        else:
+
+            def hop():
+                return node.invoke(ref, operation, args, kwargs or {}, context)
+
+        return self._local_dispatch(node, ref, operation, partition, hop)
 
     def _local_dispatch(
         self,
-        node: Node,
+        node: Union[Node, RemoteNode],
         ref: ObjectRefData,
         operation: str,
-        args: tuple,
-        kwargs: Optional[dict],
-        context: Optional[Dict[str, Any]],
-        partition: Optional[str] = None,
+        partition: str,
+        hop: Callable[[], Any],
     ):
-        """The node hop: dead-node classification + dispatch + replication.
+        """The node hop: dead-node classification + dispatch + replication,
+        all on the caller's side whatever the transport.
 
-        The replication of a named call runs *inside* the node guard: a
-        kill that drained to zero has therefore already captured every
+        The replication of a call runs *inside* the node guard: a kill
+        that drained to zero has therefore already captured every
         completed effect in the standby copies (or shipped it through
         the replication log) — there is no window where an effect exists
-        only on the dying primary.
-
-        Mutation narrowing: the sync is skipped when the node's bus saw
-        no (possibly) mutating dispatch while this call executed — the
-        call's own dispatch, and every nested delivery it made on the
-        node, were all spec-declared read-only operations.  Otherwise
-        the bus's per-delivery record names exactly which servants were
-        touched, so only those are refreshed (per-servant dirty
-        tracking).  A concurrent mutating call on the same node can only
-        flip a skip into a sync or widen the touched set (the safe
-        direction); a mutating call always observes its own bump, so its
-        sync is never skipped."""
+        only on the dying primary."""
         with self._node_guard(node):
-            track = partition is not None and self.replicas is not None
-            bus = node.services.bus
-            before = bus.mutations if track else 0
-            value = node.invoke(ref, operation, args, kwargs or {}, context)
-            if track:
-                if bus.mutations != before:
-                    self.replicas.sync_partition(
-                        partition, touched=bus.touched_since(before)
-                    )
-                else:
-                    self.replicas.note_skip()
+            if self.replicas is None:
+                return hop()
+            mark = self._mutation_mark(node)
+            value = hop()
+            self._replicate(node, ref, operation, partition, mark)
             return value
 
-    # -- socket loopback mode -----------------------------------------------------
-
     @staticmethod
-    def _proxy_ref(value: Any) -> Optional[ObjectRefData]:
-        """Client-side marshalling hook: proxies travel as references."""
-        if isinstance(value, RemoteProxy):
-            return value.ref
-        return None
+    def _mutation_mark(node: Union[Node, RemoteNode]) -> Optional[int]:
+        """Where a call's replication window opens: the node's bus
+        mutation count, or None for a worker process (its bus is not in
+        this process)."""
+        return node.services.bus.mutations if isinstance(node, Node) else None
 
-    def _wire_dispatch(self, node: Node, ref: ObjectRefData, envelope: Envelope):
-        """Send one routed hop over the wire to ``node``'s listener.
+    def _replicate(
+        self,
+        node: Union[Node, RemoteNode],
+        ref: ObjectRefData,
+        operation: str,
+        partition: str,
+        mark: Optional[int],
+    ) -> None:
+        """The one replication decision after a routed call on
+        ``partition``, opened at ``mark`` (:meth:`_mutation_mark`).
+
+        Mutation narrowing on an in-process node: the sync is skipped
+        when the node's bus saw no (possibly) mutating dispatch while
+        this call executed — the call's own dispatch, and every nested
+        delivery it made on the node, were all spec-declared read-only
+        operations.  Otherwise the bus's per-delivery record names
+        exactly which servants were touched, so only those are
+        refreshed (per-servant dirty tracking).  A concurrent mutating
+        call on the same node can only flip a skip into a sync or widen
+        the touched set (the safe direction); a mutating call always
+        observes its own bump, so its sync is never skipped.
+
+        A worker process has no bus here to report what a call touched,
+        so its call skips the sync only when the read-only
+        classification covers the operation, and otherwise replicates
+        the whole partition (one export round trip)."""
+        if mark is None:
+            if operation in self.read_only_ops.get(ref.type_name, ()):
+                self.replicas.note_skip()
+            else:
+                self.replicas.sync_partition(partition)
+            return
+        bus = node.services.bus
+        if bus.mutations != mark:
+            self.replicas.sync_partition(partition, touched=bus.touched_since(mark))
+        else:
+            self.replicas.note_skip()
+
+    # -- wire hops (socket and process modes) -------------------------------------
+
+    def _wire_dispatch(
+        self, node: Union[Node, RemoteNode], ref: ObjectRefData, envelope: Envelope
+    ):
+        """Send one routed hop over the wire to ``node``'s listener,
+        where :meth:`Node.serve` runs it.
 
         The hop envelope carries the *same* correlation id, message id,
         QoS, binding, and attempt counter as the in-memory envelope the
@@ -1773,10 +1756,8 @@ class Federation:
             request=Request(
                 object_id=ref.object_id,
                 operation=request.operation,
-                args=marshal(list(request.args), self._proxy_ref, root="args"),
-                kwargs=marshal(
-                    dict(request.kwargs), self._proxy_ref, root="kwargs"
-                ),
+                args=marshal(list(request.args), proxy_ref, root="args"),
+                kwargs=marshal(dict(request.kwargs), proxy_ref, root="kwargs"),
                 context=dict(request.context),
                 message_id=request.message_id,
             ),
@@ -1798,34 +1779,6 @@ class Federation:
         # hydrate through the owner's orb, as an in-process hop would
         return node.services.orb._from_wire(response.result)
 
-    def _serve_wire_request(self, node: Node, envelope: Envelope):
-        """Server half of a wire hop: runs on the listener's connection
-        thread, inside the node's own process space.
-
-        Rebuilds the dispatch coordinates from the envelope (the client
-        already re-resolved the owner for this attempt) and runs the
-        ordinary local terminal — node guard, dispatcher, replication —
-        then re-marshals the hydrated result for the return frame.
-        """
-        request = envelope.request
-        type_name = (envelope.label or ".").rsplit(".", 1)[0]
-        ref = ObjectRefData(request.object_id, type_name)
-        partition = (
-            ShardedNamingService.partition_key(envelope.binding)
-            if envelope.binding
-            else None
-        )
-        result = self._local_dispatch(
-            node,
-            ref,
-            request.operation,
-            tuple(request.args),
-            dict(request.kwargs),
-            dict(request.context),
-            partition,
-        )
-        return marshal(result, self._proxy_ref, root="result")
-
     def _listen_endpoint(self, name: str) -> str:
         """Where node ``name``'s listener binds (OS-assigned TCP port)."""
         if self.socket_family == "unix":
@@ -1838,7 +1791,7 @@ class Federation:
 
         server = WireServer(
             node=node.name,
-            request_handler=functools.partial(self._serve_wire_request, node),
+            request_handler=node.serve,
             endpoint=self._listen_endpoint(node.name),
         )
         server.start()
@@ -1873,19 +1826,17 @@ class Federation:
 
     def _envelope(
         self,
-        node: Node,
-        ref: ObjectRefData,
+        binding: str,
         operation: str,
         args: tuple,
         kwargs: Optional[dict],
         context: Optional[Dict[str, Any]],
         qos: QoS,
-        binding: Optional[str] = None,
     ) -> Tuple[Envelope, Callable[[Envelope], Any]]:
-        """Build one routed hop: envelope + its chain-wrapped handler.
+        """Build one routed hop to the federation name ``binding``:
+        envelope + its chain-wrapped handler.
 
-        With a ``binding`` (the federation name the caller routed by),
-        the handler enters the migration gate and re-resolves the owner
+        The handler enters the migration gate and re-resolves the owner
         on *every* delivery attempt — so queued envelopes and QoS
         retries land on the current primary even if the shard migrated
         or failed over since submission — and, on success, replicates
@@ -1897,7 +1848,8 @@ class Federation:
         token minted by the old primary means nothing to the node that
         took over its shard.
         """
-        if qos is DEFAULT_QOS and binding is not None:
+        node, ref = self.resolve(binding)
+        if qos is DEFAULT_QOS:
             # spec-declared per-binding QoS default: applies only when
             # the caller did not state a policy (identity check — an
             # explicit QoS() equal to the default is still explicit)
@@ -1932,23 +1884,6 @@ class Federation:
             label=f"{ref.type_name}.{operation}",
             binding=binding,
         )
-
-        if binding is None:
-
-            def handler(env: Envelope):
-                # the dispatch reads the *envelope's* context, not the
-                # provider's raw dict: chain elements (tracing) re-stamp
-                # per-attempt keys into it on the way through
-                return self.chain.execute(
-                    env,
-                    lambda: self._dispatch(
-                        node, ref, operation, args, kwargs,
-                        env.request.context, envelope=env,
-                    ),
-                )
-
-            return envelope, handler
-
         partition = ShardedNamingService.partition_key(binding)
 
         def handler(env: Envelope):
@@ -1967,7 +1902,7 @@ class Federation:
                     env,
                     lambda: self._dispatch(
                         owner, live_ref, operation, args, kwargs,
-                        env.request.context, partition, envelope=env,
+                        env.request.context, partition, env,
                     ),
                 )
 
@@ -1975,52 +1910,47 @@ class Federation:
 
     def invoke(
         self,
-        node: Node,
-        ref: ObjectRefData,
+        binding: str,
         operation: str,
         args: tuple = (),
         kwargs: Optional[dict] = None,
         context: Optional[Dict[str, Any]] = None,
         qos: QoS = DEFAULT_QOS,
-        binding: Optional[str] = None,
     ):
-        """Route one request to ``node`` and execute it there, metered."""
+        """Route one request to the owner of ``binding`` and execute it
+        there, metered."""
         envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
+            binding, operation, args, kwargs, context, qos
         )
         return self.transport.call(envelope, handler)
 
     def invoke_async(
         self,
-        node: Node,
-        ref: ObjectRefData,
+        binding: str,
         operation: str,
         args: tuple = (),
         kwargs: Optional[dict] = None,
         context: Optional[Dict[str, Any]] = None,
         qos: QoS = DEFAULT_QOS,
-        binding: Optional[str] = None,
     ) -> ReplyFuture:
         """Route one request asynchronously; returns the reply future."""
         envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
+            binding, operation, args, kwargs, context, qos
         )
         return self._submission_transport().submit(envelope, handler)
 
     def oneway(
         self,
-        node: Node,
-        ref: ObjectRefData,
+        binding: str,
         operation: str,
         args: tuple = (),
         kwargs: Optional[dict] = None,
         context: Optional[Dict[str, Any]] = None,
         qos: QoS = ONEWAY_QOS,
-        binding: Optional[str] = None,
     ) -> None:
         """Fire-and-forget delivery: at most one servant effect, no reply."""
         envelope, handler = self._envelope(
-            node, ref, operation, args, kwargs, context, qos, binding
+            binding, operation, args, kwargs, context, qos
         )
         self._submission_transport().submit(envelope, handler)
 
@@ -2033,9 +1963,8 @@ class Federation:
         qos: QoS = DEFAULT_QOS,
         **kwargs,
     ):
-        """Resolve ``name`` and invoke ``operation`` on its owner node."""
-        node, ref = self.resolve(name)
-        return self.invoke(node, ref, operation, args, kwargs, context, qos, name)
+        """Invoke ``operation`` on the owner of ``name``."""
+        return self.invoke(name, operation, args, kwargs, context, qos)
 
     def call_async(
         self,
@@ -2046,10 +1975,7 @@ class Federation:
         qos: QoS = DEFAULT_QOS,
         **kwargs,
     ) -> ReplyFuture:
-        node, ref = self.resolve(name)
-        return self.invoke_async(
-            node, ref, operation, args, kwargs, context, qos, name
-        )
+        return self.invoke_async(name, operation, args, kwargs, context, qos)
 
     def call_oneway(
         self,
@@ -2060,8 +1986,7 @@ class Federation:
         qos: QoS = ONEWAY_QOS,
         **kwargs,
     ) -> None:
-        node, ref = self.resolve(name)
-        self.oneway(node, ref, operation, args, kwargs, context, qos, name)
+        self.oneway(name, operation, args, kwargs, context, qos)
 
     def pipeline(
         self,
@@ -2105,11 +2030,7 @@ class Federation:
         envelope = Envelope(request=request, qos=qos, target=node.name, label=None)
 
         partitions = sorted(
-            {
-                ShardedNamingService.partition_key(item.name)
-                for item in items
-                if item.name is not None
-            }
+            {ShardedNamingService.partition_key(item.name) for item in items}
         )
 
         def terminal():
@@ -2126,7 +2047,7 @@ class Federation:
                 # (the flush-time grouping only fixes which calls shared
                 # this envelope's hop).
                 stack.enter_context(self._gate.entered_many(partitions))
-                return self._run_batch(node, items, stack)
+                return self._run_batch(items, stack)
 
         def handler(env: Envelope):
             return self.chain.execute(env, terminal)
@@ -2144,7 +2065,6 @@ class Federation:
 
     def _run_batch(
         self,
-        node: Node,
         items: List["_PipelinedCall"],
         stack: "contextlib.ExitStack",
     ) -> int:
@@ -2162,15 +2082,12 @@ class Federation:
         targets: List[Optional[Tuple[Node, ObjectRefData]]] = []
         guarded: set = set()
         for item in items:
-            if item.name is None:
-                owner, ref = node, item.ref
-            else:
-                try:
-                    owner, ref = self.resolve(item.name)
-                except ReproError as exc:
-                    item.future._fail(exc)
-                    targets.append(None)
-                    continue
+            try:
+                owner, ref = self.resolve(item.name)
+            except ReproError as exc:
+                item.future._fail(exc)
+                targets.append(None)
+                continue
             if owner.name not in guarded:
                 # raises NodeDownError (pre-effect) if the target died
                 stack.enter_context(self._node_guard(owner))
@@ -2191,7 +2108,7 @@ class Federation:
             if previous is not None:
                 previous.exception()  # wait; outcome consumed below
             started = time.perf_counter()
-            mutations_before = owner.services.bus.mutations
+            mark = self._mutation_mark(owner)
             try:
                 pending = owner.invoke_async(
                     ref, item.operation, item.args, item.kwargs, item.context
@@ -2204,11 +2121,11 @@ class Federation:
                 dispatched.append(None)
                 continue
             last_by_servant[ref.object_id] = pending
-            dispatched.append((pending, started, owner, mutations_before))
+            dispatched.append((pending, started, owner, ref, mark))
         for item, entry in zip(items, dispatched):
             if entry is None:
                 continue
-            pending, started, owner, mutations_before = entry
+            pending, started, owner, ref, mark = entry
             # each member's latency runs from its own dispatch, not
             # from the batch start — comparable to per-call metering
             try:
@@ -2222,18 +2139,14 @@ class Federation:
             self.metrics.record(
                 item.label, owner.name, time.perf_counter() - started
             )
-            if self.replicas is not None and item.name is not None:
-                # same mutation narrowing as the per-call path: members
-                # whose dispatch bumped no mutation flag skip the sync,
-                # and the rest refresh only the servants they touched
-                bus = owner.services.bus
-                if bus.mutations != mutations_before:
-                    self.replicas.sync_partition(
-                        ShardedNamingService.partition_key(item.name),
-                        touched=bus.touched_since(mutations_before),
-                    )
-                else:
-                    self.replicas.note_skip()
+            if self.replicas is not None:
+                self._replicate(
+                    owner,
+                    ref,
+                    item.operation,
+                    ShardedNamingService.partition_key(item.name),
+                    mark,
+                )
             item.future._complete(value)
         return len(items)
 
@@ -2260,9 +2173,9 @@ class Federation:
             }
         if self.replicas is not None:
             stats["replication"] = self.replicas.stats()
-        async_transport = self._async.peek()
-        if async_transport is not None:
-            stats["async_transport"] = async_transport.stats()
+        delivery = self._async.stats()
+        if delivery["submitted"]:
+            stats["async_transport"] = delivery
         return stats
 
 
@@ -2276,13 +2189,12 @@ class _PipelinedCall:
     """
 
     __slots__ = (
-        "node", "ref", "name", "operation", "args", "kwargs", "context",
-        "label", "future",
+        "node", "name", "operation", "args", "kwargs", "context", "label",
+        "future",
     )
 
-    def __init__(self, node, ref, operation, args, kwargs, context, qos, name=None):
+    def __init__(self, node, ref, operation, args, kwargs, context, qos, name):
         self.node = node
-        self.ref = ref
         self.name = name
         self.operation = operation
         self.args = args
@@ -2417,29 +2329,21 @@ class FederationClient:
     def call(
         self, name: str, operation: str, *args, qos: Optional[QoS] = None, **kwargs
     ):
-        node, ref = self.federation.resolve(name)
         return self.federation.invoke(
-            node, ref, operation, args, kwargs,
-            self._context_for, qos or self.default_qos, name,
+            name, operation, args, kwargs, self._context_for, qos or self.default_qos
         )
 
     def call_async(
         self, name: str, operation: str, *args, qos: Optional[QoS] = None, **kwargs
     ) -> ReplyFuture:
-        node, ref = self.federation.resolve(name)
         return self.federation.invoke_async(
-            node, ref, operation, args, kwargs,
-            self._context_for, qos or self.default_qos, name,
+            name, operation, args, kwargs, self._context_for, qos or self.default_qos
         )
 
     def oneway(
         self, name: str, operation: str, *args, qos: QoS = ONEWAY_QOS, **kwargs
     ) -> None:
-        node, ref = self.federation.resolve(name)
-        self.federation.oneway(
-            node, ref, operation, args, kwargs,
-            self._context_for, qos, name,
-        )
+        self.federation.oneway(name, operation, args, kwargs, self._context_for, qos)
 
     def pipeline(self, max_batch: int = 8, qos: QoS = DEFAULT_QOS) -> InvocationPipeline:
         """A batching view of this client (credentials attached per node)."""

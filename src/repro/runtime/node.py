@@ -21,10 +21,12 @@ reconciler drive a node only through a narrow surface: ``install`` /
 ``import_states`` / ``release`` (servant state snapshots for
 migration, replication and failover), ``add_user`` / ``login``,
 ``configure_fault`` / ``faults_injected`` / ``mark_read_only``,
-``drain`` / ``kill`` / ``stats``, and ``naming`` (the shard on the
-federation's ring).  :class:`~repro.runtime.procfed.RemoteNode` offers
-the same surface over the wire to a worker process, whose host serves
-it by calling this class.
+``kill`` / ``stats``, and ``naming`` (the shard on the federation's
+ring).  :class:`~repro.runtime.procfed.RemoteNode` offers the same
+surface over the wire to a worker process, whose host serves it by
+calling this class.  Routed calls reach a node through :meth:`Node.invoke`
+in memory, or through :meth:`Node.serve` — the one server half of a wire
+hop, run by socket-mode listeners and worker hosts alike.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from repro.analysis.witness import named_lock
 from repro.core.lifecycle import MdaLifecycle
 from repro.core.runtime import MiddlewareServices
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
-from repro.middleware.bus import ObjectRefData
+from repro.middleware.bus import ObjectRefData, marshal
 from repro.middleware.naming import NamingService
-from repro.middleware.envelope import delivering
+from repro.middleware.envelope import Envelope, delivering
+from repro.middleware.rpc import proxy_ref
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
 
 
@@ -292,11 +295,29 @@ class Node:
             ref.object_id, self._runner(ref, operation, args, kwargs, context)
         )
 
-    # -- lifecycle ---------------------------------------------------------------
+    def serve(self, envelope: Envelope) -> Any:
+        """The server half of a wire hop: run one REQUEST frame here.
 
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        """Wait until the bus delivered every queued oneway."""
-        return self.services.bus.drain(timeout_s)
+        The caller already resolved the binding, holds the node guard
+        and makes the replication decision, so serving is a plain
+        :meth:`invoke`.  The hop label carries the servant type
+        (``Type.operation``), so the reference is rebuilt without a
+        naming lookup; arguments are wire values the ORB hydrates
+        against this node's registry, and proxies in the result leave
+        as references.
+        """
+        request = envelope.request
+        type_name = (envelope.label or ".").rsplit(".", 1)[0]
+        result = self.invoke(
+            ObjectRefData(request.object_id, type_name),
+            request.operation,
+            tuple(request.args),
+            dict(request.kwargs),
+            dict(request.context),
+        )
+        return marshal(result, proxy_ref, root="result")
+
+    # -- lifecycle ---------------------------------------------------------------
 
     def kill(self) -> None:
         """Fail-stop: the federation routes no further hop here."""
@@ -304,13 +325,14 @@ class Node:
 
     def shutdown(self) -> None:
         self.dispatcher.shutdown()
-        self.services.bus.shutdown()
 
     def stats(self) -> Dict[str, Any]:
         services = self.services
+        dispatch = self.dispatcher.stats.snapshot()
+        dispatch["workers"] = self.dispatcher.workers
         return {
             "node": self.name,
-            "dispatch": self.dispatcher.stats.snapshot(),
+            "dispatch": dispatch,
             "bus_messages": services.bus.messages_delivered,
             "bus_bytes": services.bus.bytes_transferred,
             "bus_errors": services.bus.errors_returned,

@@ -136,16 +136,14 @@ class Observability:
             board.set(name, value)
 
         for name, node in sorted(federation.nodes.items()):
-            dispatch = node.dispatcher.stats.snapshot()
+            # through the node surface: a worker process answers with
+            # its own stats, a dead one without a dispatch section
+            dispatch = node.stats().get("dispatch", {})
             put(f"node.{name}.in_flight", dispatch.get("in_flight", 0))
-            put(f"node.{name}.dispatcher_workers", node.dispatcher.workers)
+            put(f"node.{name}.dispatcher_workers", dispatch.get("workers", 0))
             put(f"node.{name}.routed_in_flight", federation._node_flight.get(name, 0))
-            bus_async = node.services.bus._async.peek()
-            if bus_async is not None:
-                put(f"node.{name}.bus_queue_depth", bus_async.stats()["queued"])
-        transport = federation._async.peek()
-        if transport is not None:
-            stats = transport.stats()
+        stats = federation._async.stats()
+        if stats["submitted"]:
             put("federation.delivery_queue_depth", stats["queued"])
             put("federation.delivery_in_flight", stats["in_flight"])
             put("federation.delivery_workers", stats["workers"])

@@ -14,9 +14,10 @@ Two halves, meeting only at the wire protocol:
 * :func:`serve_node` — the worker process body (``repro.cli node
   serve``).  It starts empty: one :class:`~repro.runtime.node.Node`
   plus a listener, announced on stdout as ``REPRO-NODE <name>
-  <endpoint>``.  Routed calls arrive as REQUEST frames; everything else
-  arrives as CONTROL verbs, each a one-line call into the worker's own
-  ``Node`` (``deploy`` replays the shipped
+  <endpoint>``.  Routed calls arrive as REQUEST frames, served by
+  :meth:`Node.serve` exactly as a socket-mode listener serves them;
+  everything else arrives as CONTROL verbs, each a one-line call into
+  the worker's own ``Node`` (``deploy`` replays the shipped
   :class:`~repro.core.shipping.ComponentPackage`, ``bind`` / ``import``
   / ``snapshot`` / ``release`` move servant state, and so on).  The
   worker never sees the deployment spec or the ring.
@@ -24,10 +25,10 @@ Two halves, meeting only at the wire protocol:
 * :class:`RemoteNode` — the front-end's handle on one worker: it spawns
   the process and offers the node surface the federation drives
   (``install``, ``create``, ``export``, ``import_states``, ``release``,
-  ``add_user``, ``login``, fault configuration, ``drain``, ``kill``,
-  ``stats``) as CONTROL round trips.  Its ``naming`` shard mirrors the
-  worker's bindings, so routing resolves a worker-owned name without a
-  round trip.
+  ``add_user``, ``login``, fault configuration, ``kill``, ``stats``) as
+  CONTROL round trips.  Its ``naming`` shard mirrors the worker's
+  bindings, so routing resolves a worker-owned name without a round
+  trip.
 
 Failover follows the fail-stop contract the socket transport relies
 on: a mid-call fault (request written, reply lost) is upgraded to
@@ -44,11 +45,10 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
-from repro.middleware.bus import ObjectRefData, marshal
-from repro.middleware.envelope import Envelope
+from repro.middleware.bus import ObjectRefData
 from repro.middleware.naming import NamingService
 from repro.middleware.sockets import SocketTransport, WireServer
 from repro.runtime.node import Node
@@ -63,22 +63,6 @@ ANNOUNCE_PREFIX = "REPRO-NODE"
 
 #: how long a spawned worker may take to announce its endpoint
 STARTUP_TIMEOUT_S = 30.0
-
-
-def _wire_ref(node: Node):
-    """Marshalling hook for worker results: registered servants (and
-    proxies to them) leave the process as :class:`ObjectRefData`."""
-    from repro.middleware.rpc import RemoteProxy
-
-    def ref_of(value):
-        if isinstance(value, RemoteProxy):
-            return value.ref
-        found = node.services.orb.ref_of(value)
-        if found is not None:
-            return ObjectRefData(found.object_id, found.type_name)
-        return None
-
-    return ref_of
 
 
 def _ref_reply(ref: ObjectRefData) -> Dict[str, Any]:
@@ -96,36 +80,12 @@ class NodeHost:
         endpoint: str = "tcp://127.0.0.1:0",
     ):
         self.node = Node(name, workers=workers, seed=seed)
-        self._ref_of = _wire_ref(self.node)
         self.server = WireServer(
             node=name,
-            request_handler=self._serve_request,
+            request_handler=self.node.serve,
             control_handler=self._serve_control,
             endpoint=endpoint,
         )
-
-    # -- requests ------------------------------------------------------------
-
-    def _serve_request(self, envelope: Envelope) -> Any:
-        """Dispatch one wire REQUEST against the local shard.
-
-        The hop label carries the servant type (``Type.operation``), so
-        the wire reference can be rebuilt without a naming lookup —
-        the front-end already resolved the binding.  Arguments are wire
-        values; the ORB hydrates embedded references against this
-        worker's own registry during dispatch.
-        """
-        request = envelope.request
-        type_name = (envelope.label or ".").rsplit(".", 1)[0]
-        ref = ObjectRefData(request.object_id, type_name)
-        result = self.node.invoke(
-            ref,
-            request.operation,
-            tuple(request.args),
-            dict(request.kwargs),
-            dict(request.context),
-        )
-        return marshal(result, self._ref_of, root="result")
 
     # -- controls: one verb per node-surface call ----------------------------
 
@@ -180,9 +140,6 @@ class NodeHost:
     def _control_mark_read_only(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         self.node.mark_read_only(payload["type"], payload["ops"])
         return {}
-
-    def _control_drain(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"quiet": self.node.drain(payload["timeout_s"])}
 
     def _control_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         stats = self.node.stats()
@@ -287,8 +244,8 @@ class RemoteNode:
     """The node surface, served by one worker process over CONTROL verbs.
 
     Routed calls do not go through this object: the federation sends
-    them as REQUEST frames, holding the node guard on the front-end (the
-    worker's ``Node`` has no federation).  CONTROL verbs travel on the
+    them as REQUEST frames, holding the node guard on its own side as it
+    does for every transport.  CONTROL verbs travel on the
     same socket transport, so its pool and statistics cover both.
     Results stay wire values — the front-end hosts no servants, so
     references come back as :class:`ObjectRefData`.
@@ -426,9 +383,6 @@ class RemoteNode:
 
     def mark_read_only(self, type_name: str, operations) -> None:
         self._control("mark_read_only", type=type_name, ops=sorted(operations))
-
-    def drain(self, timeout_s: Optional[float] = None) -> bool:
-        return self._control("drain", timeout_s=timeout_s)["quiet"] if self.alive else True
 
     def kill(self) -> None:
         """Fail-stop: SIGKILL the worker process and reap it."""

@@ -764,15 +764,24 @@ class TestLiveReconcileUnderLoad:
 # ---------------------------------------------------------------------------
 
 
-class TestWriteThroughNarrowing:
+#: the one replication decision holds on every transport: the bus's
+#: mutation record for in-process nodes (socket hops included), the
+#: read-only classification for worker processes
+ON_EVERY_TRANSPORT = pytest.mark.parametrize(
+    "transport", ["inproc", "socket", "process"]
+)
+
+
+class TestMutationNarrowing:
     def _deploy(self, **overrides):
         spec = tiny_spec(
             replication=ReplicationSpec(count=1), **overrides
         )
         return spec, DeploymentCompiler().deploy(spec)
 
-    def test_read_only_calls_skip_sync(self):
-        _spec, federation = self._deploy()
+    @ON_EVERY_TRANSPORT
+    def test_read_only_calls_skip_sync(self, transport):
+        _spec, federation = self._deploy(transport=transport)
         try:
             replicas = federation.replicas
             synced_before = replicas.stats()["syncs"]
@@ -784,8 +793,9 @@ class TestWriteThroughNarrowing:
         finally:
             federation.shutdown()
 
-    def test_mutating_calls_still_sync(self):
-        _spec, federation = self._deploy()
+    @ON_EVERY_TRANSPORT
+    def test_mutating_calls_still_sync(self, transport):
+        _spec, federation = self._deploy(transport=transport)
         try:
             replicas = federation.replicas
             synced_before = replicas.stats()["syncs"]
@@ -794,10 +804,11 @@ class TestWriteThroughNarrowing:
         finally:
             federation.shutdown()
 
-    def test_unclassified_types_always_sync(self):
+    @ON_EVERY_TRANSPORT
+    def test_unclassified_types_always_sync(self, transport):
         from dataclasses import replace
 
-        spec = tiny_spec(replication=ReplicationSpec(count=1))
+        spec = tiny_spec(replication=ReplicationSpec(count=1), transport=transport)
         spec = replace(
             spec,
             partitions=tuple(

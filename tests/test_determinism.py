@@ -1,12 +1,12 @@
 """Digest-determinism regression matrix.
 
-Every registered scenario, on both local transports, at two seeds:
-two sequential runs must produce byte-identical digests.  This is the
-repo's reproducibility contract in one table — any change that makes a
-seeded sequential run depend on wall clock, hash randomization, thread
+Every registered scenario, in process, at two seeds: two sequential
+runs must produce byte-identical digests.  This is the repo's
+reproducibility contract in one table — any change that makes a seeded
+sequential run depend on wall clock, hash randomization, thread
 interleaving, or dict order fails here with the scenario named.
 
-The queued transport is pinned to one delivery worker and a zero
+The federation's delivery queue is pinned to one worker and a zero
 async window: deliveries then retire strictly in issue order, so even
 the async scenario's servant-effect order is a pure function of the
 seed (more workers would race replies against each other, which is
@@ -51,7 +51,7 @@ def _digest(name: str, transport: str, seed: int) -> str:
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("transport", ["inproc", "queued"])
+@pytest.mark.parametrize("transport", ["inproc"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_sequential_digest_is_stable(name, transport, seed):
     assert _digest(name, transport, seed) == _digest(name, transport, seed)

@@ -416,12 +416,6 @@ class TestRetryRerouting:
         assert after.result(timeout_ms=10_000.0) == 104.0
         federation.shutdown()
 
-    def test_direct_invoke_still_supported_without_binding(self):
-        federation, names = build()
-        node, ref = federation.resolve(names[0])
-        assert federation.invoke(node, ref, "read", ()) == 100.0
-        federation.shutdown()
-
     def test_transport_is_inprocess_by_default(self):
         federation, _ = build()
         assert isinstance(federation.transport, InProcessTransport)

@@ -278,54 +278,6 @@ class TestThreadLocalState:
         assert error, "commit on a foreign thread must not find the tx current"
         manager.rollback(tx)
 
-    def test_envelope_context_survives_async_replies(self):
-        """Credentials + txn id captured at issue time reach the servant
-        even though delivery happens on a transport thread, and the
-        caller's thread-local context is gone by then."""
-        orb = Orb()
-        seen = {}
-
-        class Servant:
-            def probe(self):
-                ctx = orb.current_context()
-                seen["credentials"] = ctx.get("credentials")
-                seen["txn_id"] = ctx.get("txn_id")
-                seen["thread"] = threading.current_thread().name
-                return "done"
-
-        orb.register(Servant(), name="servant")
-        proxy = orb.proxy("servant")
-        with orb.call_context(credentials="tok-1", txn_id="T-9"):
-            future = proxy.probe.async_()
-        # the issuing context is closed before the reply is awaited
-        assert orb.current_context() == {}
-        assert future.result(timeout_ms=5000) == "done"
-        assert seen["credentials"] == "tok-1"
-        assert seen["txn_id"] == "T-9"
-        assert seen["thread"] != threading.current_thread().name
-        assert future.envelope.request.context == {
-            "credentials": "tok-1",
-            "txn_id": "T-9",
-        }
-        orb.bus.shutdown()
-
-    def test_envelope_context_survives_oneway_calls(self):
-        orb = Orb()
-        seen = []
-
-        class Servant:
-            def note(self):
-                ctx = orb.current_context()
-                seen.append((ctx.get("credentials"), ctx.get("txn_id")))
-
-        orb.register(Servant(), name="servant")
-        proxy = orb.proxy("servant")
-        with orb.call_context(credentials="tok-2", txn_id="T-11"):
-            proxy.note.oneway()
-        assert orb.bus.drain(timeout_s=5), "oneway delivery did not land"
-        assert seen == [("tok-2", "T-11")]
-        orb.bus.shutdown()
-
     def _probe_federation(self):
         """Two nodes with plain servants: a relay on one node calling a
         probe on the other through the federation."""

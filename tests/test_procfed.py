@@ -176,6 +176,14 @@ class TestProcessFederation:
         worker = fed.node(fed.naming.owner_of("branch-0")).stats()
         assert worker["wire"]["requests_served"] > 0
 
+    def test_gauges_sample_through_the_node_surface(self, fed):
+        gauges = fed.observability.sample(fed)
+        for name, node in fed.nodes.items():
+            assert node.workers > 0
+            assert gauges[f"node.{name}.dispatcher_workers"] == node.workers
+            assert gauges[f"node.{name}.in_flight"] == 0
+            assert gauges[f"node.{name}.routed_in_flight"] == 0
+
     def test_fault_sites_arm_on_the_workers(self, fed, client):
         fed.configure_fault("bus.deliver", 1.0)
         try:

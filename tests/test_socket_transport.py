@@ -320,8 +320,10 @@ class TestWireLayer:
 
 class TestSocketFederation:
     def test_unknown_transport_mode_is_refused(self):
-        with pytest.raises(FederationError, match="unknown transport mode"):
-            Federation(transport="carrier-pigeon")
+        # "queued" is a removed mode: asking for it must fail loudly
+        for mode in ("carrier-pigeon", "queued"):
+            with pytest.raises(FederationError, match="unknown transport mode"):
+                Federation(transport=mode)
 
     def test_call_parity_with_inproc(self):
         """Same workload, both modes: identical results and routing."""
