@@ -186,6 +186,11 @@ class Response:
     def is_error(self) -> bool:
         return self.error_type is not None
 
+    @classmethod
+    def from_exception(cls, message_id: int, exc: BaseException) -> "Response":
+        """The wire error reply of a call that raised ``exc``."""
+        return cls(message_id, error_type=type(exc).__name__, error_message=str(exc))
+
     def to_wire(self) -> Dict[str, Any]:
         """The response as a plain wire dict (inverse of ``from_wire``)."""
         return {
@@ -389,11 +394,7 @@ class MessageBus:
                 result = dispatch(request, servant)
             return Response(request.message_id, result=result)
         except Exception as exc:  # noqa: BLE001 - converted to wire error
-            return Response(
-                request.message_id,
-                error_type=type(exc).__name__,
-                error_message=str(exc),
-            )
+            return Response.from_exception(request.message_id, exc)
 
     def deliver(self, request: Request, dispatch: Callable[[Request, Any], Any]) -> Response:
         """Deliver ``request`` on this thread; ``dispatch`` invokes the servant.

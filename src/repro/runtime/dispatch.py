@@ -170,10 +170,10 @@ class ConcurrentDispatcher(_DispatcherBase):
     def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
         """Hand the request to the pool without blocking on its result.
 
-        Pipelined batches use this (through ``Node.invoke_async``) to
-        overlap the per-servant work of one batch across the pool.  Calls from a worker thread run inline for the
-        same reason nested ``dispatch`` does: a saturated pool waiting on
-        itself would deadlock.
+        :meth:`Node.invoke_batch` uses this to overlap the members of one
+        pipelined batch across the pool.  Calls from a worker thread run
+        inline for the same reason nested ``dispatch`` does: a saturated
+        pool waiting on itself would deadlock.
         """
         if getattr(_worker_local, "in_worker", False):
             return self._run_into_future(servant_key, fn)

@@ -53,6 +53,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import fnmatch
+import functools
 import hashlib
 import threading
 import time
@@ -70,8 +71,15 @@ from typing import (
 )
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
-from repro.errors import FederationError, NamingError, NodeDownError, ReproError
-from repro.middleware.bus import MessageBus, ObjectRefData, Request, marshal
+from repro.errors import FederationError, NamingError, NodeDownError, ProtocolError, ReproError
+from repro.middleware.bus import (
+    MessageBus,
+    ObjectRefData,
+    Request,
+    Response,
+    _rebuild_exception,
+    marshal,
+)
 from repro.middleware.clock import SimClock
 from repro.middleware.envelope import (
     DEFAULT_QOS,
@@ -91,7 +99,7 @@ from repro.middleware.transport import (
 )
 from repro.middleware.rpc import proxy_ref
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.node import Node
+from repro.runtime.node import BATCH, Node
 from repro.runtime.observability import TRACE_KEY, Observability
 
 if TYPE_CHECKING:
@@ -1604,14 +1612,21 @@ class Federation:
         return self._async
 
     @staticmethod
-    def _inherit(context: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-        """Default a missing context to the current delivery context, so
-        nested cross-node calls made by servants propagate transaction
-        ids and credentials without manual plumbing."""
-        if context is not None:
-            return context
-        inherited = current_delivery_context()
-        return inherited or None
+    def _context_source(context) -> Callable[[Any], Optional[Dict[str, Any]]]:
+        """A routed call's context, minted per attempt for the owner node.
+
+        ``context`` may be a *provider* ``callable(node) -> dict`` (how
+        :class:`FederationClient` attaches credentials): it is re-invoked
+        per attempt against the re-resolved owner, because a security
+        token minted by the old primary means nothing to the node that
+        took over its shard.  A missing context defaults to the current
+        delivery context, so nested cross-node calls made by servants
+        propagate transaction ids and credentials without manual
+        plumbing."""
+        if callable(context):
+            return lambda node: context(node) or {}
+        static_context = context if context is not None else current_delivery_context()
+        return lambda node: static_context
 
     @contextlib.contextmanager
     def _node_guard(self, node: Node):
@@ -1663,18 +1678,19 @@ class Federation:
             def hop():
                 return node.invoke(ref, operation, args, kwargs or {}, context)
 
-        return self._local_dispatch(node, ref, operation, partition, hop)
+        return self._local_dispatch(node, ((ref, operation, partition),), hop)
 
     def _local_dispatch(
         self,
         node: Union[Node, RemoteNode],
-        ref: ObjectRefData,
-        operation: str,
-        partition: str,
+        calls: Iterable[Tuple[ObjectRefData, str, str]],
         hop: Callable[[], Any],
     ):
         """The node hop: dead-node classification + dispatch + replication,
-        all on the caller's side whatever the transport.
+        all on the caller's side whatever the transport.  ``calls`` are
+        the hop's ``(ref, operation, partition)`` — one for a single
+        call, one per member for a batch — and each gets its one
+        replication decision.
 
         The replication of a call runs *inside* the node guard: a kill
         that drained to zero has therefore already captured every
@@ -1686,7 +1702,8 @@ class Federation:
                 return hop()
             mark = self._mutation_mark(node)
             value = hop()
-            self._replicate(node, ref, operation, partition, mark)
+            for ref, operation, partition in calls:
+                self._replicate(node, ref, operation, partition, mark)
             return value
 
     @staticmethod
@@ -1773,11 +1790,56 @@ class Federation:
             return None
         if response.is_error:
             MessageBus.raise_remote(response)
+        return self._hydrate(node, response.result)
+
+    def _wire_batch(
+        self,
+        node: Union[Node, RemoteNode],
+        calls: List[Tuple[ObjectRefData, str, tuple, dict]],
+        context: Dict[str, Any],
+        envelope: Envelope,
+    ) -> List[Any]:
+        """Send a batch's hop to ``node`` as one REQUEST frame, whose
+        :data:`~repro.runtime.node.BATCH` request carries the member
+        calls in wire values.  :meth:`Node.serve` answers with one
+        :class:`Response` per member; each comes back as the member's
+        value or its rebuilt error.  A fault of the whole frame raises,
+        classified as for a single call's hop."""
+        members = [
+            [ref.object_id, ref.type_name, operation, list(args), kwargs]
+            for ref, operation, args, kwargs in calls
+        ]
+        hop = Envelope(
+            request=Request(
+                BATCH, BATCH, marshal(members, proxy_ref, root="batch"), {}, context
+            ),
+            qos=envelope.qos,
+            correlation_id=envelope.correlation_id,
+            target=node.name,
+            attempt=envelope.attempt,
+        )
+        replies = self._socket_transport.roundtrip(node.name, hop).result
+        if len(replies) != len(calls):
+            raise ProtocolError(
+                f"batch reply from {node.name!r} has {len(replies)} outcomes "
+                f"for {len(calls)} calls"
+            )
+        outcomes = []
+        for data in replies:
+            reply = Response.from_wire(data)
+            if reply.is_error:
+                outcomes.append(_rebuild_exception(reply))
+            else:
+                outcomes.append(self._hydrate(node, reply.result))
+        return outcomes
+
+    def _hydrate(self, node: Union[Node, RemoteNode], value: Any) -> Any:
+        """A wire result as an in-process hop returns it: hydrated
+        through the owner's orb — except in process mode, where results
+        stay wire values because the front-end hosts no servants."""
         if self.transport_mode == "process":
-            # results stay wire values: the front-end hosts no servants
-            return response.result
-        # hydrate through the owner's orb, as an in-process hop would
-        return node.services.orb._from_wire(response.result)
+            return value
+        return node.services.orb._from_wire(value)
 
     def _listen_endpoint(self, name: str) -> str:
         """Where node ``name``'s listener binds (OS-assigned TCP port)."""
@@ -1842,11 +1904,7 @@ class Federation:
         or failed over since submission — and, on success, replicates
         the touched servants' state to the partition's standbys.
 
-        ``context`` may be a *provider* ``callable(node) -> dict`` (how
-        :class:`FederationClient` attaches credentials): it is re-invoked
-        per attempt against the re-resolved owner, because a security
-        token minted by the old primary means nothing to the node that
-        took over its shard.
+        The context is re-minted per attempt (:meth:`_context_source`).
         """
         node, ref = self.resolve(binding)
         if qos is DEFAULT_QOS:
@@ -1856,12 +1914,7 @@ class Federation:
             declared = self.qos_for(binding)
             if declared is not None:
                 qos = declared
-        provider = context if callable(context) else None
-        if provider is not None:
-            context_for = lambda n: provider(n) or {}  # noqa: E731
-        else:
-            static_context = self._inherit(context)
-            context_for = lambda n: static_context  # noqa: E731
+        context_for = self._context_source(context)
         tracer = self.observability.tracer
         # captured on the caller's thread at build time: the active
         # span (a harness root span, or the bus span of the dispatch
@@ -1995,160 +2048,92 @@ class Federation:
         qos: QoS = DEFAULT_QOS,
     ) -> "InvocationPipeline":
         """A batching client: consecutive same-node calls share one hop."""
-        context_for = None
-        if context is not None:
-            snapshot = dict(context)
-            context_for = lambda node: snapshot  # noqa: E731 - tiny closure
-        return InvocationPipeline(
-            self, max_batch=max_batch, context_for=context_for, qos=qos
-        )
+        snapshot = None if context is None else dict(context)
+        return InvocationPipeline(self, max_batch, snapshot, qos)
 
     # -- batched delivery ----------------------------------------------------------
 
-    def _submit_batch(self, node: Node, items: List["_PipelinedCall"], qos: QoS) -> None:
-        """One envelope for a whole node-batch: the chain (fault check,
-        hop latency, routing) runs once, then every member call executes
-        through the owner node's dispatcher — submitted first, awaited
-        second, so calls against different servants overlap.
+    def _submit_batch(self, items: List["_PipelinedCall"], context, qos: QoS) -> None:
+        """Route one node-batch as one envelope.
 
-        Elastic interaction: the batch holds its member partitions in
-        the migration gate and the node's flight count (so freezes and
-        kill-drains wait for it), but the target node is fixed at flush
-        time — a batch never re-routes after a failover; use the
-        per-call paths when membership churn must be transparent."""
-        request = Request(
-            object_id="<pipeline>",
-            operation="<batch>",
-            args=[item.label for item in items],
-            kwargs={},
-        )
+        Each delivery attempt does what a single call's attempt does
+        (:meth:`_envelope`): it enters the migration gate over the
+        members' partitions, atomically, re-resolves every member whose
+        future is not yet done, runs the chain once, and sends one hop
+        per owner those members resolve to (:meth:`_send_batch`).  So a
+        batch caught by a migration, a kill or an injected fault
+        re-routes under its QoS retry budget as a single call does, and
+        stays at-most-once: an attempt never re-sends a member whose
+        future an earlier attempt completed."""
+        context_for = self._context_source(context)
         tracer = self.observability.tracer
-        if tracer.enabled:
-            headers = tracer.current_headers()
-            if headers is not None:
-                request.context[TRACE_KEY] = headers
-        envelope = Envelope(request=request, qos=qos, target=node.name, label=None)
-
-        partitions = sorted(
-            {ShardedNamingService.partition_key(item.name) for item in items}
-        )
-
-        def terminal():
-            with self._route_lock:
-                self.batches[node.name] = self.batches.get(node.name, 0) + 1
-            with contextlib.ExitStack() as stack:
-                # the batch holds its members' partitions in the
-                # migration gate (entered atomically: frozen partitions
-                # it does not already hold block the whole entry) and
-                # its target nodes' flight counts for its whole
-                # lifetime: a freeze waits for it, a kill drains it.  Members re-resolve their bindings at
-                # delivery time, so a batch queued across a migration or
-                # promoted failover executes against the current owners
-                # (the flush-time grouping only fixes which calls shared
-                # this envelope's hop).
-                stack.enter_context(self._gate.entered_many(partitions))
-                return self._run_batch(items, stack)
+        trace_headers = tracer.current_headers() if tracer.enabled else None
+        request = Request(BATCH, BATCH, [item.label for item in items], {})
+        envelope = Envelope(request=request, qos=qos, target=items[0].node.name)
+        partitions = {ShardedNamingService.partition_key(item.name) for item in items}
 
         def handler(env: Envelope):
-            return self.chain.execute(env, terminal)
-
-        batch_future = self._submission_transport().submit(envelope, handler)
-
-        def propagate_batch_failure(done: ReplyFuture) -> None:
-            # a transport fault killed the whole batch before any member
-            # ran (the terminal completes members itself): fail them all
-            if done._exception is not None:
+            with self._gate.entered_many(partitions):
+                hops: Dict[str, tuple] = {}
                 for item in items:
-                    item.future._fail(done._exception)
+                    if item.future.done():
+                        continue
+                    try:
+                        owner, ref = self.resolve(item.name)
+                    except ReproError as exc:
+                        item.future._fail(exc)
+                        continue
+                    hops.setdefault(owner.name, (owner, []))[1].append((item, ref))
+                if not hops:
+                    return None
+                env.target = next(iter(hops))
+                env.request.context = {} if trace_headers is None else {TRACE_KEY: trace_headers}
+                return self.chain.execute(env, lambda: self._send_batch(env, hops, context_for))
 
-        batch_future.add_done_callback(propagate_batch_failure)
+        def fail_unsettled(batch: ReplyFuture) -> None:
+            # the batch's final error fails every member no attempt
+            # completed (failing a done future is a no-op)
+            if batch._exception is not None:
+                for item in items:
+                    item.future._fail(batch._exception)
 
-    def _run_batch(
-        self,
-        items: List["_PipelinedCall"],
-        stack: "contextlib.ExitStack",
-    ) -> int:
-        """Dispatch and await one node-batch's members.
+        self._submission_transport().submit(envelope, handler).add_done_callback(
+            fail_unsettled
+        )
 
-        Each member re-resolves its binding first (the gate is already
-        held), so deliveries land on the *current* owner even if the
-        shard moved since the flush; every distinct target node is held
-        in the flight guard for the batch's remaining lifetime, so kill
-        drains cover the members.  A dead target raises the pre-effect
-        :class:`NodeDownError` for the whole batch — the failover
-        element promotes and the batch envelope's retry budget re-runs
-        this terminal against the re-resolved owners.
-        """
-        targets: List[Optional[Tuple[Node, ObjectRefData]]] = []
-        guarded: set = set()
-        for item in items:
-            try:
-                owner, ref = self.resolve(item.name)
-            except ReproError as exc:
-                item.future._fail(exc)
-                targets.append(None)
-                continue
-            if owner.name not in guarded:
-                # raises NodeDownError (pre-effect) if the target died
-                stack.enter_context(self._node_guard(owner))
-                guarded.add(owner.name)
-            targets.append((owner, ref))
-        dispatched = []
-        last_by_servant: Dict[str, Any] = {}
-        for item, target in zip(items, targets):
-            if target is None:
-                dispatched.append(None)
-                continue
-            owner, ref = target
-            # same-servant members must execute in submission order:
-            # the pool serializes them on the servant lock but does
-            # not order the acquisitions, so gate on the previous
-            # same-servant dispatch before submitting the next
-            previous = last_by_servant.get(ref.object_id)
-            if previous is not None:
-                previous.exception()  # wait; outcome consumed below
+    def _send_batch(self, envelope: Envelope, hops: Dict[str, tuple], context_for) -> None:
+        """A batch attempt's routing terminal: one hop per owner —
+        :meth:`Node.invoke_batch` in memory, one REQUEST frame
+        (:meth:`_wire_batch`) over the wire — run through
+        :meth:`_local_dispatch` like a single call's hop.  Each member
+        is metered once under its own label and completed with its own
+        outcome; a hop that raises leaves its members, and those of
+        owners not yet visited, pending for a retried attempt."""
+        for owner, members in hops.values():
+            # the owner's context plus the per-attempt keys the chain
+            # (tracing) stamped into the envelope's
+            context = {**(context_for(owner) or {}), **envelope.request.context}
+            calls = [(ref, item.operation, item.args, item.kwargs) for item, ref in members]
+            if self._socket_transport is not None:
+                hop = functools.partial(self._wire_batch, owner, calls, context, envelope)
+            else:
+                hop = functools.partial(owner.invoke_batch, calls, context)
+            replicated = [
+                (ref, item.operation, ShardedNamingService.partition_key(item.name))
+                for item, ref in members
+            ]
+            with self._route_lock:
+                self.batches[owner.name] = self.batches.get(owner.name, 0) + 1
             started = time.perf_counter()
-            mark = self._mutation_mark(owner)
-            try:
-                pending = owner.invoke_async(
-                    ref, item.operation, item.args, item.kwargs, item.context
-                )
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                self.metrics.record(
-                    item.label, owner.name, time.perf_counter() - started, error=True
-                )
-                item.future._fail(exc)
-                dispatched.append(None)
-                continue
-            last_by_servant[ref.object_id] = pending
-            dispatched.append((pending, started, owner, ref, mark))
-        for item, entry in zip(items, dispatched):
-            if entry is None:
-                continue
-            pending, started, owner, ref, mark = entry
-            # each member's latency runs from its own dispatch, not
-            # from the batch start — comparable to per-call metering
-            try:
-                value = pending.result()
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                self.metrics.record(
-                    item.label, owner.name, time.perf_counter() - started, error=True
-                )
-                item.future._fail(exc)
-                continue
-            self.metrics.record(
-                item.label, owner.name, time.perf_counter() - started
-            )
-            if self.replicas is not None:
-                self._replicate(
-                    owner,
-                    ref,
-                    item.operation,
-                    ShardedNamingService.partition_key(item.name),
-                    mark,
-                )
-            item.future._complete(value)
-        return len(items)
+            outcomes = self._local_dispatch(owner, replicated, hop)
+            elapsed = time.perf_counter() - started
+            for (item, _ref), outcome in zip(members, outcomes):
+                failed = isinstance(outcome, Exception)
+                self.metrics.record(item.label, owner.name, elapsed, error=failed)
+                if failed:
+                    item.future._fail(outcome)
+                else:
+                    item.future._complete(outcome)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -2179,41 +2164,21 @@ class Federation:
         return stats
 
 
+@dataclass
 class _PipelinedCall:
-    """One queued member of an :class:`InvocationPipeline` batch.
+    """One queued member of an :class:`InvocationPipeline` batch: what to
+    call, and the future its outcome completes.  Every delivery attempt
+    re-resolves it and mints its context afresh; the future's envelope
+    carries the pipeline's QoS, so ``future.result()`` honours the
+    configured timeout."""
 
-    Members travel inside the batch envelope, but each future still
-    carries its own envelope (request payload + the pipeline's QoS) so
-    ``future.result()`` honours the configured timeout and callers can
-    introspect what they sent.
-    """
-
-    __slots__ = (
-        "node", "name", "operation", "args", "kwargs", "context", "label",
-        "future",
-    )
-
-    def __init__(self, node, ref, operation, args, kwargs, context, qos, name):
-        self.node = node
-        self.name = name
-        self.operation = operation
-        self.args = args
-        self.kwargs = kwargs
-        self.context = context
-        self.label = f"{ref.type_name}.{operation}"
-        envelope = Envelope(
-            request=Request(
-                object_id=ref.object_id,
-                operation=operation,
-                args=list(args),
-                kwargs=dict(kwargs),
-                context=dict(context or {}),
-            ),
-            qos=qos,
-            target=node.name,
-            label=self.label,
-        )
-        self.future = ReplyFuture(envelope)
+    node: Any
+    name: str
+    operation: str
+    args: tuple
+    kwargs: dict
+    label: str
+    future: ReplyFuture
 
 
 class InvocationPipeline:
@@ -2223,8 +2188,9 @@ class InvocationPipeline:
     flush (explicit, on leaving the ``with`` block, or automatic once
     ``max_batch`` calls are queued) groups *consecutive* calls to the
     same node and ships each group as one envelope — one fault-injection
-    site check and one hop latency per group, so a latency-bound client
-    pays transport cost per batch instead of per call.
+    site check and one hop latency per group, and over the wire one
+    REQUEST frame — so a latency-bound client pays transport cost per
+    batch instead of per call.
 
     Ordering: within one batch, calls against the *same servant* execute
     in program order; beyond that — across batches, across flushes, and
@@ -2233,39 +2199,33 @@ class InvocationPipeline:
     cross-servant ordering dependencies must await the earlier future
     (or use synchronous calls) before issuing the dependent call.
 
-    Elastic caveat: a batch's target node is fixed when it flushes —
-    shard migrations wait for in-flight batches (the batch holds the
-    migration gate and the node's flight count), but a batch caught by
-    a node kill fails its members rather than re-routing them.
+    Elastic behaviour: a batch is routed like a single call.  Shard
+    migrations wait for it, and after a node kill its unfinished members
+    re-route onto the promoted owners under the pipeline's QoS retry
+    budget, with credentials minted against the new owner.
     """
 
     def __init__(
         self,
         federation: Federation,
         max_batch: int = 8,
-        context_for: Optional[Callable[[Node], Optional[Dict[str, Any]]]] = None,
+        context: Any = None,
         qos: QoS = DEFAULT_QOS,
     ):
         if max_batch < 1:
             raise FederationError(f"pipeline batch must be >= 1, got {max_batch}")
-        if federation.transport_mode == "process":
-            raise FederationError(
-                "pipelined batches to worker-process nodes are not supported; "
-                "use call / call_async / oneway"
-            )
         self.federation = federation
         self.max_batch = max_batch
-        self.context_for = context_for
+        #: static, a provider, or None (see Federation._context_source)
+        self.context = context
         self.qos = qos
         self._pending: List[_PipelinedCall] = []
 
     def call(self, name: str, operation: str, *args, **kwargs) -> ReplyFuture:
         node, ref = self.federation.resolve(name)
-        context = self.context_for(node) if self.context_for is not None else None
-        context = Federation._inherit(context)
-        item = _PipelinedCall(
-            node, ref, operation, args, kwargs, context, self.qos, name
-        )
+        label = f"{ref.type_name}.{operation}"
+        future = ReplyFuture(Envelope(request=None, qos=self.qos, label=label))
+        item = _PipelinedCall(node, name, operation, args, kwargs, label, future)
         self._pending.append(item)
         if len(self._pending) >= self.max_batch:
             self.flush()
@@ -2277,11 +2237,11 @@ class InvocationPipeline:
         batch: List[_PipelinedCall] = []
         for item in pending:
             if batch and item.node is not batch[0].node:
-                self.federation._submit_batch(batch[0].node, batch, self.qos)
+                self.federation._submit_batch(batch, self.context, self.qos)
                 batch = []
             batch.append(item)
         if batch:
-            self.federation._submit_batch(batch[0].node, batch, self.qos)
+            self.federation._submit_batch(batch, self.context, self.qos)
 
     def __enter__(self) -> "InvocationPipeline":
         return self
@@ -2347,9 +2307,4 @@ class FederationClient:
 
     def pipeline(self, max_batch: int = 8, qos: QoS = DEFAULT_QOS) -> InvocationPipeline:
         """A batching view of this client (credentials attached per node)."""
-        return InvocationPipeline(
-            self.federation,
-            max_batch=max_batch,
-            context_for=self._context_for,
-            qos=qos,
-        )
+        return InvocationPipeline(self.federation, max_batch, self._context_for, qos)

@@ -25,8 +25,9 @@ migration, replication and failover), ``add_user`` / ``login``,
 ring).  :class:`~repro.runtime.procfed.RemoteNode` offers the same
 surface over the wire to a worker process, whose host serves it by
 calling this class.  Routed calls reach a node through :meth:`Node.invoke`
-in memory, or through :meth:`Node.serve` — the one server half of a wire
-hop, run by socket-mode listeners and worker hosts alike.
+(a pipelined batch through :meth:`Node.invoke_batch`) in memory, or
+through :meth:`Node.serve` — the one server half of a wire hop, run by
+socket-mode listeners and worker hosts alike.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ from repro.analysis.witness import named_lock
 from repro.core.lifecycle import MdaLifecycle
 from repro.core.runtime import MiddlewareServices
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
-from repro.middleware.bus import ObjectRefData, marshal
+from repro.middleware.bus import ObjectRefData, Response, marshal
 from repro.middleware.naming import NamingService
 from repro.middleware.envelope import Envelope, delivering
 from repro.middleware.rpc import proxy_ref
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
+
+#: the operation of a pipelined batch's request; its args are the member
+#: calls, ``[object id, type name, operation, args, kwargs]`` each
+BATCH = "<batch>"
 
 
 class Node:
@@ -277,23 +282,40 @@ class Node:
             ref.object_id, self._runner(ref, operation, args, kwargs, context)
         )
 
-    def invoke_async(
+    def invoke_batch(
         self,
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: dict,
+        calls: List[Tuple[ObjectRefData, str, tuple, dict]],
         context: Optional[Dict[str, Any]] = None,
-    ):
-        """Dispatch without blocking; returns a ``concurrent.futures.Future``.
+    ) -> List[Any]:
+        """Execute a pipelined batch's ``(ref, operation, args, kwargs)``
+        member calls here; returns, in submission order, each member's
+        value or the exception it raised — one member's error never
+        fails another.
 
-        With a concurrent dispatcher the request lands in the node's
-        pool (per-servant serialization still applies), so a pipelined
-        batch overlaps the work of calls against different servants.
+        Members overlap on the node's pool (per-servant serialization
+        still applies).  Same-servant members execute in submission
+        order: the pool serializes them on the servant lock but does not
+        order the acquisitions, so each waits for the previous
+        same-servant member before it is submitted.
         """
-        return self.dispatcher.submit(
-            ref.object_id, self._runner(ref, operation, args, kwargs, context)
-        )
+        pending = []
+        last_by_servant: Dict[str, Any] = {}
+        for ref, operation, args, kwargs in calls:
+            previous = last_by_servant.get(ref.object_id)
+            if previous is not None:
+                previous.exception()  # wait; the outcome is read below
+            future = self.dispatcher.submit(
+                ref.object_id, self._runner(ref, operation, args, kwargs, context)
+            )
+            last_by_servant[ref.object_id] = future
+            pending.append(future)
+        outcomes: List[Any] = []
+        for future in pending:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # noqa: BLE001 - the member's own outcome
+                outcomes.append(exc)
+        return outcomes
 
     def serve(self, envelope: Envelope) -> Any:
         """The server half of a wire hop: run one REQUEST frame here.
@@ -304,9 +326,30 @@ class Node:
         (``Type.operation``), so the reference is rebuilt without a
         naming lookup; arguments are wire values the ORB hydrates
         against this node's registry, and proxies in the result leave
-        as references.
+        as references.  A :data:`BATCH` request runs its members through
+        :meth:`invoke_batch` and answers with one :class:`Response` per
+        member, carrying its value or its error.
         """
         request = envelope.request
+        if request.operation == BATCH:
+            outcomes = self.invoke_batch(
+                [
+                    (ObjectRefData(object_id, type_name), operation, tuple(args), kwargs)
+                    for object_id, type_name, operation, args, kwargs in request.args
+                ],
+                dict(request.context),
+            )
+            replies = []
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    reply = Response.from_exception(request.message_id, outcome)
+                else:
+                    reply = Response(
+                        request.message_id,
+                        result=marshal(outcome, proxy_ref, root="result"),
+                    )
+                replies.append(reply.to_wire())
+            return replies
         type_name = (envelope.label or ".").rsplit(".", 1)[0]
         result = self.invoke(
             ObjectRefData(request.object_id, type_name),

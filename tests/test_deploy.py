@@ -889,6 +889,41 @@ class TestMutationNarrowing:
             federation.shutdown()
 
 
+class TestPipelinedFailover:
+    def test_rerouted_batch_carries_the_new_owners_credentials(self):
+        """A batch that failover re-routes mints each attempt's
+        credentials against the promoted owner, as a single call does:
+        a token minted by the dead owner means nothing there."""
+        from dataclasses import replace
+
+        spec = banking_spec(nodes=3, replication=ReplicationSpec(count=1))
+        guarded = {
+            "protected_ops": ["Account.deposit"],
+            "role_grants": {"teller": ["Account.*"]},
+        }
+        concerns = tuple(
+            replace(concern, params=guarded) if concern.concern == "security" else concern
+            for concern in spec.application.concerns
+        )
+        spec = replace(spec, application=replace(spec.application, concerns=concerns))
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            client = FederationClient(federation, "alice", "pw")
+            accounts = [f"branch-0/Account/{i}" for i in range(3)]
+            # one deposit each mints the client's token on the owner
+            balances = [client.call(name, "deposit", 1.0) for name in accounts]
+            federation.kill(federation.naming.owner_of("branch-0"))
+            pipe = client.pipeline(qos=QoS(retries=2, timeout_ms=10_000))
+            futures = [pipe.call(name, "deposit", 1.0) for name in accounts]
+            pipe.flush()
+            assert [future.result() for future in futures] == [
+                balance + 1.0 for balance in balances
+            ]
+            assert federation.failovers == 1
+        finally:
+            federation.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------

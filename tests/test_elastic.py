@@ -427,11 +427,38 @@ class TestRetryRerouting:
         federation, names = build(nodes=3)
         moved = [n for n in names if federation.naming.owner_of(n) == "node-1"]
         assert moved
-        federation.retire("node-1")
-        pipe = federation.pipeline(max_batch=len(names))
+        pipe = federation.pipeline(max_batch=len(names) + 1)
         futures = [pipe.call(name, "bump", 1.0) for name in names]
+        federation.retire("node-1")
         pipe.flush()
         assert all(f.result(timeout_ms=10_000.0) == 101.0 for f in futures)
+        assert "node-1" not in federation.batches
+        federation.shutdown()
+
+    def test_retried_batch_never_resends_a_settled_member(self):
+        """When one owner's hop settled its members and another owner's
+        hop failed, the retry re-sends only the failed hop's members."""
+        federation, names = build(nodes=3, replication=1)
+        after = federation.naming.preview_ring(drop="node-1")
+
+        def new_owner(name):
+            return after.owner(federation.naming.partition_key(name))
+
+        # the members re-route to node-0 and node-2 once node-1 retires;
+        # node-0's come first, so its hop settles before node-2's fails
+        moved = sorted(
+            (n for n in names if federation.naming.owner_of(n) == "node-1"),
+            key=lambda n: new_owner(n) != "node-0",
+        )
+        assert {new_owner(n) for n in moved} == {"node-0", "node-2"}
+        pipe = federation.pipeline(max_batch=len(moved) + 1, qos=RETRY)
+        futures = [pipe.call(name, "bump", 1.0) for name in moved]
+        federation.retire("node-1")
+        federation.kill("node-2")
+        pipe.flush()
+        assert [f.result(timeout_ms=10_000.0) for f in futures] == [101.0] * len(moved)
+        assert [federation.call(name, "read") for name in moved] == [101.0] * len(moved)
+        assert federation.failovers == 1
         federation.shutdown()
 
     def test_batch_survives_kill_under_retry_budget(self):

@@ -213,10 +213,22 @@ class TestProcessFederation:
         monkeypatch.undo()
         assert client.call("branch-3/Account/1", "getBalance") == 1010.0
 
-    def test_pipelines_to_workers_are_refused(self, fed, client):
-        for make in (fed.pipeline, client.pipeline):
-            with pytest.raises(FederationError, match="pipelined batches"):
-                make()
+    def test_pipelined_batch_is_one_frame_to_a_worker(self, fed, client):
+        """A batch reaches a worker as one REQUEST frame, and a member's
+        application error fails only that member's future."""
+        names = [f"branch-5/Account/{i}" for i in range(3)]
+        balances = [client.call(name, "getBalance") for name in names]
+        roundtrips = fed._socket_transport.stats()["roundtrips"]
+        with client.pipeline() as pipe:
+            deposits = [pipe.call(name, "deposit", 5) for name in names]
+            overdraft = pipe.call(names[0], "withdraw", 1e9)
+        assert [future.result() for future in deposits] == [
+            balance + 5 for balance in balances
+        ]
+        with pytest.raises(RemoteInvocationError, match="insufficient funds"):
+            overdraft.result()
+        assert fed._socket_transport.stats()["roundtrips"] == roundtrips + 1
+        assert client.call(names[0], "getBalance") == balances[0] + 5
 
     def test_servant_objects_stay_in_the_worker(self, fed):
         with pytest.raises(FederationError, match="worker process"):

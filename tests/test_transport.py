@@ -385,11 +385,17 @@ class TestBusEnvelopePath:
 # ---------------------------------------------------------------------------
 
 
-class TestFederationPipeline:
+class _PipelineCases:
+    """Pipelined batches, run by one subclass per transport."""
+
+    transport = "inproc"
+    #: wire round trips one batch costs
+    roundtrips_per_batch = 0
+
     def _federation(self):
         from repro.runtime import Federation
 
-        federation = Federation(seed=3)
+        federation = Federation(seed=3, transport=self.transport)
         federation.add_node("node-0", workers=2)
         federation.add_node("node-1", workers=2)
 
@@ -411,6 +417,12 @@ class TestFederationPipeline:
             servants[name] = servant
         return federation, servants
 
+    @staticmethod
+    def _roundtrips(federation):
+        if federation._socket_transport is None:
+            return 0
+        return federation._socket_transport.stats()["roundtrips"]
+
     def test_batch_pays_one_route_check_per_node_group(self):
         federation, servants = self._federation()
         try:
@@ -429,6 +441,7 @@ class TestFederationPipeline:
             )
             assert sum(federation.batches.values()) == n_nodes_used
             assert all(s.value == 1 for s in servants.values())
+            assert self._roundtrips(federation) == n_nodes_used * self.roundtrips_per_batch
         finally:
             federation.shutdown()
 
@@ -441,6 +454,7 @@ class TestFederationPipeline:
             future = pipe.call(one_node[0], "add", 5)
             # max_batch=1 flushes inside call(): no explicit flush needed
             assert future.result(timeout_ms=5000) == 5
+            assert self._roundtrips(federation) == self.roundtrips_per_batch
         finally:
             federation.shutdown()
 
@@ -458,9 +472,30 @@ class TestFederationPipeline:
                 with pytest.raises(MiddlewareError):
                     future.result(timeout_ms=5000)
             assert all(servants[name].value == 0 for name in group)
+            assert self._roundtrips(federation) == 0
         finally:
             federation.shutdown()
 
+    def test_member_error_does_not_poison_the_batch(self):
+        federation, servants = self._federation()
+        try:
+            names = sorted(servants)
+            target_node = federation.node_for(names[0])
+            group = [n for n in names if federation.node_for(n) is target_node]
+            assert len(group) >= 2
+            pipe = federation.pipeline(max_batch=len(group) + 1)
+            bad = pipe.call(group[0], "no_such_operation")
+            good = pipe.call(group[1], "add", 3)
+            pipe.flush()
+            with pytest.raises(RemoteInvocationError, match="no_such_operation"):
+                bad.result(timeout_ms=5000)
+            assert good.result(timeout_ms=5000) == 3
+            assert self._roundtrips(federation) == self.roundtrips_per_batch
+        finally:
+            federation.shutdown()
+
+
+class TestFederationPipeline(_PipelineCases):
     def test_nested_async_from_servant_cannot_deadlock(self):
         # a servant blocking on a nested async future must not queue it
         # behind the single delivery thread it is running on: nested
@@ -492,20 +527,63 @@ class TestFederationPipeline:
         finally:
             federation.shutdown()
 
-    def test_member_error_does_not_poison_the_batch(self):
+
+class TestSocketFederationPipeline(_PipelineCases):
+    """The same batches over real sockets: one REQUEST frame each."""
+
+    transport = "socket"
+    roundtrips_per_batch = 1
+
+    def test_lost_batch_reply_never_reruns_a_member(self, monkeypatch):
+        """A batch reply lost after its members ran, on a node still
+        alive, is mid-call for every member: none is re-sent, even with
+        a retry budget, so each effect happens once."""
+        from repro.errors import NodeDownError
+        from repro.middleware.sockets import WireServer
+        from repro.middleware.wire import REQUEST
+
+        serve_frame = WireServer._serve_frame
+
+        def serve_without_reply(server, conn, session, kind, payload):
+            if kind != REQUEST:
+                return serve_frame(server, conn, session, kind, payload)
+            server.request_handler(Envelope.from_wire(payload))
+            return True  # hang up instead of replying
+
         federation, servants = self._federation()
         try:
             names = sorted(servants)
-            target_node = federation.node_for(names[0])
-            group = [n for n in names if federation.node_for(n) is target_node]
-            assert len(group) >= 2
-            pipe = federation.pipeline(max_batch=len(group) + 1)
-            bad = pipe.call(group[0], "no_such_operation")
-            good = pipe.call(group[1], "add", 3)
-            pipe.flush()
-            with pytest.raises(RemoteInvocationError):
-                bad.result(timeout_ms=5000)
-            assert good.result(timeout_ms=5000) == 3
+            group = [n for n in names if federation.node_for(n) is federation.node_for(names[0])]
+            monkeypatch.setattr(WireServer, "_serve_frame", serve_without_reply)
+            pipe = federation.pipeline(max_batch=len(group), qos=QoS(retries=3))
+            futures = [pipe.call(name, "add", 1) for name in group]
+            for future in futures:
+                with pytest.raises(NodeDownError) as caught:
+                    future.result(timeout_ms=5000)
+                assert caught.value.mid_call and not caught.value.pre_effect
+            assert all(servants[name].value == 1 for name in group)
+        finally:
+            federation.shutdown()
+
+    def test_short_batch_reply_fails_loudly(self, monkeypatch):
+        """A batch reply with fewer outcomes than calls fails every
+        member with a protocol error instead of leaving one unsettled."""
+        from repro.errors import ProtocolError
+
+        federation, servants = self._federation()
+        try:
+            names = sorted(servants)
+            node = federation.node_for(names[0])
+            group = [n for n in names if federation.node_for(n) is node]
+            invoke_batch = node.invoke_batch
+            monkeypatch.setattr(
+                node, "invoke_batch", lambda calls, context: invoke_batch(calls, context)[1:]
+            )
+            pipe = federation.pipeline(max_batch=len(group))
+            futures = [pipe.call(name, "add", 1) for name in group]
+            for future in futures:
+                with pytest.raises(ProtocolError, match="outcomes"):
+                    future.result(timeout_ms=5000)
         finally:
             federation.shutdown()
 
