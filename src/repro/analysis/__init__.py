@@ -16,32 +16,9 @@ Two halves, one lock hierarchy:
 
 See ``docs/CONCURRENCY.md`` for the hierarchy itself and the annotation
 conventions.
+
+The package re-exports nothing: every named lock imports
+:mod:`repro.analysis.witness`, so a runtime process loads this package,
+and it should not load the static analyzer with it.  Import the
+submodules directly.
 """
-
-from repro.analysis.baseline import Baseline, check_baseline
-from repro.analysis.lockgraph import LockGraph, analyze_paths
-from repro.analysis.lockscan import scan_paths
-from repro.analysis.report import Finding, render_findings, render_graph
-from repro.analysis.witness import (
-    LockOrderInversion,
-    named_condition,
-    named_lock,
-    named_rlock,
-    registry,
-)
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LockGraph",
-    "LockOrderInversion",
-    "analyze_paths",
-    "check_baseline",
-    "named_condition",
-    "named_lock",
-    "named_rlock",
-    "registry",
-    "render_findings",
-    "render_graph",
-    "scan_paths",
-]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.witness import named_rlock
 from repro.errors import WeavingError
@@ -80,8 +80,8 @@ class Weaver:
         self._woven_methods: Dict[type, Dict[str, Callable]] = {}
         #: class → {field name: previous class attribute or sentinel}
         self._woven_fields: Dict[type, Dict[str, object]] = {}
-        #: static-signature → (matched static (seq, advice) pairs by kind,
-        #: the same advice as per-kind lists, dynamic advice)
+        #: static-signature → (the static advice's plan, its (seq, advice)
+        #: pairs, the dynamic (seq, advice) pairs)
         self._match_memo: Dict[tuple, tuple] = {}
         #: epoch counter bumped on every deploy/undeploy and on advice
         #: mutation of a deployed aspect (the aspects notify us); memo
@@ -210,16 +210,17 @@ class Weaver:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _collect(self, jp: JoinPoint) -> Dict[AdviceKind, List[Advice]]:
-        """Advice matching ``jp``, grouped by kind, in precedence order.
+    def _plan(self, jp: JoinPoint) -> Optional["AdvicePlan"]:
+        """The advice to run at ``jp``, in run order (None when nothing
+        applies).
 
         Matching against *static* pointcuts depends only on the join
-        point's (kind, class, member) signature, so those results — and
-        the per-kind lists returned for them — are memoized per
-        signature (invalidated on deploy/undeploy).  The returned lists
-        are shared between dispatches: callers must not mutate them.
-        Advice guarded by a cflow-containing pointcut is re-evaluated on
-        every dispatch — its match depends on the live call stack.
+        point's (kind, class, member) signature, so the plan they give
+        is memoized per signature (invalidated on deploy/undeploy) and
+        shared between dispatches.  Advice guarded by a cflow-containing
+        pointcut is re-evaluated on every dispatch — its match depends
+        on the live call stack — and, when any of it matches, merged
+        with the static advice by precedence into a fresh plan.
         """
         key = (jp.kind, jp.class_name, jp.member_name)
         with self._memo_lock:
@@ -229,9 +230,7 @@ class Weaver:
             memo = self._match_memo.get(key)
             if memo is None:
                 self.pointcut_memo_misses += 1
-                static_matched: Dict[AdviceKind, List[tuple]] = {
-                    kind: [] for kind in AdviceKind
-                }
+                static: List[tuple] = []
                 dynamic: List[tuple] = []
                 seq = 0
                 for _, aspect in self.precedence.ordered():
@@ -239,32 +238,22 @@ class Weaver:
                         if _pointcut_is_dynamic(advice.pointcut):
                             dynamic.append((seq, advice))
                         elif advice.matches(jp):
-                            static_matched[advice.kind].append((seq, advice))
+                            static.append((seq, advice))
                         seq += 1
-                static_grouped = {
-                    kind: [advice for _, advice in entries]
-                    for kind, entries in static_matched.items()
-                }
-                memo = (static_matched, static_grouped, dynamic)
+                memo = (AdvicePlan.of(static), static, dynamic)
                 self._match_memo[key] = memo
             else:
                 self.pointcut_memo_hits += 1
-        static_matched, static_grouped, dynamic = memo
+        plan, static, dynamic = memo
         if not dynamic:
-            return static_grouped
-        grouped: Dict[AdviceKind, List[Advice]] = {}
-        dynamic_matched: Dict[AdviceKind, List[tuple]] = {}
-        for seq, advice in dynamic:
-            if advice.matches(jp):
-                dynamic_matched.setdefault(advice.kind, []).append((seq, advice))
-        for kind in AdviceKind:
-            entries = static_matched[kind] + dynamic_matched.get(kind, [])
-            entries.sort(key=lambda pair: pair[0])
-            grouped[kind] = [advice for _, advice in entries]
-        return grouped
+            return plan
+        matched = [entry for entry in dynamic if entry[1].matches(jp)]
+        if not matched:
+            return plan
+        return AdvicePlan.of(sorted(static + matched, key=lambda entry: entry[0]))
 
     def dispatch(self, jp: JoinPoint, terminal: Callable[[], object]):
-        """Run the advice chain for ``jp`` around ``terminal``.
+        """Run the advice plan for ``jp`` around ``terminal``.
 
         The join point is pushed on the cflow stack for the duration of
         the dispatch (advice chain *and* the underlying member), so cflow
@@ -273,43 +262,67 @@ class Weaver:
         frames = _current_frames()
         frames.append(jp)
         try:
-            return self._dispatch_inner(jp, terminal)
+            plan = self._plan(jp)
+            if plan is None:
+                return terminal()
+            around, before, after_throwing, after, after_returning = plan
+            call = terminal
+            for advice in around:
+                call = functools.partial(_around_step, advice, jp, call)
+            for advice in before:
+                advice.body(jp)
+            try:
+                result = call()
+            except BaseException as exc:
+                jp.exception = exc
+                for advice in after_throwing:
+                    advice.body(jp)
+                for advice in after:
+                    advice.body(jp)
+                raise
+            jp.result = result
+            for advice in after_returning:
+                advice.body(jp)
+            for advice in after:
+                advice.body(jp)
+            return result
         finally:
             frames.pop()
 
-    def _dispatch_inner(self, jp: JoinPoint, terminal: Callable[[], object]):
-        grouped = self._collect(jp)
-        if not any(grouped.values()):
-            return terminal()
 
-        call = terminal
-        for advice in reversed(grouped[AdviceKind.AROUND]):
-            call = _bind_around(advice, jp, call)
+class AdvicePlan(NamedTuple):
+    """The advice matching one join point, each kind in the order it is
+    applied: around advice innermost first (the order the chain is bound
+    in, so the highest precedence ends up outermost), before advice
+    highest precedence first, and the after kinds highest precedence
+    *last* (symmetric nesting)."""
 
-        for advice in grouped[AdviceKind.BEFORE]:
-            advice.body(jp)
-        try:
-            result = call()
-        except BaseException as exc:
-            jp.exception = exc
-            for advice in reversed(grouped[AdviceKind.AFTER_THROWING]):
-                advice.body(jp)
-            for advice in reversed(grouped[AdviceKind.AFTER]):
-                advice.body(jp)
-            raise
-        jp.result = result
-        for advice in reversed(grouped[AdviceKind.AFTER_RETURNING]):
-            advice.body(jp)
-        for advice in reversed(grouped[AdviceKind.AFTER]):
-            advice.body(jp)
-        return result
+    around: Tuple[Advice, ...]
+    before: Tuple[Advice, ...]
+    after_throwing: Tuple[Advice, ...]
+    after: Tuple[Advice, ...]
+    after_returning: Tuple[Advice, ...]
+
+    @classmethod
+    def of(cls, matched: List[tuple]) -> Optional["AdvicePlan"]:
+        """The plan of ``(seq, advice)`` pairs in precedence order, or
+        None when there are none."""
+        if not matched:
+            return None
+        by_kind: Dict[AdviceKind, List[Advice]] = {kind: [] for kind in AdviceKind}
+        for _, advice in matched:
+            by_kind[advice.kind].append(advice)
+        return cls(
+            around=tuple(reversed(by_kind[AdviceKind.AROUND])),
+            before=tuple(by_kind[AdviceKind.BEFORE]),
+            after_throwing=tuple(reversed(by_kind[AdviceKind.AFTER_THROWING])),
+            after=tuple(reversed(by_kind[AdviceKind.AFTER])),
+            after_returning=tuple(reversed(by_kind[AdviceKind.AFTER_RETURNING])),
+        )
 
 
-def _bind_around(advice: Advice, jp: JoinPoint, next_call: Callable[[], object]):
-    def step():
-        return advice.body(Invocation(jp, next_call))
-
-    return step
+def _around_step(advice: Advice, jp: JoinPoint, next_call: Callable[[], object]):
+    return advice.body(Invocation(jp, next_call))
 
 
 class _Missing:

@@ -38,6 +38,7 @@ are the same predicate by construction.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
@@ -114,25 +115,52 @@ def _marshal(value, ref_of: Optional[Callable], path: str):
     )
 
 
+#: the types :func:`wire_size` sizes, each standing for its subclasses
+#: too, in the order a value is classified by ``isinstance``
+_SIZED_TYPES = (type(None), bool, int, float, str, bytes, list, tuple, dict, ObjectRefData)
+_EXACT_SIZED = frozenset(_SIZED_TYPES)
+
+
+def _sized_type(value) -> type:
+    """The sized type ``value`` counts as: the first one it is an
+    instance of (``object`` for none of them)."""
+    for kind in _SIZED_TYPES:
+        if isinstance(value, kind):
+            return kind
+    return object
+
+
 def wire_size(value) -> int:
-    """Approximate wire size in bytes (for bus statistics)."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
+    """Approximate wire size in bytes (for bus statistics).
+
+    A value of one of the marshal contract's exact types is classified
+    by ``type(value)`` alone; only subclasses and foreign values pay for
+    the ``isinstance`` walk.
+    """
+    kind = type(value)
+    if kind not in _EXACT_SIZED:
+        kind = _sized_type(value)
+    if kind is float or kind is int:
         return 8
-    if isinstance(value, str):
+    if kind is str:
         return len(value.encode("utf-8"))
-    if isinstance(value, bytes):
+    if kind is list or kind is tuple:
+        size = 2
+        for item in value:
+            size += wire_size(item)
+        return size
+    if kind is dict:
+        size = 2
+        for key, item in value.items():
+            size += len(key) + wire_size(item)
+        return size
+    if kind is bytes:
         return len(value)
-    if isinstance(value, (list, tuple)):
-        return 2 + sum(wire_size(item) for item in value)
-    if isinstance(value, dict):
-        return 2 + sum(len(k) + wire_size(v) for k, v in value.items())
-    if isinstance(value, ObjectRefData):
+    if kind is ObjectRefData:
         return len(value.object_id) + len(value.type_name)
-    return 8
+    if kind is object:
+        return 8
+    return 1  # None, bool
 
 
 @dataclass
@@ -354,26 +382,29 @@ class MessageBus:
 
     # -- chain elements ----------------------------------------------------------
 
-    def _stats_element(self, envelope: Envelope, proceed: Callable[[], Any]):
+    def _stats_element(self, envelope: Envelope, next: Callable[[Envelope], Any]):
         request = envelope.request
+        # sized outside the lock: the walk is the element's only real work
+        size = wire_size(request.args) + wire_size(request.kwargs)
         with self._stats_lock:
             self.messages_delivered += 1
-            self.bytes_transferred += wire_size(request.args) + wire_size(
-                request.kwargs
-            )
-        response = proceed()
-        with self._stats_lock:
-            if response.is_error:
+            self.bytes_transferred += size
+        response = next(envelope)
+        if response.is_error:
+            with self._stats_lock:
                 self.errors_returned += 1
-            else:
-                self.bytes_transferred += wire_size(response.result)
+        else:
+            size = wire_size(response.result)
+            with self._stats_lock:
+                self.bytes_transferred += size
         return response
 
     # -- delivery ----------------------------------------------------------------
 
-    def _terminal(self, envelope: Envelope, dispatch) -> Response:
-        """Execute the request against its servant; errors become wire
-        responses — the terminal never leaks servant exceptions."""
+    def _terminal(self, dispatch, envelope: Envelope) -> Response:
+        """Execute the request against its servant through ``dispatch``;
+        errors become wire responses — the terminal never leaks servant
+        exceptions."""
         request = envelope.request
         try:
             servant = self.servant(request.object_id)
@@ -388,7 +419,7 @@ class MessageBus:
                     self._touch_log.append((self.mutations, request.object_id))
             if self.dispatch_guard is not None:
                 result = self.dispatch_guard(
-                    request.object_id, lambda: dispatch(request, servant)
+                    request.object_id, functools.partial(dispatch, request, servant)
                 )
             else:
                 result = dispatch(request, servant)
@@ -404,8 +435,9 @@ class MessageBus:
         error responses, while injected *transport* faults (the chain's
         fault element) keep raising out, as a lost message would.
         """
-        envelope = Envelope(request=request)
-        return self.chain.execute(envelope, lambda: self._terminal(envelope, dispatch))
+        return self.chain.execute(
+            Envelope(request=request), functools.partial(self._terminal, dispatch)
+        )
 
     @staticmethod
     def raise_remote(response: Response):

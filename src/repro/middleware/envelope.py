@@ -13,19 +13,21 @@ Cross-cutting behaviour over envelopes — fault injection, latency
 simulation, statistics, metrics, portable interceptors — composes as a
 single ordered :class:`InterceptorChain` of small elements (the Slick
 middlebox-pipeline shape), replacing the ad-hoc hook mechanisms the bus,
-ORB, and federation each used to carry privately.
+ORB, and federation each used to carry privately.  A chain is compiled
+into one fixed callable whenever it is edited, so running it allocates
+nothing per call.
 
-Delivery context: while a servant executes, the delivering layer
-publishes the envelope's propagated context in a thread-local
-(:func:`delivering` / :func:`current_delivery_context`), so nested
-outbound calls made *by* the servant — including cross-node federation
-hops — inherit the transaction id and credentials of the request they
-serve without every servant having to thread them through by hand.
+Delivery context: while a servant executes, the delivering layer pushes
+the envelope's propagated context onto this thread's
+:func:`delivery_stack` (read back through :func:`current_delivery_context`),
+so nested outbound calls made *by* the servant — including cross-node
+federation hops — inherit the transaction id and credentials of the
+request they serve without every servant having to thread them through
+by hand.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 from dataclasses import dataclass, field, replace
@@ -133,6 +135,22 @@ class Envelope:
     label: Optional[str] = None
     #: delivery attempt number (0 = first try; bumped by retrying transports)
     attempt: int = 0
+
+    # The state below is plain class attributes, not dataclass fields:
+    # only the layers that use it set it on an instance, so constructing
+    # an envelope pays nothing for it.
+
+    #: the callable :meth:`InterceptorChain.execute` ends in
+    terminal = None
+    #: a routed call's partition key, context source (a provider
+    #: ``callable(node) -> dict`` or a static dict) and the trace
+    #: headers captured when it was built
+    partition = None
+    context_source = None
+    trace_headers = None
+    #: the owner node and live reference the current attempt resolved
+    owner = None
+    ref = None
 
     @property
     def context(self) -> Dict[str, Any]:
@@ -284,22 +302,43 @@ class ReplyFuture:
 # Interceptor chain (Slick-style element pipeline)
 # ---------------------------------------------------------------------------
 
-#: an element wraps delivery: ``element(envelope, proceed) -> value``
-Element = Callable[[Envelope, Callable[[], Any]], Any]
+#: an element wraps delivery: ``element(envelope, next) -> value``, and
+#: continues it with ``next(envelope)``
+Element = Callable[[Envelope, Callable[[Envelope], Any]], Any]
+
+
+def _run_terminal(envelope: Envelope) -> Any:
+    return envelope.terminal(envelope)
+
+
+def _link(element: Element, next_call: Callable[[Envelope], Any]):
+    def call(envelope: Envelope) -> Any:
+        return element(envelope, next_call)
+
+    return call
 
 
 class InterceptorChain:
     """An ordered, named pipeline of elements over envelopes.
 
     Elements run outermost-first in insertion order (unless placed with
-    ``before``/``after``); each decides whether to call ``proceed()`` —
-    short-circuiting, raising, measuring, or mutating the envelope on
-    the way through.  One chain instance per layer (bus, federation)
-    replaces that layer's ad-hoc hook mechanisms.
+    ``before``/``after``); each decides whether to continue with
+    ``next(envelope)`` — short-circuiting, raising, measuring, or
+    mutating the envelope on the way through.  One chain instance per
+    layer (bus, federation) replaces that layer's ad-hoc hook mechanisms.
+
+    The chain is compiled on every edit (:meth:`add`, :meth:`remove`):
+    each element is linked to its successor once, so :meth:`execute`
+    runs a fixed sequence of calls and allocates nothing.  An edit
+    publishes the new pipeline with one reference assignment and applies
+    from the next :meth:`execute`; a call already in flight finishes on
+    the pipeline it started with.  Edits are configuration-time
+    operations: concurrent editors are not serialized against each other.
     """
 
     def __init__(self):
         self._elements: List[tuple] = []  # (name, element)
+        self._pipeline: Callable[[Envelope], Any] = _run_terminal
 
     def names(self) -> List[str]:
         return [name for name, _ in self._elements]
@@ -324,12 +363,15 @@ class InterceptorChain:
             index = self._index_of(before)
         elif after is not None:
             index = self._index_of(after) + 1
-        self._elements.insert(index, (name, element))
+        elements = list(self._elements)
+        elements.insert(index, (name, element))
+        self._compile(elements)
         return self
 
     def remove(self, name: str) -> Element:
-        index = self._index_of(name)
-        _, element = self._elements.pop(index)
+        elements = list(self._elements)
+        _, element = elements.pop(self._index_of(name))
+        self._compile(elements)
         return element
 
     def _index_of(self, name: str) -> int:
@@ -338,19 +380,19 @@ class InterceptorChain:
                 return i
         raise PipelineError(f"no interceptor named {name!r} in the chain")
 
-    def execute(self, envelope: Envelope, terminal: Callable[[], Any]) -> Any:
-        """Run ``terminal`` inside the full element pipeline."""
-        call = terminal
-        for _, element in reversed(self._elements):
-            call = _bind_element(element, envelope, call)
-        return call()
+    def _compile(self, elements: List[tuple]) -> None:
+        """Link ``elements`` innermost-first into one callable, then
+        publish it and the list it came from."""
+        pipeline = _run_terminal
+        for _, element in reversed(elements):
+            pipeline = _link(element, pipeline)
+        self._elements = elements
+        self._pipeline = pipeline
 
-
-def _bind_element(element: Element, envelope: Envelope, proceed: Callable[[], Any]):
-    def step():
-        return element(envelope, proceed)
-
-    return step
+    def execute(self, envelope: Envelope, terminal: Callable[[Envelope], Any]) -> Any:
+        """Run ``envelope`` through the pipeline, ending in ``terminal(envelope)``."""
+        envelope.terminal = terminal
+        return self._pipeline(envelope)
 
 
 # -- stock elements ----------------------------------------------------------
@@ -359,10 +401,10 @@ def _bind_element(element: Element, envelope: Envelope, proceed: Callable[[], An
 def sim_latency_element(clock, latency_ms: Callable[[], float]) -> Element:
     """Charge one hop of simulated latency each way around delivery."""
 
-    def element(envelope: Envelope, proceed: Callable[[], Any]):
+    def element(envelope: Envelope, next: Callable[[Envelope], Any]):
         clock.advance(latency_ms())
         try:
-            return proceed()
+            return next(envelope)
         finally:
             clock.advance(latency_ms())
 
@@ -376,32 +418,24 @@ def sim_latency_element(clock, latency_ms: Callable[[], float]) -> Element:
 _delivery_local = threading.local()
 
 
-def _delivery_stack() -> List[Dict[str, Any]]:
+def delivery_stack() -> List[Dict[str, Any]]:
+    """This thread's stack of delivery contexts, innermost last.
+
+    The layer that hands a request to application code (the node's
+    dispatch path) pushes a copy of the request's propagated context
+    before the servant runs and pops it in a ``finally`` after, so
+    outbound calls the servant makes can inherit the caller's
+    transaction id and credentials.
+    """
     stack = getattr(_delivery_local, "frames", None)
     if stack is None:
         stack = _delivery_local.frames = []
     return stack
 
 
-@contextlib.contextmanager
-def delivering(context: Optional[Dict[str, Any]]):
-    """Publish a request's propagated context for the executing thread.
-
-    Installed by the layer that hands a request to application code (the
-    node's dispatch path), so outbound calls the servant makes can
-    inherit the caller's transaction id and credentials.
-    """
-    stack = _delivery_stack()
-    stack.append(dict(context or {}))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
 def current_delivery_context() -> Dict[str, Any]:
     """The innermost delivery context of this thread ({} outside dispatch)."""
-    stack = _delivery_stack()
+    stack = delivery_stack()
     return dict(stack[-1]) if stack else {}
 
 

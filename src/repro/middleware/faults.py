@@ -120,9 +120,9 @@ class FaultInjector:
         ordered pipeline instead of ad-hoc ``check()`` call sites.
         """
 
-        def fault_element(envelope, proceed):
+        def fault_element(envelope, next):
             self.check(site)
-            return proceed()
+            return next(envelope)
 
         return fault_element
 

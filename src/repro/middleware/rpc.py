@@ -81,7 +81,11 @@ class Orb:
     # -- call context -----------------------------------------------------------
 
     @property
-    def _context_stack(self) -> List[Dict[str, Any]]:
+    def context_stack(self) -> List[Dict[str, Any]]:
+        """This thread's call-context frames, innermost last.
+
+        :meth:`call_context` is the way to attach context; the dispatch
+        path pushes a frame itself and pops it in a ``finally``."""
         stack = getattr(self._ctx_local, "frames", None)
         if stack is None:
             stack = self._ctx_local.frames = []
@@ -90,15 +94,15 @@ class Orb:
     @contextlib.contextmanager
     def call_context(self, **entries):
         """Attach implicit per-call context (credentials, transaction id...)."""
-        self._context_stack.append(entries)
+        self.context_stack.append(entries)
         try:
             yield
         finally:
-            self._context_stack.pop()
+            self.context_stack.pop()
 
     def current_context(self) -> Dict[str, Any]:
         merged: Dict[str, Any] = {}
-        for frame in self._context_stack:
+        for frame in self.context_stack:
             merged.update(frame)
         return merged
 
@@ -156,8 +160,12 @@ class Orb:
         kwargs = {k: self._from_wire(v) for k, v in request.kwargs.items()}
         context = dict(request.context)
         context["__dispatching__"] = True  # lets aspects detect server side
-        with self.call_context(**context):
+        frames = self.context_stack
+        frames.append(context)
+        try:
             result = method(*args, **kwargs)
+        finally:
+            frames.pop()
         return marshal(result, self.ref_of, root="result")
 
     def _from_wire(self, value):

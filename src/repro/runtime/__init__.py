@@ -30,6 +30,8 @@ instance uses.  This package turns those services into a runtime fabric:
   (``repro.cli simulate`` is its command-line front end).
 """
 
+import importlib
+
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
 from repro.runtime.federation import (
     Federation,
@@ -40,12 +42,6 @@ from repro.runtime.federation import (
     ReplicaManager,
     ShardManifest,
     ShardedNamingService,
-)
-from repro.runtime.harness import (
-    RunConfig,
-    ScenarioResult,
-    ScenarioRunner,
-    run_scenario,
 )
 from repro.runtime.metrics import MetricsRegistry, percentile
 from repro.runtime.node import Node
@@ -58,7 +54,30 @@ from repro.runtime.observability import (
     TraceContext,
     Tracer,
 )
-from repro.runtime.scenarios import SCENARIOS, AsyncOp, Scenario, get_scenario
+
+#: names of the scenario runner and its scenarios, loaded on first use:
+#: a node, worker or benchmark process never runs a scenario and should
+#: not hold them in memory
+_ON_FIRST_USE = {
+    "RunConfig": "repro.runtime.harness",
+    "ScenarioResult": "repro.runtime.harness",
+    "ScenarioRunner": "repro.runtime.harness",
+    "run_scenario": "repro.runtime.harness",
+    "SCENARIOS": "repro.runtime.scenarios",
+    "AsyncOp": "repro.runtime.scenarios",
+    "Scenario": "repro.runtime.scenarios",
+    "get_scenario": "repro.runtime.scenarios",
+}
+
+
+def __getattr__(name: str):
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ConcurrentDispatcher",

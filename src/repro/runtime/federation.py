@@ -395,8 +395,9 @@ class ShardManifest:
 class _MigrationGate:
     """Quiesces in-flight envelopes on a moving shard.
 
-    Routed deliveries ``enter`` their target partition for the duration
-    of the hop; a migration ``freeze``\\ s the moving partitions, which
+    Routed deliveries :meth:`enter` their target partition for the
+    duration of the hop and :meth:`leave` it after; a migration
+    ``freeze``\\ s the moving partitions, which
     (a) blocks *new* deliveries to them and (b) waits until every
     already-entered delivery has drained — so servant state is copied
     only while nothing executes against it, and resolution of the moving
@@ -427,8 +428,9 @@ class _MigrationGate:
             held = self._local.held = {}
         return held
 
-    def _enter(self, partitions: List[str]) -> None:
-        """Enter several partitions atomically.
+    def enter(self, partitions: List[str]) -> None:
+        """Enter several partitions atomically; pair with :meth:`leave`
+        in a ``finally``.
 
         Waits until none of the *non-held* wanted partitions is frozen,
         then takes every entry at once.  Partitions this thread already
@@ -460,7 +462,7 @@ class _MigrationGate:
         if waited_at is not None and self._observer is not None:
             self._observer(partitions, (time.perf_counter() - waited_at) * 1000.0)
 
-    def _exit(self, partitions: List[str]) -> None:
+    def leave(self, partitions: List[str]) -> None:
         held = self._held()
         for partition in partitions:
             held[partition] -= 1
@@ -474,21 +476,13 @@ class _MigrationGate:
             self._cond.notify_all()
 
     @contextlib.contextmanager
-    def entered(self, partition: str):
-        self._enter([partition])
-        try:
-            yield
-        finally:
-            self._exit([partition])
-
-    @contextlib.contextmanager
     def entered_many(self, partitions: Iterable[str]):
         parts = sorted(set(partitions))
-        self._enter(parts)
+        self.enter(parts)
         try:
             yield
         finally:
-            self._exit(parts)
+            self.leave(parts)
 
     @contextlib.contextmanager
     def freeze(self, partitions: Iterable[str], timeout_s: float = 30.0):
@@ -1503,7 +1497,7 @@ class Federation:
                 self.observability.emit("reconcile", promoted=promoted)
             return promoted
 
-    def _failover_element(self, envelope: Envelope, proceed: Callable[[], Any]):
+    def _failover_element(self, envelope: Envelope, next: Callable[[Envelope], Any]):
         """On a dead-node transport fault, promote the standbys; the
         re-raise lets the transport's QoS retry budget re-deliver the
         (pre-effect) call, which re-resolves onto the new primary.
@@ -1523,7 +1517,7 @@ class Federation:
         non-retryable, because a lost reply must not re-run the
         effect."""
         try:
-            return proceed()
+            return next(envelope)
         except NodeDownError as exc:
             if exc.node:
                 node = self.nodes.get(exc.node)
@@ -1583,18 +1577,18 @@ class Federation:
 
     # -- chain elements -----------------------------------------------------------
 
-    def _latency_element(self, envelope: Envelope, proceed: Callable[[], Any]):
+    def _latency_element(self, envelope: Envelope, next: Callable[[Envelope], Any]):
         """One transport hop: simulated clock time plus optional real sleep
         (the network I/O that concurrent delivery overlaps)."""
         self.clock.advance(self.latency_ms)
         if self.real_latency_s > 0:
             time.sleep(self.real_latency_s)
-        return proceed()
+        return next(envelope)
 
-    def _routing_element(self, envelope: Envelope, proceed: Callable[[], Any]):
+    def _routing_element(self, envelope: Envelope, next: Callable[[Envelope], Any]):
         with self._route_lock:
             self.routed[envelope.target] = self.routed.get(envelope.target, 0) + 1
-        return proceed()
+        return next(envelope)
 
     # -- invocation path -----------------------------------------------------------
 
@@ -1612,8 +1606,9 @@ class Federation:
         return self._async
 
     @staticmethod
-    def _context_source(context) -> Callable[[Any], Optional[Dict[str, Any]]]:
-        """A routed call's context, minted per attempt for the owner node.
+    def _context_source(context) -> Any:
+        """Where a routed call's context comes from, minted per attempt
+        for the owner node by :meth:`_mint_context`.
 
         ``context`` may be a *provider* ``callable(node) -> dict`` (how
         :class:`FederationClient` attaches credentials): it is re-invoked
@@ -1623,62 +1618,36 @@ class Federation:
         delivery context, so nested cross-node calls made by servants
         propagate transaction ids and credentials without manual
         plumbing."""
-        if callable(context):
-            return lambda node: context(node) or {}
-        static_context = context if context is not None else current_delivery_context()
-        return lambda node: static_context
+        return current_delivery_context() if context is None else context
 
-    @contextlib.contextmanager
-    def _node_guard(self, node: Node):
-        """Atomic aliveness check + in-flight accounting for one hop.
+    @staticmethod
+    def _mint_context(source, node) -> Dict[str, Any]:
+        """A fresh copy of the context ``source`` gives for ``node``."""
+        return dict((source(node) if callable(source) else source) or {})
 
-        The check and the bump are one step under the flight condition,
-        so :meth:`kill`'s drain cannot miss a request that slipped past
-        the check — a dead node never executes another servant effect,
-        and kill returns only after every admitted request (including
-        its replication) finished."""
-        with self._flight_cond:
-            if not node.alive:
-                raise NodeDownError(
-                    f"node {node.name!r} is down", node=node.name
-                )
-            self._node_flight[node.name] = self._node_flight.get(node.name, 0) + 1
-        try:
-            yield
-        finally:
-            with self._flight_cond:
-                self._node_flight[node.name] -= 1
-                if not self._node_flight[node.name]:
-                    del self._node_flight[node.name]
-                    self._flight_cond.notify_all()
-
-    def _dispatch(
-        self,
-        node: Union[Node, RemoteNode],
-        ref: ObjectRefData,
-        operation: str,
-        args: tuple,
-        kwargs: Optional[dict],
-        context: Optional[Dict[str, Any]],
-        partition: str,
-        envelope: Envelope,
-    ):
+    def _dispatch(self, envelope: Envelope):
         """The routing terminal: picks the node hop for the transport —
         :meth:`Node.invoke` in memory, :meth:`_wire_dispatch` to a
         socket listener or worker process — and runs it through
         :meth:`_local_dispatch`, the one terminal every transport
-        shares."""
+        shares.  The attempt resolved ``envelope.owner`` and
+        ``envelope.ref``; the hop carries the envelope's context, into
+        which chain elements (tracing) stamped per-attempt keys."""
+        node, ref, request = envelope.owner, envelope.ref, envelope.request
         if self._socket_transport is not None:
-
-            def hop():
-                return self._wire_dispatch(node, ref, envelope)
-
+            hop = functools.partial(self._wire_dispatch, node, ref, envelope)
         else:
-
-            def hop():
-                return node.invoke(ref, operation, args, kwargs or {}, context)
-
-        return self._local_dispatch(node, ((ref, operation, partition),), hop)
+            hop = functools.partial(
+                node.invoke,
+                ref,
+                request.operation,
+                request.args,
+                request.kwargs,
+                request.context,
+            )
+        return self._local_dispatch(
+            node, ((ref, request.operation, envelope.partition),), hop
+        )
 
     def _local_dispatch(
         self,
@@ -1692,12 +1661,23 @@ class Federation:
         call, one per member for a batch — and each gets its one
         replication decision.
 
-        The replication of a call runs *inside* the node guard: a kill
-        that drained to zero has therefore already captured every
+        The node guard makes the aliveness check and the in-flight bump
+        one step under the flight condition, so :meth:`kill`'s drain
+        cannot miss a request that slipped past the check — a dead node
+        never executes another servant effect, and kill returns only
+        after every admitted request (including its replication)
+        finished.  The replication of a call runs *inside* the guard: a
+        kill that drained to zero has therefore already captured every
         completed effect in the standby copies (or shipped it through
         the replication log) — there is no window where an effect exists
         only on the dying primary."""
-        with self._node_guard(node):
+        name = node.name
+        flight = self._flight_cond
+        with flight:
+            if not node.alive:
+                raise NodeDownError(f"node {name!r} is down", node=name)
+            self._node_flight[name] = self._node_flight.get(name, 0) + 1
+        try:
             if self.replicas is None:
                 return hop()
             mark = self._mutation_mark(node)
@@ -1705,6 +1685,12 @@ class Federation:
             for ref, operation, partition in calls:
                 self._replicate(node, ref, operation, partition, mark)
             return value
+        finally:
+            with flight:
+                self._node_flight[name] -= 1
+                if not self._node_flight[name]:
+                    del self._node_flight[name]
+                    flight.notify_all()
 
     @staticmethod
     def _mutation_mark(node: Union[Node, RemoteNode]) -> Optional[int]:
@@ -1894,17 +1880,13 @@ class Federation:
         kwargs: Optional[dict],
         context: Optional[Dict[str, Any]],
         qos: QoS,
-    ) -> Tuple[Envelope, Callable[[Envelope], Any]]:
-        """Build one routed hop to the federation name ``binding``:
-        envelope + its chain-wrapped handler.
+    ) -> Envelope:
+        """Build one routed hop to the federation name ``binding``; every
+        delivery attempt runs it through :meth:`_attempt`.
 
-        The handler enters the migration gate and re-resolves the owner
-        on *every* delivery attempt — so queued envelopes and QoS
-        retries land on the current primary even if the shard migrated
-        or failed over since submission — and, on success, replicates
-        the touched servants' state to the partition's standbys.
-
-        The context is re-minted per attempt (:meth:`_context_source`).
+        The envelope carries the call's state: its partition, its
+        context source (:meth:`_context_source`) and the trace headers
+        captured here, on the caller's thread.
         """
         node, ref = self.resolve(binding)
         if qos is DEFAULT_QOS:
@@ -1914,7 +1896,7 @@ class Federation:
             declared = self.qos_for(binding)
             if declared is not None:
                 qos = declared
-        context_for = self._context_source(context)
+        source = self._context_source(context)
         tracer = self.observability.tracer
         # captured on the caller's thread at build time: the active
         # span (a harness root span, or the bus span of the dispatch
@@ -1926,7 +1908,7 @@ class Federation:
             operation=operation,
             args=list(args),
             kwargs=dict(kwargs or {}),
-            context=dict(context_for(node) or {}),
+            context=self._mint_context(source, node),
         )
         if trace_headers is not None:
             request.context[TRACE_KEY] = trace_headers
@@ -1937,29 +1919,39 @@ class Federation:
             label=f"{ref.type_name}.{operation}",
             binding=binding,
         )
-        partition = ShardedNamingService.partition_key(binding)
+        envelope.partition = ShardedNamingService.partition_key(binding)
+        envelope.context_source = source
+        envelope.trace_headers = trace_headers
+        return envelope
 
-        def handler(env: Envelope):
-            with self._gate.entered(partition):
-                owner, live_ref = self.resolve(binding)
-                env.target = owner.name
-                env.request.object_id = live_ref.object_id
-                env.request.context = attempt_context = dict(
-                    context_for(owner) or {}
-                )
-                if trace_headers is not None:
-                    attempt_context[TRACE_KEY] = trace_headers
-                # the dispatch reads the *envelope's* context: chain
-                # elements (tracing) re-stamp per-attempt keys into it
-                return self.chain.execute(
-                    env,
-                    lambda: self._dispatch(
-                        owner, live_ref, operation, args, kwargs,
-                        env.request.context, partition, env,
-                    ),
-                )
+    def _attempt(self, envelope: Envelope):
+        """One delivery attempt of a routed call.
 
-        return envelope, handler
+        It enters the migration gate and re-resolves the owner — so
+        queued envelopes and QoS retries land on the current primary
+        even if the shard migrated or failed over since submission —
+        mints the context afresh for that owner, and runs the chain into
+        :meth:`_dispatch`, which on success replicates the touched
+        servants' state to the partition's standbys.
+        """
+        partitions = [envelope.partition]
+        gate = self._gate
+        gate.enter(partitions)
+        try:
+            owner, ref = self.resolve(envelope.binding)
+            envelope.owner = owner
+            envelope.ref = ref
+            envelope.target = owner.name
+            request = envelope.request
+            request.object_id = ref.object_id
+            request.context = context = self._mint_context(
+                envelope.context_source, owner
+            )
+            if envelope.trace_headers is not None:
+                context[TRACE_KEY] = envelope.trace_headers
+            return self.chain.execute(envelope, self._dispatch)
+        finally:
+            gate.leave(partitions)
 
     def invoke(
         self,
@@ -1972,10 +1964,8 @@ class Federation:
     ):
         """Route one request to the owner of ``binding`` and execute it
         there, metered."""
-        envelope, handler = self._envelope(
-            binding, operation, args, kwargs, context, qos
-        )
-        return self.transport.call(envelope, handler)
+        envelope = self._envelope(binding, operation, args, kwargs, context, qos)
+        return self.transport.call(envelope, self._attempt)
 
     def invoke_async(
         self,
@@ -1987,10 +1977,8 @@ class Federation:
         qos: QoS = DEFAULT_QOS,
     ) -> ReplyFuture:
         """Route one request asynchronously; returns the reply future."""
-        envelope, handler = self._envelope(
-            binding, operation, args, kwargs, context, qos
-        )
-        return self._submission_transport().submit(envelope, handler)
+        envelope = self._envelope(binding, operation, args, kwargs, context, qos)
+        return self._submission_transport().submit(envelope, self._attempt)
 
     def oneway(
         self,
@@ -2002,10 +1990,8 @@ class Federation:
         qos: QoS = ONEWAY_QOS,
     ) -> None:
         """Fire-and-forget delivery: at most one servant effect, no reply."""
-        envelope, handler = self._envelope(
-            binding, operation, args, kwargs, context, qos
-        )
-        self._submission_transport().submit(envelope, handler)
+        envelope = self._envelope(binding, operation, args, kwargs, context, qos)
+        self._submission_transport().submit(envelope, self._attempt)
 
     def call(
         self,
@@ -2065,11 +2051,11 @@ class Federation:
         re-routes under its QoS retry budget as a single call does, and
         stays at-most-once: an attempt never re-sends a member whose
         future an earlier attempt completed."""
-        context_for = self._context_source(context)
         tracer = self.observability.tracer
         trace_headers = tracer.current_headers() if tracer.enabled else None
         request = Request(BATCH, BATCH, [item.label for item in items], {})
         envelope = Envelope(request=request, qos=qos, target=items[0].node.name)
+        envelope.context_source = self._context_source(context)
         partitions = {ShardedNamingService.partition_key(item.name) for item in items}
 
         def handler(env: Envelope):
@@ -2088,7 +2074,7 @@ class Federation:
                     return None
                 env.target = next(iter(hops))
                 env.request.context = {} if trace_headers is None else {TRACE_KEY: trace_headers}
-                return self.chain.execute(env, lambda: self._send_batch(env, hops, context_for))
+                return self.chain.execute(env, functools.partial(self._send_batch, hops))
 
         def fail_unsettled(batch: ReplyFuture) -> None:
             # the batch's final error fails every member no attempt
@@ -2101,7 +2087,7 @@ class Federation:
             fail_unsettled
         )
 
-    def _send_batch(self, envelope: Envelope, hops: Dict[str, tuple], context_for) -> None:
+    def _send_batch(self, hops: Dict[str, tuple], envelope: Envelope) -> None:
         """A batch attempt's routing terminal: one hop per owner —
         :meth:`Node.invoke_batch` in memory, one REQUEST frame
         (:meth:`_wire_batch`) over the wire — run through
@@ -2112,7 +2098,8 @@ class Federation:
         for owner, members in hops.values():
             # the owner's context plus the per-attempt keys the chain
             # (tracing) stamped into the envelope's
-            context = {**(context_for(owner) or {}), **envelope.request.context}
+            context = self._mint_context(envelope.context_source, owner)
+            context.update(envelope.request.context)
             calls = [(ref, item.operation, item.args, item.kwargs) for item, ref in members]
             if self._socket_transport is not None:
                 hop = functools.partial(self._wire_batch, owner, calls, context, envelope)

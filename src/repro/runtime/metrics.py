@@ -171,13 +171,13 @@ class MetricsRegistry:
         """
         from repro.middleware.envelope import will_retry
 
-        def metrics_element(envelope, proceed):
+        def metrics_element(envelope, next):
             if envelope.label is None:
-                return proceed()
+                return next(envelope)
             node = envelope.target or "?"
             started = time.perf_counter()
             try:
-                result = proceed()
+                result = next(envelope)
             except Exception as exc:
                 if not will_retry(envelope, exc):
                     self.record(

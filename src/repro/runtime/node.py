@@ -32,6 +32,7 @@ socket-mode listeners and worker hosts alike.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.witness import named_lock
@@ -40,7 +41,7 @@ from repro.core.runtime import MiddlewareServices
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
 from repro.middleware.bus import ObjectRefData, Response, marshal
 from repro.middleware.naming import NamingService
-from repro.middleware.envelope import Envelope, delivering
+from repro.middleware.envelope import Envelope, delivery_stack
 from repro.middleware.rpc import proxy_ref
 from repro.runtime.dispatch import ConcurrentDispatcher, SerialDispatcher
 
@@ -242,7 +243,7 @@ class Node:
 
     # -- request entry point -----------------------------------------------------
 
-    def _runner(
+    def _run(
         self,
         ref: ObjectRefData,
         operation: str,
@@ -259,15 +260,19 @@ class Node:
         calls the servant makes (cross-node nested dispatch) inherit it.
         """
         orb = self.services.orb
-
-        def run():
-            with delivering(context):
-                if context:
-                    with orb.call_context(**context):
-                        return orb.invoke(ref, operation, args, kwargs)
+        deliveries = delivery_stack()
+        deliveries.append(dict(context or {}))
+        try:
+            if not context:
                 return orb.invoke(ref, operation, args, kwargs)
-
-        return run
+            frames = orb.context_stack
+            frames.append(dict(context))
+            try:
+                return orb.invoke(ref, operation, args, kwargs)
+            finally:
+                frames.pop()
+        finally:
+            deliveries.pop()
 
     def invoke(
         self,
@@ -279,7 +284,8 @@ class Node:
     ):
         """Execute a request against a local servant through the dispatcher."""
         return self.dispatcher.dispatch(
-            ref.object_id, self._runner(ref, operation, args, kwargs, context)
+            ref.object_id,
+            functools.partial(self._run, ref, operation, args, kwargs, context),
         )
 
     def invoke_batch(
@@ -305,7 +311,8 @@ class Node:
             if previous is not None:
                 previous.exception()  # wait; the outcome is read below
             future = self.dispatcher.submit(
-                ref.object_id, self._runner(ref, operation, args, kwargs, context)
+                ref.object_id,
+                functools.partial(self._run, ref, operation, args, kwargs, context),
             )
             last_by_servant[ref.object_id] = future
             pending.append(future)

@@ -1,7 +1,8 @@
 """Distributed tracing woven into the interceptor chains.
 
 A :class:`TraceContext` rides the envelope's propagated request context
-(under the ``"trace"`` key) through ``delivering()``, exactly like
+(under the ``"trace"`` key) through the delivery context
+(:func:`~repro.middleware.envelope.delivery_stack`), exactly like
 credentials do, so every hop — sync, queued, nested servant-to-servant,
 bus-level dispatch — can parent its span correctly without any side
 channel.
@@ -315,13 +316,13 @@ class Tracer:
         reads directly off the tree shape.
         """
 
-        def trace_element(envelope, proceed):
+        def trace_element(envelope, next):
             if not self.enabled:
-                return proceed()
+                return next(envelope)
             context = envelope.request.context
             ctx = context.get(TRACE_KEY) if isinstance(context, dict) else None
             if not ctx:
-                return proceed()
+                return next(envelope)
             parent = getattr(envelope, "_trace_retry_parent", None)
             span = self._open(
                 ctx["trace_id"],
@@ -345,7 +346,7 @@ class Tracer:
             }
             self._push(span)
             try:
-                result = proceed()
+                result = next(envelope)
             except Exception as exc:
                 span.status = "error"
                 span.error = type(exc).__name__
@@ -371,15 +372,15 @@ class Tracer:
         status is read off the Response rather than an exception.
         """
 
-        def bus_trace_element(envelope, proceed):
+        def bus_trace_element(envelope, next):
             if not self.enabled:
-                return proceed()
+                return next(envelope)
             context = envelope.request.context
             ctx = context.get(TRACE_KEY) if isinstance(context, dict) else None
             if not ctx:
                 ctx = delivery_context_value(TRACE_KEY)
             if not ctx:
-                return proceed()
+                return next(envelope)
             span = self._open(
                 ctx["trace_id"],
                 ctx["span_id"],
@@ -390,7 +391,7 @@ class Tracer:
             )
             self._push(span)
             try:
-                response = proceed()
+                response = next(envelope)
             except Exception as exc:
                 span.status = "error"
                 span.error = type(exc).__name__

@@ -1,11 +1,19 @@
 """The synchronous call path pays only for machinery it uses.
 
 A synchronous call returns its value through ``Transport.call`` without
-building a reply future; a repeated ring lookup and a static join
-point's advice grouping each cost no per-call hash or allocation.
+building a reply future and without opening a generator context
+manager; a repeated ring lookup and a static join point's advice plan
+each cost no per-call hash or allocation, and the whole warmed call
+stays under a recorded ceiling of Python-level calls.
 """
 
+import contextlib
+import os
+import sys
+
 import pytest
+
+import repro
 
 from repro.aop import AdviceKind, Aspect, JoinPoint, JoinPointKind, Weaver
 from repro.errors import MiddlewareError, RemoteInvocationError
@@ -86,6 +94,139 @@ class TestNoReplyFutureOnSynchronousCalls:
             federation.shutdown()
 
 
+def _echo_federation(user=None):
+    """The benchmark's echo shape: a ``Counter`` woven with the
+    distribution concern, 2 serial nodes, 4 single-servant partitions,
+    no injected latency anywhere, warmed up.  Returns ``(federation,
+    call)``, ``call(i)`` bumping Counter ``i % 4`` through a client."""
+    from repro.deploy import DeploymentCompiler, register_application
+    from repro.deploy.spec import (
+        ApplicationSpec,
+        ConcernSpec,
+        DeploymentSpec,
+        NodeSpec,
+        PartitionSpec,
+        ServantSpec,
+        UserSpec,
+    )
+    from repro.uml import (
+        add_attribute,
+        add_class,
+        add_operation,
+        add_package,
+        apply_stereotype,
+        ensure_primitives,
+        new_model,
+    )
+
+    def build_counter_pim():
+        resource, model = new_model("counter")
+        prims = ensure_primitives(model)
+        counter = add_class(add_package(model, "echo"), "Counter")
+        add_attribute(counter, "value", prims["Real"])
+        bump = add_operation(
+            counter, "bump", [("amount", prims["Real"])], return_type=prims["Real"]
+        )
+        apply_stereotype(
+            bump, "PythonBody", body="self.value += amount\nreturn self.value"
+        )
+        return resource
+
+    register_application("test:hot-path-counter", build_counter_pim)
+    names = [f"counter-{k}/Counter/0" for k in range(4)]
+    spec = DeploymentSpec(
+        name="hot-path-echo",
+        application=ApplicationSpec(
+            name="counter",
+            builder="test:hot-path-counter",
+            concerns=(
+                ConcernSpec(
+                    concern="distribution",
+                    params={"server_classes": ["Counter"], "registry_prefix": "echo"},
+                ),
+            ),
+        ),
+        nodes=(NodeSpec(name="node-0"), NodeSpec(name="node-1")),
+        partitions=tuple(
+            PartitionSpec(
+                key=name.split("/")[0],
+                servants=(ServantSpec(name=name, type_name="Counter", state={"value": 0.0}),),
+            )
+            for name in names
+        ),
+        users=() if user is None else (UserSpec(name=user, password="pw"),),
+        sim_latency_ms=0.0,
+        real_latency_ms=0.0,
+        seed=1,
+    )
+    federation = DeploymentCompiler().deploy(spec)
+    for node in federation.nodes.values():
+        node.services.bus.latency_ms = 0.0
+    client = FederationClient(federation, user, None if user is None else "pw")
+
+    def call(i):
+        return client.call(names[i % 4], "bump", 1.0)
+
+    for i in range(64):
+        call(i)
+    return federation, call
+
+
+class TestNoGeneratorContextManagers:
+    def test_warmed_routed_call_opens_none(self, monkeypatch):
+        # with credentials, so the node also re-establishes the caller's
+        # ORB call context around the servant
+        federation, call = _echo_federation(user="alice")
+        opened = []
+        original = contextlib._GeneratorContextManager.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            contextlib._GeneratorContextManager, "__init__", counting_init
+        )
+        try:
+            for i in range(20):
+                assert call(i) == 16.0 + (i // 4 + 1)
+            assert opened == []
+        finally:
+            federation.shutdown()
+
+
+class TestCallCountCeiling:
+    #: Python-level calls inside ``src/repro`` per warmed echo call;
+    #: raise it only with a reason (the call path is meant to shrink)
+    CEILING = 129
+
+    def test_warmed_echo_call_stays_under_the_ceiling(self):
+        federation, call = _echo_federation()
+        root = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+        # the lock witness (REPRO_LOCK_WITNESS) is instrumentation, not
+        # part of the call path
+        witness = os.path.join(root, "analysis") + os.sep
+        counted = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                path = frame.f_code.co_filename
+                if path.startswith(root) and not path.startswith(witness):
+                    counted[0] += 1
+
+        calls = 200
+        try:
+            sys.setprofile(profile)
+            try:
+                for i in range(calls):
+                    call(i)
+            finally:
+                sys.setprofile(None)
+        finally:
+            federation.shutdown()
+        assert counted[0] / calls <= self.CEILING
+
+
 class TestAdviceGroupingMemo:
     def test_static_join_point_reuses_its_lists_until_redeploy(self):
         weaver = Weaver()
@@ -94,23 +235,27 @@ class TestAdviceGroupingMemo:
         weaver.deploy(first)
         point = JoinPoint(JoinPointKind.EXECUTION, None, "Account", "deposit")
 
-        grouped = weaver._collect(point)
-        again = weaver._collect(point)
-        assert len(grouped[AdviceKind.BEFORE]) == 1
-        for kind in AdviceKind:
-            assert again[kind] is grouped[kind]
+        plan = weaver._plan(point)
+        assert len(plan.before) == 1
+        assert weaver._plan(point) is plan
 
         second = Aspect("second")
         second.add_advice(AdviceKind.AFTER, "call(Account.*)", lambda j: None)
         weaver.deploy(second)
-        deployed = weaver._collect(point)
-        assert deployed[AdviceKind.BEFORE] is not grouped[AdviceKind.BEFORE]
-        assert len(deployed[AdviceKind.AFTER]) == 1
+        deployed = weaver._plan(point)
+        assert deployed is not plan
+        assert deployed.before == plan.before
+        assert len(deployed.after) == 1
+        assert weaver._plan(point) is deployed
 
         weaver.undeploy(second)
-        undeployed = weaver._collect(point)
-        assert undeployed[AdviceKind.BEFORE] is not deployed[AdviceKind.BEFORE]
-        assert undeployed[AdviceKind.AFTER] == []
+        undeployed = weaver._plan(point)
+        assert undeployed is not deployed
+        assert undeployed.before == plan.before
+        assert undeployed.after == ()
+
+        weaver.undeploy(first)
+        assert weaver._plan(point) is None
 
 
 class TestRingOwnerCache:

@@ -408,6 +408,35 @@ class TestLocks:
         ).stdout
         assert out.strip() == "False"
 
+    def test_runtime_import_leaves_analyzer_and_scenario_runner_unloaded(self):
+        # every named lock imports repro.analysis.witness, which runs the
+        # package's __init__; the static analyzer must not ride along,
+        # and neither may the scenario runner a node never uses
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        unneeded = [
+            f"repro.analysis.{name}"
+            for name in ("lockscan", "lockgraph", "baseline", "report")
+        ] + ["repro.runtime.harness", "repro.runtime.scenarios"]
+        probe = (
+            "import sys, repro.cli, repro.runtime, repro.deploy.compiler; "
+            f"print([name for name in {unneeded!r} if name in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_statistics(self):
         locks = LockManager()
         locks.acquire("t1", "k", LockMode.WRITE)

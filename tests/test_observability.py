@@ -191,7 +191,8 @@ def _envelope(label, retries=0):
 
 
 def _drive(element, env, outcomes):
-    """Replay the transport's retry loop over ``outcomes`` thunks."""
+    """Replay the transport's retry loop over ``outcomes``, each a
+    continuation taking the envelope."""
     last = None
     for attempt, thunk in enumerate(outcomes):
         env.attempt = attempt
@@ -208,10 +209,10 @@ def test_metrics_element_records_once_across_retries():
     element = registry.element()
     env = _envelope("Bank.transfer", retries=2)
 
-    def fail():
+    def fail(envelope):
         raise MiddlewareError("injected")
 
-    assert _drive(element, env, [fail, fail, lambda: "ok"]) == "ok"
+    assert _drive(element, env, [fail, fail, lambda e: "ok"]) == "ok"
     series = registry.snapshot()["operations"]["Bank.transfer"]
     assert series["count"] == 1
     assert series["errors"] == 0
@@ -223,7 +224,7 @@ def test_metrics_element_records_final_failed_attempt():
     element = registry.element()
     env = _envelope("Bank.transfer", retries=1)
 
-    def fail():
+    def fail(envelope):
         raise MiddlewareError("injected")
 
     with pytest.raises(MiddlewareError):
@@ -238,7 +239,7 @@ def test_metrics_element_skips_labelless_batch_envelopes():
     registry.start()
     element = registry.element()
     env = _envelope(None)
-    assert element(env, lambda: "ok") == "ok"
+    assert element(env, lambda e: "ok") == "ok"
     assert registry.total_requests() == 0
 
 
@@ -279,10 +280,10 @@ def test_tracer_tree_and_critical_path():
     with tracer.client_span("Bank.op", trace_id):
         env = _hop_env("Bank.op", {TRACE_KEY: tracer.current_headers()})
 
-        def deliver():
-            bus_env = _hop_env("op", dict(env.request.context))
+        def deliver(envelope):
+            bus_env = _hop_env("op", dict(envelope.request.context))
             return bus_element(
-                bus_env, lambda: SimpleNamespace(is_error=False)
+                bus_env, lambda e: SimpleNamespace(is_error=False)
             )
 
         hop_element(env, deliver)
@@ -311,7 +312,7 @@ def test_tracer_disabled_and_unsampled_are_noops():
     with tracer.client_span("op", Tracer.trace_id_for(1, 0, 0)) as span:
         assert span is None
     env = _hop_env("op", {})
-    assert tracer.element()(env, lambda: "ok") == "ok"
+    assert tracer.element()(env, lambda e: "ok") == "ok"
     assert tracer.spans() == []
     tracer.enabled = True
     tracer.sample_rate = 0.0

@@ -165,37 +165,42 @@ class TestInterceptorChain:
         trace = []
 
         def element(tag):
-            def run(envelope, proceed):
+            def run(envelope, next):
                 trace.append(f"{tag}>")
-                value = proceed()
+                value = next(envelope)
                 trace.append(f"<{tag}")
                 return value
 
             return run
 
         chain.add("outer", element("a")).add("inner", element("b"))
-        result = chain.execute(make_envelope(), lambda: trace.append("T") or "r")
-        assert result == "r"
+        envelope = make_envelope()
+
+        def terminal(delivered):
+            trace.append("T")
+            return "r" if delivered is envelope else "another envelope"
+
+        assert chain.execute(envelope, terminal) == "r"
         assert trace == ["a>", "b>", "T", "<b", "<a"]
 
     def test_before_after_placement(self):
         chain = InterceptorChain()
-        chain.add("b", lambda e, p: p())
-        chain.add("a", lambda e, p: p(), before="b")
-        chain.add("c", lambda e, p: p(), after="b")
+        chain.add("b", lambda e, p: p(e))
+        chain.add("a", lambda e, p: p(e), before="b")
+        chain.add("c", lambda e, p: p(e), after="b")
         assert chain.names() == ["a", "b", "c"]
 
     def test_duplicate_and_unknown_names_rejected(self):
         chain = InterceptorChain()
-        chain.add("x", lambda e, p: p())
+        chain.add("x", lambda e, p: p(e))
         with pytest.raises(PipelineError, match="already"):
-            chain.add("x", lambda e, p: p())
+            chain.add("x", lambda e, p: p(e))
         with pytest.raises(PipelineError, match="no interceptor"):
             chain.remove("ghost")
 
     def test_remove_returns_element(self):
         chain = InterceptorChain()
-        marker = lambda e, p: p()  # noqa: E731
+        marker = lambda e, p: p(e)  # noqa: E731
         chain.add("x", marker)
         assert chain.remove("x") is marker
         assert not chain.has("x")
@@ -203,7 +208,83 @@ class TestInterceptorChain:
     def test_element_can_short_circuit(self):
         chain = InterceptorChain()
         chain.add("gate", lambda e, p: "cached")
-        assert chain.execute(make_envelope(), lambda: "never") == "cached"
+        assert chain.execute(make_envelope(), lambda e: "never") == "cached"
+
+    def test_edits_apply_from_the_next_execute(self):
+        chain = InterceptorChain()
+        seen = []
+
+        def tag(name):
+            def run(envelope, next):
+                seen.append(name)
+                return next(envelope)
+
+            return run
+
+        def run_once():
+            seen.clear()
+            assert chain.execute(make_envelope(), lambda e: "r") == "r"
+            return list(seen)
+
+        assert run_once() == []
+        chain.add("b", tag("b"))
+        assert run_once() == ["b"]
+        chain.add("a", tag("a"), before="b")
+        chain.add("d", tag("d"))
+        chain.add("c", tag("c"), after="b")
+        assert run_once() == ["a", "b", "c", "d"]
+        chain.remove("b")
+        assert run_once() == ["a", "c", "d"]
+        chain.remove("a")
+        chain.remove("d")
+        chain.add("e", tag("e"), before="c")
+        assert run_once() == ["e", "c"]
+        chain.remove("c")
+        chain.remove("e")
+        assert run_once() == []
+
+    def test_in_flight_execute_finishes_on_its_pipeline(self):
+        chain = InterceptorChain()
+        entered, edited = threading.Event(), threading.Event()
+        seen = []
+
+        def first(envelope, next):
+            seen.append("first")
+            entered.set()
+            assert edited.wait(5.0)
+            return next(envelope)
+
+        def second(envelope, next):
+            seen.append("second")
+            return next(envelope)
+
+        def inserted(envelope, next):
+            seen.append("inserted")
+            return next(envelope)
+
+        chain.add("first", first).add("second", second)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(
+                chain.execute(make_envelope(), lambda e: "done")
+            )
+        )
+        caller.start()
+        try:
+            assert entered.wait(5.0)
+            # edited while the call sits inside "first": removing what
+            # it has not reached yet, and adding before it, must not
+            # change the pipeline that call runs on
+            chain.remove("second")
+            chain.add("inserted", inserted, before="first")
+        finally:
+            edited.set()
+            caller.join(5.0)
+        assert results == ["done"]
+        assert seen == ["first", "second"]
+        seen.clear()
+        assert chain.execute(make_envelope(), lambda e: "again") == "again"
+        assert seen == ["inserted", "first"]
 
 
 # ---------------------------------------------------------------------------

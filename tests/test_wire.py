@@ -17,6 +17,7 @@ angles:
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     MarshallingError,
@@ -25,7 +26,7 @@ from repro.errors import (
     ProtocolError,
     AccessDeniedError,
 )
-from repro.middleware.bus import ObjectRefData, Request, marshal
+from repro.middleware.bus import ObjectRefData, Request, marshal, wire_size
 from repro.middleware.envelope import Envelope, QoS
 from repro.middleware.wire import (
     FAULT,
@@ -128,6 +129,87 @@ def test_property_round_trip_over_marshalled_payloads():
         value = _random_value(rng)
         marshalled = marshal(value)  # the same contract, asserted
         assert decode_value(encode_value(marshalled)) == marshalled
+
+
+# ---------------------------------------------------------------------------
+# the bus's byte statistic
+# ---------------------------------------------------------------------------
+
+
+def _reference_wire_size(value) -> int:
+    """The ``isinstance`` cascade ``wire_size`` was before it dispatched
+    on exact types first: the sizes it must keep giving."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, (list, tuple)):
+        return 2 + sum(_reference_wire_size(item) for item in value)
+    if isinstance(value, dict):
+        return 2 + sum(len(k) + _reference_wire_size(v) for k, v in value.items())
+    if isinstance(value, ObjectRefData):
+        return len(value.object_id) + len(value.type_name)
+    return 8
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _subclassed(value, rng):
+    """``value`` with some of its ints, strs, lists and dicts (keys
+    included) replaced by equal instances of subclasses."""
+    swap = rng.random() < 0.5
+    if type(value) is int and swap:
+        return _Int(value)
+    if type(value) is str and swap:
+        return _Str(value)
+    if type(value) in (list, tuple):
+        items = [_subclassed(item, rng) for item in value]
+        if type(value) is tuple:
+            return tuple(items)
+        return _List(items) if swap else items
+    if type(value) is dict:
+        items = {
+            _subclassed(key, rng): _subclassed(item, rng) for key, item in value.items()
+        }
+        return _Dict(items) if swap else items
+    return value
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_wire_size_matches_the_isinstance_cascade(rng, subclass):
+    value = _random_value(rng)
+    if subclass:
+        value = _subclassed(value, rng)
+    assert wire_size(value) == _reference_wire_size(value)
+    marshalled = marshal(value)  # what the bus actually sizes
+    assert wire_size(marshalled) == _reference_wire_size(marshalled)
+
+
+def test_wire_size_of_every_scalar_and_subclass():
+    extra = [_Int(7), _Str("sub é"), _List([1, "x"]), _Dict(k=[b"ab"]), (1, ()), 1 + 2j]
+    for value in SCALARS + extra:
+        assert wire_size(value) == _reference_wire_size(value), value
 
 
 def test_non_string_dict_keys_are_rejected():
