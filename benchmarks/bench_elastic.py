@@ -66,7 +66,7 @@ MODULE = type("BenchElasticModule", (), {"Account": Account})
 def build_federation(nodes=NODES, partitions=PARTITIONS, replication=0):
     federation = Federation(seed=1, latency_ms=0.0)
     for i in range(nodes):
-        federation.add_node(f"node-{i}").module = MODULE
+        federation.join(f"node-{i}").module = MODULE
     names = []
     for k in range(partitions):
         partition = f"acct-{k}"

@@ -66,7 +66,7 @@ MODULE = type("BenchReplicationModule", (), {"Account": Account})
 def build_federation(size):
     federation = Federation(seed=1, latency_ms=0.0)
     for i in range(2):
-        federation.add_node(f"node-{i}").module = MODULE
+        federation.join(f"node-{i}").module = MODULE
     owner = federation.node_for(PARTITION)
     names = []
     for i in range(size):

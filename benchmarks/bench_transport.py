@@ -61,7 +61,7 @@ def build_federation(nodes=2, accounts=8, delivery_workers=2):
         delivery_workers=delivery_workers,
     )
     for i in range(nodes):
-        federation.add_node(f"node-{i}", workers=4)
+        federation.join(f"node-{i}", workers=4)
     servants = {}
     for k in range(accounts):
         partition = f"branch-{k}"

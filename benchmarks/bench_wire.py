@@ -236,7 +236,7 @@ def _loopback_throughput(transport):
     federation = Federation(latency_ms=0.0, transport=transport)
     try:
         for i in range(2):
-            federation.add_node(f"node-{i}").host(None, MODULE)
+            federation.join(f"node-{i}").host(None, MODULE)
         names = []
         for k in range(4):
             name = f"part-{k}/Counter/0"

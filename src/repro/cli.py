@@ -213,7 +213,7 @@ def _cmd_deploy(args) -> int:
         finally:
             federation.shutdown()
         return 0
-    # default: dry-run compile — print the ordered bootstrap plan
+    # default: dry-run compile — print the migration plan from the empty spec
     print(compiler.compile(spec).describe())
     return 0
 
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate, compile, diff, or apply a declarative deployment spec",
         description="Drive the declarative deployment API: load a "
         "DeploymentSpec JSON file and either validate it (--check), "
-        "print the ordered bootstrap plan a deployment would execute "
+        "print the migration plan a deployment would execute "
         "(default dry-run), print the spec diff and migration plan "
         "against a second spec (--diff), or materialize the spec as a "
         "live simulated federation and reconcile it onto a target spec "

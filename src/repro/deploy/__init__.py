@@ -9,25 +9,26 @@ application runs):
   topology, servant placement + initial state + read-only operation
   classification, replication, fault campaign, QoS profiles, users.
   Lossless JSON round-trip, referential validation, stable digest.
-* :mod:`repro.deploy.compiler` — :class:`DeploymentCompiler`: lower a
-  spec through the configuration pipeline into a :class:`BootstrapPlan`
-  and materialize it as a live
+* :mod:`repro.deploy.compiler` — :class:`DeploymentCompiler`: resolve
+  and schedule a spec's application through the configuration
+  pipeline, lower the spec into the :class:`MigrationPlan` from the
+  empty spec, and materialize it as a live
   :class:`~repro.runtime.federation.Federation`
   (``deploy(spec) -> Federation``).
 * :mod:`repro.deploy.reconcile` — :class:`DeploymentDiff` /
   :class:`MigrationPlan`: reconfiguration as a spec diff executed
   through the migration-gate machinery (``apply(federation, target)``),
-  with ``Federation.current_spec()`` as the drift-check inverse.
+  with ``Federation.current_spec()`` as the drift-check inverse.  A
+  deployment executes the same plan, so there is one path from spec to
+  running federation.
 """
 
 from repro.deploy.compiler import (
-    BootstrapPlan,
-    BootstrapStep,
     DeploymentCompiler,
+    empty_spec,
     extract_spec,
     register_application,
     resolve_application,
-    timed_deploy,
 )
 from repro.deploy.reconcile import (
     DeploymentDiff,
@@ -54,8 +55,6 @@ from repro.deploy.spec import (
 __all__ = [
     "SPEC_FORMAT",
     "ApplicationSpec",
-    "BootstrapPlan",
-    "BootstrapStep",
     "ConcernSpec",
     "DeploymentCompiler",
     "DeploymentDiff",
@@ -72,8 +71,8 @@ __all__ = [
     "ServantSpec",
     "UserSpec",
     "apply",
+    "empty_spec",
     "extract_spec",
     "register_application",
     "resolve_application",
-    "timed_deploy",
 ]

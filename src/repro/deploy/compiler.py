@@ -1,28 +1,31 @@
 """Compile a :class:`~repro.deploy.spec.DeploymentSpec` into a running federation.
 
 The compiler is the single seam between the declarative model and the
-runtime: ``deploy(spec) -> Federation``.  Lowering happens in two
-phases, mirroring the configuration pipeline's plan/schedule/execute
-split:
+runtime: ``deploy(spec) -> Federation``.  A deployment is the
+reconciler's plan from the *empty spec* (:func:`empty_spec`, what a
+fresh federation reads back), so every spec section has one
+materialization, shared by bring-up and live reconfiguration.
+Lowering happens in two phases, mirroring the configuration
+pipeline's plan/schedule/execute split:
 
 1. :meth:`DeploymentCompiler.compile` — *no side effects*: validate the
    spec, resolve the application PIM (builder registry or XMI file),
    bind the concern selections as a
-   :class:`~repro.pipeline.ConfigurationPlan`, and schedule them through
-   the pipeline's precedence DAG.  The result is a
-   :class:`BootstrapPlan` — the ordered step list a deployment will
-   execute, inspectable before anything runs (the CLI's dry-run).
+   :class:`~repro.pipeline.ConfigurationPlan`, schedule them through
+   the pipeline's precedence DAG, and diff the empty spec into the
+   spec.  The result is a :class:`~repro.deploy.reconcile.MigrationPlan`
+   carrying the resolved application — inspectable before anything
+   runs (the CLI's dry-run).
 
-2. :meth:`DeploymentCompiler.deploy` — execute the bootstrap plan:
-   create the federation, refine the application *once* on a vendor
-   lifecycle (driven through the batched pipeline executor), ship it as
-   a :class:`~repro.core.shipping.ComponentPackage`, and replay that
-   package on every node — so all members (including any node that
-   joins later) host the byte-identical artifact.  Then materialize
-   servants from their :class:`~repro.deploy.spec.ServantSpec` state,
-   provision users, register read-only operation classifications
-   (mutation tracking for replication narrowing), declare per-binding
-   QoS defaults, arm the fault campaign, and enable replication.
+2. :meth:`DeploymentCompiler.deploy` — create the federation, refine
+   the application *once* on a vendor lifecycle (driven through the
+   batched pipeline executor), ship it as a
+   :class:`~repro.core.shipping.ComponentPackage`, and execute the
+   plan: users, one ``join`` per node (each replays the package, so
+   every member hosts the byte-identical artifact), read-only
+   classification, servants from their
+   :class:`~repro.deploy.spec.ServantSpec` state, replication, QoS
+   defaults, the fault campaign and observability knobs.
 
 ``extract_spec`` is the inverse projection: a live federation back into
 a :class:`DeploymentSpec` (``Federation.current_spec()``), which is what
@@ -31,10 +34,10 @@ the reconciler diffs a target spec against.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import dataclasses
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.deploy.reconcile import DeploymentDiff, MigrationPlan
 from repro.deploy.spec import (
     ApplicationSpec,
     DeploymentSpec,
@@ -101,42 +104,25 @@ def concern_plan(app: ApplicationSpec):
     return plan
 
 
-@dataclass
-class BootstrapStep:
-    """One ordered action of a deployment bootstrap."""
-
-    kind: str
-    detail: str
-
-    def __str__(self):
-        return f"{self.kind}: {self.detail}"
-
-
-@dataclass
-class BootstrapPlan:
-    """The executable lowering of a spec — inspectable before it runs."""
-
-    spec: DeploymentSpec
-    steps: List[BootstrapStep] = field(default_factory=list)
-    #: the scheduled concern batches (pipeline Schedule), for reporting
-    schedule: Any = None
-    #: the resolved PIM resource and bound concern plan — deploy()
-    #: refines exactly these, so the (possibly expensive) application
-    #: resolution happens once per deployment, not once per phase
-    resource: Any = None
-    concern_plan: Any = None
-
-    def add(self, kind: str, detail: str) -> None:
-        self.steps.append(BootstrapStep(kind, detail))
-
-    def describe(self) -> str:
-        lines = [f"bootstrap plan for {self.spec.name!r} ({len(self.steps)} steps):"]
-        lines.extend(f"  {i + 1:2d}. {step}" for i, step in enumerate(self.steps))
-        return "\n".join(lines)
+def empty_spec(spec: DeploymentSpec) -> DeploymentSpec:
+    """The spec a fresh federation built for ``spec`` reads back through
+    ``current_spec()``: no nodes, partitions, users, replication or fault
+    sites, and default observability knobs — the application, QoS
+    profiles, latencies, delivery workers, seed and transport as
+    ``spec`` declares them.  A deployment is the plan from here."""
+    return dataclasses.replace(
+        spec,
+        nodes=(),
+        partitions=(),
+        users=(),
+        replication=ReplicationSpec(),
+        faults=FaultCampaignSpec(),
+        observability=ObservabilitySpec(),
+    )
 
 
 class DeploymentCompiler:
-    """Turns a validated spec into a bootstrap plan and a live federation."""
+    """Turns a validated spec into a deploy plan and a live federation."""
 
     def __init__(self, registry=None):
         if registry is None:
@@ -147,76 +133,18 @@ class DeploymentCompiler:
 
     # -- phase 1: lowering (no side effects) ------------------------------------
 
-    def compile(self, spec: DeploymentSpec) -> BootstrapPlan:
+    def compile(self, spec: DeploymentSpec) -> MigrationPlan:
         """Validate + lower: application resolved, concerns scheduled,
-        bootstrap steps ordered.  Touches nothing live."""
-        spec.validate()
+        and the spec diffed from :func:`empty_spec` into the migration
+        plan a deployment executes.  Touches nothing live."""
         from repro.pipeline import Scheduler
 
-        resource = resolve_application(spec.application)
-        plan = BootstrapPlan(spec)
-        cplan = concern_plan(spec.application)
-        steps = cplan.bind(self.registry)
-        schedule = Scheduler().schedule(steps)
-        plan.schedule = schedule
-        plan.resource = resource
-        plan.concern_plan = cplan
-        model = resource.roots[0]
-        plan.add(
-            "application",
-            f"refine {model.name!r} through {len(spec.application.concerns)} "
-            f"concern(s) in {len(schedule.batches)} pipeline batch(es); "
-            "ship once, replay per node",
-        )
-        for node in spec.nodes:
-            mode = f"{node.workers} workers" if node.workers else "serial"
-            plan.add("node", f"create {node.name!r} ({mode})")
-        for partition in spec.partitions:
-            plan.add(
-                "partition",
-                f"bind {len(partition.servants)} servant(s) under "
-                f"{partition.key!r}",
-            )
-        for user in spec.users:
-            plan.add("user", f"provision {user.name!r} roles={list(user.roles)}")
-        read_only = spec.read_only_by_type()
-        if any(read_only.values()):
-            plan.add(
-                "classification",
-                "mark read-only ops: "
-                + ", ".join(
-                    f"{type_name}={sorted(ops)}"
-                    for type_name, ops in sorted(read_only.items())
-                    if ops
-                ),
-            )
-        for pattern, profile in self._binding_qos(spec):
-            plan.add("qos", f"default {profile.name!r} for bindings {pattern!r}")
-        for site in spec.faults.effective_sites():
-            plan.add("fault", f"arm {site.site!r} p={site.probability}")
-        if spec.replication.count > 0:
-            plan.add(
-                "replication",
-                f"enable {spec.replication.count} standby(s) per partition "
-                f"(snapshot every {spec.replication.snapshot_every})",
-            )
-        obs = spec.observability
-        plan.add(
-            "observability",
-            f"sample {obs.sample_rate:.0%} of traces, slow-call threshold "
-            f"{obs.slow_call_ms:g} ms, event log <= {obs.event_log_capacity}, "
-            f"span ring <= {obs.span_capacity}",
-        )
+        # between() validates the spec before anything is resolved
+        plan = DeploymentDiff.between(empty_spec(spec), spec).plan()
+        plan.resource = resolve_application(spec.application)
+        plan.concern_plan = concern_plan(spec.application)
+        plan.schedule = Scheduler().schedule(plan.concern_plan.bind(self.registry))
         return plan
-
-    @staticmethod
-    def _binding_qos(spec: DeploymentSpec):
-        """(binding pattern, QoSProfile) pairs declared by servant specs."""
-        pairs = []
-        for _partition, servant in spec.servants():
-            if servant.qos is not None:
-                pairs.append((servant.name, spec.profile(servant.qos)))
-        return pairs
 
     # -- phase 2: materialization -------------------------------------------------
 
@@ -225,7 +153,7 @@ class DeploymentCompiler:
         from repro.core import MdaLifecycle, MiddlewareServices, ship
         from repro.runtime.federation import Federation
 
-        bootstrap = self.compile(spec)
+        plan = self.compile(spec)
         federation = Federation(
             seed=spec.seed,
             latency_ms=spec.sim_latency_ms,
@@ -235,50 +163,20 @@ class DeploymentCompiler:
             transport=spec.transport,
         )
         try:
-            for index, node_spec in enumerate(spec.nodes):
-                federation.add_node(
-                    node_spec.name,
-                    workers=node_spec.workers,
-                    seed=(
-                        node_spec.seed
-                        if node_spec.seed is not None
-                        else spec.seed * 31 + index
-                    ),
-                )
             # the vendor side refines once, through the pipeline — on
             # the resource the compile phase already resolved; every
-            # node replays the shipped package against its own services
+            # node the plan joins replays the shipped package against
+            # its own services
             vendor = MdaLifecycle(
-                bootstrap.resource,
+                plan.resource,
                 registry=self.registry,
                 services=MiddlewareServices.create(),
             )
             if spec.application.concerns:
-                vendor.apply_plan(bootstrap.concern_plan)
+                vendor.apply_plan(plan.concern_plan)
             federation.app_package = ship(vendor)
-            for node in federation.nodes.values():
-                self.deploy_node(federation, node)
-            for type_name, ops in sorted(spec.read_only_by_type().items()):
-                if ops:
-                    federation.mark_read_only(type_name, ops)
-            for partition in spec.partitions:
-                owner = federation.node_for(partition.key)
-                for servant in partition.servants:
-                    owner.create(servant.name, servant.type_name, servant.state)
-            for user in spec.users:
-                federation.add_user(user.name, user.password, roles=user.roles)
-            for pattern, profile in self._binding_qos(spec):
-                federation.set_binding_qos(pattern, profile.to_qos())
-            for site in spec.faults.effective_sites():
-                federation.configure_fault(site.site, site.probability)
-            if spec.replication.count > 0:
-                federation.enable_replication(
-                    spec.replication.count,
-                    snapshot_every=spec.replication.snapshot_every,
-                )
-            federation.observability.configure(spec.observability)
+            plan.execute(federation)
             federation.spec = spec
-            federation.bootstrap_plan = bootstrap
             return federation
         except BaseException:
             federation.shutdown()
@@ -412,14 +310,3 @@ def extract_spec(federation, include_state: bool = False) -> DeploymentSpec:
         seed=deployed.seed if deployed is not None else federation.seed,
         transport=federation.transport_mode,
     )
-
-
-def timed_deploy(spec: DeploymentSpec, registry=None):
-    """(federation, compile_s, bootstrap_s) — the benchmark's view."""
-    compiler = DeploymentCompiler(registry=registry)
-    started = time.perf_counter()
-    compiler.compile(spec)
-    compiled = time.perf_counter()
-    federation = compiler.deploy(spec)
-    deployed = time.perf_counter()
-    return federation, compiled - started, deployed - compiled

@@ -13,7 +13,9 @@ replication, effective fault sites — and compiles the difference into a
 :class:`MigrationPlan`: an ordered list of elastic actions executed
 through the existing migration-gate machinery (frozen partitions,
 quiesced in-flight envelopes, atomic epoch swaps), so applying a plan
-under live traffic fails no in-flight calls.
+under live traffic fails no in-flight calls.  A deployment is the same
+plan from the empty spec (``DeploymentCompiler.compile``), so bring-up
+and reconfiguration share one materialization per spec section.
 
 Plan order is canonical and capacity-safe: **additions before
 removals**.  Joins run first and retires run last, so a diff that both
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.deploy.compiler import DeploymentCompiler
 from repro.deploy.spec import DeploymentSpec, ServantSpec
 from repro.errors import DeploymentError
 
@@ -61,6 +62,13 @@ class MigrationPlan:
     current_digest: str
     target_digest: str
     actions: List[MigrationAction] = field(default_factory=list)
+    #: set on a deploy plan (``DeploymentCompiler.compile``): the
+    #: resolved PIM resource, the bound concern plan and its scheduled
+    #: pipeline batches — deploy() refines exactly these, so the
+    #: application is resolved once per deployment
+    resource: Any = None
+    concern_plan: Any = None
+    schedule: Any = None
 
     @property
     def empty(self) -> bool:
@@ -70,9 +78,18 @@ class MigrationPlan:
         self.actions.append(MigrationAction(kind, detail, payload))
 
     def describe(self) -> str:
+        lines = []
+        if self.resource is not None:
+            lines.append(
+                f"application: refine {self.resource.roots[0].name!r} through "
+                f"{len(self.concern_plan)} concern(s) in "
+                f"{len(self.schedule.batches)} pipeline batch(es); ship once, "
+                "replay per node"
+            )
         if self.empty:
-            return "migration plan: specs converge; nothing to do"
-        lines = [f"migration plan ({len(self.actions)} action(s)):"]
+            lines.append("migration plan: specs converge; nothing to do")
+            return "\n".join(lines)
+        lines.append(f"migration plan ({len(self.actions)} action(s)):")
         lines.extend(
             f"  {i + 1:2d}. {action}" for i, action in enumerate(self.actions)
         )
@@ -90,6 +107,8 @@ class MigrationPlan:
     def _execute_one(federation, action: MigrationAction) -> None:
         payload = action.payload
         if action.kind == "join":
+            from repro.deploy.compiler import DeploymentCompiler
+
             federation.join(
                 payload["node"],
                 workers=payload["workers"],
@@ -190,8 +209,12 @@ class DeploymentDiff:
             )
         current_nodes = {node.name: node for node in current.nodes}
         target_nodes = {node.name: node for node in target.nodes}
-        for name in sorted(set(target_nodes) - set(current_nodes)):
-            diff.added_nodes.append(target_nodes[name])
+        # additions keep the target's declaration order: a deploy is
+        # the plan from the empty spec, so nodes join, and servants
+        # bind, in the order the spec lists them
+        diff.added_nodes = [
+            node for node in target.nodes if node.name not in current_nodes
+        ]
         for name in sorted(set(current_nodes) - set(target_nodes)):
             diff.removed_nodes.append(current_nodes[name])
         for name in sorted(set(current_nodes) & set(target_nodes)):
@@ -208,8 +231,11 @@ class DeploymentDiff:
         target_servants = {
             servant.name: servant for _p, servant in target.servants()
         }
-        for name in sorted(set(target_servants) - set(current_servants)):
-            diff.added_servants.append(target_servants[name])
+        diff.added_servants = [
+            servant
+            for servant in target_servants.values()
+            if servant.name not in current_servants
+        ]
         for name in sorted(set(current_servants) - set(target_servants)):
             diff.removed_servants.append(name)
         for name in sorted(set(current_servants) & set(target_servants)):
@@ -255,8 +281,9 @@ class DeploymentDiff:
             diff.replication_target = target.replication
         current_users = {user.name: user for user in current.users}
         target_users = {user.name: user for user in target.users}
-        for name in sorted(set(target_users) - set(current_users)):
-            diff.added_users.append(target_users[name])
+        diff.added_users = [
+            user for user in target.users if user.name not in current_users
+        ]
         removed_users = sorted(set(current_users) - set(target_users))
         if removed_users:
             raise DeploymentError(
@@ -285,7 +312,11 @@ class DeploymentDiff:
             site.site: site.probability
             for site in target.faults.effective_sites()
         }
-        for site in sorted(set(target_faults) | set(current_faults)):
+        # target sites in declaration order (pattern sites match in
+        # the order they were armed), then the sites it drops
+        for site in list(target_faults) + sorted(
+            set(current_faults) - set(target_faults)
+        ):
             before = current_faults.get(site, 0.0)
             after = target_faults.get(site, 0.0)
             if before != after:
@@ -295,13 +326,21 @@ class DeploymentDiff:
         return diff
 
     @staticmethod
-    def _qos_table(spec: DeploymentSpec):
+    def _binding_qos(spec: DeploymentSpec):
+        """(binding pattern, QoSProfile) pairs declared by servant specs."""
+        return [
+            (servant.name, spec.profile(servant.qos))
+            for _partition, servant in spec.servants()
+            if servant.qos is not None
+        ]
+
+    @classmethod
+    def _qos_table(cls, spec: DeploymentSpec):
         """The spec's resolved QoS declarations, comparable by value."""
         return {
             "bindings": {
-                servant.name: spec.profile(servant.qos).to_dict()
-                for _partition, servant in spec.servants()
-                if servant.qos is not None
+                pattern: profile.to_dict()
+                for pattern, profile in cls._binding_qos(spec)
             },
             "client": (
                 spec.profile(spec.client_qos).to_dict()
@@ -336,7 +375,6 @@ class DeploymentDiff:
             current_digest=self.current.digest(),
             target_digest=self.target.digest(),
         )
-        target_seed = self.target.seed
         for user in self.added_users:
             # ordered first: provisioning is remembered by the
             # federation, so nodes joined later in this same plan are
@@ -348,18 +386,27 @@ class DeploymentDiff:
                 password=user.password,
                 roles=list(user.roles),
             )
-        for index, node in enumerate(self.added_nodes):
+        # a node without a declared seed gets target.seed * 31 + k for
+        # the smallest k at or past its position in the target that no
+        # current node, and no node joined earlier in this plan, uses:
+        # seed * 31 + position at bring-up, never a live node's seed later
+        base = self.target.seed * 31
+        position = {node.name: i for i, node in enumerate(self.target.nodes)}
+        taken = {node.seed for node in self.current.nodes}
+        for node in self.added_nodes:
+            seed = node.seed
+            if seed is None:
+                seed = base + position[node.name]
+                while seed in taken:
+                    seed += 1
+            taken.add(seed)
             plan.add(
                 "join",
                 f"join node {node.name!r} "
                 f"({node.workers or 'serial'} workers)",
                 node=node.name,
                 workers=node.workers,
-                seed=(
-                    node.seed
-                    if node.seed is not None
-                    else target_seed * 31 + 97 + index
-                ),
+                seed=seed,
             )
         for type_name, ops in self.read_only_changes:
             plan.add(
@@ -393,13 +440,9 @@ class DeploymentDiff:
                 snapshot_every=target.snapshot_every,
             )
         if self.qos_changed:
-            from repro.deploy.compiler import DeploymentCompiler
-
             pairs = [
                 [pattern, profile.to_dict()]
-                for pattern, profile in DeploymentCompiler._binding_qos(
-                    self.target
-                )
+                for pattern, profile in self._binding_qos(self.target)
             ]
             plan.add(
                 "set_binding_qos",

@@ -115,7 +115,7 @@ class ServantSpec:
     ``name`` is the full federation binding name
     (``<partition>/<Type>/<index>``); ``state`` is the constructor
     keyword dict (JSON-shaped — it travels in spec files and shard
-    manifests); ``read_only_ops`` classifies operations whose dispatch
+    migrations); ``read_only_ops`` classifies operations whose dispatch
     mutates no servant state, which lets replication skip the sync for
     routed calls that touched nothing mutable; ``qos``
     names a :class:`QoSProfile` used as this binding's default policy.

@@ -359,9 +359,10 @@ class MessageBus:
     def touched_since(self, before: int) -> Optional[FrozenSet[str]]:
         """Object ids of servants mutated since mutation count ``before``.
 
-        The replication layer brackets a routed call with two reads of
-        :attr:`mutations` and asks for the servants touched in between —
-        per-servant dirty tracking.  Returns ``None`` when part of the
+        The replication layer brackets a routed hop with two reads of
+        :attr:`mutations` and asks the node (``Node.changed_since``) for
+        the servants touched in between — per-servant dirty tracking.
+        Returns ``None`` when part of the
         window has been evicted from the bounded record (the caller must
         then fall back to a full-partition sync).  A concurrent call's
         mutations landing inside the window only *add* ids — the safe

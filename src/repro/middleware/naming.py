@@ -7,7 +7,7 @@ operation so accidental shadowing fails loudly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import NamingError
 from repro.middleware.bus import ObjectRefData
@@ -18,6 +18,8 @@ class NamingService:
 
     def __init__(self):
         self._bindings: Dict[str, ObjectRefData] = {}
+        #: object id -> the name it is bound under (see :meth:`name_of`)
+        self._names: Dict[str, str] = {}
 
     @staticmethod
     def _normalize(name: str) -> str:
@@ -34,10 +36,16 @@ class NamingService:
         if key in self._bindings:
             raise NamingError(f"name {key!r} is already bound")
         self._bindings[key] = ref
+        self._names[ref.object_id] = key
 
     def rebind(self, name: str, ref: ObjectRefData) -> None:
         """Bind, replacing any existing binding."""
-        self._bindings[self._normalize(name)] = ref
+        key = self._normalize(name)
+        replaced = self._bindings.get(key)
+        if replaced is not None:
+            self._forget(replaced, key)
+        self._bindings[key] = ref
+        self._names[ref.object_id] = key
 
     def resolve(self, name: str) -> ObjectRefData:
         key = self._normalize(name)
@@ -50,7 +58,15 @@ class NamingService:
         key = self._normalize(name)
         if key not in self._bindings:
             raise NamingError(f"name {key!r} is not bound")
-        del self._bindings[key]
+        self._forget(self._bindings.pop(key), key)
+
+    def _forget(self, ref: ObjectRefData, key: str) -> None:
+        if self._names.get(ref.object_id) == key:
+            self._names.pop(ref.object_id, None)
+
+    def name_of(self, object_id: str) -> Optional[str]:
+        """The name ``object_id`` is bound under (None if unbound)."""
+        return self._names.get(object_id)
 
     def list(self, prefix: str = "") -> List[str]:
         """All bound names, optionally below a path prefix."""

@@ -40,7 +40,6 @@ from repro.runtime.federation import (
     InvocationPipeline,
     ReplicaGroup,
     ReplicaManager,
-    ShardManifest,
     ShardedNamingService,
 )
 from repro.runtime.metrics import MetricsRegistry, percentile
@@ -88,7 +87,6 @@ __all__ = [
     "InvocationPipeline",
     "ReplicaGroup",
     "ReplicaManager",
-    "ShardManifest",
     "ShardedNamingService",
     "RunConfig",
     "ScenarioResult",

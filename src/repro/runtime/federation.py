@@ -32,11 +32,13 @@ Elastic membership (live topology changes):
 * :meth:`Federation.join` / :meth:`Federation.retire` rehash the ring and
   migrate **only the affected bindings**: each moving partition is frozen
   (in-flight envelopes quiesce behind a :class:`_MigrationGate`), its
-  servant state ships as a :class:`ShardManifest` (the shard-level
-  analogue of :class:`~repro.core.shipping.ComponentPackage` — the
-  application itself travels as a shipped package and is replayed on the
-  joining node), and the :class:`ShardedNamingService` performs an atomic
+  servant state ships as ``(name, type name, state)`` exports that the
+  receiving node rebuilds from its own woven classes (the application
+  itself travels as a shipped package and is replayed on the joining
+  node), and the :class:`ShardedNamingService` performs an atomic
   ownership-epoch swap, so routing never observes a half-migrated shard.
+  ``join`` is the only way a node enters: a deployment's bring-up is
+  joins into an empty federation.
 * :class:`ReplicaManager` keeps, per partition key, a primary plus N
   standby servant copies on the ring-successor nodes (log-shipped after
   every mutating routed call).  :meth:`Federation.kill` models a
@@ -57,7 +59,7 @@ import functools
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -361,37 +363,6 @@ class ShardedNamingService:
         }
 
 
-@dataclass
-class ShardManifest:
-    """The transfer unit of a shard migration — servant state in transit.
-
-    The shard-level analogue of
-    :class:`~repro.core.shipping.ComponentPackage`: where the package
-    ships the *application* (model + refinement steps, replayed on the
-    receiving node), the manifest ships one partition's *servant state*
-    — ``(name, type name, attribute dict)`` per binding.  The receiving
-    node reconstructs each servant from its own woven module class, so
-    migrated servants are instrumented by the receiver's aspects exactly
-    like locally created ones.  ``to_dict`` is JSON-shaped for the same
-    reason the package is: a migration is auditable, not opaque.
-    """
-
-    partition: str
-    source: str
-    entries: List[Tuple[str, str, Dict[str, Any]]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": "repro-shard-manifest/1",
-            "partition": self.partition,
-            "source": self.source,
-            "entries": [
-                {"name": name, "type": type_name, "state": dict(state)}
-                for name, type_name, state in self.entries
-            ],
-        }
-
-
 class _MigrationGate:
     """Quiesces in-flight envelopes on a moving shard.
 
@@ -598,15 +569,15 @@ class ReplicaManager:
     into.
 
     Replication is log shipping driven by **per-servant dirty
-    tracking**: the bus records which servants each delivery mutated
-    (:meth:`MessageBus.touched_since`), so a sync appends only the
-    touched servants' states to the partition's :class:`ReplicationLog`
-    instead of re-copying the whole partition, and standbys *replay*
-    the tail past their applied watermark.  A worker-process primary has
-    no in-process bus to ask, so its mutating calls take the
-    full-partition path (one export round trip).  That export runs
+    tracking**: a node names the servants its bus saw a hop mutate
+    (:meth:`Node.changed_since`), so a sync appends only those
+    servants' states to the partition's :class:`ReplicationLog` instead
+    of re-copying the whole partition, and standbys *replay* the tail
+    past their applied watermark.  A worker-process primary has no
+    in-process bus to ask, so its mutating hops take the full-partition
+    path (one export round trip per partition).  Every export runs
     under a per-partition sync lock, not the manager lock: syncs of
-    different partitions overlap their round trips, and one partition's
+    different partitions overlap their exports, and one partition's
     appends stay in export order.  The log is snapshot+truncated every
     ``snapshot_every`` entries, and seeding/catch-up/failover promotion
     all ride the same replay path.
@@ -635,11 +606,6 @@ class ReplicaManager:
         self._groups: Dict[str, ReplicaGroup] = {}  # guarded_by: _lock
         #: per-partition append-only op log
         self._logs: Dict[str, ReplicationLog] = {}  # guarded_by: _lock
-        #: per-partition reverse index object_id -> binding name, rebuilt
-        #: on every full sync; lets a narrowed sync map the bus's touched
-        #: object ids to bindings without an O(partition) name listing
-        self._index: Dict[str, Dict[str, str]] = {}  # guarded_by: _lock
-        self._index_epoch: Dict[str, int] = {}  # guarded_by: _lock
         self._lock = named_rlock("replication.manager")
         #: partition -> its sync lock, held from export to append so a
         #: partition's log entries land in the order they were exported
@@ -660,15 +626,20 @@ class ReplicaManager:
         )
         return preference[1:]
 
-    def sync_partition(self, partition: str, touched=None) -> None:
+    def sync_partition(
+        self,
+        partition: str,
+        names: Optional[List[str]] = None,
+        changed_on: Optional[str] = None,
+    ) -> None:
         """Replicate ``partition``'s state to its standbys.
 
-        ``touched`` is the set of servant object ids the triggering call
-        mutated (from :meth:`MessageBus.touched_since`); when given, only
-        those servants are logged — per-servant dirty tracking.
-        ``None`` means "unknown": seed, rebuild, and evicted-window calls
-        pay the full-partition path, which also rebuilds the reverse
-        index the narrowed path needs.
+        ``names`` are the partition's bindings a hop on node
+        ``changed_on`` mutated (:meth:`Node.changed_since`); when that
+        node is the group's primary, only those servants are exported
+        and logged — per-servant dirty tracking.  Otherwise (seed,
+        rebuild, a worker's hop, an evicted mutation window, or a group
+        not yet placed on that primary) the whole partition is exported.
 
         Best-effort by design: it runs *after* the triggering call's
         servant effect, so it must never fail that call — failing it
@@ -678,25 +649,34 @@ class ReplicaManager:
         change performs re-syncs the partition moments later — and so
         does an export a worker-process owner cannot answer.
 
-        The full path exports outside the manager lock (for a worker
-        owner it is a round trip), holding only the partition's sync
-        lock; both paths take that lock, so a full export can never be
-        appended behind a newer narrowed one.
+        Both paths export outside the manager lock (for a worker owner
+        it is a round trip), holding only the partition's sync lock, so
+        a partition's entries are appended in the order they were
+        exported.  A narrowed export is appended only if its group was
+        not replaced meanwhile; whatever replaced it re-synced.
         """
         federation = self.federation
         with self._sync_lock(partition):
-            if touched is not None:
+            with self._lock:
+                group = self._groups.get(partition)
+            owner: Optional[Union[Node, RemoteNode]] = federation.nodes.get(changed_on)
+            narrow = names is not None and group is not None and owner is not None
+            if narrow and group.primary == changed_on:
+                try:
+                    entries = owner.export(names)
+                except ReproError:
+                    return
                 with self._lock:
-                    if self._sync_narrow(partition, touched):
+                    if self._groups.get(partition) is not group:
                         return
-            epoch = federation.naming.epoch
+                    if self._replicate(partition, group, entries, full=False):
+                        self.syncs += 1
+                return
             view = federation.naming.partition_view(partition)
             if view is None:
                 return
             owner_name, names = view
-            owner: Optional[Union[Node, RemoteNode]] = federation.nodes.get(
-                owner_name
-            )
+            owner = federation.nodes.get(owner_name)
             if owner is None:
                 return
             try:
@@ -704,16 +684,8 @@ class ReplicaManager:
                 entries = owner.export(names)
             except ReproError:
                 return
-            index: Dict[str, str] = {}
-            for name in names:
-                try:
-                    index[owner.naming.resolve(name).object_id] = name
-                except NamingError:
-                    continue
             with self._lock:
                 group = self._ensure_group(partition, owner_name, standby_names)
-                self._index[partition] = index
-                self._index_epoch[partition] = epoch
                 if self._replicate(partition, group, entries, full=True):
                     self.syncs += 1
 
@@ -724,46 +696,6 @@ class ReplicaManager:
                 partition, named_lock("replication.partition")
             )
         return lock
-
-    def _sync_narrow(self, partition: str, touched) -> bool:
-        """Refresh only the ``touched`` servants; False -> full path.
-
-        Requires a current group and reverse index (same naming epoch,
-        object ids still resolving to the indexed bindings).  Anything
-        stale falls back to the full sync, which repairs the index.  A
-        touched id belonging to another partition (a concurrent call on
-        the same node bumped the counter inside our window) is simply
-        not in this partition's index and drops out.
-        """
-        federation = self.federation
-        group = self._groups.get(partition)
-        if group is None:
-            return False
-        if self._index_epoch.get(partition) != federation.naming.epoch:
-            return False
-        owner = federation.nodes.get(group.primary)
-        if owner is None:
-            return False
-        index = self._index.get(partition, {})
-        names = []
-        for object_id in touched:
-            name = index.get(object_id)
-            if name is None:
-                continue
-            try:
-                if owner.naming.resolve(name).object_id != object_id:
-                    return False
-            except NamingError:
-                return False
-            names.append(name)
-        if not names:
-            # every touched id is foreign to this partition — either a
-            # concurrent foreign mutation landed in our window, or the
-            # index is stale; the full path resolves both safely
-            return False
-        if self._replicate(partition, group, owner.export(names), full=False):
-            self.syncs += 1
-        return True
 
     def _ensure_group(
         self, partition: str, owner_name: str, standby_names: List[str]
@@ -867,8 +799,6 @@ class ReplicaManager:
         with self._lock:
             self._groups.pop(partition, None)
             self._logs.pop(partition, None)
-            self._index.pop(partition, None)
-            self._index_epoch.pop(partition, None)
 
     def rebuild(self) -> None:
         """Re-place every group after a topology change and resync."""
@@ -881,9 +811,6 @@ class ReplicaManager:
                 del self._groups[stale]
             for stale in set(self._logs) - partitions:
                 del self._logs[stale]
-            for stale in set(self._index) - partitions:
-                self._index.pop(stale, None)
-                self._index_epoch.pop(stale, None)
         for partition in sorted(partitions):
             self.sync_partition(partition)
 
@@ -1014,11 +941,9 @@ class Federation:
         #: spec; consulted (in declaration order) for calls issued
         #: without an explicit per-call policy
         self._binding_qos: List[Tuple[str, QoS]] = []
-        #: the DeploymentSpec this federation was compiled from and the
-        #: BootstrapPlan that materialized it (set by
+        #: the DeploymentSpec this federation was compiled from (set by
         #: DeploymentCompiler.deploy; None for hand-built federations)
         self.spec = None
-        self.bootstrap_plan = None
         #: standby state for failover; None until enable_replication()
         self.replicas: Optional[ReplicaManager] = None
         #: optional ComponentPackage every node runs — scenarios that
@@ -1034,25 +959,12 @@ class Federation:
 
     # -- topology ---------------------------------------------------------------
 
-    def add_node(
-        self,
-        name: str,
-        workers: int = 0,
-        seed: Optional[int] = None,
-    ) -> Union[Node, RemoteNode]:
-        if name in self.nodes:
-            raise FederationError(f"node {name!r} already exists")
-        node = self._create_node(name, workers, seed)
-        self.naming.add_shard(name, node.naming)
-        self.nodes[name] = node
-        return node
-
     def _create_node(
         self, name: str, workers: int, seed: Optional[int]
     ) -> Union[Node, RemoteNode]:
-        """The one place nodes come from (``add_node`` and ``join``):
-        in socket mode the node's listener starts here, in process mode
-        the node *is* a spawned worker process."""
+        """The one place nodes come from (:meth:`join`): in socket mode
+        the node's listener starts here, in process mode the node *is*
+        a spawned worker process."""
         seed = seed if seed is not None else len(self.nodes) + 1
         if self.transport_mode == "process":
             from repro.runtime.procfed import RemoteNode
@@ -1180,15 +1092,11 @@ class Federation:
         for node in self.nodes.values():
             node.mark_read_only(type_name, ops)
 
-    def set_binding_qos(self, pattern: str, qos: QoS) -> None:
-        """Declare the default QoS for bindings matching ``pattern``
-        (fnmatch over the federation name; declaration order wins)."""
-        self._binding_qos.append((pattern, qos))
-
     def replace_binding_qos(self, pairs: Iterable[Tuple[str, QoS]]) -> None:
-        """Swap the whole per-binding QoS table in one assignment (the
-        reconciler's path: a spec diff re-declares the table rather than
-        patching it, so removals take effect too)."""
+        """Declare the per-binding QoS defaults — ``(pattern, QoS)``
+        pairs, fnmatch over the federation name, declaration order
+        wins — in one assignment: a spec diff re-declares the whole
+        table rather than patching it, so removals take effect too."""
         self._binding_qos = list(pairs)
 
     def qos_for(self, name: str) -> Optional[QoS]:
@@ -1229,17 +1137,6 @@ class Federation:
         owner, ref = self.naming.resolve_with_owner(name)
         return self.node(owner).servant(ref)
 
-    @staticmethod
-    def _export_shard(
-        source: Union[Node, RemoteNode], partition: str, names: List[str]
-    ) -> ShardManifest:
-        """One partition's servant state on ``source`` as a manifest.
-
-        Each snapshot is taken under its servant's dispatch lock: the
-        freeze drained routed calls, but a nested delivery that bypassed
-        the frozen wait could still be mutating a servant."""
-        return ShardManifest(partition, source.name, source.export(sorted(names)))
-
     def join(
         self,
         name: str,
@@ -1248,14 +1145,18 @@ class Federation:
         deploy: Optional[Callable[[Node], Any]] = None,
         drain_timeout_s: float = 30.0,
     ) -> Union[Node, RemoteNode]:
-        """Add a node to a *live* federation, migrating only what rehashes.
+        """Add a node to the federation, migrating only what rehashes —
+        the only way a node enters.
 
         The joiner is fully prepared off-ring (application deployed via
         ``deploy``, users and fault campaign provisioned); the partitions
         the new ring assigns to it are frozen, their in-flight envelopes
-        quiesce, servant state ships as :class:`ShardManifest`\\ s, and
-        one atomic epoch swap makes the joiner routable — every other
-        partition keeps its owner and never stalls.
+        quiesce, their servant state ships as ``(name, type name,
+        state)`` exports (each snapshot taken under its servant's
+        dispatch lock), and one atomic epoch swap makes the joiner
+        routable — every other partition keeps its owner and never
+        stalls.  A join into a federation that binds nothing is
+        bring-up: it records no rebalance.
         """
         with self._topology_lock:
             if name in self.nodes:
@@ -1270,18 +1171,19 @@ class Federation:
                 if name not in self.nodes:  # never published: discard it
                     self._discard(node)
                 raise
-            self.joins += 1
-            self.bindings_moved += moved
-            self.last_rebalance = {
-                "action": "join",
-                "node": name,
-                "moved": moved,
-                "total": total,
-                "partitions": sorted(moving),
-            }
-            self.observability.emit(
-                "join", node=name, moved=moved, partitions=sorted(moving)
-            )
+            if total:
+                self.joins += 1
+                self.bindings_moved += moved
+                self.last_rebalance = {
+                    "action": "join",
+                    "node": name,
+                    "moved": moved,
+                    "total": total,
+                    "partitions": sorted(moving),
+                }
+                self.observability.emit(
+                    "join", node=name, moved=moved, partitions=sorted(moving)
+                )
             if self.replicas is not None:
                 self.replicas.rebuild()
             return node
@@ -1302,30 +1204,30 @@ class Federation:
             node.mark_read_only(type_name, ops)
         grouped = self._bindings_by_partition()
         total = sum(len(names) for names in grouped.values())
-        next_ring = self.naming.preview_ring(add=name)
-        moving = {
-            partition: names
-            for partition, names in sorted(grouped.items())
-            if next_ring.owner(partition) == name
-        }
+        moving = {}
+        if grouped:
+            next_ring = self.naming.preview_ring(add=name)
+            moving = {
+                partition: names
+                for partition, names in sorted(grouped.items())
+                if next_ring.owner(partition) == name
+            }
         moved = 0
         with self._gate.freeze(moving, timeout_s=drain_timeout_s):
-            manifests = []
+            shipped = []
             for partition, names in moving.items():
                 source = self.node(self.naming.owner_of(partition))
-                manifests.append(
-                    (source, self._export_shard(source, partition, names))
-                )
-            for _source, manifest in manifests:
-                moved += len(node.import_states(manifest.entries))
+                shipped.append((source, source.export(sorted(names))))
+            for _source, entries in shipped:
+                moved += len(node.import_states(entries))
             # the atomic ownership-epoch swap: the joiner becomes
             # routable only now, with its bindings already in place
             # (and its node entry published first, so a resolver that
             # sees the new topology always finds the node)
             self.nodes[name] = node
             self.naming.add_shard(name, node.naming)
-            for source, manifest in manifests:
-                source.release(bound for bound, _t, _s in manifest.entries)
+            for source, entries in shipped:
+                source.release(bound for bound, _t, _s in entries)
         return moving, moved, total
 
     def retire(self, name: str, drain_timeout_s: float = 30.0) -> Dict[str, Any]:
@@ -1356,8 +1258,7 @@ class Federation:
             with self._gate.freeze(grouped, timeout_s=drain_timeout_s):
                 for partition, pnames in sorted(grouped.items()):
                     target = self.node(survivors.owner(partition))
-                    manifest = self._export_shard(node, partition, pnames)
-                    moved += len(target.import_states(manifest.entries))
+                    moved += len(target.import_states(node.export(sorted(pnames))))
                 # epoch swap: the retiree's shard vanishes atomically
                 self.naming.remove_shard(name)
                 node.alive = False
@@ -1658,8 +1559,8 @@ class Federation:
         """The node hop: dead-node classification + dispatch + replication,
         all on the caller's side whatever the transport.  ``calls`` are
         the hop's ``(ref, operation, partition)`` — one for a single
-        call, one per member for a batch — and each gets its one
-        replication decision.
+        call, one per member for a batch — and the hop gets one
+        replication decision (:meth:`_replicate`).
 
         The node guard makes the aliveness check and the in-flight bump
         one step under the flight condition, so :meth:`kill`'s drain
@@ -1682,8 +1583,7 @@ class Federation:
                 return hop()
             mark = self._mutation_mark(node)
             value = hop()
-            for ref, operation, partition in calls:
-                self._replicate(node, ref, operation, partition, mark)
+            self._replicate(node, calls, mark)
             return value
         finally:
             with flight:
@@ -1694,7 +1594,7 @@ class Federation:
 
     @staticmethod
     def _mutation_mark(node: Union[Node, RemoteNode]) -> Optional[int]:
-        """Where a call's replication window opens: the node's bus
+        """Where a hop's replication window opens: the node's bus
         mutation count, or None for a worker process (its bus is not in
         this process)."""
         return node.services.bus.mutations if isinstance(node, Node) else None
@@ -1702,40 +1602,50 @@ class Federation:
     def _replicate(
         self,
         node: Union[Node, RemoteNode],
-        ref: ObjectRefData,
-        operation: str,
-        partition: str,
+        calls: Iterable[Tuple[ObjectRefData, str, str]],
         mark: Optional[int],
     ) -> None:
-        """The one replication decision after a routed call on
-        ``partition``, opened at ``mark`` (:meth:`_mutation_mark`).
+        """The one replication decision after a hop's ``calls`` ran on
+        ``node``, opened at ``mark`` (:meth:`_mutation_mark`).
 
-        Mutation narrowing on an in-process node: the sync is skipped
-        when the node's bus saw no (possibly) mutating dispatch while
-        this call executed — the call's own dispatch, and every nested
-        delivery it made on the node, were all spec-declared read-only
-        operations.  Otherwise the bus's per-delivery record names
-        exactly which servants were touched, so only those are
-        refreshed (per-servant dirty tracking).  A concurrent mutating
-        call on the same node can only flip a skip into a sync or widen
-        the touched set (the safe direction); a mutating call always
-        observes its own bump, so its sync is never skipped.
+        An in-process node names the bound servants its bus saw mutated
+        since ``mark`` (:meth:`Node.changed_since`) — the hop's own
+        dispatches and every nested delivery they made on the node,
+        whatever partition the servant is in.  Each partition among
+        them gets one narrowed sync; no names means one skip (every
+        dispatch was a spec-declared read-only operation); an evicted
+        window means one full sync per partition of the hop.  A
+        concurrent mutating call on the same node can only flip a skip
+        into a sync or widen the names (the safe direction); a mutating
+        call always observes its own bump, so its sync is never
+        skipped.
 
-        A worker process has no bus here to report what a call touched,
-        so its call skips the sync only when the read-only
-        classification covers the operation, and otherwise replicates
-        the whole partition (one export round trip)."""
-        if mark is None:
-            if operation in self.read_only_ops.get(ref.type_name, ()):
-                self.replicas.note_skip()
-            else:
-                self.replicas.sync_partition(partition)
-            return
-        bus = node.services.bus
-        if bus.mutations != mark:
-            self.replicas.sync_partition(partition, touched=bus.touched_since(mark))
+        A worker process has no bus here to report what a hop changed,
+        so each partition with a call the read-only classification does
+        not cover gets one full sync (one export round trip), and a hop
+        of read-only calls one skip."""
+        replicas = self.replicas
+        if mark is not None:
+            changed = node.changed_since(mark)
+            if changed:
+                for partition, names in self._group_by_partition(changed).items():
+                    replicas.sync_partition(partition, names, changed_on=node.name)
+                return
+            if changed is not None:
+                replicas.note_skip()
+                return
+            partitions = [partition for _ref, _operation, partition in calls]
         else:
-            self.replicas.note_skip()
+            partitions = [
+                partition
+                for ref, operation, partition in calls
+                if operation not in self.read_only_ops.get(ref.type_name, ())
+            ]
+            if not partitions:
+                replicas.note_skip()
+                return
+        for partition in dict.fromkeys(partitions):
+            replicas.sync_partition(partition)
 
     # -- wire hops (socket and process modes) -------------------------------------
 

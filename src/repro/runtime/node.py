@@ -77,7 +77,7 @@ class Node:
         #: federation's routing terminal refuses dead targets with a
         #: pre-effect NodeDownError so standby promotion can take over
         self.alive = True
-        #: set by Federation.add_node
+        #: the federation that created this node (Federation.join)
         self.federation = None
         self.lifecycle: Optional[MdaLifecycle] = None
         self.module = None
@@ -240,6 +240,19 @@ class Node:
 
     def mark_read_only(self, type_name: str, operations) -> None:
         self.services.bus.mark_read_only(type_name, operations)
+
+    def changed_since(self, mark: int) -> Optional[List[str]]:
+        """The bound names of the servants this node's bus saw mutated
+        since mutation count ``mark`` (sorted), or None when part of
+        that window was evicted from the bus's bounded record."""
+        bus = self.services.bus
+        if bus.mutations == mark:
+            return []
+        touched = bus.touched_since(mark)
+        if touched is None:
+            return None
+        # bound names are non-empty: filter(None) drops only the unbound
+        return sorted(filter(None, map(self.services.naming.name_of, touched)))
 
     # -- request entry point -----------------------------------------------------
 

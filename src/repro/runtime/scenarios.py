@@ -839,8 +839,8 @@ class ElasticBankingScenario(BankingScenario):
     # The compiler ships the vendor lifecycle once and replays the
     # package per node for *every* spec-declared scenario; the elastic
     # scenario only needs the joiner hook below to replay that same
-    # artifact on a node joining mid-run — migration ships servant state
-    # (ShardManifest), the package ships the code to host it.
+    # artifact on a node joining mid-run — migration ships servant
+    # state, the package ships the code to host it.
 
     @staticmethod
     def deploy_node(federation, node) -> None:

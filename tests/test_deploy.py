@@ -13,6 +13,7 @@ from repro.deploy import (
     DeploymentSpec,
     FaultCampaignSpec,
     FaultSiteSpec,
+    MigrationPlan,
     NodeSpec,
     PartitionSpec,
     QoSProfile,
@@ -20,6 +21,7 @@ from repro.deploy import (
     ServantSpec,
     UserSpec,
     apply as apply_spec,
+    empty_spec,
     register_application,
 )
 from repro.errors import DeploymentError, ReproError
@@ -282,12 +284,22 @@ class TestSpecValidation:
 
 class TestCompiler:
     def test_compile_is_side_effect_free_and_ordered(self):
-        spec = banking_spec(nodes=2)
+        spec = banking_spec(nodes=2, replication=ReplicationSpec(count=1))
         plan = DeploymentCompiler().compile(spec)
-        kinds = [step.kind for step in plan.steps]
-        assert kinds[0] == "application"
-        assert kinds.index("node") < kinds.index("partition")
-        assert "bootstrap plan" in plan.describe()
+        assert isinstance(plan, MigrationPlan)
+        assert [action.kind for action in plan.actions] == [
+            "add_user",
+            "join",
+            "join",
+            "mark_read_only",
+            "bind_servants",
+            "set_replication",
+        ]
+        joins = [a.payload["node"] for a in plan.actions if a.kind == "join"]
+        assert joins == spec.node_names
+        description = plan.describe()
+        assert description.startswith("application: refine 'bank' through 3 concern(s)")
+        assert "migration plan (6 action(s))" in description
 
     def test_compile_rejects_invalid_spec(self):
         with pytest.raises(DeploymentError):
@@ -314,7 +326,52 @@ class TestCompiler:
             )
         )
         plan = DeploymentCompiler().compile(spec)
-        assert plan.steps[0].kind == "application"
+        assert plan.resource.roots[0].name == "bank"
+        assert len(plan.concern_plan) == 1
+        assert plan.describe().startswith("application: refine 'bank'")
+
+    @pytest.mark.parametrize("make_spec", [banking_spec, tiny_spec])
+    def test_plan_starts_from_what_a_fresh_federation_reads_back(self, make_spec):
+        from repro.runtime import Federation
+
+        spec = make_spec()
+        fresh = Federation(
+            seed=spec.seed,
+            latency_ms=spec.sim_latency_ms,
+            real_latency_s=spec.real_latency_ms / 1000.0,
+            delivery_workers=spec.delivery_workers,
+            transport=spec.transport,
+        )
+        fresh.spec = spec
+        try:
+            assert fresh.current_spec() == empty_spec(spec)
+            plan = DeploymentCompiler().compile(spec)
+            assert plan.current_digest == fresh.current_spec().digest()
+            assert plan.target_digest == spec.digest()
+        finally:
+            fresh.shutdown()
+
+    def test_deploy_records_no_rebalance_until_a_live_join(self):
+        spec = tiny_spec(nodes=(NodeSpec("node-0"), NodeSpec("node-1", seed=5)))
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            assert federation.joins == 0
+            assert federation.bindings_moved == 0
+            assert federation.last_rebalance == {}
+            assert federation.observability.events.records("join") == []
+            # undeclared seeds are seed*31 + position, declared ones kept
+            assert federation.node("node-0").seed == spec.seed * 31
+            assert federation.node("node-1").seed == 5
+            federation.join(
+                "node-2",
+                deploy=lambda node: DeploymentCompiler.deploy_node(federation, node),
+            )
+            assert federation.joins == 1
+            assert federation.last_rebalance["action"] == "join"
+            assert federation.last_rebalance["total"] == 2
+            assert len(federation.observability.events.records("join")) == 1
+        finally:
+            federation.shutdown()
 
     def test_deploy_materializes_the_spec(self):
         spec = banking_spec(nodes=2, replication=ReplicationSpec(count=1))
@@ -451,6 +508,37 @@ class TestDiffAndPlan:
         plan = DeploymentDiff.between(base, target).plan()
         kinds = [action.kind for action in plan.actions]
         assert kinds.index("join") < kinds.index("set_replication")
+
+    def test_reconciled_join_seeds_by_position(self):
+        from dataclasses import replace
+
+        base = tiny_spec(seed=3)
+        federation = DeploymentCompiler().deploy(base)
+        try:
+            target = replace(base, nodes=base.nodes + (NodeSpec("node-2"),))
+            apply_spec(federation, target)
+            assert federation.node("node-2").seed == 3 * 31 + 2
+        finally:
+            federation.shutdown()
+
+    def test_reconciled_join_never_reuses_a_live_seed(self):
+        from dataclasses import replace
+
+        base = tiny_spec(seed=3)
+        federation = DeploymentCompiler().deploy(base)
+        try:
+            grown = replace(base, nodes=base.nodes + (NodeSpec("node-2"),))
+            apply_spec(federation, grown)
+            # node-1 retires and node-3 takes its position in the spec
+            swapped = replace(
+                grown, nodes=(NodeSpec("node-0"), NodeSpec("node-3"), NodeSpec("node-2"))
+            )
+            apply_spec(federation, swapped)
+            seeds = {name: node.seed for name, node in federation.nodes.items()}
+            assert sorted(seeds) == ["node-0", "node-2", "node-3"]
+            assert len(set(seeds.values())) == 3, seeds
+        finally:
+            federation.shutdown()
 
     def test_single_node_swap_executes_live(self):
         """Retire-before-join would hit 'last node'; the plan must not."""
@@ -953,11 +1041,15 @@ class TestDeployCli:
         assert main(["deploy", "--spec", str(path), "--check"]) == 1
         assert "smaller than the node count" in capsys.readouterr().err
 
-    def test_dry_run_prints_bootstrap_plan(self, spec_path, capsys):
+    def test_dry_run_prints_migration_plan(self, spec_path, capsys):
         from repro.cli import main
 
         assert main(["deploy", "--spec", spec_path]) == 0
-        assert "bootstrap plan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "migration plan" in out
+        assert "application: refine 'bank'" in out
+        for node in banking_spec(nodes=2).node_names:
+            assert out.count(f"join: join node {node!r}") == 1
 
     def test_diff_prints_migration_plan(self, spec_path, tmp_path, capsys):
         from dataclasses import replace

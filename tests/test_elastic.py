@@ -13,7 +13,6 @@ from repro.runtime import (
     ReplicaManager,
     RunConfig,
     ScenarioRunner,
-    ShardManifest,
     ShardedNamingService,
 )
 
@@ -40,7 +39,7 @@ RETRY = QoS(retries=2)
 def build(nodes=3, partitions=12, replication=0):
     federation = Federation(latency_ms=0.0)
     for i in range(nodes):
-        federation.add_node(f"node-{i}").module = MODULE
+        federation.join(f"node-{i}").module = MODULE
     names = []
     for k in range(partitions):
         partition = f"part-{k}"
@@ -381,16 +380,6 @@ class TestReplication:
         with pytest.raises(FederationError):
             ReplicaManager(federation, count=0)
         federation.shutdown()
-
-    def test_shard_manifest_is_json_shaped(self):
-        manifest = ShardManifest(
-            partition="part-1",
-            source="node-0",
-            entries=[("part-1/Counter/0", "Counter", {"value": 3.0})],
-        )
-        document = manifest.to_dict()
-        assert document["format"] == "repro-shard-manifest/1"
-        assert document["entries"][0]["state"] == {"value": 3.0}
 
     def test_enable_replication_conflicting_count_rejected(self):
         federation, _ = build(replication=1)

@@ -51,7 +51,7 @@ class Echo:
 class TestNoReplyFutureOnSynchronousCalls:
     def test_routed_call_builds_no_future(self, future_count):
         federation = Federation(seed=0)
-        federation.add_node("node-0").bind("p/Echo/0", Echo())
+        federation.join("node-0").bind("p/Echo/0", Echo())
         client = FederationClient(federation)
         try:
             assert client.call("p/Echo/0", "bump", 2) == 2
@@ -69,7 +69,7 @@ class TestNoReplyFutureOnSynchronousCalls:
 
     def test_call_async_still_returns_a_future_that_reraises(self, future_count):
         federation = Federation(seed=0)
-        federation.add_node("node-0").bind("p/Echo/0", Echo())
+        federation.join("node-0").bind("p/Echo/0", Echo())
         client = FederationClient(federation)
         try:
             future = client.call_async("p/Echo/0", "fail")
@@ -83,7 +83,7 @@ class TestNoReplyFutureOnSynchronousCalls:
     def test_synchronous_retry_budget_still_applies(self):
         federation = Federation(seed=0)
         servant = Echo()
-        federation.add_node("node-0").bind("p/Echo/0", servant)
+        federation.join("node-0").bind("p/Echo/0", servant)
         try:
             federation.faults.fail_next("federation.route", count=2)
             with pytest.raises(MiddlewareError):

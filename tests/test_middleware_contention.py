@@ -284,8 +284,8 @@ class TestThreadLocalState:
         from repro.runtime import Federation
 
         federation = Federation(seed=0)
-        node_a = federation.add_node("node-a")
-        node_b = federation.add_node("node-b")
+        node_a = federation.join("node-a")
+        node_b = federation.join("node-b")
         # partition keys owned by each node (found by hashing)
         key_a = next(
             f"p{i}" for i in range(100)

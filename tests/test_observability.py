@@ -527,9 +527,15 @@ def test_reconciler_retunes_observability_live():
         federation.shutdown()
 
 
-def test_bootstrap_plan_lists_observability_step():
-    plan = DeploymentCompiler().compile(banking_spec())
-    assert any(step.kind == "observability" for step in plan.steps)
+def test_deploy_plan_sets_only_non_default_observability():
+    spec = banking_spec()
+    assert spec.observability == ObservabilitySpec()
+    kinds = [action.kind for action in DeploymentCompiler().compile(spec).actions]
+    assert "set_observability" not in kinds
+    tuned = replace(spec, observability=ObservabilitySpec(sample_rate=0.25))
+    plan = DeploymentCompiler().compile(tuned)
+    (action,) = [a for a in plan.actions if a.kind == "set_observability"]
+    assert action.payload["observability"]["sample_rate"] == 0.25
 
 
 # ---------------------------------------------------------------------------

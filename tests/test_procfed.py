@@ -230,6 +230,18 @@ class TestProcessFederation:
         assert fed._socket_transport.stats()["roundtrips"] == roundtrips + 1
         assert client.call(names[0], "getBalance") == balances[0] + 5
 
+    def test_batch_replicates_a_worker_partition_once(self, fed, client):
+        """A batch of deposits to one worker partition is one full sync
+        (one export round trip of its 5 servants), not one per member."""
+        names = [f"branch-4/Account/{i}" for i in range(4)]
+        before = fed.replicas.stats()
+        with client.pipeline() as pipe:
+            deposits = [pipe.call(name, "deposit", 5) for name in names]
+        assert [future.result() for future in deposits] == [1005.0] * 4
+        after = fed.replicas.stats()
+        assert after["syncs"] - before["syncs"] == 1
+        assert after["log_appends"] - before["log_appends"] == 5
+
     def test_servant_objects_stay_in_the_worker(self, fed):
         with pytest.raises(FederationError, match="worker process"):
             fed.servant("branch-0/Account/0")

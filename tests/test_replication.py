@@ -35,6 +35,10 @@ class Counter:
         self.value += amount
         return self.value
 
+    def bump_other(self, other, amount):
+        """Mutate ``other`` (a reference to a servant on this node)."""
+        return other.bump(amount)
+
     def read(self):
         return self.value
 
@@ -47,7 +51,7 @@ RETRY = QoS(timeout_ms=30_000.0, retries=2)
 def build(nodes=3, partitions=6, per_partition=3, snapshot_every=8):
     federation = Federation(seed=7, latency_ms=0.0)
     for i in range(nodes):
-        federation.add_node(f"node-{i}").module = MODULE
+        federation.join(f"node-{i}").module = MODULE
     names = []
     for k in range(partitions):
         partition = f"part-{k}"
@@ -319,6 +323,50 @@ class TestReplayEquivalence:
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
+    def test_cross_partition_effect_survives_failover(self):
+        """A servant that mutates another partition's servant on its node
+        (through a reference argument) replicates that partition too, so
+        the acknowledged effect survives the node's crash."""
+        federation, names = build(nodes=3, partitions=6)
+        by_owner = {}
+        for name in names:
+            by_owner.setdefault(federation.naming.owner_of(name), []).append(name)
+        source, target = next(
+            (group[0], other)
+            for group in by_owner.values()
+            for other in group
+            if federation.naming.partition_key(other)
+            != federation.naming.partition_key(group[0])
+        )
+        victim = federation.naming.owner_of(source)
+        assert federation.call(source, "bump_other", federation.ref(target), 5.0) == 105.0
+        partition = federation.naming.partition_key(target)
+        standby = federation.replicas._groups[partition].standbys
+        assert [copies[target][1]["value"] for copies in standby.values()] == [105.0]
+        federation.kill(victim)
+        assert federation.fail_over(victim)
+        assert federation.call(target, "read") == 105.0
+        federation.shutdown()
+
+    def test_batch_replicates_each_partition_once(self):
+        federation, names = build(nodes=2, partitions=1, per_partition=8)
+        before = federation.replicas.stats()
+        with federation.pipeline(max_batch=8) as pipe:
+            futures = [pipe.call(name, "bump", 1.0) for name in names]
+        assert [future.result() for future in futures] == [101.0] * 8
+        after = federation.replicas.stats()
+        assert after["syncs"] - before["syncs"] == 1
+        assert after["log_appends"] - before["log_appends"] == 8
+        # eight calls on one servant log it once
+        with federation.pipeline(max_batch=8) as pipe:
+            futures = [pipe.call(names[0], "bump", 1.0) for _ in range(8)]
+        assert futures[-1].result() == 109.0
+        final = federation.replicas.stats()
+        assert final["syncs"] - after["syncs"] == 1
+        assert final["log_appends"] - after["log_appends"] == 1
+        assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
+
     def test_kill_after_log_tail_promotes_last_write(self):
         federation, names = build(snapshot_every=4)
         name = names[0]
@@ -435,7 +483,7 @@ class TestReplayStress:
     def _run_stress(self, snapshot_every):
         federation = Federation(seed=23, latency_ms=0.0)
         for i in range(4):
-            federation.add_node(f"node-{i}", workers=2).module = MODULE
+            federation.join(f"node-{i}", workers=2).module = MODULE
         names = []
         for k in range(8):
             partition = f"part-{k}"

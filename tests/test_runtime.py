@@ -348,16 +348,16 @@ class TestFederation:
 
     def test_unknown_node_and_duplicate_node(self):
         federation = Federation()
-        federation.add_node("n0")
+        federation.join("n0")
         with pytest.raises(FederationError):
-            federation.add_node("n0")
+            federation.join("n0")
         with pytest.raises(FederationError):
             federation.node("missing")
 
     def test_bus_dispatch_guard_serializes_direct_deliveries(self):
         """Proxy calls that bypass Node.invoke still hold the servant lock."""
         federation = Federation(seed=1)
-        node = federation.add_node("n0", workers=2)
+        node = federation.join("n0", workers=2)
         assert node.services.bus.dispatch_guard is not None
 
         busy = {"flag": False}

@@ -59,7 +59,7 @@ MODULE = SimpleNamespace(Counter=Counter)
 def build(transport="socket", nodes=3, partitions=6, replication=0, **kwargs):
     federation = Federation(latency_ms=0.0, transport=transport, **kwargs)
     for i in range(nodes):
-        federation.add_node(f"node-{i}").host(None, MODULE)
+        federation.join(f"node-{i}").host(None, MODULE)
     names = []
     for k in range(partitions):
         partition = f"part-{k}"

@@ -71,7 +71,7 @@ class TestQoS:
         from repro.runtime import Federation
 
         federation = Federation(seed=0)
-        node = federation.add_node("node-x")
+        node = federation.join("node-x")
         key = next(
             f"k{i}" for i in range(100)
             if federation.node_for(f"k{i}").name == "node-x"
@@ -477,8 +477,8 @@ class _PipelineCases:
         from repro.runtime import Federation
 
         federation = Federation(seed=3, transport=self.transport)
-        federation.add_node("node-0", workers=2)
-        federation.add_node("node-1", workers=2)
+        federation.join("node-0", workers=2)
+        federation.join("node-1", workers=2)
 
         class Counter:
             def __init__(self):
@@ -584,7 +584,7 @@ class TestFederationPipeline(_PipelineCases):
         from repro.runtime import Federation
 
         federation = Federation(seed=0, delivery_workers=1)
-        node = federation.add_node("node-x", workers=1)
+        node = federation.join("node-x", workers=1)
         key = next(
             f"k{i}" for i in range(100)
             if federation.node_for(f"k{i}").name == "node-x"
