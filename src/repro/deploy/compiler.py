@@ -202,12 +202,12 @@ def extract_spec(federation, include_state: bool = False) -> DeploymentSpec:
     """Project a live federation back into a :class:`DeploymentSpec`.
 
     Structure (nodes, partitions, servant names/types/classification,
-    replication, armed fault sites, users) is re-read from the live
-    topology; the application section and QoS declarations are taken
-    from the spec the federation was compiled from (they cannot drift at
-    runtime).  ``include_state`` snapshots each servant's attribute dict
-    — useful as a manifest view, but mutable state never participates
-    in structural diffs.
+    replication, armed fault sites, users), the transport knobs and the
+    seed are re-read from the live federation; the application section
+    and QoS declarations are taken from the spec the federation was
+    compiled from (they cannot drift at runtime).  ``include_state``
+    snapshots each servant's attribute dict — useful as a manifest
+    view, but mutable state never participates in structural diffs.
     """
     from repro.runtime.federation import ShardedNamingService
 
@@ -307,6 +307,6 @@ def extract_spec(federation, include_state: bool = False) -> DeploymentSpec:
         sim_latency_ms=federation.latency_ms,
         real_latency_ms=federation.real_latency_s * 1000.0,
         delivery_workers=federation.delivery_workers,
-        seed=deployed.seed if deployed is not None else federation.seed,
+        seed=federation.seed,
         transport=federation.transport_mode,
     )

@@ -27,8 +27,9 @@ on the final ring) and before retires (the retiree's partitions are
 already covered elsewhere).
 
 Not every difference is migratable: a changed application (different
-PIM source or concern plan), changed node workers, or a servant whose
-type changed under the same name require a redeploy — the diff refuses
+PIM source or concern plan), changed node workers, a servant whose
+type changed under the same name, or a changed transport, seed,
+latency or delivery-worker count require a redeploy — the diff refuses
 them with :class:`~repro.errors.DeploymentError` instead of guessing.
 Mutable servant *state* and the advisory partition owner hints are
 ignored: they describe runtime history, not desired topology.
@@ -297,12 +298,13 @@ class DeploymentDiff:
                     "specs; credential rotation has no live migration "
                     "path — redeploy"
                 )
-        for attr in ("sim_latency_ms", "real_latency_ms", "delivery_workers"):
+        for attr in ("sim_latency_ms", "real_latency_ms", "delivery_workers", "transport", "seed"):
             if getattr(current, attr) != getattr(target, attr):
                 raise DeploymentError(
                     f"{attr} changed between specs "
                     f"({getattr(current, attr)} -> {getattr(target, attr)}); "
-                    "transport parameters cannot be changed live — redeploy"
+                    "transport parameters and the seed cannot be changed "
+                    "live — redeploy"
                 )
         current_faults = {
             site.site: site.probability

@@ -35,7 +35,6 @@ Endpoints are strings: ``tcp://127.0.0.1:9307`` or
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import select
 import socket
@@ -53,7 +52,6 @@ from repro.middleware.wire import (
     CONTROL_OK,
     DEFAULT_MAX_FRAME,
     FAULT,
-    ONEWAY_ACK,
     REQUEST,
     RESPONSE,
     WireSession,
@@ -61,8 +59,6 @@ from repro.middleware.wire import (
 )
 
 _RECV_CHUNK = 64 * 1024
-
-_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +141,6 @@ class WireServer:
         self.requests_served = 0  # guarded_by: _lock
         self.faults_returned = 0  # guarded_by: _lock
         self.protocol_errors = 0  # guarded_by: _lock
-        self.oneway_failures = 0  # guarded_by: _lock
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -265,29 +260,10 @@ class WireServer:
     def _serve_frame(self, conn, session, kind: int, payload: Any) -> bool:
         """Serve one conversation frame; True ends the connection."""
         if kind == REQUEST:
+            # a oneway too: its RESPONSE or FAULT follows the effect, so
+            # the caller meters it like any call and a drained caller
+            # (the harness's quiesce) knows it has fully landed
             envelope = Envelope.from_wire(payload)
-            if envelope.is_oneway:
-                # at-most-once effect, no client-visible error; the ack
-                # follows the effect so a drained caller (the harness's
-                # quiesce) knows every acked oneway has fully landed
-                try:
-                    with serving_request():
-                        self.request_handler(envelope)
-                except Exception as exc:  # noqa: BLE001 - oneway has no reply path
-                    # nowhere to send a FAULT; count and log instead of
-                    # discarding the only evidence the effect was lost
-                    with self._lock:
-                        self.oneway_failures += 1
-                    _log.warning(
-                        "oneway dispatch failed on %s: %s: %s",
-                        self.node,
-                        type(exc).__name__,
-                        exc,
-                    )
-                with self._lock:
-                    self.requests_served += 1
-                conn.sendall(session.send_oneway_ack(envelope.correlation_id))
-                return False
             try:
                 with serving_request():
                     result = self.request_handler(envelope)
@@ -318,7 +294,7 @@ class WireServer:
             if stop:
                 self.stop()
             return stop
-        # RESPONSE/FAULT/ACK frames are client-bound; receiving one here
+        # RESPONSE/FAULT frames are client-bound; receiving one here
         # is a peer bug, not recoverable on this connection
         with self._lock:
             self.protocol_errors += 1
@@ -634,7 +610,7 @@ class SocketTransport(Transport):
     ):
         with self._stats_lock:
             self.roundtrips += 1
-        if kind not in (RESPONSE, FAULT, ONEWAY_ACK):
+        if kind not in (RESPONSE, FAULT):
             client.close()
             raise ProtocolError(
                 f"expected a response frame from {node!r}, got kind {kind}"
@@ -651,8 +627,6 @@ class SocketTransport(Transport):
         self.pool.checkin(client)
         if kind == FAULT:
             raise decode_fault(payload.get("fault", {}))
-        if kind == ONEWAY_ACK:
-            return None
         return Response.from_wire(payload["response"])
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -30,8 +30,7 @@ magic, unknown versions or kinds, oversized frames, over-deep nesting
 arbitrary splits (half a header, three frames and a tail, ...) and
 complete frames come out.  :class:`WireSession` layers the
 handshake/conversation rules on top: HELLO/HELLO-OK version agreement
-first, then request/response/ack/fault frames correlated by envelope
-ids.
+first, then request/response/fault frames correlated by envelope ids.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.middleware.bus import ObjectRefData, Response
 from repro.middleware.envelope import Envelope, is_retryable
 
 MAGIC = b"RW"
-VERSION = 1
+VERSION = 2  #: version 1 acked a oneway with kind 5; a oneway is now a REQUEST
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -71,21 +70,17 @@ HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: Envelope.to_wire()
 RESPONSE = 4  #: its reply: {"correlation_id", "response"}
-ONEWAY_ACK = 5  #: receipt of a oneway envelope: {"correlation_id"}
 FAULT = 6  #: delivery failed before a Response existed: {"correlation_id", "fault"}
 CONTROL = 7  #: management conversation (deploy, state, shutdown): free-form dict
 CONTROL_OK = 8  #: management reply
 
-_KINDS = frozenset(
-    (HELLO, HELLO_OK, REQUEST, RESPONSE, ONEWAY_ACK, FAULT, CONTROL, CONTROL_OK)
-)
+_KINDS = frozenset((HELLO, HELLO_OK, REQUEST, RESPONSE, FAULT, CONTROL, CONTROL_OK))
 
 KIND_NAMES = {
     HELLO: "hello",
     HELLO_OK: "hello_ok",
     REQUEST: "request",
     RESPONSE: "response",
-    ONEWAY_ACK: "oneway_ack",
     FAULT: "fault",
     CONTROL: "control",
     CONTROL_OK: "control_ok",
@@ -504,9 +499,6 @@ class WireSession:
             RESPONSE,
             {"correlation_id": correlation_id, "response": response.to_wire()},
         )
-
-    def send_oneway_ack(self, correlation_id: int) -> bytes:
-        return encode_frame(ONEWAY_ACK, {"correlation_id": correlation_id})
 
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(

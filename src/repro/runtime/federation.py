@@ -91,6 +91,7 @@ from repro.middleware.envelope import (
     QoS,
     ReplyFuture,
     current_delivery_context,
+    delivery_stack,
 )
 from repro.middleware.faults import FaultInjector
 from repro.middleware.naming import NamingService
@@ -382,6 +383,9 @@ class _MigrationGate:
     partition waits for the unfreeze like any new delivery; the freeze
     timeout is the backstop for workloads that nest across two
     partitions frozen by the same migration.
+
+    The gate's entries are the federation's only in-flight count: a
+    killed node's partitions :meth:`drain`.
     """
 
     def __init__(self, observer=None):
@@ -455,19 +459,36 @@ class _MigrationGate:
         finally:
             self.leave(parts)
 
+    def _wait_drained(self, partitions: set, timeout_s: float) -> bool:
+        """Under ``_cond``: wait until no other thread holds an entry on
+        ``partitions`` (this thread's own entries are discounted)."""
+        held = self._held()
+        return self._cond.wait_for(
+            lambda: all(self._inflight.get(p, 0) <= held.get(p, 0) for p in partitions),
+            timeout_s,
+        )
+
+    def drain(self, partitions: Iterable[str], timeout_s: float) -> None:
+        """:meth:`freeze`'s wait without the freeze: a delivery entering
+        meanwhile passes (on a dead node it fails fast), so a servant
+        still running there may call into another of its partitions."""
+        with self._cond:
+            if not self._wait_drained(set(partitions), timeout_s):
+                raise FederationError(
+                    f"in-flight requests on {sorted(partitions)} did not drain "
+                    f"within {timeout_s}s"
+                )
+
+    def in_flight(self, partitions: Iterable[str]) -> int:
+        with self._cond:
+            return sum(self._inflight.get(p, 0) for p in partitions)
+
     @contextlib.contextmanager
     def freeze(self, partitions: Iterable[str], timeout_s: float = 30.0):
         frozen = set(partitions)
-        held = self._held()
-
-        def drained() -> bool:
-            return all(
-                self._inflight.get(p, 0) <= held.get(p, 0) for p in frozen
-            )
-
         with self._cond:
             self._frozen |= frozen
-            if not self._cond.wait_for(drained, timeout_s):
+            if not self._wait_drained(frozen, timeout_s):
                 self._frozen -= frozen
                 self._cond.notify_all()
                 raise FederationError(
@@ -487,7 +508,7 @@ class ReplicaGroup:
 
     __slots__ = ("partition", "primary", "standbys", "watermarks")
 
-    def __init__(self, partition: str, primary: str, standby_names: List[str]):
+    def __init__(self, partition: str, primary: str, standby_names: List[str], applied: int = 0):
         self.partition = partition
         self.primary = primary
         #: standby node name -> {binding name -> (type name, state)}
@@ -498,7 +519,7 @@ class ReplicaGroup:
         #: watermark up to which that standby's copies have replayed the
         #: partition's :class:`ReplicationLog`; replica lag is the
         #: distance between the log head and the smallest watermark
-        self.watermarks: Dict[str, int] = {name: 0 for name in standby_names}
+        self.watermarks: Dict[str, int] = {name: applied for name in standby_names}
 
 
 class ReplicationLog:
@@ -583,9 +604,9 @@ class ReplicaManager:
     all ride the same replay path.
 
     Cross-servant coherence comes from the sync discipline itself:
-    every mutating call replicates its effects before it releases the
-    node's in-flight count, so a drained (killed) primary has already
-    pushed its final state.
+    every mutating call replicates its effects before it leaves the
+    migration gate, so a drained (killed) primary has already pushed
+    its final state.
     """
 
     def __init__(
@@ -610,6 +631,9 @@ class ReplicaManager:
         #: partition -> its sync lock, held from export to append so a
         #: partition's log entries land in the order they were exported
         self._sync_locks: Dict[str, Any] = {}
+        #: partitions whose last sync was skipped because an export
+        #: raised: their standbys may miss an effect
+        self._export_failed: set = set()  # guarded_by: _lock
         #: syncs that actually refreshed at least one standby copy /
         #: skipped because the routed call touched no mutable servant
         self.syncs = 0
@@ -645,9 +669,10 @@ class ReplicaManager:
         servant effect, so it must never fail that call — failing it
         would invite a retry that runs the effect twice.  A topology
         swap racing the sync (owner read from one snapshot, gone in the
-        next) just skips the refresh — the rebuild that every membership
-        change performs re-syncs the partition moments later — and so
-        does an export a worker-process owner cannot answer.
+        next) just skips the refresh: the membership change's
+        :meth:`rebuild` re-syncs the re-placed partition.  An export
+        that raises (a worker owner that cannot answer) skips it too,
+        and marks the partition for the next rebuild.
 
         Both paths export outside the manager lock (for a worker owner
         it is a round trip), holding only the partition's sync lock, so
@@ -665,6 +690,8 @@ class ReplicaManager:
                 try:
                     entries = owner.export(names)
                 except ReproError:
+                    with self._lock:
+                        self._export_failed.add(partition)
                     return
                 with self._lock:
                     if self._groups.get(partition) is not group:
@@ -683,8 +710,11 @@ class ReplicaManager:
                 standby_names = self._standby_names(partition)
                 entries = owner.export(names)
             except ReproError:
+                with self._lock:
+                    self._export_failed.add(partition)
                 return
             with self._lock:
+                self._export_failed.discard(partition)
                 group = self._ensure_group(partition, owner_name, standby_names)
                 if self._replicate(partition, group, entries, full=True):
                     self.syncs += 1
@@ -706,7 +736,10 @@ class ReplicaManager:
             or group.primary != owner_name
             or list(group.standbys) != standby_names
         ):
-            group = ReplicaGroup(partition, owner_name, standby_names)
+            # the full export appended next restates every live binding,
+            # so new standbys start at the log head, not its history
+            head = self._logs[partition].seq if partition in self._logs else 0
+            group = ReplicaGroup(partition, owner_name, standby_names, head)
             self._groups[partition] = group
         return group
 
@@ -795,24 +828,41 @@ class ReplicaManager:
                 self._catch_up(group, log, node_name)
             return dict(group.standbys.get(node_name, {}))
 
-    def drop(self, partition: str) -> None:
-        with self._lock:
-            self._groups.pop(partition, None)
-            self._logs.pop(partition, None)
-
     def rebuild(self) -> None:
-        """Re-place every group after a topology change and resync."""
-        partitions = {
-            ShardedNamingService.partition_key(name)
-            for name in self.federation.naming.list()
-        }
+        """Re-place the groups after a topology change: drop those of
+        partitions that no longer exist, and re-sync only a partition
+        whose standbys could be stale (:meth:`_stale`) — a membership
+        change costs what it moves, not the whole federation."""
+        naming = self.federation.naming
+        partitions = {ShardedNamingService.partition_key(name) for name in naming.list()}
+        ring = naming.ring
         with self._lock:
             for stale in set(self._groups) - partitions:
                 del self._groups[stale]
             for stale in set(self._logs) - partitions:
                 del self._logs[stale]
-        for partition in sorted(partitions):
+            self._export_failed &= partitions
+            due = [
+                partition
+                for partition in sorted(partitions)
+                if self._stale(partition, ring.preference(partition, self.count + 1))
+            ]
+        for partition in due:
             self.sync_partition(partition)
+
+    def _stale(self, partition: str, placement: List[str]) -> bool:
+        """Whether ``partition`` needs a re-sync: its group is new, its
+        primary or standbys differ from ``placement`` (the ring's
+        preference list), a standby hosting the application is behind
+        the log head, or its last sync was skipped because an export
+        raised."""
+        group = self._groups.get(partition)
+        if group is None or partition in self._export_failed:
+            return True
+        if [group.primary, *group.standbys] != placement:
+            return True
+        head = self._logs[partition].seq if partition in self._logs else 0
+        return any(group.watermarks[s] < head for s in group.standbys if self._hosts_application(s))
 
     def replica_lag(self) -> int:
         """Largest current watermark deficit across all standbys."""
@@ -923,13 +973,11 @@ class Federation:
         self.chain.add("latency", self._latency_element)
         self.chain.add("routing", self._routing_element)
         # -- elastic membership state --
-        #: serializes join/retire/fail_over against each other
+        #: serializes join/retire/fail_over and kill's mark
         self._topology_lock = named_rlock("federation.topology")
         #: quiesces in-flight envelopes on partitions under migration
+        #: (the only in-flight count: kill and fail_over drain through it)
         self._gate = _MigrationGate(observer=self.observability.gate_wait)
-        #: per-node count of requests currently executing (kill drains it)
-        self._flight_cond = named_condition("federation.flight")
-        self._node_flight: Dict[str, int] = {}  # guarded_by: _flight_cond
         #: users/faults provisioned so far — replayed onto joining nodes
         self._provisioned_users: List[Tuple[str, str, tuple]] = []
         self._fault_sites: List[Tuple[str, float, dict]] = []
@@ -1172,20 +1220,7 @@ class Federation:
                     self._discard(node)
                 raise
             if total:
-                self.joins += 1
-                self.bindings_moved += moved
-                self.last_rebalance = {
-                    "action": "join",
-                    "node": name,
-                    "moved": moved,
-                    "total": total,
-                    "partitions": sorted(moving),
-                }
-                self.observability.emit(
-                    "join", node=name, moved=moved, partitions=sorted(moving)
-                )
-            if self.replicas is not None:
-                self.replicas.rebuild()
+                self._rebalanced("join", name, moved, sorted(moving), {"total": total})
             return node
 
     def _adopt_moving_shards(
@@ -1264,31 +1299,25 @@ class Federation:
                 node.alive = False
                 del self.nodes[name]
             self._discard(node)
-            self.retires += 1
-            self.bindings_moved += moved
-            self.last_rebalance = {
-                "action": "retire",
-                "node": name,
-                "moved": moved,
-                "total": total,
-                "partitions": sorted(grouped),
-            }
-            self.observability.emit(
-                "retire", node=name, moved=moved, partitions=sorted(grouped)
-            )
-            if self.replicas is not None:
-                self.replicas.rebuild()
+            self._rebalanced("retire", name, moved, sorted(grouped), {"total": total})
             return dict(self.last_rebalance)
 
-    def _await_node_idle(self, name: str, timeout_s: float) -> None:
-        """Wait until no admitted request still executes on ``name``."""
-        with self._flight_cond:
-            if not self._flight_cond.wait_for(
-                lambda: self._node_flight.get(name, 0) == 0, timeout_s
-            ):
-                raise FederationError(
-                    f"node {name!r} did not drain within {timeout_s}s"
-                )
+    def _rebalanced(
+        self, action: str, name: str, moved: int, partitions: List[str], detail: dict, **event
+    ) -> None:
+        """Record a membership change — one more ``joins``, ``retires``
+        or ``failovers``, the moved bindings, ``last_rebalance`` (plus
+        ``detail``) and the action's event (plus ``event``) — then
+        re-place the replica groups."""
+        counter = action + "s"
+        setattr(self, counter, getattr(self, counter) + 1)
+        self.bindings_moved += moved
+        self.last_rebalance = dict(
+            action=action, node=name, moved=moved, **detail, partitions=partitions
+        )
+        self.observability.emit(action, node=name, moved=moved, **event, partitions=partitions)
+        if self.replicas is not None:
+            self.replicas.rebuild()
 
     def kill(self, name: str, drain_timeout_s: float = 30.0) -> None:
         """Fail-stop a node: requests already executing finish (and
@@ -1296,14 +1325,19 @@ class Federation:
         worker process is SIGKILLed instead, so its in-flight requests
         die with it.  The node stays in the ring until the failover
         interceptor (or an explicit :meth:`fail_over`) promotes its
-        standbys."""
-        node = self.node(name)
-        with self._flight_cond:
+        standbys.  It is marked dead under the topology lock (a second
+        or concurrent kill is a no-op); the process kill and the drain
+        of its partitions through the migration gate run outside it, so
+        a failover element reacting to the death can promote meanwhile."""
+        with self._topology_lock:
+            node = self.node(name)
             if not node.alive:
                 return
-            node.kill()
+            node.alive = False
+            partitions = self._group_by_partition(self.naming.shard(name).list())
+        node.kill()
         self.observability.emit("kill", node=name)
-        self._await_node_idle(name, drain_timeout_s)
+        self._gate.drain(partitions, drain_timeout_s)
 
     def fail_over(self, name: str, blocking: bool = True) -> bool:
         """Promote the standbys of a dead node's partitions.
@@ -1338,13 +1372,13 @@ class Federation:
                 raise FederationError(
                     f"cannot fail over {name!r}: it is the last node"
                 )
+            grouped = self._group_by_partition(self.naming.shard(name).list())
             # requests admitted before the node died may still be
             # executing (kill's own drain can be racing on another
             # thread): their effects — and replication syncs — must
             # land before the standby copies are taken, or the promoted
             # state silently loses them
-            self._await_node_idle(name, 30.0)
-            grouped = self._group_by_partition(self.naming.shard(name).list())
+            self._gate.drain(grouped, 30.0)
             moved = 0
             lost: List[str] = []
             for partition, pnames in sorted(grouped.items()):
@@ -1357,29 +1391,14 @@ class Federation:
                     else:
                         lost.append(bound)
                 moved += len(new_owner.import_states(promoted))
-                self.replicas.drop(partition)
             # epoch swap: ownership falls to the ring successors — the
             # nodes whose standby copies were just promoted
             self.naming.remove_shard(name)
             del self.nodes[name]
             self._discard(node)
-            self.failovers += 1
-            self.bindings_moved += moved
-            self.last_rebalance = {
-                "action": "failover",
-                "node": name,
-                "moved": moved,
-                "lost": lost,
-                "partitions": sorted(grouped),
-            }
-            self.observability.emit(
-                "failover",
-                node=name,
-                moved=moved,
-                lost=len(lost),
-                partitions=sorted(grouped),
+            self._rebalanced(
+                "failover", name, moved, sorted(grouped), {"lost": lost}, lost=len(lost)
             )
-            self.replicas.rebuild()
             return True
         finally:
             self._topology_lock.release()
@@ -1423,12 +1442,19 @@ class Federation:
             if exc.node:
                 node = self.nodes.get(exc.node)
                 dead = node is None or not node.alive
+                # a call nested in a servant's dispatch never promotes:
+                # that dispatch may still run on the dead node, and the
+                # promotion must wait for it (its drain discounts only
+                # this thread's entries); it would also take the
+                # topology lock under the servant lock
+                promote = dead and not delivery_stack()
                 if exc.pre_effect:
-                    if dead:
+                    if promote:
                         self.fail_over(exc.node, blocking=False)
                 elif exc.mid_call and dead:
-                    with contextlib.suppress(FederationError):
-                        self.fail_over(exc.node, blocking=False)
+                    if promote:
+                        with contextlib.suppress(FederationError):
+                            self.fail_over(exc.node, blocking=False)
                     exc.pre_effect = True
             raise
 
@@ -1556,41 +1582,39 @@ class Federation:
         calls: Iterable[Tuple[ObjectRefData, str, str]],
         hop: Callable[[], Any],
     ):
-        """The node hop: dead-node classification + dispatch + replication,
-        all on the caller's side whatever the transport.  ``calls`` are
-        the hop's ``(ref, operation, partition)`` — one for a single
-        call, one per member for a batch — and the hop gets one
-        replication decision (:meth:`_replicate`).
+        """The node hop: the alive check + dispatch + replication, all
+        on the caller's side whatever the transport.  ``calls`` are the
+        hop's ``(ref, operation, partition)`` — one for a single call,
+        one per member for a batch — and the hop gets one replication
+        decision (:meth:`_replicate`).
 
-        The node guard makes the aliveness check and the in-flight bump
-        one step under the flight condition, so :meth:`kill`'s drain
-        cannot miss a request that slipped past the check — a dead node
-        never executes another servant effect, and kill returns only
-        after every admitted request (including its replication)
-        finished.  The replication of a call runs *inside* the guard: a
-        kill that drained to zero has therefore already captured every
-        completed effect in the standby copies (or shipped it through
-        the replication log) — there is no window where an effect exists
-        only on the dying primary."""
-        name = node.name
-        flight = self._flight_cond
-        with flight:
-            if not node.alive:
-                raise NodeDownError(f"node {name!r} is down", node=name)
-            self._node_flight[name] = self._node_flight.get(name, 0) + 1
+        The alive check needs no lock of its own: both callers hold
+        migration-gate entries for the hop's partitions, and
+        :meth:`kill` marks the node dead *before* it drains those
+        entries.  A call that passed the check is one the drain waits
+        for; a call that entered after the drain read the count sees the
+        mark and fails here, before any effect.  The replication of a
+        call runs inside its entry, so a drained kill has already
+        captured every completed effect in the standby copies (or
+        shipped it through the replication log) — there is no window
+        where an effect exists only on the dying primary."""
+        if not node.alive:
+            raise NodeDownError(f"node {node.name!r} is down", node=node.name)
+        if self.replicas is None:
+            return hop()
+        mark = self._mutation_mark(node)
+        value = hop()
+        self._replicate(node, calls, mark)
+        return value
+
+    def routed_in_flight(self, name: str) -> int:
+        """Routed calls holding a migration-gate entry on one of node
+        ``name``'s partitions (0 once it left the ring)."""
         try:
-            if self.replicas is None:
-                return hop()
-            mark = self._mutation_mark(node)
-            value = hop()
-            self._replicate(node, calls, mark)
-            return value
-        finally:
-            with flight:
-                self._node_flight[name] -= 1
-                if not self._node_flight[name]:
-                    del self._node_flight[name]
-                    flight.notify_all()
+            shard = self.naming.shard(name)
+        except FederationError:
+            return 0
+        return self._gate.in_flight(self._group_by_partition(shard.list()))
 
     @staticmethod
     def _mutation_mark(node: Union[Node, RemoteNode]) -> Optional[int]:
@@ -1682,8 +1706,6 @@ class Federation:
             attempt=envelope.attempt,
         )
         response = self._socket_transport.roundtrip(node.name, hop)
-        if response is None:  # oneway: the ack is the whole reply
-            return None
         if response.is_error:
             MessageBus.raise_remote(response)
         return self._hydrate(node, response.result)

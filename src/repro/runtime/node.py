@@ -340,8 +340,8 @@ class Node:
     def serve(self, envelope: Envelope) -> Any:
         """The server half of a wire hop: run one REQUEST frame here.
 
-        The caller already resolved the binding, holds the node guard
-        and makes the replication decision, so serving is a plain
+        The caller already resolved the binding, checked the node is
+        alive and makes the replication decision, so serving is a plain
         :meth:`invoke`.  The hop label carries the servant type
         (``Type.operation``), so the reference is rebuilt without a
         naming lookup; arguments are wire values the ORB hydrates

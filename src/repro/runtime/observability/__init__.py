@@ -141,7 +141,7 @@ class Observability:
             dispatch = node.stats().get("dispatch", {})
             put(f"node.{name}.in_flight", dispatch.get("in_flight", 0))
             put(f"node.{name}.dispatcher_workers", dispatch.get("workers", 0))
-            put(f"node.{name}.routed_in_flight", federation._node_flight.get(name, 0))
+            put(f"node.{name}.routed_in_flight", federation.routed_in_flight(name))
         stats = federation._async.stats()
         if stats["submitted"]:
             put("federation.delivery_queue_depth", stats["queued"])

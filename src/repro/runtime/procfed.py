@@ -244,8 +244,8 @@ class RemoteNode:
     """The node surface, served by one worker process over CONTROL verbs.
 
     Routed calls do not go through this object: the federation sends
-    them as REQUEST frames, holding the node guard on its own side as it
-    does for every transport.  CONTROL verbs travel on the
+    them as REQUEST frames, checking the node is alive on its own side
+    as it does for every transport.  CONTROL verbs travel on the
     same socket transport, so its pool and statistics cover both.
     Results stay wire values — the front-end hosts no servants, so
     references come back as :class:`ObjectRefData`.

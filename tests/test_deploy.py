@@ -733,6 +733,30 @@ class TestDiffAndPlan:
         with pytest.raises(DeploymentError, match="sim_latency_ms"):
             DeploymentDiff.between(base, replace(base, sim_latency_ms=9.0))
 
+    def test_changed_transport_or_seed_is_refused_live(self):
+        """A deployed inproc federation cannot become a socket or
+        re-seeded one in place: the apply refuses, and the drift check
+        keeps reading the live transport and seed."""
+        from dataclasses import replace
+
+        base = tiny_spec()
+        federation = DeploymentCompiler().deploy(base)
+        try:
+            for changed, field_name in (
+                (replace(base, transport="socket", seed=99), "transport"),
+                (replace(base, seed=99), "seed"),
+            ):
+                with pytest.raises(DeploymentError, match=field_name):
+                    apply_spec(federation, changed)
+                assert federation.spec is base
+                current = federation.current_spec()
+                assert (current.transport, current.seed) == ("inproc", 0)
+                with pytest.raises(DeploymentError, match="redeploy"):
+                    DeploymentDiff.between(current, changed)
+            assert federation.transport_mode == "inproc"
+        finally:
+            federation.shutdown()
+
     def test_extracted_spec_stays_valid_after_fault_reconfiguration(self):
         from dataclasses import replace
 

@@ -346,6 +346,105 @@ class TestFailover:
         assert not federation.nodes["node-0"].alive
         federation.shutdown()
 
+    def test_kill_drains_a_call_blocked_in_its_servant(self, monkeypatch):
+        """kill marks the node dead at once but returns only after the
+        call already running there finished (and replicated); a call
+        issued after the kill fails before any effect, the failover it
+        triggers promotes the blocked call's effect, and a concurrent
+        kill is a no-op."""
+        federation, names = build(replication=1)
+        victim = "node-1"
+        blocked_name, other = [
+            n for n in names if federation.naming.owner_of(n) == victim
+        ][:2]
+        blocked = federation.servant(blocked_name)
+        entered, release = threading.Event(), threading.Event()
+        real_bump = Counter.bump
+
+        def bump(self, amount):
+            if self is blocked:
+                entered.set()
+                assert release.wait(10)
+            return real_bump(self, amount)
+
+        monkeypatch.setattr(Counter, "bump", bump)
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(federation.call(blocked_name, "bump", 5.0))
+        )
+        caller.start()
+        assert entered.wait(10)
+        killers = [
+            threading.Thread(target=federation.kill, args=(victim,)) for _ in range(2)
+        ]
+        for killer in killers:
+            killer.start()
+        for killer in killers:
+            killer.join(0.3)
+        assert not federation.nodes[victim].alive
+        # one kill is draining behind the blocked call; the other was a no-op
+        assert [killer.is_alive() for killer in killers].count(True) == 1
+        assert len(federation.observability.events.records("kill")) == 1
+        # the failover this call triggers waits for the blocked call too
+        threading.Timer(0.2, release.set).start()
+        with pytest.raises(NodeDownError) as excinfo:
+            federation.call(other, "read")
+        assert excinfo.value.pre_effect
+        for thread in (caller, *killers):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert results == [105.0]
+        assert federation.failovers == 1
+        assert federation.last_rebalance["lost"] == []
+        assert federation.fail_over(victim) is False
+        assert federation.call(blocked_name, "read") == 105.0
+        assert len(federation.observability.events.records("kill")) == 1
+        federation.shutdown()
+
+    def test_nested_call_into_its_killed_node_fails_fast(self, monkeypatch):
+        """A servant still running on a killed node calls into another of
+        the node's partitions: that call fails fast and promotes nothing
+        (the promotion must wait for the very dispatch it is nested in),
+        so the outer call completes and replicates, kill returns, and
+        the failover that follows promotes its effect."""
+        federation, names = build(replication=1)
+        victim = "node-1"
+        outer, inner = [n for n in names if federation.naming.owner_of(n) == victim][:2]
+        entered, release = threading.Event(), threading.Event()
+        nested, results = [], []
+        real_bump = Counter.bump
+
+        def bump(self, amount):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10)
+                try:
+                    federation.call(inner, "read")
+                except NodeDownError as exc:
+                    nested.append(exc)
+            return real_bump(self, amount)
+
+        monkeypatch.setattr(Counter, "bump", bump)
+        caller = threading.Thread(
+            target=lambda: results.append(federation.call(outer, "bump", 5.0))
+        )
+        caller.start()
+        assert entered.wait(10)
+        killer = threading.Thread(target=federation.kill, args=(victim,))
+        killer.start()
+        while federation.nodes[victim].alive:
+            threading.Event().wait(0.01)
+        release.set()
+        for thread in (caller, killer):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert [exc.pre_effect for exc in nested] == [True]
+        assert results == [105.0]
+        assert federation.failovers == 0
+        assert federation.fail_over(victim) is True
+        assert federation.call(outer, "read") == 105.0
+        federation.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # replication internals

@@ -326,10 +326,11 @@ class TestProcessFailover:
                     client, worker, "branch-0/Account/0", "deposit", 9
                 )
                 # hold the caller between the disconnect and the failover
-                # element (it must leave the node guard first) until the
-                # kernel reports the exit, so the classification is not a
-                # race with the process teardown
-                with fed._flight_cond:
+                # element (it counts the disconnect under the transport's
+                # stats lock first) until the kernel reports the exit, so
+                # the classification is not a race with the process
+                # teardown
+                with fed.transport._stats_lock:
                     os.kill(worker.process.pid, signal.SIGKILL)
                     os.waitid(
                         os.P_PID, worker.process.pid, os.WEXITED | os.WNOWAIT

@@ -381,6 +381,79 @@ class TestReplayEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# re-placement: a membership change re-syncs only what it re-places
+# ---------------------------------------------------------------------------
+
+
+class TestReplacement:
+    def test_membership_changes_resync_only_replaced_groups(self, monkeypatch):
+        """4 nodes, 64 one-binding partitions, one standby: join, retire
+        and kill+fail_over each re-sync exactly the groups whose primary
+        or standbys changed, each re-placed standby applies only the
+        fresh export (not the log's history), and every standby ends
+        current."""
+        federation, names = build(nodes=4, partitions=64, per_partition=1)
+        for name in names:
+            federation.call(name, "bump", 1.0)
+        replicas = federation.replicas
+        applied = []
+        apply_state = ReplicaManager._apply_state
+
+        def counting(*args):
+            applied.append(args[1])
+            return apply_state(*args)
+
+        monkeypatch.setattr(ReplicaManager, "_apply_state", staticmethod(counting))
+
+        def placements():
+            return {
+                partition: (group.primary, tuple(group.standbys))
+                for partition, group in replicas._groups.items()
+            }
+
+        events = (
+            lambda: federation.join("node-4", deploy=deploy_module),
+            lambda: federation.retire("node-0"),
+            lambda: (federation.kill("node-1"), federation.fail_over("node-1")),
+        )
+        for event in events:
+            before, syncs = placements(), replicas.stats()["syncs"]
+            applied.clear()
+            event()
+            after = placements()
+            replaced = sum(
+                1 for partition, placed in after.items() if before.get(partition) != placed
+            )
+            assert 0 < replaced < len(after) == 64
+            assert replicas.stats()["syncs"] - syncs == replaced
+            assert len(applied) == replaced
+            assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
+
+    def test_rebuild_resyncs_a_partition_whose_export_raised(self, monkeypatch):
+        """A sync skipped because the primary's export raised leaves the
+        standbys behind the primary; the next rebuild re-syncs that
+        partition even though its placement did not change."""
+        federation, names = build(nodes=3, partitions=6)
+        name = names[0]
+        owner = federation.node(federation.naming.owner_of(name))
+
+        def unreachable(requested):
+            raise NodeDownError("export timed out", node=owner.name)
+
+        monkeypatch.setattr(owner, "export", unreachable)
+        assert federation.call(name, "bump", 5.0) == 105.0
+        monkeypatch.undo()
+        syncs = federation.replicas.stats()["syncs"]
+        federation.replicas.rebuild()
+        assert federation.replicas.stats()["syncs"] == syncs + 1
+        assert_standbys_match_primaries(federation, names)
+        federation.replicas.rebuild()  # nothing stale is left
+        assert federation.replicas.stats()["syncs"] == syncs + 1
+        federation.shutdown()
+
+
+# ---------------------------------------------------------------------------
 # sync locking: per-partition export order, no manager-wide stall
 # ---------------------------------------------------------------------------
 

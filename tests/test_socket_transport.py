@@ -367,6 +367,25 @@ class TestSocketFederation:
         finally:
             federation.shutdown()
 
+    def test_faulted_oneway_is_metered_as_in_process(self):
+        """A oneway whose delivery faults is one call and one error on
+        both transports: over the wire its FAULT frame comes back like
+        any call's, instead of a receipt that hid the lost effect."""
+        metered = {}
+        for mode in ("inproc", "socket"):
+            federation, names = build(transport=mode, partitions=1)
+            try:
+                federation.configure_fault("bus.deliver", 1.0)
+                federation.call_oneway(names[0], "bump", 5.0)
+                assert federation.quiesce(5.0)
+                federation.configure_fault("bus.deliver", 0.0)
+                bump = federation.metrics.snapshot()["operations"]["Counter.bump"]
+                metered[mode] = (bump["count"], bump["errors"])
+                assert federation.call(names[0], "read") == 100.0
+            finally:
+                federation.shutdown()
+        assert metered["socket"] == metered["inproc"] == (1, 1)
+
     def test_async_calls_over_sockets(self):
         federation, names = build()
         try:

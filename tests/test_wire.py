@@ -308,12 +308,13 @@ def test_unknown_version_is_refused():
 
 
 def test_unknown_kind_is_refused():
-    frame = bytearray(_request_frame())
-    frame[3] = 42  # kind byte
-    decoder = FrameDecoder()
-    decoder.feed(bytes(frame))
-    with pytest.raises(ProtocolError, match="unknown frame kind"):
-        list(decoder.frames())
+    for kind in (42, 5):  # 5: version 1's oneway receipt, retired
+        frame = bytearray(_request_frame())
+        frame[3] = kind  # kind byte
+        decoder = FrameDecoder()
+        decoder.feed(bytes(frame))
+        with pytest.raises(ProtocolError, match="unknown frame kind"):
+            list(decoder.frames())
 
 
 def test_oversized_frame_is_rejected_from_the_header_alone():
