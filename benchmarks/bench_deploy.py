@@ -10,8 +10,9 @@ refined through three concerns):
 * ``compile_s`` — phase 1 only: validate, resolve the PIM, bind and
   schedule the concern plan (no side effects);
 * ``bootstrap_s`` — phase 2: create 16 nodes, refine the application
-  once on the vendor lifecycle, ship the package, replay it on every
-  node, bind 64 servants, provision users/classification/replication;
+  once on the vendor lifecycle, ship the package, weave its one
+  derivation on every node, bind 64 servants, provision
+  users/classification/replication;
 * ``reconcile_s`` — one spec diff (join a 17th node) applied live.
 
 A smoke assertion also exercises correctness: every declared servant is

@@ -222,7 +222,9 @@ class Weaver:
         on the live call stack — and, when any of it matches, merged
         with the static advice by precedence into a fresh plan.
         """
-        key = (jp.kind, jp.class_name, jp.member_name)
+        # keyed by the kind's value: a str hashes in C, where the enum
+        # member would hash through the Python-level ``Enum.__hash__``
+        key = (jp.kind._value_, jp.class_name, jp.member_name)
         with self._memo_lock:
             if self._memo_epoch != self._epoch:
                 self._match_memo.clear()

@@ -174,7 +174,12 @@ def generate_module(model: MObject) -> str:
 
 def compile_model(model: MObject, module_name: str = "generated_app"):
     """Generate and execute the functional module; returns the module object."""
-    source = generate_module(model)
+    return load_module(generate_module(model), module_name)
+
+
+def load_module(source: str, module_name: str = "generated_app"):
+    """Execute generated functional source into a fresh module object, so
+    every load defines its own classes."""
     module = _types.ModuleType(module_name)
     module.__dict__["__source__"] = source
     try:

@@ -16,6 +16,7 @@ This is the §2 process as an executable object:
 
 from __future__ import annotations
 
+import enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import BatchExecutionError, WorkflowError
@@ -31,6 +32,18 @@ from repro.core.precedence import AspectDeploymentPlan
 from repro.core.registry import ConcernRegistry
 from repro.core.runtime import MiddlewareServices
 from repro.core.transformation import ConcreteTransformation
+
+
+def application_classes(module) -> List[type]:
+    """The classes a generated functional module defines (the weaver's
+    targets): its own classes, enumerations aside."""
+    return [
+        value
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and not issubclass(value, enum.Enum)
+    ]
 
 
 class MdaLifecycle:
@@ -154,15 +167,7 @@ class MdaLifecycle:
         """The classes defined by the generated functional module."""
         if self._module is None:
             self.generate_functional_code()
-        import enum as _enum
-
-        return [
-            value
-            for value in vars(self._module).values()
-            if isinstance(value, type)
-            and value.__module__ == self._module.__name__
-            and not issubclass(value, _enum.Enum)
-        ]
+        return application_classes(self._module)
 
     def build_application(self, module_name: str = "generated_app"):
         """Generate the functional module, weave it, deploy the aspects.

@@ -17,14 +17,23 @@ This module implements the second option and makes it verifiable:
   via a structural fingerprint — that the replayed model is equivalent to
   the shipped final model.  A receiver can therefore audit, re-target, or
   re-parameterize the component instead of trusting an opaque artifact.
+* :class:`Derivation` is what every node hosting the component weaves
+  against its own services, derived once per process: :func:`ship`
+  keeps the vendor's on the package it returns, and a package parsed
+  from JSON derives its own by one verified replay.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
+from repro.codegen.python_backend import generate_module, load_module
+from repro.core.aspect_generator import generate_concrete_aspect
+from repro.core.lifecycle import MdaLifecycle, application_classes
+from repro.core.precedence import AspectDeploymentPlan
+from repro.core.transformation import ConcreteTransformation
 from repro.errors import ReproError
 from repro.metamodel.instances import MObject, ModelResource
 from repro.uml.metamodel import UML
@@ -45,6 +54,37 @@ class ShippedStep:
     parameters: Dict[str, object]
 
 
+@dataclass(frozen=True)
+class Derivation:
+    """The node-independent result of a refinement: the functional
+    module's source, generated from the final model, and the applied
+    concrete transformations in application order.  Concrete aspects
+    are derived per node (:meth:`weave`): one caches the runtime aspect
+    it builds, which closes over one node's services."""
+
+    source: str
+    transformations: Tuple[ConcreteTransformation, ...]
+
+    @classmethod
+    def of(cls, lifecycle) -> "Derivation":
+        """The derivation of a refined :class:`MdaLifecycle`."""
+        return cls(
+            generate_module(lifecycle.repository.resource.roots[0]),
+            tuple(cmt for cmt, _ca in lifecycle.applied),
+        )
+
+    def weave(self, services, module_name: str):
+        """Build one node's application: a fresh module of the generated
+        classes, woven on ``services.weaver``, with one new concrete
+        aspect per transformation deployed in application order."""
+        module = load_module(self.source, module_name)
+        plan = AspectDeploymentPlan()
+        for cmt in self.transformations:
+            plan.add(generate_concrete_aspect(cmt))
+        plan.deploy(services.weaver, services, application_classes(module))
+        return module
+
+
 @dataclass
 class ComponentPackage:
     """Everything needed to reproduce (and audit) a refined component."""
@@ -54,6 +94,21 @@ class ComponentPackage:
     final_model_xmi: str
     steps: List[ShippedStep] = field(default_factory=list)
     aspect_sources: Dict[str, str] = field(default_factory=dict)
+    #: this process's derivation of the package; never serialized or
+    #: compared (see :meth:`derivation`)
+    _derivation: Optional[Derivation] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def derivation(self) -> Derivation:
+        """What every node hosting the package weaves: the vendor's, for
+        a package :func:`ship` returned; otherwise derived on first use
+        by a verified :func:`replay` against the default registry, so
+        steps that do not reproduce the shipped final model raise
+        :class:`ShippingError` instead of hosting a different app."""
+        if self._derivation is None:
+            self._derivation = Derivation.of(replay(self))
+        return self._derivation
 
     def to_json(self) -> str:
         return json.dumps(
@@ -111,7 +166,9 @@ def ship(lifecycle) -> ComponentPackage:
 
     Requires at least one applied concern; the initial PIM is taken from
     the lifecycle's first repository commit (``MdaLifecycle`` commits the
-    PIM before the first transformation).
+    PIM before the first transformation).  The returned package keeps the
+    lifecycle's :class:`Derivation`, so nodes in this process weave the
+    vendor's refinement instead of replaying it.
     """
     if not lifecycle.applied:
         raise ShippingError("nothing to ship: no concern has been applied")
@@ -129,13 +186,15 @@ def ship(lifecycle) -> ComponentPackage:
         steps.append(
             ShippedStep(cmt.concern, cmt.generic.name, cmt.parameters)
         )
-    return ComponentPackage(
+    package = ComponentPackage(
         name=lifecycle.repository.resource.name,
         initial_model_xmi=xmi_string(initial),
         final_model_xmi=xmi_string(lifecycle.repository.resource),
         steps=steps,
         aspect_sources=lifecycle.generate_aspect_sources(),
     )
+    package._derivation = Derivation.of(lifecycle)
+    return package
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +262,6 @@ def replay(
     registry has a different transformation under the same concern name)
     raises :class:`ShippingError`.
     """
-    from repro.core.lifecycle import MdaLifecycle
-
     resource = parse_xmi(package.initial_model_xmi, UML.package)
     lifecycle = MdaLifecycle(resource, registry=registry, services=services)
     for step in package.steps:

@@ -19,13 +19,14 @@ pipeline's plan/schedule/execute split:
 
 2. :meth:`DeploymentCompiler.deploy` — create the federation, refine
    the application *once* on a vendor lifecycle (driven through the
-   batched pipeline executor), ship it as a
-   :class:`~repro.core.shipping.ComponentPackage`, and execute the
-   plan: users, one ``join`` per node (each replays the package, so
-   every member hosts the byte-identical artifact), read-only
-   classification, servants from their
-   :class:`~repro.deploy.spec.ServantSpec` state, replication, QoS
-   defaults, the fault campaign and observability knobs.
+   batched pipeline executor, against the compiler's registry), ship it
+   as a :class:`~repro.core.shipping.ComponentPackage`, and execute the
+   plan: users, one ``join`` per node (each weaves the package's one
+   derivation on its own services, so every member hosts the same
+   generated classes and concrete aspects), read-only classification,
+   servants from their :class:`~repro.deploy.spec.ServantSpec` state,
+   replication, QoS defaults, the fault campaign and observability
+   knobs.
 
 ``extract_spec`` is the inverse projection: a live federation back into
 a :class:`DeploymentSpec` (``Federation.current_spec()``), which is what
@@ -165,8 +166,8 @@ class DeploymentCompiler:
         try:
             # the vendor side refines once, through the pipeline — on
             # the resource the compile phase already resolved; every
-            # node the plan joins replays the shipped package against
-            # its own services
+            # node the plan joins weaves the shipped package's
+            # derivation against its own services
             vendor = MdaLifecycle(
                 plan.resource,
                 registry=self.registry,
@@ -184,11 +185,12 @@ class DeploymentCompiler:
 
     @staticmethod
     def deploy_node(federation, node) -> None:
-        """Replay the federation's shipped application onto one node
-        (in process or in a worker process — the node installs it)."""
+        """Install the federation's shipped application on one node: an
+        in-process node weaves the deploy's one derivation, a worker
+        process derives it once by a verified replay."""
         if federation.app_package is None:
             raise DeploymentError(
-                "federation has no shipped application package to replay"
+                "federation has no shipped application package to install"
             )
         node.install(federation.app_package)
 

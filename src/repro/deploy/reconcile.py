@@ -85,7 +85,7 @@ class MigrationPlan:
                 f"application: refine {self.resource.roots[0].name!r} through "
                 f"{len(self.concern_plan)} concern(s) in "
                 f"{len(self.schedule.batches)} pipeline batch(es); ship once, "
-                "replay per node"
+                "weave per node"
             )
         if self.empty:
             lines.append("migration plan: specs converge; nothing to do")

@@ -385,13 +385,22 @@ class _MigrationGate:
     partitions frozen by the same migration.
 
     The gate's entries are the federation's only in-flight count: a
-    killed node's partitions :meth:`drain`.
+    killed node's partitions :meth:`drain`.  A freeze or drain waits
+    only for the entries taken before it began: it retires the table
+    they are counted in, and later entries count in a fresh one.  A
+    retired table only shrinks, so a partition a steady stream of new
+    calls keeps busy (a dead owner's callers failing fast, or the
+    promoted owner serving them) cannot hold a drain off.
     """
 
     def __init__(self, observer=None):
         self._cond = named_condition("federation.gate")
         self._frozen: set = set()  # guarded_by: _cond
+        #: partition -> entries taken since the last freeze or drain began
         self._inflight: Dict[str, int] = {}  # guarded_by: _cond
+        #: the older tables a freeze or drain retired, while they still
+        #: hold entries
+        self._retired: List[Dict[str, int]] = []  # guarded_by: _cond
         self._local = threading.local()
         #: callable(partitions, waited_ms) — notified when a delivery
         #: had to block on a frozen partition (observability event)
@@ -403,9 +412,10 @@ class _MigrationGate:
             held = self._local.held = {}
         return held
 
-    def enter(self, partitions: List[str]) -> None:
+    def enter(self, partitions: List[str]) -> Dict[str, int]:
         """Enter several partitions atomically; pair with :meth:`leave`
-        in a ``finally``.
+        in a ``finally``, passing it the in-flight table this returns
+        (the one the entries were counted in).
 
         Waits until none of the *non-held* wanted partitions is frozen,
         then takes every entry at once.  Partitions this thread already
@@ -430,14 +440,16 @@ class _MigrationGate:
                         "partition(s) stayed frozen for 30s: "
                         f"{sorted(self._frozen & set(partitions))}"
                     )
+            inflight = self._inflight
             for partition in partitions:
-                self._inflight[partition] = self._inflight.get(partition, 0) + 1
+                inflight[partition] = inflight.get(partition, 0) + 1
         for partition in partitions:
             held[partition] = held.get(partition, 0) + 1
         if waited_at is not None and self._observer is not None:
             self._observer(partitions, (time.perf_counter() - waited_at) * 1000.0)
+        return inflight
 
-    def leave(self, partitions: List[str]) -> None:
+    def leave(self, partitions: List[str], inflight: Dict[str, int]) -> None:
         held = self._held()
         for partition in partitions:
             held[partition] -= 1
@@ -445,26 +457,36 @@ class _MigrationGate:
                 del held[partition]
         with self._cond:
             for partition in partitions:
-                self._inflight[partition] -= 1
-                if not self._inflight[partition]:
-                    del self._inflight[partition]
+                inflight[partition] -= 1
+                if not inflight[partition]:
+                    del inflight[partition]
+            if not inflight and inflight is not self._inflight:
+                self._retired = [t for t in self._retired if t is not inflight]
             self._cond.notify_all()
 
     @contextlib.contextmanager
     def entered_many(self, partitions: Iterable[str]):
         parts = sorted(set(partitions))
-        self.enter(parts)
+        inflight = self.enter(parts)
         try:
             yield
         finally:
-            self.leave(parts)
+            self.leave(parts, inflight)
 
     def _wait_drained(self, partitions: set, timeout_s: float) -> bool:
         """Under ``_cond``: wait until no other thread holds an entry on
-        ``partitions`` (this thread's own entries are discounted)."""
+        ``partitions`` that it took before this wait began (this
+        thread's own entries, all taken before, are discounted)."""
         held = self._held()
+        if self._inflight:
+            self._retired.append(self._inflight)
+            self._inflight = {}
+        tables = list(self._retired)
         return self._cond.wait_for(
-            lambda: all(self._inflight.get(p, 0) <= held.get(p, 0) for p in partitions),
+            lambda: all(
+                sum(table.get(p, 0) for table in tables) <= held.get(p, 0)
+                for p in partitions
+            ),
             timeout_s,
         )
 
@@ -481,7 +503,8 @@ class _MigrationGate:
 
     def in_flight(self, partitions: Iterable[str]) -> int:
         with self._cond:
-            return sum(self._inflight.get(p, 0) for p in partitions)
+            tables = [self._inflight, *self._retired]
+            return sum(table.get(p, 0) for p in partitions for table in tables)
 
     @contextlib.contextmanager
     def freeze(self, partitions: Iterable[str], timeout_s: float = 30.0):
@@ -994,9 +1017,9 @@ class Federation:
         self.spec = None
         #: standby state for failover; None until enable_replication()
         self.replicas: Optional[ReplicaManager] = None
-        #: optional ComponentPackage every node runs — scenarios that
-        #: support live join stash it here so a joiner replays the exact
-        #: artifact the seed nodes deployed
+        #: the ComponentPackage every node runs (set by the deployment
+        #: compiler), so a live joiner weaves the same derivation the
+        #: seed nodes did
         self.app_package = None
         #: elastic statistics
         self.joins = 0
@@ -1868,7 +1891,7 @@ class Federation:
         """
         partitions = [envelope.partition]
         gate = self._gate
-        gate.enter(partitions)
+        inflight = gate.enter(partitions)
         try:
             owner, ref = self.resolve(envelope.binding)
             envelope.owner = owner
@@ -1883,7 +1906,7 @@ class Federation:
                 context[TRACE_KEY] = envelope.trace_headers
             return self.chain.execute(envelope, self._dispatch)
         finally:
-            gate.leave(partitions)
+            gate.leave(partitions, inflight)
 
     def invoke(
         self,

@@ -7,13 +7,16 @@ node's naming service doubles as its shard of the federation's sharded
 naming service, so binding a servant locally *is* publishing it to the
 federation.
 
-Applications are refined once and replayed per node: the deployment
-compiler ships the refined application as a
-:class:`~repro.core.shipping.ComponentPackage`, and each node replays it
-against its own services and hosts the woven module it builds
-(:meth:`Node.install`), so the weaver instruments node-private classes
-and aspects close over node-private services — exactly the deployment
-unit a real ORB federation replicates onto every host.
+Applications are derived once and woven per node: the deployment
+compiler refines the application once and ships it as a
+:class:`~repro.core.shipping.ComponentPackage`, and each node weaves the
+package's one :class:`~repro.core.shipping.Derivation` against its own
+services (:meth:`Node.install`) — a fresh module of the generated
+classes, and one new concrete aspect per applied transformation — so
+the weaver instruments node-private classes and aspects close over
+node-private services, exactly the deployment unit a real ORB
+federation replicates onto every host.  A worker process receives the
+package as JSON and derives it once, by a verified replay.
 
 The federation, its replica manager, the deployment compiler and the
 reconciler drive a node only through a narrow surface: ``install`` /
@@ -36,7 +39,6 @@ import functools
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.witness import named_lock
-from repro.core.lifecycle import MdaLifecycle
 from repro.core.runtime import MiddlewareServices
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
 from repro.middleware.bus import ObjectRefData, Response, marshal
@@ -79,32 +81,26 @@ class Node:
         self.alive = True
         #: the federation that created this node (Federation.join)
         self.federation = None
-        self.lifecycle: Optional[MdaLifecycle] = None
         self.module = None
         self._bind_lock = named_lock("node.bind")
 
     # -- application deployment ------------------------------------------------
 
-    def host(self, lifecycle: Optional[MdaLifecycle], module) -> None:
-        """Adopt the application replayed onto this node: the node keeps
-        the lifecycle for introspection (``node.lifecycle``) and the
-        woven module for instancing servants (``node.module``)."""
-        self.lifecycle = lifecycle
+    def host(self, module) -> None:
+        """Adopt the woven application module this node instances its
+        servants from (``node.module``)."""
         self.module = module
 
     def install(self, package) -> None:
-        """Replay a shipped :class:`~repro.core.shipping.ComponentPackage`
-        against this node's own services and host the module it builds.
-
-        The package was verified against the vendor model when it was
-        shipped, so the per-node replay skips the fingerprint re-check
-        (pure cost at N nodes)."""
-        from repro.core import replay
-
-        lifecycle = replay(package, services=self.services, verify=False)
+        """Host a shipped :class:`~repro.core.shipping.ComponentPackage`:
+        weave the package's derivation against this node's own services
+        and host the module it builds.  Only the weave is per node; the
+        refinement behind it ran once, when the package was shipped (or,
+        for a package parsed from JSON, on its first install)."""
         self.host(
-            lifecycle,
-            lifecycle.build_application(f"deploy_{self.name.replace('-', '_')}"),
+            package.derivation().weave(
+                self.services, f"deploy_{self.name.replace('-', '_')}"
+            )
         )
 
     @property

@@ -18,8 +18,9 @@ Two halves, meeting only at the wire protocol:
   :meth:`Node.serve` exactly as a socket-mode listener serves them;
   everything else arrives as CONTROL verbs, each a one-line call into
   the worker's own ``Node`` (``deploy`` replays the shipped
-  :class:`~repro.core.shipping.ComponentPackage`, ``bind`` / ``import``
-  / ``snapshot`` / ``release`` move servant state, and so on).  The
+  :class:`~repro.core.shipping.ComponentPackage` once, verified against
+  its final model, and weaves it; ``bind`` / ``import`` / ``snapshot``
+  / ``release`` move servant state, and so on).  The
   worker never sees the deployment spec or the ring.
 
 * :class:`RemoteNode` — the front-end's handle on one worker: it spawns

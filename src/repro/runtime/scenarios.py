@@ -836,15 +836,16 @@ class ElasticBankingScenario(BankingScenario):
 
     # -- deployment -------------------------------------------------------------
     #
-    # The compiler ships the vendor lifecycle once and replays the
-    # package per node for *every* spec-declared scenario; the elastic
-    # scenario only needs the joiner hook below to replay that same
-    # artifact on a node joining mid-run — migration ships servant
-    # state, the package ships the code to host it.
+    # The compiler refines the vendor lifecycle once and every node
+    # weaves the shipped package's derivation, for *every*
+    # spec-declared scenario; the elastic scenario only needs the joiner
+    # hook below to weave that same derivation on a node joining mid-run
+    # — migration ships servant state, the package ships the code to
+    # host it.
 
     @staticmethod
     def deploy_node(federation, node) -> None:
-        """Replay the federation's shipped package onto one node."""
+        """Install the federation's shipped package on one node."""
         from repro.deploy.compiler import DeploymentCompiler
 
         DeploymentCompiler.deploy_node(federation, node)
@@ -1253,15 +1254,16 @@ class MedicalRecordsScenario(Scenario):
 
 
 # ---------------------------------------------------------------------------
-# component_shipping — ship once, replay on every node, pay at most once
+# component_shipping — ship once, weave on every node, pay at most once
 # ---------------------------------------------------------------------------
 
 
 class ComponentShippingScenario(Scenario):
     name = "component_shipping"
     description = (
-        "a vendor lifecycle is shipped as a component package and replayed "
-        "on every node; invariant: each order is paid at most once"
+        "a vendor lifecycle is refined once and shipped as a component "
+        "package whose derivation every node weaves; invariant: each order "
+        "is paid at most once"
     )
     fault_campaign = [("txn.prepare", 0.05)]
     users = [("carol", "pw", ["cashier"])]
@@ -1309,8 +1311,8 @@ class ComponentShippingScenario(Scenario):
             ),
         ]
 
-    # the ship-once/replay-per-node deployment this scenario used to
-    # hand-code is now the compiler's standard path for every spec
+    # the ship-once deployment this scenario used to hand-code is now
+    # the compiler's standard path for every spec
 
     def servant_layout(self, config):
         partitions = []

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import FULL_BANK_PARAMS, build_bank_model
 
-from repro.core import MdaLifecycle, MiddlewareServices
+from repro.core import MdaLifecycle, MiddlewareServices, ship
 from repro.metamodel import STRING, UNBOUNDED, MetamodelBuilder
 
 
@@ -64,6 +64,14 @@ def services():
 @pytest.fixture()
 def lifecycle(bank_resource, services):
     return MdaLifecycle(bank_resource, services=services)
+
+
+@pytest.fixture()
+def shipped(lifecycle):
+    """The refined banking application, packed with ``ship``."""
+    for concern, params in FULL_BANK_PARAMS.items():
+        lifecycle.apply_concern(concern, **params)
+    return ship(lifecycle)
 
 
 @pytest.fixture()

@@ -75,3 +75,18 @@ FULL_BANK_PARAMS = {
         protected_ops=["Bank.transfer"], role_grants={"teller": ["Bank.*"]}
     ),
 }
+
+
+def diverging_copy(package):
+    """A JSON copy of a shipped bank package whose first step carries a
+    different distribution ``Si``: replaying its steps no longer
+    reproduces its final model."""
+    from repro.core import ComponentPackage, ShippedStep
+
+    broken = ComponentPackage.from_json(package.to_json())
+    broken.steps[0] = ShippedStep(
+        "distribution",
+        "T_distribution",
+        {"server_classes": ["Bank"], "registry_prefix": "bank"},
+    )
+    return broken

@@ -1,6 +1,8 @@
 """Declarative deployment: spec round-trip, compile, diff/apply, narrowing."""
 
+import contextlib
 import json
+import sys
 import threading
 
 import pytest
@@ -470,6 +472,148 @@ class TestCompiler:
         ).run()
         assert small.config["spec_digest"] != large.config["spec_digest"]
         assert small.to_dict()["config"]["spec_digest"] == small.config["spec_digest"]
+
+
+# ---------------------------------------------------------------------------
+# derive once, weave per node
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def counted(*functions):
+    """Count the executions of ``functions`` (by code object, so whatever
+    name a caller imported them under) inside the block."""
+    counts = {function.__name__: 0 for function in functions}
+    names = {function.__code__: function.__name__ for function in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+def audit_registry():
+    """The default registry plus the logging concern's GMT/GA pair
+    registered again under the concern name ``audit``."""
+    from repro.concerns import logging_concern
+    from repro.core import Concern, GenericAspect, GenericTransformation
+    from repro.core.registry import default_registry
+
+    logging = logging_concern.TRANSFORMATION
+    audit = GenericTransformation(
+        "T_audit",
+        Concern("audit", viewpoint=logging.concern.viewpoint),
+        logging.signature,
+    )
+    audit.preconditions = logging.preconditions
+    audit.postconditions = logging.postconditions
+    audit.rules = logging.rules
+    audit.associate_aspect(
+        GenericAspect(
+            "A_audit",
+            logging.signature,
+            logging_concern.build,
+            factory_ref="repro.concerns.logging_concern.aspect:build",
+        )
+    )
+    registry = default_registry()
+    registry.register(audit)
+    return registry
+
+
+class TestDeriveOnceWeavePerNode:
+    def test_deploy_refines_once_and_a_live_join_refines_nothing(self):
+        from repro.codegen.python_backend import generate_module
+        from repro.core import MdaLifecycle
+
+        with counted(MdaLifecycle.apply_plan, generate_module) as deploy:
+            federation = DeploymentCompiler().deploy(banking_spec(nodes=3))
+        try:
+            assert deploy == {"apply_plan": 1, "generate_module": 1}
+            with counted(MdaLifecycle.apply_plan, generate_module) as join:
+                joined = federation.join(
+                    "node-elastic",
+                    deploy=lambda node: DeploymentCompiler.deploy_node(federation, node),
+                )
+            assert join == {"apply_plan": 0, "generate_module": 0}
+            assert federation.last_rebalance["moved"] > 0
+            moved = sorted(joined.naming.list())[0]
+            assert FederationClient(federation, "alice", "pw").call(
+                moved, "getBalance"
+            ) == 1000.0
+        finally:
+            federation.shutdown()
+
+    def test_each_node_weaves_its_own_aspects_on_its_own_services(self):
+        import inspect
+
+        spec = banking_spec(nodes=3, entities_per_node=2)
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            nodes = list(federation.nodes.values())
+            deployed = {node.name: node.services.weaver.deployed_aspects for node in nodes}
+            names = [[aspect.name for aspect in aspects] for aspects in deployed.values()]
+            assert len(names[0]) == 3 and names.count(names[0]) == 3
+            ids = [id(aspect) for aspects in deployed.values() for aspect in aspects]
+            assert len(set(ids)) == len(ids)
+            for node in nodes:
+                own = {
+                    "services": node.services,
+                    "orb": node.services.orb,
+                    "manager": node.services.transactions,
+                }
+                closed = [
+                    (name, value)
+                    for aspect in deployed[node.name]
+                    for advice in aspect.advices
+                    for name, value in inspect.getclosurevars(advice.body).nonlocals.items()
+                    if name in own
+                ]
+                # distribution's orb, transactions' manager, security's services
+                assert {name for name, _ in closed} == set(own)
+                assert all(value is own[name] for name, value in closed)
+
+            teller = FederationClient(federation, "alice", "pw")
+            served = set()
+            for partition in spec.partitions:
+                owner = federation.naming.owner_of(partition.key)
+                if owner in served:
+                    continue
+                bank, source, target = (s.name for s in partition.servants[:3])
+                assert teller.call(
+                    bank, "transfer", federation.ref(source), federation.ref(target), 1.0
+                ) is True
+                served.add(owner)
+            assert served == set(federation.nodes)
+        finally:
+            federation.shutdown()
+
+    def test_nodes_weave_the_compilers_registry(self):
+        concerns = tiny_spec().application.concerns + (
+            ConcernSpec(concern="audit", params={"log_patterns": ["Account.*"]}),
+        )
+        spec = tiny_spec(
+            application=ApplicationSpec(
+                name="bank", builder="scenario:banking", concerns=concerns
+            )
+        )
+        federation = DeploymentCompiler(registry=audit_registry()).deploy(spec)
+        try:
+            assert federation.call("p-0/Account/0", "deposit", 5.0) == 105.0
+            owner = federation.node_for("p-0")
+            audit = next(
+                aspect
+                for aspect in owner.services.weaver.deployed_aspects
+                if aspect.name.startswith("A_audit")
+            )
+            assert ("info", "enter", "Account.deposit") in audit.records
+        finally:
+            federation.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -987,11 +1131,14 @@ class TestMutationNarrowing:
             ]
             for thread in threads:
                 thread.start()
-            federation.kill(victim)
-            federation.reconcile()
-            stop.set()
-            for thread in threads:
-                thread.join()
+            try:
+                federation.kill(victim)
+                federation.reconcile()
+            finally:
+                # a failing kill must not leave the writers running
+                stop.set()
+                for thread in threads:
+                    thread.join()
             balance = federation.call(name, "getBalance")
             assert balance >= 100.0 + sum(applied), (
                 f"promoted standby lost writes: balance {balance}, "

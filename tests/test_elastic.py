@@ -1,6 +1,7 @@
 """Elastic federation: live join/leave, shard migration, replicated failover."""
 
 import threading
+import time
 
 import pytest
 
@@ -400,6 +401,35 @@ class TestFailover:
         assert federation.call(blocked_name, "read") == 105.0
         assert len(federation.observability.events.records("kill")) == 1
         federation.shutdown()
+
+    def test_drain_waits_only_for_entries_taken_before_it(self):
+        """A newer entry still holding the partition does not keep a
+        drain waiting, so callers that keep entering a killed node's
+        partitions (failing fast there) cannot starve its kill."""
+        from repro.runtime.federation import _MigrationGate
+
+        gate = _MigrationGate()
+        old = gate.enter(["p-0"])
+        drained = threading.Event()
+
+        def drain():
+            gate.drain(["p-0"], 10.0)
+            drained.set()
+
+        drainer = threading.Thread(target=drain)
+        drainer.start()
+        # a caller entering until its entry counts after the drain began
+        deadline = time.monotonic() + 10.0
+        new = gate.enter(["p-0"])
+        while new is old and time.monotonic() < deadline:
+            gate.leave(["p-0"], new)
+            new = gate.enter(["p-0"])
+        assert new is not old, "the drain never began"
+        gate.leave(["p-0"], old)
+        assert drained.wait(5), "the drain waited for an entry taken after it began"
+        gate.leave(["p-0"], new)
+        drainer.join(5)
+        assert gate.in_flight(["p-0"]) == 0
 
     def test_nested_call_into_its_killed_node_fails_fast(self, monkeypatch):
         """A servant still running on a killed node calls into another of

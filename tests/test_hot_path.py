@@ -257,6 +257,30 @@ class TestAdviceGroupingMemo:
         weaver.undeploy(first)
         assert weaver._plan(point) is None
 
+    def test_warmed_plan_makes_no_python_level_call(self):
+        # the memo key hashes in C: no Enum.__hash__ frame per dispatch
+        weaver = Weaver()
+        aspect = Aspect("only")
+        aspect.add_advice(AdviceKind.BEFORE, "call(Account.*)", lambda j: None)
+        weaver.deploy(aspect)
+        point = JoinPoint(JoinPointKind.EXECUTION, None, "Account", "deposit")
+        plan = weaver._plan(point)
+        # the lock witness (REPRO_LOCK_WITNESS) is instrumentation
+        witness = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)), "analysis")
+        called = []
+
+        def profile(frame, event, arg):
+            if event == "call" and not frame.f_code.co_filename.startswith(witness):
+                called.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            warmed = weaver._plan(point)
+        finally:
+            sys.setprofile(None)
+        assert warmed is plan
+        assert called == ["_plan"]
+
 
 class TestRingOwnerCache:
     def test_owner_hashes_a_key_once_until_membership_changes(self, monkeypatch):

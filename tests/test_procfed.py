@@ -23,6 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from helpers import diverging_copy
+
 from repro.deploy import reconcile
 from repro.deploy.compiler import DeploymentCompiler
 from repro.deploy.spec import ReplicationSpec
@@ -274,6 +276,18 @@ class TestProcessMembership:
             assert retiree.process.wait(timeout=10) == 0
             for amount, name in enumerate(names, start=1):
                 assert client.call(name, "deposit", 1) == 1001.0 + amount
+        finally:
+            fed.shutdown()
+
+    def test_join_refuses_a_package_its_steps_do_not_reproduce(self, shipped):
+        # a worker replays the package it receives once, verified against
+        # the shipped final model, instead of hosting a different app
+        fed = deploy(nodes=1, replication=0)
+        try:
+            broken = diverging_copy(shipped)
+            with pytest.raises(TransportError, match="ShippingError"):
+                fed.join("node-bad", deploy=lambda node: node.install(broken))
+            assert "node-bad" not in fed.nodes
         finally:
             fed.shutdown()
 

@@ -1,5 +1,7 @@
 """Shipping & reuse tests (§2's open question, implemented and verified)."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -11,17 +13,11 @@ from repro.core import (
     replay,
     ship,
 )
+from repro.codegen import generate_module
 from repro.uml import UML, find_element, has_stereotype
 from repro.xmi import parse_xmi
 
-from helpers import FULL_BANK_PARAMS, build_bank_model
-
-
-@pytest.fixture()
-def shipped(lifecycle):
-    for concern, params in FULL_BANK_PARAMS.items():
-        lifecycle.apply_concern(concern, **params)
-    return ship(lifecycle)
+from helpers import build_bank_model, diverging_copy
 
 
 class TestFingerprint:
@@ -105,25 +101,57 @@ class TestReplay:
 
     def test_replay_detects_divergence(self, shipped):
         # corrupt a shipped step so the replayed model differs
-        broken = ComponentPackage.from_json(shipped.to_json())
-        broken.steps[0] = type(broken.steps[0])(
-            "distribution",
-            "T_distribution",
-            {"server_classes": ["Bank"], "registry_prefix": "bank"},
-        )
         with pytest.raises(ShippingError):
-            replay(broken, services=MiddlewareServices.create())
+            replay(diverging_copy(shipped), services=MiddlewareServices.create())
 
     def test_replay_without_verification(self, shipped):
-        broken = ComponentPackage.from_json(shipped.to_json())
-        broken.steps[0] = type(broken.steps[0])(
-            "distribution",
-            "T_distribution",
-            {"server_classes": ["Bank"], "registry_prefix": "bank"},
-        )
+        broken = diverging_copy(shipped)
         lifecycle = replay(broken, services=MiddlewareServices.create(), verify=False)
         assert len(lifecycle.applied) == 3
 
     def test_shipped_aspect_sources_compile(self, shipped):
         for name, source in shipped.aspect_sources.items():
             compile(source, name, "exec")
+
+
+class TestDerivation:
+    def test_ship_keeps_the_vendor_derivation(self, lifecycle, shipped):
+        derivation = shipped.derivation()
+        assert derivation.transformations == tuple(cmt for cmt, _ in lifecycle.applied)
+        assert derivation.source == generate_module(lifecycle.repository.resource.roots[0])
+        # it travels with the object, never on the wire or into equality
+        restored = ComponentPackage.from_json(shipped.to_json())
+        assert restored == shipped
+        assert sorted(json.loads(shipped.to_json())) == [
+            "aspect_sources",
+            "final_model_xmi",
+            "format",
+            "initial_model_xmi",
+            "name",
+            "steps",
+        ]
+
+    def test_parsed_package_derives_once_by_replay(self, shipped, monkeypatch):
+        from repro.runtime.node import Node
+
+        applied = []
+        original = MdaLifecycle.apply_plan
+
+        def counting(self, plan):
+            applied.append(plan)
+            return original(self, plan)
+
+        monkeypatch.setattr(MdaLifecycle, "apply_plan", counting)
+        parsed = ComponentPackage.from_json(shipped.to_json())
+        Node("n-0").install(parsed)
+        assert len(applied) == len(shipped.steps)
+        Node("n-1").install(parsed)
+        assert len(applied) == len(shipped.steps)
+
+    def test_install_of_a_diverging_parsed_package_fails(self, shipped):
+        from repro.runtime.node import Node
+
+        node = Node("n-0")
+        with pytest.raises(ShippingError, match="diverges"):
+            node.install(diverging_copy(shipped))
+        assert not node.deployed

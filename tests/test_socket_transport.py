@@ -59,7 +59,7 @@ MODULE = SimpleNamespace(Counter=Counter)
 def build(transport="socket", nodes=3, partitions=6, replication=0, **kwargs):
     federation = Federation(latency_ms=0.0, transport=transport, **kwargs)
     for i in range(nodes):
-        federation.join(f"node-{i}").host(None, MODULE)
+        federation.join(f"node-{i}").host(MODULE)
     names = []
     for k in range(partitions):
         partition = f"part-{k}"
@@ -492,7 +492,7 @@ class TestSocketFederation:
             node = federation.node_for("chain")
             module = SimpleNamespace(Counter=Counter, Chainer=Chainer)
             for member in federation.nodes.values():
-                member.host(None, module)
+                member.host(module)
             node.bind("chain/Chainer/0", Chainer(federation, names[0]))
             assert federation.call("chain/Chainer/0", "relay", 2.5) == 102.5
             assert federation.call(names[0], "read") == 102.5
@@ -517,7 +517,7 @@ class TestSocketFederation:
         one added at build time, so the bindings it adopted serve."""
         federation, names = build(nodes=2, partitions=12)
         try:
-            federation.join("node-j", deploy=lambda node: node.host(None, MODULE))
+            federation.join("node-j", deploy=lambda node: node.host(MODULE))
             moved = federation.last_rebalance["partitions"]
             assert moved
             assert "node-j" in federation._endpoints
