@@ -34,15 +34,11 @@ from repro.core.aspect_generator import generate_concrete_aspect
 from repro.core.lifecycle import MdaLifecycle, application_classes
 from repro.core.precedence import AspectDeploymentPlan
 from repro.core.transformation import ConcreteTransformation
-from repro.errors import ReproError
+from repro.errors import ShippingError
 from repro.metamodel.instances import MObject, ModelResource
 from repro.uml.metamodel import UML
 from repro.uml.model import qualified_name
 from repro.xmi import parse_xmi, xmi_string
-
-
-class ShippingError(ReproError):
-    """The package is malformed or the replay diverged from the shipped model."""
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,29 @@ class DeploymentCompiler:
 
         # between() validates the spec before anything is resolved
         plan = DeploymentDiff.between(empty_spec(spec), spec).plan()
+        if spec.transport == "process":
+            self._check_worker_concerns(spec.application)
         plan.resource = resolve_application(spec.application)
         plan.concern_plan = concern_plan(spec.application)
         plan.schedule = Scheduler().schedule(plan.concern_plan.bind(self.registry))
         return plan
+
+    @staticmethod
+    def _check_worker_concerns(app: ApplicationSpec) -> None:
+        """A worker process replays the shipped package against the
+        default registry, so a concern registered only with this
+        compiler would fail its first join: refuse it before any worker
+        starts."""
+        from repro.core.registry import default_registry
+
+        known = default_registry()
+        for selection in app.concerns:
+            if selection.concern not in known:
+                raise DeploymentError(
+                    f"concern {selection.concern!r} is not in the default "
+                    "registry, which worker processes replay against: "
+                    "a 'process' transport cannot deploy it"
+                )
 
     # -- phase 2: materialization -------------------------------------------------
 

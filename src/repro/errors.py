@@ -353,6 +353,12 @@ class DeploymentError(ReproError):
     application, which requires a redeploy rather than a diff)."""
 
 
+class ShippingError(ReproError):
+    """A component package is malformed, or its replay diverged from the
+    shipped model.  Defined here, not in :mod:`repro.core.shipping`, so
+    that a worker's refusal crosses the wire and is rebuilt by name."""
+
+
 class ScenarioError(ReproError):
     """A scenario specification or run is malformed (unknown scenario, ...)."""
 

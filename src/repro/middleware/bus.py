@@ -172,36 +172,6 @@ class Request:
     context: Dict[str, Any] = field(default_factory=dict)
     message_id: int = field(default_factory=lambda: next(_message_counter))
 
-    def to_wire(self) -> Dict[str, Any]:
-        """The request as a plain wire dict (sans-IO: no bytes, no IO).
-
-        Everything in it is already marshalled — args/kwargs went
-        through :func:`marshal` when the request was built — so the
-        whole dict is encodable by the frame codec without another
-        marshalling pass.
-        """
-        return {
-            "object_id": self.object_id,
-            "operation": self.operation,
-            "args": list(self.args),
-            "kwargs": dict(self.kwargs),
-            "context": dict(self.context),
-            "message_id": self.message_id,
-        }
-
-    @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "Request":
-        """Rebuild a request from its wire dict, preserving its identity
-        (``message_id`` pairs the eventual response — never re-minted)."""
-        return cls(
-            object_id=data["object_id"],
-            operation=data["operation"],
-            args=list(data["args"]),
-            kwargs=dict(data["kwargs"]),
-            context=dict(data["context"]),
-            message_id=data["message_id"],
-        )
-
 
 @dataclass
 class Response:
@@ -219,23 +189,16 @@ class Response:
         """The wire error reply of a call that raised ``exc``."""
         return cls(message_id, error_type=type(exc).__name__, error_message=str(exc))
 
-    def to_wire(self) -> Dict[str, Any]:
-        """The response as a plain wire dict (inverse of ``from_wire``)."""
-        return {
-            "message_id": self.message_id,
-            "result": self.result,
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-        }
+    def to_wire(self) -> tuple:
+        """The response in its positional wire form — the fields a
+        RESPONSE frame's fixed header and result carry, and the form a
+        batch reply lists one per member (inverse of ``from_wire``)."""
+        return (self.message_id, self.result, self.error_type, self.error_message)
 
     @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "Response":
-        return cls(
-            message_id=data["message_id"],
-            result=data["result"],
-            error_type=data["error_type"],
-            error_message=data["error_message"],
-        )
+    def from_wire(cls, data: tuple) -> "Response":
+        message_id, result, error_type, error_message = data
+        return cls(message_id, result, error_type, error_message)
 
 
 def _rebuild_exception(response: Response) -> Exception:

@@ -163,51 +163,60 @@ class Envelope:
 
     # -- sans-IO wire form ----------------------------------------------------
 
-    def to_wire(self) -> Dict[str, Any]:
-        """The envelope as a plain wire dict — no bytes, no IO.
+    def to_wire(self) -> tuple:
+        """The envelope in the positional form a REQUEST frame's fixed
+        header packs — no bytes, no IO.
 
         Everything a remote peer needs to re-dispatch the call travels:
-        the marshalled request (with its propagated context), the QoS
-        policy (so the receiving side can honour oneway semantics), the
-        correlation id (pairing the reply frame), and the routing
-        metadata.
+        the correlation id (pairing the reply frame), the request's
+        message id, the attempt, the QoS policy (so the receiving side
+        can honour oneway semantics), the routing strings and the call
+        itself — ``(args, kwargs, context)``, already marshalled when
+        the request was built.
         """
-        return {
-            "correlation_id": self.correlation_id,
-            "qos": {
-                "oneway": self.qos.oneway,
-                "timeout_ms": self.qos.timeout_ms,
-                "retries": self.qos.retries,
-            },
-            "target": self.target,
-            "binding": self.binding,
-            "label": self.label,
-            "attempt": self.attempt,
-            "request": self.request.to_wire(),
-        }
+        request = self.request
+        qos = self.qos
+        return (
+            self.correlation_id,
+            request.message_id,
+            self.attempt,
+            qos.retries,
+            qos.oneway,
+            qos.timeout_ms,
+            self.target,
+            self.binding,
+            self.label,
+            request.object_id,
+            request.operation,
+            (request.args, request.kwargs, request.context),
+        )
 
     @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "Envelope":
-        """Rebuild an envelope from its wire dict.
+    def from_wire(cls, data: tuple) -> "Envelope":
+        """Rebuild an envelope from its positional wire form.
 
-        The correlation id is *preserved*, never re-minted: the peer's
-        reply frame must carry the id the sender is waiting on.
+        The correlation and message ids are *preserved*, never
+        re-minted: the peer's reply frame must carry the ids the sender
+        is waiting on.
         """
         from repro.middleware.bus import Request
 
-        qos_data = data["qos"]
+        (
+            correlation_id, message_id, attempt, retries, oneway, timeout_ms,
+            target, binding, label, object_id, operation, (args, kwargs, context),
+        ) = data
+        if oneway or retries or timeout_ms is not None:
+            qos = QoS(oneway=oneway, timeout_ms=timeout_ms, retries=retries)
+        else:
+            qos = DEFAULT_QOS
         return cls(
-            request=Request.from_wire(data["request"]),
-            qos=QoS(
-                oneway=qos_data["oneway"],
-                timeout_ms=qos_data["timeout_ms"],
-                retries=qos_data["retries"],
-            ),
-            correlation_id=data["correlation_id"],
-            target=data["target"],
-            binding=data["binding"],
-            label=data["label"],
-            attempt=data["attempt"],
+            request=Request(object_id, operation, args, kwargs, context, message_id),
+            qos=qos,
+            correlation_id=correlation_id,
+            target=target,
+            binding=binding,
+            label=label,
+            attempt=attempt,
         )
 
 

@@ -46,7 +46,7 @@ from repro.analysis.witness import named_lock
 from repro.errors import NodeDownError, ProtocolError, TransportError
 from repro.middleware.bus import Response
 from repro.middleware.envelope import Envelope, ReplyFuture
-from repro.middleware.transport import Handler, Transport, serving_request
+from repro.middleware.transport import Handler, Transport, mark_serving_thread
 from repro.middleware.wire import (
     CONTROL,
     CONTROL_OK,
@@ -56,6 +56,7 @@ from repro.middleware.wire import (
     RESPONSE,
     WireSession,
     decode_fault,
+    encode_fault,
 )
 
 _RECV_CHUNK = 64 * 1024
@@ -108,9 +109,10 @@ class WireServer:
     REQUEST and returns the (already marshalled) result; exceptions
     become FAULT frames with retryability classified sender-side.
     ``control_handler(payload) -> dict`` answers CONTROL frames (deploy,
-    state transfer, shutdown); a reply containing ``"__stop__"`` closes
-    the server after it is sent — how a management conversation ends a
-    worker from the outside.
+    state transfer, shutdown); its exceptions cross as an ``"error"``
+    reply carrying the same fault encoding, and a reply containing
+    ``"__stop__"`` closes the server after it is sent — how a management
+    conversation ends a worker from the outside.
     """
 
     def __init__(
@@ -223,6 +225,9 @@ class WireServer:
             ).start()
 
     def _serve_connection(self, conn_id: int, conn: socket.socket) -> None:
+        # this thread serves this connection's frames and nothing else,
+        # so it is marked once instead of around every request
+        mark_serving_thread()
         session = WireSession("server", node=self.node, max_frame=self.max_frame)
         try:
             conn.settimeout(None)
@@ -265,8 +270,7 @@ class WireServer:
             # (the harness's quiesce) knows it has fully landed
             envelope = Envelope.from_wire(payload)
             try:
-                with serving_request():
-                    result = self.request_handler(envelope)
+                result = self.request_handler(envelope)
             except Exception as exc:  # noqa: BLE001 - crosses as FAULT frame
                 with self._lock:
                     self.faults_returned += 1
@@ -278,18 +282,13 @@ class WireServer:
             conn.sendall(session.send_response(envelope.correlation_id, response))
             return False
         if kind == CONTROL:
-            if self.control_handler is None:
-                conn.sendall(
-                    session.send_control_ok(
-                        {"error": "node serves no control plane"}
-                    )
-                )
-                return False
             try:
+                if self.control_handler is None:
+                    raise TransportError("node serves no control plane")
                 reply = self.control_handler(dict(payload))
+                stop = bool(reply.pop("__stop__", False))
             except Exception as exc:  # noqa: BLE001 - crosses as error reply
-                reply = {"error": f"{type(exc).__name__}: {exc}"}
-            stop = bool(reply.pop("__stop__", False))
+                reply, stop = {"error": encode_fault(exc)}, False
             conn.sendall(session.send_control_ok(reply))
             if stop:
                 self.stop()
@@ -534,7 +533,13 @@ class SocketTransport(Transport):
             raise NodeDownError(
                 f"node {node!r} unreachable at {endpoint}: {exc}", node=node
             ) from exc
-        frame = client.session.send_request(envelope)
+        try:
+            frame = client.session.send_request(envelope)
+        except ProtocolError:
+            # the call is outside the wire contract; the connection is
+            # untouched and goes back to the pool
+            self.pool.checkin(client)
+            raise
         try:
             client.send(frame)
         except (OSError, TransportError) as exc:
@@ -544,14 +549,14 @@ class SocketTransport(Transport):
                 # the checkout probe can race the peer's close: a pooled
                 # connection that rejected the *send* never delivered a
                 # complete frame, so one blind fresh dial is effect-free
-                return self._retry_fresh(node, endpoint, envelope, exc)
+                return self._retry_fresh(node, endpoint, envelope, frame)
             raise NodeDownError(
                 f"node {node!r} rejected the request at {endpoint}: {exc}",
                 node=node,
             ) from exc
         return self._await_and_conclude(node, endpoint, envelope, client)
 
-    def _retry_fresh(self, node, endpoint, envelope, cause) -> Any:
+    def _retry_fresh(self, node, endpoint, envelope, frame) -> Any:
         """One fresh dial after a pooled connection refused the *send*.
 
         Only reachable pre-effect: the stale socket never accepted a
@@ -571,7 +576,7 @@ class SocketTransport(Transport):
                 f"node {node!r} unreachable at {endpoint}: {exc}", node=node
             ) from exc
         try:
-            client.send(client.session.send_request(envelope))
+            client.send(frame)
         except (OSError, TransportError) as exc:
             client.close()
             self._disconnected(endpoint)
@@ -610,12 +615,15 @@ class SocketTransport(Transport):
     ):
         with self._stats_lock:
             self.roundtrips += 1
-        if kind not in (RESPONSE, FAULT):
+        if kind == RESPONSE:
+            got, reply = payload
+        elif kind == FAULT:
+            got = payload.get("correlation_id") if isinstance(payload, dict) else None
+        else:
             client.close()
             raise ProtocolError(
                 f"expected a response frame from {node!r}, got kind {kind}"
             )
-        got = payload.get("correlation_id") if isinstance(payload, dict) else None
         if got != envelope.correlation_id:
             # a stray or reordered frame must fail loudly, never be
             # paired with the wrong call; the connection is beyond trust
@@ -627,10 +635,15 @@ class SocketTransport(Transport):
         self.pool.checkin(client)
         if kind == FAULT:
             raise decode_fault(payload.get("fault", {}))
-        return Response.from_wire(payload["response"])
+        return Response.from_wire(reply)
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One management round trip (deploy, state transfer, shutdown)."""
+        """One management round trip (deploy, state transfer, shutdown).
+
+        A failure on the peer raises here as it was raised there: a
+        library error rebuilt by type name, anything else as
+        :class:`~repro.errors.RemoteInvocationError` — the FAULT frame's
+        rules."""
         endpoint = self.endpoints(node)
         if endpoint is None:
             raise NodeDownError(f"node {node!r} has no wire endpoint", node=node)
@@ -656,9 +669,7 @@ class SocketTransport(Transport):
             )
         self.pool.checkin(client)
         if "error" in reply:
-            raise TransportError(
-                f"control request to {node!r} failed: {reply['error']}"
-            )
+            raise decode_fault(reply["error"])
         return dict(reply)
 
     def _disconnected(self, endpoint: str) -> None:

@@ -50,7 +50,8 @@ Handler = Callable[[Envelope], Any]
 
 #: marks threads currently serving a request — queued-transport delivery
 #: threads AND dispatcher pool workers (the dispatcher enters the same
-#: marker).  A servant that makes a nested asynchronous call while being
+#: marker), and wire listeners' connection threads for their whole
+#: life.  A servant that makes a nested asynchronous call while being
 #: served must not queue it behind the (possibly exhausted) bounded
 #: pools it is running on: two saturated pools waiting on each other
 #: would deadlock the system, so nested submissions run inline instead —
@@ -67,6 +68,13 @@ def serving_request():
         yield
     finally:
         _serving_local.serving = previous
+
+
+def mark_serving_thread() -> None:
+    """Mark this thread as serving requests for the rest of its life —
+    for a thread that serves nothing else (a listener's per-connection
+    thread), so no request pays for entering and leaving the marker."""
+    _serving_local.serving = True
 
 
 def in_serving_thread() -> bool:

@@ -2,13 +2,13 @@
 
 This module is the byte half of the invocation path's sans-IO split.
 The envelope layer (:mod:`repro.middleware.envelope` /
-:mod:`repro.middleware.bus`) turns calls into plain wire *dicts*
-(``Envelope.to_wire`` / ``Request.to_wire`` / ``Response.to_wire``);
-this module turns those dicts into length-prefixed binary **frames**
-and back — and knows nothing about sockets, threads, or who is on the
-other end.  IO owners (:mod:`repro.middleware.sockets`) feed received
-bytes in and write returned bytes out; a future asyncio transport
-drives the very same state machine.
+:mod:`repro.middleware.bus`) turns calls into plain positional wire
+forms (``Envelope.to_wire`` / ``Response.to_wire``); this module turns
+those into length-prefixed binary **frames** and back — and knows
+nothing about sockets, threads, or who is on the other end.  IO owners
+(:mod:`repro.middleware.sockets`) feed received bytes in and write
+returned bytes out; a future asyncio transport drives the very same
+state machine.
 
 Frame layout (everything big-endian)::
 
@@ -17,14 +17,30 @@ Frame layout (everything big-endian)::
     +----+----+------+------+--------------+=============+
       magic (2)  1      1         4          `length` bytes
 
-The payload is one value in the codec below — a tagged, length-prefixed
-binary encoding closed over exactly the bus's marshal contract
+The two kinds every call pays for have a fixed layout, set once here
+rather than described per frame.  A REQUEST payload is one ``struct``
+header — correlation id and message id (u64), attempt and QoS retries
+(u32), the oneway flag, the timeout's kind (none, int or float) and
+value, and the byte lengths of target, binding, label, object id and
+operation (u32, :data:`ABSENT` for ``None``) — followed by those five
+UTF-8 strings and one tagged value ``(args, kwargs, context)``.  A
+RESPONSE payload is a header of correlation id, message id and the
+lengths of the error type and message (:data:`ABSENT` for ``None``,
+which is how a success reads), followed by the error texts and one
+tagged result.  HELLO, FAULT and CONTROL payloads are one tagged value
+each.
+
+The tagged codec is closed over exactly the bus's marshal contract
 (``None``/``bool``/``int``/``float``/``str``/``bytes``, lists, tuples,
 string-keyed dicts, :class:`~repro.middleware.bus.ObjectRefData`), so
-"marshallable" and "frame-encodable" are the same predicate.  Garbage
-magic, unknown versions or kinds, oversized frames, over-deep nesting
-(:data:`MAX_DEPTH`), truncated or trailing payload bytes all raise
-:class:`~repro.errors.ProtocolError`.
+"marshallable" and "frame-encodable" are the same predicate.  It
+encodes by dispatching on a value's exact type (only subclasses walk
+the ``isinstance`` cascade) and decodes by offset over one ``bytes``
+object.  Garbage magic, unknown versions or kinds, oversized frames,
+over-deep nesting (:data:`MAX_DEPTH`), short headers, strings running
+past the payload, invalid UTF-8, truncated or trailing payload bytes
+all raise :class:`~repro.errors.ProtocolError`; so does an id or count
+too wide for its header field, at encode time, instead of wrapping.
 
 :class:`FrameDecoder` is an incremental state machine: bytes arrive in
 arbitrary splits (half a header, three frames and a tail, ...) and
@@ -50,7 +66,9 @@ from repro.middleware.bus import ObjectRefData, Response
 from repro.middleware.envelope import Envelope, is_retryable
 
 MAGIC = b"RW"
-VERSION = 2  #: version 1 acked a oneway with kind 5; a oneway is now a REQUEST
+#: version 2 sent REQUEST and RESPONSE payloads as tagged dicts; version
+#: 1 also acked a oneway with kind 5
+VERSION = 3
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -68,8 +86,8 @@ _HEADER = struct.Struct(">2sBBI")
 
 HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
-REQUEST = 3  #: one routed call: Envelope.to_wire()
-RESPONSE = 4  #: its reply: {"correlation_id", "response"}
+REQUEST = 3  #: one routed call: fixed header + Envelope.to_wire()'s strings and call
+RESPONSE = 4  #: its reply: fixed header + Response.to_wire()'s error texts and result
 FAULT = 6  #: delivery failed before a Response existed: {"correlation_id", "fault"}
 CONTROL = 7  #: management conversation (deploy, state, shutdown): free-form dict
 CONTROL_OK = 8  #: management reply
@@ -93,81 +111,90 @@ KIND_NAMES = {
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+#: a tag byte and the u32 that follows it (a size or an item count)
+_TAGGED = struct.Struct(">cI")
+
+#: the contract's types a value is encoded as, each standing for its
+#: subclasses too, in the order a subclass is classified
+_CONTRACT_TYPES = (int, float, str, bytes, list, tuple, dict, ObjectRefData)
+_EXACT_TYPES = frozenset(_CONTRACT_TYPES + (type(None), bool))
+
+
+def _contract_type(value: Any) -> type:
+    """The contract type a subclass instance encodes as."""
+    for kind in _CONTRACT_TYPES:
+        if isinstance(value, kind):
+            return kind
+    raise ProtocolError(
+        f"value of type {type(value).__name__} is outside the wire contract"
+    )
 
 
 def encode_value(value: Any) -> bytes:
     """Encode one marshalled value into its binary payload form."""
-    out: List[bytes] = []
-    _encode_into(value, out)
-    return b"".join(out)
+    out = bytearray()
+    _encode_into(value, out, 0)
+    return bytes(out)
 
 
-def _encode_into(value: Any, out: List[bytes], depth: int = 0) -> None:
+def _encode_into(value: Any, out: bytearray, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise ProtocolError(
             f"wire value nests deeper than {MAX_DEPTH} levels"
         )
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
-        # decimal text keeps arbitrary-precision ints exact
-        text = b"%d" % value
-        out.append(b"i")
-        out.append(_U32.pack(len(text)))
-        out.append(text)
-    elif isinstance(value, float):
-        out.append(b"f")
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
+    kind = type(value)
+    if kind not in _EXACT_TYPES:
+        kind = _contract_type(value)
+    if kind is str:
         data = value.encode("utf-8")
-        out.append(b"s")
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-    elif isinstance(value, bytes):
-        out.append(b"b")
-        out.append(_U32.pack(len(value)))
-        out.append(value)
-    elif isinstance(value, list):
-        out.append(b"l")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_into(item, out, depth + 1)
-    elif isinstance(value, tuple):
-        out.append(b"t")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_into(item, out, depth + 1)
-    elif isinstance(value, dict):
-        out.append(b"d")
-        out.append(_U32.pack(len(value)))
+        out += _TAGGED.pack(b"s", len(data))
+        out += data
+    elif kind is dict:
+        out += _TAGGED.pack(b"d", len(value))
         for key, item in value.items():
-            if not isinstance(key, str):
+            if type(key) is not str and not isinstance(key, str):
                 raise ProtocolError(
                     f"wire dict keys must be strings, got {key!r}"
                 )
             data = key.encode("utf-8")
-            out.append(_U32.pack(len(data)))
-            out.append(data)
+            out += _U32.pack(len(data))
+            out += data
             _encode_into(item, out, depth + 1)
-    elif isinstance(value, ObjectRefData):
-        out.append(b"r")
+    elif kind is list or kind is tuple:
+        out += _TAGGED.pack(b"l" if kind is list else b"t", len(value))
+        for item in value:
+            _encode_into(item, out, depth + 1)
+    elif kind is int:
+        # decimal text keeps arbitrary-precision ints exact
+        text = b"%d" % value
+        out += _TAGGED.pack(b"i", len(text))
+        out += text
+    elif value is None:
+        out += b"N"
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is float:
+        out += b"f"
+        out += _F64.pack(value)
+    elif kind is bytes:
+        out += _TAGGED.pack(b"b", len(value))
+        out += value
+    else:  # ObjectRefData
+        out += b"r"
         for text in (value.object_id, value.type_name):
             data = text.encode("utf-8")
-            out.append(_U32.pack(len(data)))
-            out.append(data)
-    else:
-        raise ProtocolError(
-            f"value of type {type(value).__name__} is outside the wire contract"
-        )
+            out += _U32.pack(len(data))
+            out += data
 
 
 def decode_value(payload: bytes) -> Any:
     """Decode one binary payload; trailing bytes are a protocol error."""
-    value, offset = _decode_from(memoryview(payload), 0)
+    if type(payload) is not bytes:
+        payload = bytes(payload)
+    try:
+        value, offset = _decode_from(payload, 0, 0)
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated wire value") from None
     if offset != len(payload):
         raise ProtocolError(
             f"{len(payload) - offset} trailing byte(s) after wire value"
@@ -175,83 +202,245 @@ def decode_value(payload: bytes) -> Any:
     return value
 
 
-def _take(payload: memoryview, offset: int, count: int) -> Tuple[memoryview, int]:
-    end = offset + count
+# tag bytes, as ``payload[offset]`` reads them
+_N, _T, _F, _I, _FL, _S, _B, _L, _TU, _D, _R = b"NTFifsbltdr"
+
+
+def _sized(payload: bytes, offset: int) -> Tuple[bytes, int]:
+    """The u32-length-prefixed bytes at ``offset``, and the offset after."""
+    start = offset + 4
+    end = start + _U32.unpack_from(payload, offset)[0]
     if end > len(payload):
         raise ProtocolError("truncated wire value")
-    return payload[offset:end], end
+    return payload[start:end], end
 
 
-def _decode_from(
-    payload: memoryview, offset: int, depth: int = 0
-) -> Tuple[Any, int]:
+def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
+    """One value at ``offset``.  A read past the end raises
+    ``IndexError`` or ``struct.error``, which :func:`decode_value`
+    reports as truncation."""
     if depth > MAX_DEPTH:
         raise ProtocolError(
             f"wire value nests deeper than {MAX_DEPTH} levels"
         )
-    tag_view, offset = _take(payload, offset, 1)
-    tag = tag_view.tobytes()
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"i":
-        raw, offset = _take(payload, offset, 4)
-        (size,) = _U32.unpack(raw)
-        text, offset = _take(payload, offset, size)
+    tag = payload[offset]
+    offset += 1
+    if tag == _S:
+        data, offset = _sized(payload, offset)
         try:
-            return int(text.tobytes()), offset
-        except ValueError as exc:
-            raise ProtocolError(f"malformed integer payload: {exc}") from None
-    if tag == b"f":
-        raw, offset = _take(payload, offset, 8)
-        return _F64.unpack(raw)[0], offset
-    if tag in (b"s", b"b"):
-        raw, offset = _take(payload, offset, 4)
-        (size,) = _U32.unpack(raw)
-        data, offset = _take(payload, offset, size)
-        if tag == b"b":
-            return data.tobytes(), offset
-        try:
-            return data.tobytes().decode("utf-8"), offset
+            return data.decode("utf-8"), offset
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"malformed string payload: {exc}") from None
-    if tag in (b"l", b"t"):
-        raw, offset = _take(payload, offset, 4)
-        (count,) = _U32.unpack(raw)
-        items = []
-        for _ in range(count):
-            item, offset = _decode_from(payload, offset, depth + 1)
-            items.append(item)
-        return (tuple(items) if tag == b"t" else items), offset
-    if tag == b"d":
-        raw, offset = _take(payload, offset, 4)
-        (count,) = _U32.unpack(raw)
+    if tag == _D:
+        count = _U32.unpack_from(payload, offset)[0]
+        offset += 4
         mapping: Dict[str, Any] = {}
         for _ in range(count):
-            raw, offset = _take(payload, offset, 4)
-            (size,) = _U32.unpack(raw)
-            key_data, offset = _take(payload, offset, size)
+            key_data, offset = _sized(payload, offset)
             try:
-                key = key_data.tobytes().decode("utf-8")
+                key = key_data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"malformed dict key: {exc}") from None
             mapping[key], offset = _decode_from(payload, offset, depth + 1)
         return mapping, offset
-    if tag == b"r":
+    if tag == _L or tag == _TU:
+        count = _U32.unpack_from(payload, offset)[0]
+        offset += 4
+        items = []
+        for _ in range(count):
+            item, offset = _decode_from(payload, offset, depth + 1)
+            items.append(item)
+        return (items if tag == _L else tuple(items)), offset
+    if tag == _I:
+        text, offset = _sized(payload, offset)
+        try:
+            return int(text), offset
+        except ValueError as exc:
+            raise ProtocolError(f"malformed integer payload: {exc}") from None
+    if tag == _N:
+        return None, offset
+    if tag == _T:
+        return True, offset
+    if tag == _F:
+        return False, offset
+    if tag == _FL:
+        return _F64.unpack_from(payload, offset)[0], offset + 8
+    if tag == _B:
+        return _sized(payload, offset)
+    if tag == _R:
         parts = []
         for _ in range(2):
-            raw, offset = _take(payload, offset, 4)
-            (size,) = _U32.unpack(raw)
-            data, offset = _take(payload, offset, size)
+            data, offset = _sized(payload, offset)
             try:
-                parts.append(data.tobytes().decode("utf-8"))
+                parts.append(data.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ProtocolError(f"malformed reference: {exc}") from None
         return ObjectRefData(parts[0], parts[1]), offset
-    raise ProtocolError(f"unknown wire value tag {tag!r}")
+    raise ProtocolError(f"unknown wire value tag {bytes((tag,))!r}")
+
+
+# ---------------------------------------------------------------------------
+# fixed headers: REQUEST and RESPONSE
+# ---------------------------------------------------------------------------
+
+#: the header length of a string that is ``None`` (distinct from ``""``)
+ABSENT = 0xFFFFFFFF
+
+#: correlation id, message id, attempt, QoS retries, oneway flag,
+#: timeout kind and value, then the lengths of target, binding, label,
+#: object id and operation
+_REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
+#: correlation id, message id, then the lengths of error type and message
+_RESPONSE_HEAD = struct.Struct(">QQ2I")
+
+#: the REQUEST header's timeout kinds; an int timeout travels in the
+#: float field, so it must be one the field holds exactly
+_NO_TIMEOUT, _INT_TIMEOUT, _FLOAT_TIMEOUT = 0, 1, 2
+_EXACT_INT = 2**53
+
+_MALFORMED_CALL = "a request's call is not (args list, kwargs dict, context dict)"
+
+
+def _head_parts(
+    head: struct.Struct, kind: int, fields: tuple, texts: Tuple[Optional[str], ...]
+) -> List[bytes]:
+    """A fixed header packing ``fields`` and the byte lengths of
+    ``texts``, followed by the texts' UTF-8 bodies."""
+    lengths = []
+    parts: List[bytes] = []
+    for text in texts:
+        if text is None:
+            lengths.append(ABSENT)
+            continue
+        if type(text) is not str and not isinstance(text, str):
+            raise ProtocolError(
+                f"header field {text!r} is neither a string nor None"
+            )
+        data = text.encode("utf-8")
+        lengths.append(len(data))
+        parts.append(data)
+    try:
+        parts.insert(0, head.pack(*fields, *lengths))
+    except struct.error as exc:
+        raise ProtocolError(
+            f"{KIND_NAMES[kind]} header field out of range: {exc}"
+        ) from None
+    return parts
+
+
+def _read_head(
+    head: struct.Struct, kind: int, payload: bytes, count: int
+) -> Tuple[tuple, List[Optional[str]], int]:
+    """A fixed header's fields, the ``count`` strings whose lengths end
+    it, and the offset of the tagged value after them."""
+    if len(payload) < head.size:
+        raise ProtocolError(
+            f"{KIND_NAMES[kind]} header needs {head.size} bytes, got {len(payload)}"
+        )
+    fields = head.unpack_from(payload)
+    offset = head.size
+    texts: List[Optional[str]] = []
+    for length in fields[-count:]:
+        if length == ABSENT:
+            texts.append(None)
+            continue
+        end = offset + length
+        if end > len(payload):
+            raise ProtocolError("header string runs past the end of the payload")
+        try:
+            texts.append(payload[offset:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed header string: {exc}") from None
+        offset = end
+    return fields, texts, offset
+
+
+def _frame(kind: int, parts: List[bytes]) -> bytes:
+    """A frame header over the concatenated ``parts``."""
+    parts.insert(0, _HEADER.pack(MAGIC, VERSION, kind, sum(map(len, parts))))
+    return b"".join(parts)
+
+
+def _request_frame(wire: tuple) -> bytes:
+    (
+        correlation_id, message_id, attempt, retries, oneway, timeout_ms,
+        target, binding, label, object_id, operation, call,
+    ) = wire
+    if timeout_ms is None:
+        timeout_kind, timeout = _NO_TIMEOUT, 0.0
+    elif isinstance(timeout_ms, float):
+        timeout_kind, timeout = _FLOAT_TIMEOUT, timeout_ms
+    elif isinstance(timeout_ms, int) and not isinstance(timeout_ms, bool):
+        if not -_EXACT_INT <= timeout_ms <= _EXACT_INT:
+            raise ProtocolError(
+                f"timeout_ms {timeout_ms} is wider than its header field"
+            )
+        timeout_kind, timeout = _INT_TIMEOUT, float(timeout_ms)
+    else:
+        raise ProtocolError(
+            f"timeout_ms {timeout_ms!r} is neither None, an int nor a float"
+        )
+    args, kwargs, context = call
+    if not (
+        isinstance(args, list) and isinstance(kwargs, dict) and isinstance(context, dict)
+    ):
+        raise ProtocolError(_MALFORMED_CALL)
+    parts = _head_parts(
+        _REQUEST_HEAD,
+        REQUEST,
+        (correlation_id, message_id, attempt, retries, 1 if oneway else 0,
+         timeout_kind, timeout),
+        (target, binding, label, object_id, operation),
+    )
+    parts.append(encode_value(call))
+    return _frame(REQUEST, parts)
+
+
+def _response_frame(correlation_id: int, wire: tuple) -> bytes:
+    message_id, result, error_type, error_message = wire
+    parts = _head_parts(
+        _RESPONSE_HEAD, RESPONSE, (correlation_id, message_id), (error_type, error_message)
+    )
+    parts.append(encode_value(result))
+    return _frame(RESPONSE, parts)
+
+
+def _decode_request(payload: bytes) -> tuple:
+    """A REQUEST payload in ``Envelope.to_wire()``'s positional form."""
+    fields, texts, offset = _read_head(_REQUEST_HEAD, REQUEST, payload, 5)
+    correlation_id, message_id, attempt, retries, oneway, timeout_kind, timeout = fields[:7]
+    if oneway > 1:
+        raise ProtocolError(f"malformed oneway flag {oneway}")
+    if timeout_kind == _NO_TIMEOUT:
+        timeout_ms = None
+    elif timeout_kind == _FLOAT_TIMEOUT:
+        timeout_ms = timeout
+    elif timeout_kind == _INT_TIMEOUT and timeout.is_integer():
+        timeout_ms = int(timeout)
+    else:
+        raise ProtocolError(f"malformed timeout (kind {timeout_kind}, {timeout!r})")
+    call = decode_value(payload[offset:])
+    if not (
+        type(call) is tuple
+        and len(call) == 3
+        and type(call[0]) is list
+        and type(call[1]) is dict
+        and type(call[2]) is dict
+    ):
+        raise ProtocolError(_MALFORMED_CALL)
+    return (
+        correlation_id, message_id, attempt, retries, oneway == 1, timeout_ms,
+        *texts, call,
+    )
+
+
+def _decode_response(payload: bytes) -> Tuple[int, tuple]:
+    """A RESPONSE payload as ``(correlation id, Response.to_wire() form)``."""
+    fields, (error_type, error_message), offset = _read_head(
+        _RESPONSE_HEAD, RESPONSE, payload, 2
+    )
+    result = decode_value(payload[offset:])
+    return fields[0], (fields[1], result, error_type, error_message)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +449,17 @@ def _decode_from(
 
 
 def encode_frame(kind: int, payload_value: Any) -> bytes:
-    """One complete frame: header + encoded payload."""
+    """One complete frame of a tagged-payload kind: header + encoded
+    payload.  REQUEST and RESPONSE frames have fixed headers and are
+    built by :meth:`WireSession.send_request` / :meth:`~WireSession.send_response`."""
     if kind not in _KINDS:
         raise ProtocolError(f"unknown frame kind {kind!r}")
-    payload = encode_value(payload_value)
-    return _HEADER.pack(MAGIC, VERSION, kind, len(payload)) + payload
+    if kind == REQUEST or kind == RESPONSE:
+        raise ProtocolError(
+            f"{KIND_NAMES[kind]} frames have a fixed header: build them "
+            "through a WireSession"
+        )
+    return _frame(kind, [encode_value(payload_value)])
 
 
 class FrameDecoder:
@@ -273,11 +468,14 @@ class FrameDecoder:
     Pure state machine — it owns a buffer and nothing else.  Bytes may
     arrive in any split (mid-header, several frames at once, a frame
     spread over many reads); :meth:`frames` yields every frame that has
-    fully arrived and keeps the remainder buffered.  A protocol
-    violation (bad magic, unknown version/kind, oversized length,
-    undecodable payload) raises :class:`~repro.errors.ProtocolError`
-    and poisons the decoder — the connection that fed it is beyond
-    resynchronization and must be dropped by its owner.
+    fully arrived and keeps the remainder buffered.  A REQUEST frame
+    comes out in ``Envelope.to_wire()``'s positional form, a RESPONSE
+    frame as ``(correlation id, Response.to_wire() form)``, any other
+    kind as its decoded tagged value.  A protocol violation (bad magic,
+    unknown version/kind, oversized length, undecodable payload) raises
+    :class:`~repro.errors.ProtocolError` and poisons the decoder — the
+    connection that fed it is beyond resynchronization and must be
+    dropped by its owner.
     """
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME):
@@ -329,6 +527,10 @@ class FrameDecoder:
                 return None
             payload = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
+            if kind == REQUEST:
+                return kind, _decode_request(payload)
+            if kind == RESPONSE:
+                return kind, _decode_response(payload)
             return kind, decode_value(payload)
         except ProtocolError:
             self._poisoned = True
@@ -370,6 +572,8 @@ def decode_fault(fault: Dict[str, Any]) -> Exception:
     ``_remote_rebuilt`` — effects may exist on the peer, so re-delivery
     is off the table.
     """
+    if not isinstance(fault, dict):
+        return ProtocolError(f"malformed wire fault {fault!r}")
     error_type = fault.get("error_type", "")
     message = fault.get("message", "")
     if error_type == "NodeDownError":
@@ -492,13 +696,10 @@ class WireSession:
     # -- conversation frames -------------------------------------------------
 
     def send_request(self, envelope: Envelope) -> bytes:
-        return encode_frame(REQUEST, envelope.to_wire())
+        return _request_frame(envelope.to_wire())
 
     def send_response(self, correlation_id: int, response: Response) -> bytes:
-        return encode_frame(
-            RESPONSE,
-            {"correlation_id": correlation_id, "response": response.to_wire()},
-        )
+        return _response_frame(correlation_id, response.to_wire())
 
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(

@@ -48,7 +48,13 @@ import tempfile
 import time
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.errors import DeploymentError, FederationError, NamingError, ReproError
+from repro.errors import (
+    DeploymentError,
+    FederationError,
+    NamingError,
+    RemoteInvocationError,
+    ReproError,
+)
 from repro.middleware.bus import ObjectRefData
 from repro.middleware.naming import NamingService
 from repro.middleware.sockets import SocketTransport, WireServer
@@ -91,14 +97,13 @@ class NodeHost:
     # -- controls: one verb per node-surface call ----------------------------
 
     def _serve_control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one verb; what it raises crosses as the listener's typed
+        error reply."""
         verb = payload.get("verb")
         handler = getattr(self, f"_control_{verb}", None)
         if handler is None:
-            return {"error": f"unknown control verb {verb!r}"}
-        try:
-            return handler(payload)
-        except ReproError as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
+            raise RemoteInvocationError(f"unknown control verb {verb!r}")
+        return handler(payload)
 
     def _control_ping(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         return {"node": self.node.name, "pid": os.getpid()}

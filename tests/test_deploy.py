@@ -497,6 +497,16 @@ def counted(*functions):
         sys.setprofile(None)
 
 
+def audit_spec() -> DeploymentSpec:
+    """:func:`tiny_spec` plus the ``audit`` concern of :func:`audit_registry`."""
+    concerns = tiny_spec().application.concerns + (
+        ConcernSpec(concern="audit", params={"log_patterns": ["Account.*"]}),
+    )
+    return tiny_spec(
+        application=ApplicationSpec(name="bank", builder="scenario:banking", concerns=concerns)
+    )
+
+
 def audit_registry():
     """The default registry plus the logging concern's GMT/GA pair
     registered again under the concern name ``audit``."""
@@ -594,15 +604,7 @@ class TestDeriveOnceWeavePerNode:
             federation.shutdown()
 
     def test_nodes_weave_the_compilers_registry(self):
-        concerns = tiny_spec().application.concerns + (
-            ConcernSpec(concern="audit", params={"log_patterns": ["Account.*"]}),
-        )
-        spec = tiny_spec(
-            application=ApplicationSpec(
-                name="bank", builder="scenario:banking", concerns=concerns
-            )
-        )
-        federation = DeploymentCompiler(registry=audit_registry()).deploy(spec)
+        federation = DeploymentCompiler(registry=audit_registry()).deploy(audit_spec())
         try:
             assert federation.call("p-0/Account/0", "deposit", 5.0) == 105.0
             owner = federation.node_for("p-0")
@@ -614,6 +616,28 @@ class TestDeriveOnceWeavePerNode:
             assert ("info", "enter", "Account.deposit") in audit.records
         finally:
             federation.shutdown()
+
+    def test_a_process_spec_refuses_a_concern_workers_cannot_replay(self, monkeypatch):
+        """Workers replay against the default registry, so a concern
+        known only to the compiler's registry is refused at compile
+        time, naming the concern, before any worker process starts."""
+        import dataclasses
+
+        from repro.runtime.procfed import RemoteNode
+
+        spawned = []
+        monkeypatch.setattr(
+            RemoteNode, "spawn", classmethod(lambda cls, name, *a, **k: spawned.append(name))
+        )
+        spec = dataclasses.replace(audit_spec(), transport="process")
+        compiler = DeploymentCompiler(registry=audit_registry())
+        with pytest.raises(DeploymentError, match="concern 'audit' is not in the default registry"):
+            compiler.compile(spec)
+        with pytest.raises(DeploymentError, match="'audit'"):
+            compiler.deploy(spec)
+        assert spawned == []
+        # the same spec over sockets weaves the compiler's registry in process
+        assert compiler.compile(audit_spec()).concern_plan is not None
 
 
 # ---------------------------------------------------------------------------

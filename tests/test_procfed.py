@@ -29,12 +29,13 @@ from repro.deploy import reconcile
 from repro.deploy.compiler import DeploymentCompiler
 from repro.deploy.spec import ReplicationSpec
 from repro.errors import (
+    DeploymentError,
     FederationError,
     NodeDownError,
     RemoteInvocationError,
     ReproError,
     SecurityError,
-    TransportError,
+    ShippingError,
 )
 from repro.middleware.envelope import QoS
 from repro.runtime.federation import FederationClient
@@ -285,7 +286,7 @@ class TestProcessMembership:
         fed = deploy(nodes=1, replication=0)
         try:
             broken = diverging_copy(shipped)
-            with pytest.raises(TransportError, match="ShippingError"):
+            with pytest.raises(ShippingError):
                 fed.join("node-bad", deploy=lambda node: node.install(broken))
             assert "node-bad" not in fed.nodes
         finally:
@@ -445,11 +446,13 @@ class TestNodeServeCli:
             from repro.middleware.sockets import SocketTransport
 
             transport = SocketTransport({"bare": endpoint}.get)
-            with pytest.raises(TransportError, match="no application deployed"):
+            with pytest.raises(DeploymentError, match="no application deployed"):
                 transport.control(
                     "bare",
                     {"verb": "bind", "name": "p/T/0", "type": "T", "state": {}},
                 )
+            with pytest.raises(RemoteInvocationError, match="unknown control verb 'dance'"):
+                transport.control("bare", {"verb": "dance"})
             transport.control("bare", {"verb": "stop"})
             transport.shutdown()
             process.wait(timeout=10)

@@ -239,12 +239,14 @@ class TestWireLayer:
 
     def test_mismatched_correlation_id_fails_loudly(self):
         from repro.middleware.bus import Response
+        from repro.middleware.envelope import Envelope
 
         def misreply(conn, session, kind, payload):
-            wrong = payload["correlation_id"] + 7
+            envelope = Envelope.from_wire(payload)
+            wrong = envelope.correlation_id + 7
             conn.sendall(
                 session.send_response(
-                    wrong, Response(payload["request"]["message_id"], result=1)
+                    wrong, Response(envelope.request.message_id, result=1)
                 )
             )
             return False
@@ -257,6 +259,98 @@ class TestWireLayer:
             transport.shutdown()
         finally:
             server.close()
+
+    def test_control_failures_arrive_typed(self):
+        """A control handler's error crosses as the FAULT frame's
+        encoding: a library error comes back as its own type, anything
+        else as RemoteInvocationError, and the connection stays usable."""
+        from repro.errors import ShippingError
+
+        def control(payload):
+            if payload["verb"] == "ship":
+                raise ShippingError("steps do not reproduce the model")
+            if payload["verb"] == "crash":
+                raise ValueError("boom")
+            return {"verb": payload["verb"]}
+
+        server = WireServer(
+            node="w", request_handler=lambda env: None, control_handler=control
+        )
+        bare = WireServer(node="b", request_handler=lambda env: None)
+        endpoints = {"w": server.start(), "b": bare.start()}
+        try:
+            transport = SocketTransport(endpoints.get)
+            with pytest.raises(ShippingError, match="do not reproduce") as shipped:
+                transport.control("w", {"verb": "ship"})
+            assert getattr(shipped.value, "_remote_rebuilt", False)
+            with pytest.raises(RemoteInvocationError, match="remote raised ValueError: boom"):
+                transport.control("w", {"verb": "crash"})
+            assert transport.control("w", {"verb": "ping"}) == {"verb": "ping"}
+            with pytest.raises(TransportError, match="no control plane"):
+                transport.control("b", {"verb": "ping"})
+            assert transport.stats()["dials"] == 2  # errors kept their connections
+            transport.shutdown()
+        finally:
+            server.stop()
+            bare.stop()
+
+    def test_codec_entry_points_run_once_per_frame(self, monkeypatch):
+        """A hop encodes one tagged value per frame sent and decodes one
+        per frame received, through ``wire.encode_value`` and
+        ``wire.decode_value``; the listener decodes before it rebuilds
+        the envelope.  Per-layer tracing wraps exactly these."""
+        from repro.middleware import wire
+        from repro.middleware.envelope import Envelope
+
+        events = []
+        encode, decode = wire.encode_value, wire.decode_value
+        from_wire = Envelope.from_wire.__func__
+
+        def traced(name, fn):
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(wire, "encode_value", traced("encode", encode))
+        monkeypatch.setattr(wire, "decode_value", traced("decode", decode))
+        monkeypatch.setattr(Envelope, "from_wire", classmethod(traced("from_wire", from_wire)))
+        server = WireServer(node="w", request_handler=lambda env: [env.request.operation])
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            transport.roundtrip("w", _envelope("w"))  # dials and shakes hands
+            events.clear()
+            assert transport.roundtrip("w", _envelope("w")).result == ["op"]
+            assert events == ["encode", "decode", "from_wire", "encode", "decode"]
+            transport.shutdown()
+        finally:
+            server.stop()
+
+    def test_unencodable_request_returns_its_connection_to_the_pool(self):
+        from repro.middleware.bus import Request
+        from repro.middleware.envelope import Envelope
+
+        server = WireServer(node="w", request_handler=lambda env: 1)
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            assert transport.roundtrip("w", _envelope("w")).result == 1
+            bad = Envelope(
+                request=Request(
+                    object_id="obj-1", operation="op", args=[object()], kwargs={},
+                    context={},
+                ),
+                target="w",
+            )
+            with pytest.raises(ProtocolError, match="outside the wire contract"):
+                transport.roundtrip("w", bad)
+            assert transport.roundtrip("w", _envelope("w")).result == 1
+            assert transport.stats()["dials"] == 1
+            transport.shutdown()
+        finally:
+            server.stop()
 
     def test_control_failure_closes_the_checked_out_connection(self, monkeypatch):
         closed = []

@@ -14,7 +14,9 @@ angles:
   sender-side retry classification across.
 """
 
+import enum
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from repro.errors import (
     ProtocolError,
     AccessDeniedError,
 )
-from repro.middleware.bus import ObjectRefData, Request, marshal, wire_size
+from repro.middleware.bus import ObjectRefData, Request, Response, marshal, wire_size
 from repro.middleware.envelope import Envelope, QoS
 from repro.middleware.wire import (
     FAULT,
@@ -256,7 +258,7 @@ def _request_frame(**overrides):
         context={"user": "alice"},
     )
     envelope = Envelope(request=request, qos=QoS(retries=2), target="node-0")
-    return encode_frame(REQUEST, envelope.to_wire())
+    return WireSession("client").send_request(envelope)
 
 
 def test_frames_survive_arbitrary_splits():
@@ -270,7 +272,7 @@ def test_frames_survive_arbitrary_splits():
     assert len(collected) == 1
     kind, payload = collected[0]
     assert kind == REQUEST
-    assert payload["request"]["operation"] == "deposit"
+    assert Envelope.from_wire(payload).request.operation == "deposit"
     assert decoder.pending() == 0
 
 
@@ -279,7 +281,7 @@ def test_interleaved_frames_in_one_read():
     frames = [
         encode_frame(HELLO, {"version": VERSION, "node": "a"}),
         _request_frame(),
-        encode_frame(RESPONSE, {"correlation_id": 7, "response": {}}),
+        WireSession("server").send_response(7, Response(1)),
     ]
     partial = _request_frame()
     decoder = FrameDecoder()
@@ -440,6 +442,13 @@ def test_builtin_fault_degrades_to_remote_invocation_error():
     assert getattr(rebuilt, "_remote_rebuilt", False)
 
 
+def test_malformed_fault_decodes_to_a_protocol_error():
+    for fault in ("AccessDeniedError: denied", None, [1]):
+        rebuilt = decode_fault(fault)
+        assert isinstance(rebuilt, ProtocolError)
+        assert "malformed wire fault" in str(rebuilt)
+
+
 def test_fault_frames_round_trip_through_the_codec():
     session = WireSession("client", node="c")
     frame = session.send_fault(17, NodeDownError("gone", node="n", pre_effect=True))
@@ -469,7 +478,7 @@ def test_envelope_round_trip_preserves_correlation_and_qos():
         attempt=2,
     )
     decoder = FrameDecoder()
-    decoder.feed(encode_frame(REQUEST, envelope.to_wire()))
+    decoder.feed(WireSession("client").send_request(envelope))
     [(kind, payload)] = list(decoder.frames())
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == envelope.correlation_id
@@ -477,3 +486,463 @@ def test_envelope_round_trip_preserves_correlation_and_qos():
     assert hydrated.qos.retries == 3
     assert hydrated.binding == "branch-0/Bank/0"
     assert hydrated.request.args[0] == ObjectRefData("obj-1", "Account")
+
+
+# ---------------------------------------------------------------------------
+# the codec against the version-2 reference codec
+# ---------------------------------------------------------------------------
+
+
+_U32 = struct.Struct(">I")
+
+
+def _reference_encode(value) -> bytes:
+    """The tagged codec's encoder as it stood before it dispatched on
+    exact types: the bytes the codec must keep producing."""
+    out = []
+    _reference_encode_into(value, out)
+    return b"".join(out)
+
+
+def _reference_encode_into(value, out, depth=0):
+    if depth > MAX_DEPTH:
+        raise ProtocolError(f"wire value nests deeper than {MAX_DEPTH} levels")
+    if value is None:
+        out.append(b"N")
+    elif value is True:
+        out.append(b"T")
+    elif value is False:
+        out.append(b"F")
+    elif isinstance(value, int):
+        text = b"%d" % value
+        out.append(b"i")
+        out.append(_U32.pack(len(text)))
+        out.append(text)
+    elif isinstance(value, float):
+        out.append(b"f")
+        out.append(struct.pack(">d", value))
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out.append(b"s")
+        out.append(_U32.pack(len(data)))
+        out.append(data)
+    elif isinstance(value, bytes):
+        out.append(b"b")
+        out.append(_U32.pack(len(value)))
+        out.append(value)
+    elif isinstance(value, list):
+        out.append(b"l")
+        out.append(_U32.pack(len(value)))
+        for item in value:
+            _reference_encode_into(item, out, depth + 1)
+    elif isinstance(value, tuple):
+        out.append(b"t")
+        out.append(_U32.pack(len(value)))
+        for item in value:
+            _reference_encode_into(item, out, depth + 1)
+    elif isinstance(value, dict):
+        out.append(b"d")
+        out.append(_U32.pack(len(value)))
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ProtocolError(f"wire dict keys must be strings, got {key!r}")
+            data = key.encode("utf-8")
+            out.append(_U32.pack(len(data)))
+            out.append(data)
+            _reference_encode_into(item, out, depth + 1)
+    elif isinstance(value, ObjectRefData):
+        out.append(b"r")
+        for text in (value.object_id, value.type_name):
+            data = text.encode("utf-8")
+            out.append(_U32.pack(len(data)))
+            out.append(data)
+    else:
+        raise ProtocolError(
+            f"value of type {type(value).__name__} is outside the wire contract"
+        )
+
+
+def _reference_decode(payload: bytes):
+    """The tagged codec's decoder as it stood before it read by offset:
+    a ``memoryview`` slice and a ``tobytes()`` per value."""
+    value, offset = _reference_decode_from(memoryview(payload), 0)
+    if offset != len(payload):
+        raise ProtocolError(f"{len(payload) - offset} trailing byte(s) after wire value")
+    return value
+
+
+def _take(payload, offset, count):
+    end = offset + count
+    if end > len(payload):
+        raise ProtocolError("truncated wire value")
+    return payload[offset:end], end
+
+
+def _reference_decode_from(payload, offset, depth=0):
+    if depth > MAX_DEPTH:
+        raise ProtocolError(f"wire value nests deeper than {MAX_DEPTH} levels")
+    tag_view, offset = _take(payload, offset, 1)
+    tag = tag_view.tobytes()
+    if tag in (b"N", b"T", b"F"):
+        return {b"N": None, b"T": True, b"F": False}[tag], offset
+    if tag == b"f":
+        raw, offset = _take(payload, offset, 8)
+        return struct.unpack(">d", raw)[0], offset
+    if tag in (b"i", b"s", b"b"):
+        raw, offset = _take(payload, offset, 4)
+        data, offset = _take(payload, offset, _U32.unpack(raw)[0])
+        if tag == b"i":
+            return int(data.tobytes()), offset
+        if tag == b"b":
+            return data.tobytes(), offset
+        return data.tobytes().decode("utf-8"), offset
+    if tag in (b"l", b"t"):
+        raw, offset = _take(payload, offset, 4)
+        items = []
+        for _ in range(_U32.unpack(raw)[0]):
+            item, offset = _reference_decode_from(payload, offset, depth + 1)
+            items.append(item)
+        return (tuple(items) if tag == b"t" else items), offset
+    if tag == b"d":
+        raw, offset = _take(payload, offset, 4)
+        mapping = {}
+        for _ in range(_U32.unpack(raw)[0]):
+            raw, offset = _take(payload, offset, 4)
+            key, offset = _take(payload, offset, _U32.unpack(raw)[0])
+            mapping[key.tobytes().decode("utf-8")], offset = _reference_decode_from(
+                payload, offset, depth + 1
+            )
+        return mapping, offset
+    if tag == b"r":
+        parts = []
+        for _ in range(2):
+            raw, offset = _take(payload, offset, 4)
+            data, offset = _take(payload, offset, _U32.unpack(raw)[0])
+            parts.append(data.tobytes().decode("utf-8"))
+        return ObjectRefData(*parts), offset
+    raise ProtocolError(f"unknown wire value tag {tag!r}")
+
+
+class _Float(float):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Ref(ObjectRefData):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+def _subclassed_everywhere(value, rng):
+    """:func:`_subclassed`, plus floats, bytes, tuples, references and
+    int enums, so every branch of the subclass walk is exercised."""
+    value = _subclassed(value, rng)
+    swap = rng.random() < 0.5
+    if type(value) is float and swap:
+        return _Float(value)
+    if type(value) is bytes and swap:
+        return _Bytes(value)
+    if type(value) is ObjectRefData and swap:
+        return _Ref(value.object_id, value.type_name)
+    if type(value) is int and swap and value == 3:
+        return _Color.RED
+    if isinstance(value, tuple):
+        items = [_subclassed_everywhere(item, rng) for item in value]
+        return _Tuple(items) if swap else tuple(items)
+    if isinstance(value, list):
+        value[:] = [_subclassed_everywhere(item, rng) for item in value]
+    elif isinstance(value, dict):
+        for key in list(value):
+            value[key] = _subclassed_everywhere(value[key], rng)
+    return value
+
+
+def _typed(value):
+    """``value``'s exact types, recursively: ``==`` alone cannot tell
+    ``True`` from ``1`` or a subclass from its base."""
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_typed(item) for item in value])
+    if isinstance(value, dict):
+        return (type(value), {key: _typed(item) for key, item in value.items()})
+    return (type(value), value)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_codec_matches_the_reference_codec(rng, subclass):
+    value = _random_value(rng)
+    if rng.random() < 0.3:
+        value = (value, 3, [3.0, b"b"], ObjectRefData("o", "T"))
+    if subclass:
+        value = _subclassed_everywhere(value, rng)
+    encoded = encode_value(value)
+    assert encoded == _reference_encode(value)
+    decoded = decode_value(encoded)
+    assert _typed(decoded) == _typed(_reference_decode(encoded))
+
+
+def _deep(levels):
+    value = "leaf"
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+_POISONS = [
+    object(),
+    1 + 2j,
+    {"a", "b"},
+    {1: "x"},
+    {"ok": {(1, 2): None}},
+    bytearray(b"x"),
+    _deep(MAX_DEPTH + 1),
+]
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(range(len(_POISONS))),
+    st.sampled_from(["list", "tuple", "dict", "bare"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_out_of_contract_values_raise_the_reference_error(rng, which, holder):
+    poison = _POISONS[which]
+    value = _random_value(rng)
+    if holder == "list":
+        value = [value, poison]
+    elif holder == "tuple":
+        value = (poison, value)
+    elif holder == "dict":
+        value = {"value": value, "poison": poison}
+    else:
+        value = poison
+    with pytest.raises(ProtocolError) as reference:
+        _reference_encode(value)
+    with pytest.raises(ProtocolError) as new:
+        encode_value(value)
+    assert str(new.value) == str(reference.value)
+
+
+def test_decoder_accepts_any_bytes_like_payload():
+    encoded = encode_value({"k": [1, "two"]})
+    assert decode_value(bytearray(encoded)) == decode_value(memoryview(encoded))
+
+
+# ---------------------------------------------------------------------------
+# fixed headers: REQUEST and RESPONSE
+# ---------------------------------------------------------------------------
+
+#: the version-3 REQUEST payload header: correlation id, message id,
+#: attempt, QoS retries, oneway flag, timeout kind and value, then the
+#: byte lengths of target, binding, label, object id and operation
+REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
+FRAME_HEADER = 8
+ABSENT = 0xFFFFFFFF
+
+
+def _envelope(**fields):
+    request = Request(
+        object_id=fields.pop("object_id", "obj-1"),
+        operation=fields.pop("operation", "deposit"),
+        args=[100],
+        kwargs={"memo": "x"},
+        context={"user": "alice"},
+        message_id=fields.pop("message_id", 41),
+    )
+    return Envelope(request=request, **fields)
+
+
+def _decoded(frame):
+    decoder = FrameDecoder()
+    decoder.feed(frame)
+    [(kind, payload)] = list(decoder.frames())
+    return kind, payload
+
+
+def test_request_header_layout_is_pinned():
+    envelope = _envelope(
+        qos=QoS(oneway=True, retries=2, timeout_ms=250),
+        correlation_id=9,
+        target="node-0",
+        binding=None,
+        label="",
+        attempt=1,
+    )
+    frame = WireSession("client").send_request(envelope)
+    payload = frame[FRAME_HEADER:]
+    assert REQUEST_HEAD.unpack_from(payload) == (
+        9, 41, 1, 2, 1, 1, 250.0, 6, ABSENT, 0, 5, 7
+    )
+    strings = payload[REQUEST_HEAD.size:REQUEST_HEAD.size + 18]
+    assert strings == b"node-0" + b"obj-1" + b"deposit"
+    assert decode_value(payload[REQUEST_HEAD.size + 18:]) == (
+        [100], {"memo": "x"}, {"user": "alice"}
+    )
+
+
+def _poisoned(decoder):
+    with pytest.raises(ProtocolError, match="poisoned"):
+        decoder.feed(b"more")
+    return True
+
+
+def _frame_of(kind, payload):
+    return struct.pack(">2sBBI", b"RW", VERSION, kind, len(payload)) + payload
+
+
+@pytest.mark.parametrize("kind", [REQUEST, RESPONSE])
+def test_header_shorter_than_its_struct_is_refused(kind):
+    decoder = FrameDecoder()
+    decoder.feed(_frame_of(kind, b"\x00" * 12))
+    with pytest.raises(ProtocolError, match="header needs"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
+
+
+def test_header_string_past_the_payload_end_is_refused():
+    frame = bytearray(WireSession("client").send_request(_envelope(target="node-0")))
+    target_length = FRAME_HEADER + REQUEST_HEAD.size - 5 * 4
+    assert frame[target_length:target_length + 4] == (6).to_bytes(4, "big")
+    frame[target_length:target_length + 4] = (len(frame)).to_bytes(4, "big")
+    decoder = FrameDecoder()
+    decoder.feed(bytes(frame))
+    with pytest.raises(ProtocolError, match="runs past the end"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
+
+
+def test_response_error_text_past_the_payload_end_is_refused():
+    frame = bytearray(
+        WireSession("server").send_response(3, Response(1, error_type="E", error_message="m"))
+    )
+    frame[FRAME_HEADER + 16:FRAME_HEADER + 20] = (10_000).to_bytes(4, "big")
+    decoder = FrameDecoder()
+    decoder.feed(bytes(frame))
+    with pytest.raises(ProtocolError, match="runs past the end"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
+
+
+@pytest.mark.parametrize("field", ["target", "binding", "label", "operation"])
+def test_invalid_utf8_in_a_header_string_is_refused(field):
+    frame = WireSession("client").send_request(_envelope(**{field: "zz-ok"}))
+    assert frame.count(b"zz-ok") == 1
+    decoder = FrameDecoder()
+    decoder.feed(frame.replace(b"zz-ok", b"\xff\xfe-ok"))
+    with pytest.raises(ProtocolError, match="malformed header string"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
+
+
+def test_malformed_flags_and_call_shape_are_refused():
+    good = WireSession("client").send_request(_envelope())
+    flags = FRAME_HEADER + 24
+    for offset, byte, match in (
+        (flags, 2, "oneway flag"),
+        (flags + 1, 7, "malformed timeout"),
+    ):
+        frame = bytearray(good)
+        frame[offset] = byte
+        decoder = FrameDecoder()
+        decoder.feed(bytes(frame))
+        with pytest.raises(ProtocolError, match=match):
+            list(decoder.frames())
+        assert _poisoned(decoder)
+    head = REQUEST_HEAD.pack(1, 1, 0, 0, 0, 0, 0.0, ABSENT, ABSENT, ABSENT, 0, 0)
+    for call in ([[], {}, {}], ((), {}, {}), ([], {})):
+        decoder = FrameDecoder()
+        decoder.feed(_frame_of(REQUEST, head + encode_value(call)))
+        with pytest.raises(ProtocolError, match="call is not"):
+            list(decoder.frames())
+        assert _poisoned(decoder)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"correlation_id": 2**64},
+        {"correlation_id": -1},
+        {"message_id": 2**64},
+        {"attempt": 2**32},
+        {"qos": QoS(retries=2**32)},
+        {"qos": QoS(timeout_ms=2**53 + 1)},
+        {"qos": QoS(timeout_ms="soon")},
+    ],
+    ids=repr,
+)
+def test_a_field_wider_than_its_header_is_refused_at_encode(fields):
+    with pytest.raises(ProtocolError):
+        WireSession("client").send_request(_envelope(**fields))
+
+
+def test_a_response_id_wider_than_its_header_is_refused_at_encode():
+    with pytest.raises(ProtocolError):
+        WireSession("server").send_response(2**64, Response(1))
+    with pytest.raises(ProtocolError):
+        WireSession("server").send_response(1, Response(2**64))
+
+
+def test_widest_ids_round_trip_unwrapped():
+    envelope = _envelope(correlation_id=2**64 - 1, message_id=2**64 - 1, attempt=2**32 - 1)
+    _kind, payload = _decoded(WireSession("client").send_request(envelope))
+    hydrated = Envelope.from_wire(payload)
+    assert hydrated.correlation_id == 2**64 - 1
+    assert hydrated.request.message_id == 2**64 - 1
+    assert hydrated.attempt == 2**32 - 1
+
+
+@pytest.mark.parametrize("field", ["target", "binding", "label"])
+@pytest.mark.parametrize("value", [None, ""])
+def test_none_and_empty_header_strings_stay_distinct(field, value):
+    _kind, payload = _decoded(
+        WireSession("client").send_request(_envelope(**{field: value}))
+    )
+    assert getattr(Envelope.from_wire(payload), field) == value
+    assert (getattr(Envelope.from_wire(payload), field) is None) == (value is None)
+
+
+@pytest.mark.parametrize("timeout_ms", [None, 500, 0, -3, 2**53, 500.0, 0.25, float("inf")])
+def test_timeout_round_trips_keeping_its_type(timeout_ms):
+    envelope = _envelope(qos=QoS(timeout_ms=timeout_ms))
+    _kind, payload = _decoded(WireSession("client").send_request(envelope))
+    hydrated = Envelope.from_wire(payload).qos.timeout_ms
+    assert hydrated == timeout_ms
+    assert type(hydrated) is type(timeout_ms)
+
+
+def test_response_round_trips_result_and_error_texts():
+    for response in (
+        Response(5, result={"balance": [1.5, ObjectRefData("o", "T")]}),
+        Response(6, error_type="AccessDeniedError", error_message="denied"),
+        Response(7, error_type="", error_message=""),
+    ):
+        kind, (correlation_id, wire) = _decoded(
+            WireSession("server").send_response(11, response)
+        )
+        assert kind == RESPONSE and correlation_id == 11
+        assert Response.from_wire(wire) == response
+
+
+def test_request_and_response_frames_have_no_tagged_payload_path():
+    for kind in (REQUEST, RESPONSE):
+        with pytest.raises(ProtocolError, match="fixed header"):
+            encode_frame(kind, {"correlation_id": 1})
+
+
+def test_version_2_hello_is_refused():
+    hello = _frame_of(HELLO, encode_value({"version": 2, "node": "c"}))
+    server = WireSession("server", node="w")
+    with pytest.raises(ProtocolError, match="unsupported wire version 2"):
+        server.feed(hello[:2] + bytes([2]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
