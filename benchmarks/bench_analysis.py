@@ -9,7 +9,7 @@ wrapped, the disabled cost is one env check at construction), and with
 held stack and a global acquisition-order graph.
 
 The measurement is the repository's concurrent banking bench (E14,
-``bench_runtime.py``): 2 nodes, thread-pool dispatchers, 8 concurrent
+``bench_runtime.py``): 2 nodes, concurrent dispatchers, 8 concurrent
 clients, zero injected transport latency — the harshest shape for the
 witness, because with no network waits the per-acquire bookkeeping has
 nothing to hide behind.  The witness mode is flipped via the

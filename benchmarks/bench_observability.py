@@ -10,7 +10,7 @@ an unbounded structure.
 
 The measurement is the repository's concurrent banking bench (E14,
 ``bench_runtime.py``): the banking scenario over 2 nodes with
-thread-pool dispatchers, 8 concurrent clients, and the same 1.5 ms
+concurrent dispatchers, 8 concurrent clients, and the same 1.5 ms
 real transport latency per hop, run through the ordinary harness.
 Overhead is estimated from ``PAIRS`` alternating untraced/traced runs
 of the same seeded operation scripts; the headline number is the

@@ -1,9 +1,10 @@
 """E14 — distributed runtime: concurrent dispatch vs sequential baseline.
 
-The claim under test: the thread-pool dispatcher with per-servant
-serialization overlaps the transport latency of independent requests, so
-federation throughput on the banking scenario scales well past the
-one-request-at-a-time baseline (target >= 2x, hard bar 1.5x).
+The claim under test: the concurrent dispatcher (each request runs on
+its caller's thread under one of the node's ``workers`` permits) with
+per-servant serialization overlaps the transport latency of independent
+requests, so federation throughput on the banking scenario scales well
+past the one-request-at-a-time baseline (target >= 2x, hard bar 1.5x).
 
 Both runs execute the *same* per-client operation scripts (same seed)
 over the same topology; only the dispatch model differs.  Results land in

@@ -571,7 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
         "runs are digest-deterministic per seed)",
     )
     simulate.add_argument(
-        "--workers", type=int, default=4, help="dispatcher worker threads per node"
+        "--workers",
+        type=int,
+        default=4,
+        help="requests each node runs at once (at least 1; --serial "
+        "gives serial dispatch)",
     )
     simulate.add_argument(
         "--serial",
@@ -747,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="dispatcher worker threads (0 = serial dispatch)",
+        help="requests the node runs at once (0 = serial dispatch)",
     )
     node_serve.add_argument(
         "--seed", type=int, default=0, help="node middleware services seed"

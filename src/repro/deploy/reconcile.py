@@ -223,8 +223,9 @@ class DeploymentDiff:
                 raise DeploymentError(
                     f"node {name!r} changed workers "
                     f"({current_nodes[name].workers} -> "
-                    f"{target_nodes[name].workers}); dispatcher pools "
-                    "cannot be resized live — retire and rejoin the node"
+                    f"{target_nodes[name].workers}); a dispatcher's "
+                    "permits cannot be resized live — retire and rejoin "
+                    "the node"
                 )
         current_servants = {
             servant.name: servant for _p, servant in current.servants()

@@ -271,15 +271,21 @@ class WireServer:
             envelope = Envelope.from_wire(payload)
             try:
                 result = self.request_handler(envelope)
+                # encoded before it counts as served: a result the wire
+                # cannot carry (ProtocolError) crosses as a FAULT too,
+                # and the connection keeps serving
+                reply = session.send_response(
+                    envelope.correlation_id,
+                    Response(envelope.request.message_id, result=result),
+                )
             except Exception as exc:  # noqa: BLE001 - crosses as FAULT frame
                 with self._lock:
                     self.faults_returned += 1
                 conn.sendall(session.send_fault(envelope.correlation_id, exc))
                 return False
-            response = Response(envelope.request.message_id, result=result)
             with self._lock:
                 self.requests_served += 1
-            conn.sendall(session.send_response(envelope.correlation_id, response))
+            conn.sendall(reply)
             return False
         if kind == CONTROL:
             try:

@@ -49,25 +49,33 @@ from repro.middleware.envelope import Envelope, ReplyFuture, will_retry
 Handler = Callable[[Envelope], Any]
 
 #: marks threads currently serving a request — queued-transport delivery
-#: threads AND dispatcher pool workers (the dispatcher enters the same
-#: marker), and wire listeners' connection threads for their whole
-#: life.  A servant that makes a nested asynchronous call while being
-#: served must not queue it behind the (possibly exhausted) bounded
-#: pools it is running on: two saturated pools waiting on each other
-#: would deadlock the system, so nested submissions run inline instead —
-#: the async analogue of the dispatcher's nested-dispatch rule.
+#: threads, any thread while it runs a request under a dispatch permit
+#: (the dispatcher sets the same marker), and wire listeners' connection
+#: threads for their whole life.  A servant that makes a nested
+#: asynchronous call while being served must not queue it behind the
+#: (possibly exhausted) bounded delivery threads and permits it is
+#: running on: two saturated nodes waiting on each other would deadlock
+#: the system, so nested submissions run inline instead — the async
+#: analogue of the dispatcher's nested-dispatch rule.
 _serving_local = threading.local()
+
+
+def swap_serving(serving: bool) -> bool:
+    """Set this thread's serving mark; returns the previous one, for
+    the caller to restore in a ``finally``."""
+    previous = getattr(_serving_local, "serving", False)
+    _serving_local.serving = serving
+    return previous
 
 
 @contextlib.contextmanager
 def serving_request():
     """Mark this thread as serving a request for the duration."""
-    previous = getattr(_serving_local, "serving", False)
-    _serving_local.serving = True
+    previous = swap_serving(True)
     try:
         yield
     finally:
-        _serving_local.serving = previous
+        swap_serving(previous)
 
 
 def mark_serving_thread() -> None:
@@ -78,7 +86,8 @@ def mark_serving_thread() -> None:
 
 
 def in_serving_thread() -> bool:
-    """True while this thread serves a request (delivery or pool worker)."""
+    """True while this thread serves a request (a delivery thread, a
+    listener's connection thread, or a request under a dispatch permit)."""
     return getattr(_serving_local, "serving", False)
 
 

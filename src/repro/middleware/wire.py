@@ -587,12 +587,11 @@ def decode_fault(fault: Dict[str, Any]) -> Exception:
     exc_type = getattr(errors_module, error_type, None)
     rebuilt: Exception
     if isinstance(exc_type, type) and issubclass(exc_type, ReproError):
-        try:
-            rebuilt = exc_type(message)
-        except TypeError:
-            rebuilt = RemoteInvocationError(
-                f"remote raised {error_type}: {message}"
-            )
+        # the sender's text verbatim, without re-running a constructor
+        # that takes something other than a message (ValidationError's
+        # diagnostics, TransactionAborted's id and reason)
+        rebuilt = exc_type.__new__(exc_type)
+        Exception.__init__(rebuilt, message)
     else:
         rebuilt = RemoteInvocationError(f"remote raised {error_type}: {message}")
     rebuilt._remote_rebuilt = True

@@ -3,8 +3,8 @@
 The middleware substrate (S10) simulates the services *one* application
 instance uses.  This package turns those services into a runtime fabric:
 
-* :mod:`repro.runtime.dispatch` — sequential and thread-pool request
-  dispatchers with per-servant serialization;
+* :mod:`repro.runtime.dispatch` — sequential and permit-bounded
+  (caller-runs) request dispatchers with per-servant serialization;
 * :mod:`repro.runtime.metrics` — thread-safe throughput/error/latency
   (p50/p95/p99/p99.9, bounded log-bucketed histograms) statistics per
   operation and per node, plus sampled level gauges;

@@ -1,49 +1,58 @@
-"""Request dispatchers: sequential and thread-pool with per-servant locks.
+"""Request dispatchers: serial, and caller-runs under ``workers`` permits.
 
-A dispatcher decides *how* a node executes an incoming request:
+A dispatcher decides *how* a node executes an incoming request.  Both
+flavours run it on the thread that delivers it — a client calling in
+process, a queued-transport delivery thread or a wire listener's
+connection thread — so a request never changes threads on its way into
+a servant:
 
-* :class:`SerialDispatcher` runs the request inline on the calling
-  thread — the seed's one-request-at-a-time behaviour, kept as the
-  deterministic baseline;
-* :class:`ConcurrentDispatcher` hands the request to a bounded worker
-  pool (the classic ORB thread-pool model) and blocks the caller until
-  the worker produces the result.
+* :class:`SerialDispatcher` runs every request as it arrives — the
+  seed's one-request-at-a-time behaviour, kept as the deterministic
+  baseline;
+* :class:`ConcurrentDispatcher` bounds how many requests the node runs
+  at once: a top-level request first takes one of ``workers`` permits,
+  waiting while all are out.  This is the Leader/Followers idea — the
+  thread that receives a request processes it — so a call pays no
+  thread handoff.
 
 Both enforce **per-servant serialization**: at most one request executes
 against a given servant key at any time (an :class:`threading.RLock` per
-key).  Requests against *different* servants overlap freely, which is
-where the throughput of the concurrent model comes from — transport
-latency and blocking I/O of independent requests overlap instead of
-queueing behind each other.
+key).  Requests against *different* servants overlap freely, up to the
+permit count: the overlap comes from the callers' own threads, so
+transport latency and blocking I/O of independent requests overlap
+instead of queueing behind each other.
 
-Nested dispatches (server code that calls back into the same node while
-handling a request) execute inline on the current worker thread: routing
-them through the bounded pool again could exhaust it and deadlock, and
-the RLock makes re-entry on the same servant safe.  Nested calls that
-enter through the ORB directly (proxy arguments hydrated server-side)
-never reach :meth:`ConcurrentDispatcher.dispatch`; the node closes that
-gap by installing :meth:`_DispatcherBase.serialize` as the bus's
-``dispatch_guard``, so *every* delivery on the node holds the target
-servant's lock.
+Nested dispatches (server code that calls back into a node while
+handling a request) run inline without a permit: the thread already
+holds one, and waiting for a second could deadlock two nodes whose
+permit holders call each other.  The rule is per thread, not per node.
+Nested calls that enter through the ORB directly (proxy arguments
+hydrated server-side) never reach :meth:`ConcurrentDispatcher.dispatch`;
+the node closes that gap by installing :meth:`_DispatcherBase.serialize`
+as the bus's ``dispatch_guard``, so *every* delivery on the node holds
+the target servant's lock.
 """
 
 from __future__ import annotations
 
+import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, TypeVar
 
-from repro.analysis.witness import named_lock, named_rlock
+from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import MiddlewareError
-from repro.middleware.transport import serving_request
+from repro.middleware.transport import swap_serving
 
 T = TypeVar("T")
 
-#: marks threads that are currently dispatcher workers — shared across
+#: marks threads that hold a dispatch permit — shared across
 #: dispatchers, so a request that hops nodes mid-dispatch runs inline on
-#: the remote node instead of blocking on another bounded pool (two
-#: saturated pools waiting on each other would deadlock the federation)
+#: the remote node instead of waiting for one of its permits (two nodes
+#: whose permit holders wait on each other would deadlock the federation)
 _worker_local = threading.local()
+
+#: gives the CPU to another runnable thread (POSIX); a no-op elsewhere
+_yield_cpu = getattr(os, "sched_yield", lambda: None)
 
 
 class DispatchStats:
@@ -109,7 +118,7 @@ class _DispatcherBase:
             self.stats.exit(error)
 
     def serialize(self, key: str, fn: Callable[[], T]) -> T:
-        """Run ``fn`` under the servant lock only (no pool, no stats).
+        """Run ``fn`` under the servant lock only (no permit, no stats).
 
         Installed as the bus's ``dispatch_guard`` so nested in-process
         deliveries — proxy calls that never pass through ``dispatch`` —
@@ -119,17 +128,8 @@ class _DispatcherBase:
         with self._servant_lock(key):
             return fn()
 
-    def _run_into_future(self, key: str, fn: Callable[[], T]) -> "Future":
-        """Run inline, packaging the outcome as an already-done future."""
-        future: Future = Future()
-        try:
-            future.set_result(self._run(key, fn))
-        except BaseException as exc:  # noqa: BLE001 - carried by the future
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self) -> None:  # pragma: no cover - overridden where needed
-        """Release worker resources (no-op for the serial dispatcher)."""
+    def shutdown(self) -> None:
+        """Nothing to release: a dispatcher owns no threads."""
 
 
 class SerialDispatcher(_DispatcherBase):
@@ -140,55 +140,47 @@ class SerialDispatcher(_DispatcherBase):
     def dispatch(self, servant_key: str, fn: Callable[[], T]) -> T:
         return self._run(servant_key, fn)
 
-    def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
-        """Non-blocking dispatch API; serial execution resolves inline."""
-        return self._run_into_future(servant_key, fn)
-
 
 class ConcurrentDispatcher(_DispatcherBase):
-    """Bounded worker pool with per-servant serialization.
+    """Runs at most ``workers`` top-level requests at once, each on the
+    thread that delivers it, with per-servant serialization.
 
-    External callers block on a future while a pool worker executes the
-    request; calls made *from* a worker (nested server-side invocations)
-    run inline to keep the pool deadlock-free.
+    A top-level caller waits for a permit, then runs the request itself;
+    calls made while the thread holds a permit (nested server-side
+    invocations, on this node or another) run inline without one.
     """
 
-    def __init__(self, workers: int = 4, name: str = "node"):
+    def __init__(self, workers: int = 4):
         super().__init__()
         if workers < 1:
             raise MiddlewareError(f"dispatcher needs >= 1 worker, got {workers}")
         self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"dispatch-{name}"
-        )
+        self._permits = named_condition("dispatch.permits")
+        self._free = workers  # guarded_by: _permits
 
     def dispatch(self, servant_key: str, fn: Callable[[], T]) -> T:
         if getattr(_worker_local, "in_worker", False):
             return self._run(servant_key, fn)
-        return self._pool.submit(self._worker_run, servant_key, fn).result()
-
-    def submit(self, servant_key: str, fn: Callable[[], T]) -> "Future":
-        """Hand the request to the pool without blocking on its result.
-
-        :meth:`Node.invoke_batch` uses this to overlap the members of one
-        pipelined batch across the pool.  Calls from a worker thread run
-        inline for the same reason nested ``dispatch`` does: a saturated
-        pool waiting on itself would deadlock.
-        """
-        if getattr(_worker_local, "in_worker", False):
-            return self._run_into_future(servant_key, fn)
-        return self._pool.submit(self._worker_run, servant_key, fn)
-
-    def _worker_run(self, servant_key: str, fn: Callable[[], T]) -> T:
+        permits = self._permits
+        with permits:
+            while not self._free:
+                permits.wait()
+            self._free -= 1
+        # the thread now counts as serving a request: nested asynchronous
+        # submissions the servant makes deliver inline rather than queue
+        # behind delivery threads that may all be waiting for permits
+        serving = swap_serving(True)
         _worker_local.in_worker = True
         try:
-            # pool workers also count as "serving a request": nested
-            # asynchronous submissions made by the servant must deliver
-            # inline rather than queue behind a possibly exhausted pool
-            with serving_request():
-                return self._run(servant_key, fn)
+            return self._run(servant_key, fn)
         finally:
             _worker_local.in_worker = False
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+            swap_serving(serving)
+            with permits:
+                self._free += 1
+                permits.notify()
+            # request threads sharing a CPU take turns per request;
+            # without this the interpreter's 5 ms switch interval decides
+            # who runs next, and one thread's burst of requests stretches
+            # the others' tail latency
+            _yield_cpu()

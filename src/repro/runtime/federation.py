@@ -1545,9 +1545,10 @@ class Federation:
     def _submission_transport(self):
         """Where an asynchronous submission delivers.
 
-        From a thread that is itself serving a request (delivery thread
-        or dispatcher pool worker), nested submissions run inline on the
-        in-process transport — queueing them behind the bounded pools
+        From a thread that is itself serving a request (a delivery or
+        listener thread, or one running a request under a dispatch
+        permit), nested submissions run inline on the in-process
+        transport — queueing them behind the bounded delivery threads
         the caller occupies could deadlock the federation, exactly like
         nested synchronous dispatch (the dispatcher's in-worker rule).
         """

@@ -69,7 +69,7 @@ class Node:
         self.workers = workers
         self.seed = seed
         if workers > 0:
-            self.dispatcher = ConcurrentDispatcher(workers=workers, name=name)
+            self.dispatcher = ConcurrentDispatcher(workers=workers)
         else:
             self.dispatcher = SerialDispatcher()
         # every bus delivery — including nested in-process proxy calls
@@ -307,28 +307,22 @@ class Node:
         value or the exception it raised — one member's error never
         fails another.
 
-        Members overlap on the node's pool (per-servant serialization
-        still applies).  Same-servant members execute in submission
-        order: the pool serializes them on the servant lock but does not
-        order the acquisitions, so each waits for the previous
-        same-servant member before it is submitted.
+        Members run one after another, in submission order, on the
+        delivering thread, each through the dispatcher like a single
+        call (on a concurrent node, each under its own permit).
         """
-        pending = []
-        last_by_servant: Dict[str, Any] = {}
-        for ref, operation, args, kwargs in calls:
-            previous = last_by_servant.get(ref.object_id)
-            if previous is not None:
-                previous.exception()  # wait; the outcome is read below
-            future = self.dispatcher.submit(
-                ref.object_id,
-                functools.partial(self._run, ref, operation, args, kwargs, context),
-            )
-            last_by_servant[ref.object_id] = future
-            pending.append(future)
+        dispatch = self.dispatcher.dispatch
         outcomes: List[Any] = []
-        for future in pending:
+        for ref, operation, args, kwargs in calls:
             try:
-                outcomes.append(future.result())
+                outcomes.append(
+                    dispatch(
+                        ref.object_id,
+                        functools.partial(
+                            self._run, ref, operation, args, kwargs, context
+                        ),
+                    )
+                )
             except Exception as exc:  # noqa: BLE001 - the member's own outcome
                 outcomes.append(exc)
         return outcomes

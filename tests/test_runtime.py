@@ -1,5 +1,7 @@
 """Distributed runtime: ring, sharded naming, dispatch, federation, harness."""
 
+import functools
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -15,6 +17,7 @@ from repro.errors import (
 )
 from repro.middleware.bus import ObjectRefData
 from repro.middleware.naming import NamingService
+from repro.middleware.transport import in_serving_thread, serving_request
 from repro.runtime import (
     ConcurrentDispatcher,
     Federation,
@@ -146,13 +149,154 @@ class TestDispatchers:
             threading.main_thread()
         )
 
-    def test_concurrent_runs_on_worker(self):
+    def test_concurrent_runs_on_the_calling_thread(self):
         dispatcher = ConcurrentDispatcher(workers=2)
+        caller = threading.current_thread()
+        probe = lambda: (threading.current_thread(), in_serving_thread())  # noqa: E731
+        assert not in_serving_thread()
+        assert dispatcher.dispatch("k", probe) == (caller, True)
+        assert not in_serving_thread()
+        # a thread already serving (a delivery or listener thread) keeps
+        # its mark after the request
+        with serving_request():
+            assert dispatcher.dispatch("k", probe) == (caller, True)
+            assert in_serving_thread()
+        assert not in_serving_thread()
+
+    def test_workers_bound_the_requests_running_at_once(self):
+        dispatcher = ConcurrentDispatcher(workers=2)
+        guard = threading.Lock()
+        running, peak, finished = [0], [0], []
+
+        def slow(i):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with guard:
+                running[0] -= 1
+            finished.append(i)
+
+        threads = [
+            threading.Thread(
+                target=dispatcher.dispatch, args=(f"k{i}", functools.partial(slow, i))
+            )
+            for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid take/return
         try:
-            worker = dispatcher.dispatch("k", lambda: threading.current_thread())
-            assert worker is not threading.main_thread()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
         finally:
-            dispatcher.shutdown()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == list(range(6))
+        assert 1 <= peak[0] <= 2
+        snap = dispatcher.stats.snapshot()
+        assert snap["max_in_flight"] <= 2 and snap["in_flight"] == 0
+        assert dispatcher._free == 2, "a permit was lost or minted"
+
+    def test_permit_holders_never_wait_for_a_permit(self):
+        """A -> B -> A with one permit per node: the thread holding A's
+        permit runs the whole chain inline, so it never waits for a
+        second permit on A or a first one on B."""
+        federation = Federation(latency_ms=0.0)
+        node_a = federation.join("a", workers=1)
+        node_b = federation.join("b", workers=1)
+        key_a = next(
+            f"p{i}" for i in range(100) if federation.node_for(f"p{i}") is node_a
+        )
+        key_b = next(
+            f"p{i}" for i in range(100) if federation.node_for(f"p{i}") is node_b
+        )
+
+        class Leaf:
+            def leaf(self):
+                return "leaf"
+
+        class Middle:
+            def middle(self):
+                return federation.call(f"{key_a}/Leaf/0", "leaf")
+
+        class Outer:
+            def outer(self):
+                return federation.call(f"{key_b}/Middle/0", "middle")
+
+        node_a.bind(f"{key_a}/Outer/0", Outer())
+        node_a.bind(f"{key_a}/Leaf/0", Leaf())
+        node_b.bind(f"{key_b}/Middle/0", Middle())
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.append(
+                federation.call(f"{key_a}/Outer/0", "outer")
+            ),
+            daemon=True,
+        )
+        try:
+            caller.start()
+            caller.join(10)
+            assert not caller.is_alive(), "A -> B -> A deadlocked on permits"
+            assert results == ["leaf"]
+        finally:
+            federation.shutdown()
+
+    def test_invoke_batch_keeps_order_and_each_outcome(self):
+        federation = Federation(latency_ms=0.0)
+        node = federation.join("n0", workers=2)
+        threads = []
+
+        class Ledger:
+            def __init__(self):
+                self.entries = []
+
+            def add(self, entry):
+                threads.append(threading.current_thread())
+                self.entries.append(entry)
+                return len(self.entries)
+
+            def fail(self):
+                raise ValueError("member failed")
+
+        first, second = Ledger(), Ledger()
+        ref = node.bind("p/Ledger/0", first)
+        other = node.bind("q/Ledger/0", second)
+        try:
+            outcomes = node.invoke_batch(
+                [
+                    (ref, "add", ("a",), {}),
+                    (ref, "fail", (), {}),
+                    (other, "add", ("b",), {}),
+                    (ref, "add", ("c",), {}),
+                ]
+            )
+        finally:
+            federation.shutdown()
+        assert outcomes[0] == 1 and outcomes[2] == 1 and outcomes[3] == 2
+        assert isinstance(outcomes[1], ReproError)
+        assert "member failed" in str(outcomes[1])
+        assert first.entries == ["a", "c"] and second.entries == ["b"]
+        # members run in order on the delivering thread
+        assert set(threads) == {threading.current_thread()}
+
+    def test_a_concurrent_run_starts_no_dispatch_threads(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        result = run_scenario("banking", concurrent=True, workers=2, **SMALL)
+        assert result.passed, result.invariant_violations
+        assert started, "the concurrent run started no thread at all"
+        assert not [name for name in started if name.startswith("dispatch-")]
+        assert not [
+            t.name for t in threading.enumerate() if t.name.startswith("dispatch-")
+        ]
 
     def test_per_servant_serialization(self):
         dispatcher = ConcurrentDispatcher(workers=4)

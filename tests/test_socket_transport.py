@@ -72,16 +72,16 @@ def build(transport="socket", nodes=3, partitions=6, replication=0, **kwargs):
     return federation, names
 
 
-def _envelope(target):
+def _envelope(target, operation="op"):
     from repro.middleware.bus import Request
     from repro.middleware.envelope import Envelope
 
     return Envelope(
         request=Request(
-            object_id="obj-1", operation="op", args=[], kwargs={}, context={}
+            object_id="obj-1", operation=operation, args=[], kwargs={}, context={}
         ),
         target=target,
-        label="T.op",
+        label=f"T.{operation}",
     )
 
 
@@ -293,6 +293,51 @@ class TestWireLayer:
         finally:
             server.stop()
             bare.stop()
+
+    def test_control_failure_keeps_a_library_errors_type_and_text(self):
+        """A verb raising an error whose constructor takes no message
+        (ValidationError takes diagnostics) arrives as that type with
+        the sender's text, not garbled by a second construction."""
+        from repro.errors import ValidationError
+
+        def control(payload):
+            raise ValidationError(["bad name"])
+
+        server = WireServer(
+            node="w", request_handler=lambda env: None, control_handler=control
+        )
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            with pytest.raises(ValidationError) as excinfo:
+                transport.control("w", {"verb": "validate"})
+            assert str(excinfo.value) == "model validation failed: bad name"
+            transport.shutdown()
+        finally:
+            server.stop()
+
+    def test_a_reply_the_wire_cannot_carry_comes_back_as_a_fault(self):
+        """The listener encodes a result before it counts the request as
+        served: a result outside the wire contract crosses as a FAULT
+        that is never re-delivered, and the pooled connection keeps
+        serving."""
+
+        def handler(envelope):
+            return object() if envelope.request.operation == "bad" else 7
+
+        server = WireServer(node="w", request_handler=handler)
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            with pytest.raises(ProtocolError, match="outside the wire contract") as bad:
+                transport.roundtrip("w", _envelope("w", "bad"))
+            assert not is_retryable(bad.value)
+            assert transport.roundtrip("w", _envelope("w", "good")).result == 7
+            assert transport.stats()["dials"] == 1
+            assert (server.requests_served, server.faults_returned) == (1, 1)
+            transport.shutdown()
+        finally:
+            server.stop()
 
     def test_codec_entry_points_run_once_per_frame(self, monkeypatch):
         """A hop encodes one tagged value per frame sent and decodes one

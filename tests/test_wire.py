@@ -25,8 +25,12 @@ from repro.errors import (
     MarshallingError,
     MiddlewareError,
     NodeDownError,
+    OclSyntaxError,
+    PreconditionViolation,
     ProtocolError,
     AccessDeniedError,
+    TransactionAborted,
+    ValidationError,
 )
 from repro.middleware.bus import ObjectRefData, Request, Response, marshal, wire_size
 from repro.middleware.envelope import Envelope, QoS
@@ -433,6 +437,25 @@ def test_retryable_middleware_fault_stays_bare():
 def test_library_fault_rebuilds_by_name_and_is_marked_remote():
     rebuilt = decode_fault(encode_fault(AccessDeniedError("denied")))
     assert isinstance(rebuilt, AccessDeniedError)
+    assert getattr(rebuilt, "_remote_rebuilt", False)
+
+
+@pytest.mark.parametrize(
+    "original",
+    [
+        ValidationError(["bad name"]),
+        TransactionAborted("tx-1", "lock conflict"),
+        PreconditionViolation("self.name <> ''"),
+        OclSyntaxError("unexpected token", position=4, text="a +"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_library_fault_keeps_its_type_and_text_whatever_its_constructor(original):
+    """The rebuild never re-runs a constructor that takes something
+    other than a message: the type survives and the text is verbatim."""
+    rebuilt = decode_fault(encode_fault(original))
+    assert type(rebuilt) is type(original)
+    assert str(rebuilt) == str(original)
     assert getattr(rebuilt, "_remote_rebuilt", False)
 
 
