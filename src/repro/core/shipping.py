@@ -12,6 +12,9 @@ This module implements the second option and makes it verifiable:
   :class:`ComponentPackage` — the initial PIM (XMI), the ordered list of
   (concern, ``Si``) refinement steps, the final model (XMI), and the
   generated concrete-aspect sources.  Everything is JSON-serializable.
+  The two models are kept as immutable snapshots and written as XMI on
+  first read: a package that never leaves its process (an in-process
+  deploy weaves the vendor's derivation) never pays for the documents.
 * :func:`replay` re-runs the shipped steps on the shipped initial model
   (in a fresh environment, against the receiver's registry) and verifies —
   via a structural fingerprint — that the replayed model is equivalent to
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.codegen.python_backend import generate_module, load_module
 from repro.core.aspect_generator import generate_concrete_aspect
@@ -35,7 +38,7 @@ from repro.core.lifecycle import MdaLifecycle, application_classes
 from repro.core.precedence import AspectDeploymentPlan
 from repro.core.transformation import ConcreteTransformation
 from repro.errors import ShippingError
-from repro.metamodel.instances import MObject, ModelResource
+from repro.metamodel.instances import MObject, ModelResource, deep_clone
 from repro.uml.metamodel import UML
 from repro.uml.model import qualified_name
 from repro.xmi import parse_xmi, xmi_string
@@ -81,13 +84,46 @@ class Derivation:
         return module
 
 
+class _ModelSnapshot(NamedTuple):
+    """Detached, never-mutated model roots and the name of the resource
+    they were taken from: what :func:`~repro.xmi.xmi_string` writes."""
+
+    name: str
+    roots: Tuple[MObject, ...]
+
+
+class _XmiField:
+    """A package's XMI document, written on first read.
+
+    :func:`ship` sets it to a :class:`_ModelSnapshot` and a parsed
+    package to the text; the first read (attribute access, which
+    :meth:`ComponentPackage.to_json` and equality make) writes a
+    snapshot's document and keeps it in place of the snapshot.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, package, owner=None) -> str:
+        if package is None:
+            # no class-level value: the dataclass field stays required
+            raise AttributeError(self._slot)
+        value = package.__dict__[self._slot]
+        if isinstance(value, _ModelSnapshot):
+            value = package.__dict__[self._slot] = xmi_string(value)
+        return value
+
+    def __set__(self, package, value) -> None:
+        package.__dict__[self._slot] = value
+
+
 @dataclass
 class ComponentPackage:
     """Everything needed to reproduce (and audit) a refined component."""
 
     name: str
-    initial_model_xmi: str
-    final_model_xmi: str
+    initial_model_xmi: str = _XmiField()
+    final_model_xmi: str = _XmiField()
     steps: List[ShippedStep] = field(default_factory=list)
     aspect_sources: Dict[str, str] = field(default_factory=dict)
     #: this process's derivation of the package; never serialized or
@@ -162,19 +198,25 @@ def ship(lifecycle) -> ComponentPackage:
 
     Requires at least one applied concern; the initial PIM is taken from
     the lifecycle's first repository commit (``MdaLifecycle`` commits the
-    PIM before the first transformation).  The returned package keeps the
-    lifecycle's :class:`Derivation`, so nodes in this process weave the
-    vendor's refinement instead of replaying it.
+    PIM before the first transformation).  The final model is the head
+    version when the model has not changed since it was committed (as
+    after :meth:`MdaLifecycle.apply_plan`), else one clone of the live
+    model; later refinement of the lifecycle leaves the package as
+    shipped.  The returned package keeps the lifecycle's
+    :class:`Derivation`, so nodes in this process weave the vendor's
+    refinement instead of replaying it.
     """
     if not lifecycle.applied:
         raise ShippingError("nothing to ship: no concern has been applied")
-    versions = lifecycle.repository.history.versions
+    history = lifecycle.repository.history
+    versions = history.versions
     if not versions:
         raise ShippingError("repository has no committed versions")
-    initial_roots, _ = versions[0].materialize()
-    initial = ModelResource(lifecycle.repository.resource.name)
-    for root in initial_roots:
-        initial.add_root(root)
+    resource = lifecycle.repository.resource
+    if history.head_is_current():
+        final_roots = history.head.roots
+    else:
+        final_roots = tuple(deep_clone(resource.roots)[0])
 
     steps = []
     for cmt, _ca in lifecycle.applied:
@@ -183,9 +225,9 @@ def ship(lifecycle) -> ComponentPackage:
             ShippedStep(cmt.concern, cmt.generic.name, cmt.parameters)
         )
     package = ComponentPackage(
-        name=lifecycle.repository.resource.name,
-        initial_model_xmi=xmi_string(initial),
-        final_model_xmi=xmi_string(lifecycle.repository.resource),
+        name=resource.name,
+        initial_model_xmi=_ModelSnapshot(resource.name, versions[0].roots),
+        final_model_xmi=_ModelSnapshot(resource.name, final_roots),
         steps=steps,
         aspect_sources=lifecycle.generate_aspect_sources(),
     )

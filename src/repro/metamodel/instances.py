@@ -89,7 +89,7 @@ class MObject(NotificationMixin):
         object.__setattr__(self, "_resource", None)
         object.__setattr__(self, "_observers", [])
         object.__setattr__(self, "_uuid", f"o{next(_id_counter)}")
-        for feature in meta_class.all_features().values():
+        for feature in meta_class._shape().features.values():
             default = feature.default_value()
             if default is not None:
                 self._slots[feature.name] = default
@@ -135,7 +135,7 @@ class MObject(NotificationMixin):
 
     def all_contents(self) -> Iterator["MObject"]:
         """Depth-first iteration over the containment subtree (self excluded)."""
-        for ref in self._meta.containment_references():
+        for ref in self._meta._shape().containment:
             value = self._slots.get(ref.name)
             if value is None:
                 continue
@@ -562,13 +562,21 @@ class ModelResource(NotificationMixin):
 
     Observers subscribed on a resource receive every notification emitted by
     any object inside its containment trees, plus root add/remove events
-    (feature :data:`ROOTS_FEATURE`).
+    (feature :data:`ROOTS_FEATURE`).  :attr:`revision` counts them, so
+    two equal readings bracket an unchanged model.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self._roots: list[MObject] = []
         self._observers = []
+        #: notifications dispatched so far: every raw change in the
+        #: resource's trees and every root added or removed
+        self.revision = 0
+
+    def _dispatch(self, notification: Notification) -> None:
+        self.revision += 1
+        NotificationMixin._dispatch(self, notification)
 
     @property
     def roots(self) -> tuple:
@@ -661,54 +669,73 @@ def deep_clone(roots: Iterable[MObject]):
     Returns ``(clones, mapping)`` where ``mapping`` maps original objects to
     their clones (by identity).  Cross-references *within* the cloned forest
     are remapped to the clones; references leaving the forest keep pointing
-    at the original targets.
+    at the original targets, and nothing outside the forest is written.
+
+    The forest is built on the raw slot layer, without notifications or
+    conformance checks: it is detached, and the originals' values already
+    conform.  Each bidirectional pair is copied from one side only (the
+    containment side if there is one, else the side whose (class, name)
+    sorts first) and the other side is linked back as it is copied, so a
+    many-valued opposite lists its sources in the order they are cloned.
     """
     roots = list(roots)
     mapping: dict[int, MObject] = {}
     originals: dict[int, MObject] = {}
-
-    def _shallow(obj: MObject) -> MObject:
-        clone = MObject(obj.meta_class)
-        mapping[id(obj)] = clone
-        originals[id(obj)] = obj
-        return clone
-
     for root in roots:
-        _shallow(root)
-        for child in root.all_contents():
-            _shallow(child)
+        for obj in itertools.chain((root,), root.all_contents()):
+            mapping[id(obj)] = MObject(obj._meta)
+            originals[id(obj)] = obj
 
     for oid, original in originals.items():
         clone = mapping[oid]
-        for feature in original.meta_class.all_features().values():
+        slots = clone._slots
+        for feature in original._meta._shape().features.values():
             value = original._slots.get(feature.name)
             if value is None:
                 continue
-            if isinstance(feature, MetaReference):
-                if feature.opposite is not None and not feature.containment:
-                    opp = feature.opposite
-                    # Replay only one side of each bidirectional pair; choose
-                    # the containment side if there is one, else the side
-                    # whose (class, name) sorts first for determinism.
-                    if opp.containment:
-                        continue
-                    if not feature.containment:
-                        self_key = (feature.owning_class.qualified_name, feature.name)
-                        opp_key = (opp.owning_class.qualified_name, opp.name)
-                        if self_key > opp_key:
-                            continue
-                values = list(value) if feature.many else [value]
-                for item in values:
-                    target = mapping.get(id(item), item)
-                    if feature.many:
-                        clone.get(feature.name).append(target)
-                    else:
-                        clone.set(feature.name, target)
-            else:
-                if feature.many:
-                    clone.get(feature.name).extend(list(value))
-                else:
-                    clone._slot_set(feature, value)
+            if not isinstance(feature, MetaReference):
+                slots[feature.name] = (
+                    _raw_list(clone, feature, value._items) if feature.many else value
+                )
+                continue
+            opposite = feature.opposite
+            if opposite is not None and not feature.containment:
+                if opposite.containment:
+                    continue
+                self_key = (feature.owning_class.qualified_name, feature.name)
+                opp_key = (opposite.owning_class.qualified_name, opposite.name)
+                if self_key > opp_key:
+                    continue
+            items = value._items if feature.many else (value,)
+            targets = [mapping.get(id(item), item) for item in items]
+            if not feature.many:
+                slots[feature.name] = targets[0]
+            elif targets:
+                slots[feature.name] = _raw_list(clone, feature, targets)
+            if feature.containment:
+                for child in targets:
+                    object.__setattr__(child, "_container", clone)
+                    object.__setattr__(child, "_containing_feature", feature)
+            if opposite is None:
+                continue
+            for item, target in zip(items, targets):
+                if id(item) not in mapping:
+                    continue
+                if not opposite.many:
+                    target._slots[opposite.name] = clone
+                    continue
+                back = target._slots.get(opposite.name)
+                if back is None:
+                    back = target._slots[opposite.name] = MList(target, opposite)
+                if clone not in back._items:
+                    back._items.append(clone)
 
     clones = [mapping[id(r)] for r in roots]
     return clones, {originals[k].uuid: v for k, v in mapping.items()}
+
+
+def _raw_list(owner: MObject, feature: MetaFeature, items) -> MList:
+    """A collection for ``owner``'s ``feature`` holding ``items`` as they are."""
+    collection = MList(owner, feature)
+    collection._items = list(items)
+    return collection

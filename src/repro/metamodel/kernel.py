@@ -6,6 +6,14 @@ The kernel mirrors Essential MOF: a :class:`MetaPackage` owns
 from other metaclasses.  Instances of metaclasses are dynamic
 :class:`~repro.metamodel.instances.MObject` objects created by *calling*
 the metaclass.
+
+A metaclass's *shape* — its superclass closure, merged feature map and
+reference lists — is derived once and cached on the class.  Metamodels
+are built up front and read on every model operation, so one
+kernel-wide edit counter stands guard: :meth:`MetaClass.add_superclass`
+and :meth:`MetaClass.add_feature` bump it, which invalidates every
+cached shape at once (a feature added to a superclass must reach its
+subclasses, whose caches it cannot see).
 """
 
 from __future__ import annotations
@@ -296,6 +304,36 @@ class MetaReference(MetaFeature):
         other.opposite = self
 
 
+class _Shape:
+    """What a metaclass derives from its own and inherited definitions,
+    as of one value of :attr:`MetaClass._edits`.  Never mutated: the
+    public accessors hand out copies."""
+
+    __slots__ = ("edits", "superclasses", "features", "references", "containment")
+
+    def __init__(self, meta: "MetaClass", edits: int):
+        self.edits = edits
+        supers: list[MetaClass] = []
+        stack = list(meta._superclasses)
+        while stack:
+            cur = stack.pop(0)
+            if cur not in supers:
+                supers.append(cur)
+                stack.extend(cur._superclasses)
+        #: transitive superclasses, nearest first, without duplicates
+        self.superclasses = tuple(supers)
+        # a subclass's definition shadows an inherited same-named one
+        features: dict[str, MetaFeature] = {}
+        for sup in reversed(supers):
+            features.update(sup._own_features)
+        features.update(meta._own_features)
+        self.features = features
+        self.references = tuple(
+            f for f in features.values() if isinstance(f, MetaReference)
+        )
+        self.containment = tuple(r for r in self.references if r.containment)
+
+
 class MetaClass(MetaClassifier):
     """A metaclass: named type with features, inheritance, and instances.
 
@@ -305,6 +343,10 @@ class MetaClass(MetaClassifier):
         person.add_attribute("name", STRING)
         p = person(name="Ada")
     """
+
+    #: kernel-wide count of inheritance and feature edits; a cached
+    #: shape stamped with an older count is stale
+    _edits = 0
 
     def __init__(
         self,
@@ -317,6 +359,7 @@ class MetaClass(MetaClassifier):
         self.abstract = abstract
         self._superclasses: list[MetaClass] = []
         self._own_features: dict[str, MetaFeature] = {}
+        self._cached_shape: Optional[_Shape] = None
         for sup in superclasses:
             self.add_superclass(sup)
         if package is not None:
@@ -335,21 +378,24 @@ class MetaClass(MetaClassifier):
             raise MetamodelError(f"inheritance cycle involving {self.name}")
         if sup not in self._superclasses:
             self._superclasses.append(sup)
+            # after the edit: a shape derived concurrently is then stale
+            MetaClass._edits += 1
+
+    def _shape(self) -> _Shape:
+        """This class's cached shape, derived again after any edit."""
+        shape = self._cached_shape
+        edits = MetaClass._edits
+        if shape is None or shape.edits != edits:
+            shape = self._cached_shape = _Shape(self, edits)
+        return shape
 
     def all_superclasses(self) -> list:
         """Transitive superclasses, nearest first, without duplicates."""
-        seen: list[MetaClass] = []
-        stack = list(self._superclasses)
-        while stack:
-            cur = stack.pop(0)
-            if cur not in seen:
-                seen.append(cur)
-                stack.extend(cur._superclasses)
-        return seen
+        return list(self._shape().superclasses)
 
     def conforms_to(self, other: "MetaClass") -> bool:
         """True when instances of ``self`` are acceptable where ``other`` is expected."""
-        return other is self or other in self.all_superclasses()
+        return other is self or other in self._shape().superclasses
 
     # -- features ------------------------------------------------------------
 
@@ -358,7 +404,7 @@ class MetaClass(MetaClassifier):
         return tuple(self._own_features.values())
 
     def _check_fresh_feature_name(self, name: str) -> None:
-        if name in self.all_features():
+        if name in self._shape().features:
             raise MetamodelError(
                 f"metaclass {self.qualified_name} already has a feature {name!r}"
             )
@@ -367,6 +413,7 @@ class MetaClass(MetaClassifier):
         self._check_fresh_feature_name(feature.name)
         self._own_features[feature.name] = feature
         feature._owner = self
+        MetaClass._edits += 1
         return feature
 
     def add_attribute(self, name, type_, lower=0, upper=1, default=None, **kw) -> MetaAttribute:
@@ -388,34 +435,24 @@ class MetaClass(MetaClassifier):
         (the kernel forbids creating such shadows, but merged metamodels may
         contain them; nearest definition wins).
         """
-        merged: dict[str, MetaFeature] = {}
-        for sup in reversed(self.all_superclasses()):
-            for f in sup._own_features.values():
-                merged[f.name] = f
-        merged.update(self._own_features)
-        return merged
+        return dict(self._shape().features)
 
     def feature(self, name: str) -> MetaFeature:
-        feats = self.all_features()
         try:
-            return feats[name]
+            return self._shape().features[name]
         except KeyError:
             raise MetamodelError(
                 f"metaclass {self.qualified_name} has no feature {name!r}"
             ) from None
 
     def has_feature(self, name: str) -> bool:
-        return name in self.all_features()
+        return name in self._shape().features
 
     def references(self) -> Iterator[MetaReference]:
-        for f in self.all_features().values():
-            if isinstance(f, MetaReference):
-                yield f
+        return iter(self._shape().references)
 
     def containment_references(self) -> Iterator[MetaReference]:
-        for r in self.references():
-            if r.containment:
-                yield r
+        return iter(self._shape().containment)
 
     # -- instantiation -------------------------------------------------------
 

@@ -13,6 +13,7 @@ import fnmatch
 import hashlib
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -144,6 +145,10 @@ class Acl:
 
 @dataclass(frozen=True)
 class AuditRecord:
+    # slotted: the trail keeps one record per access decision for the
+    # life of the process, so each must stay a few words
+    __slots__ = ("timestamp", "principal", "resource", "action", "outcome")
+
     timestamp: float
     principal: str
     resource: str
@@ -158,7 +163,11 @@ class AuditLog:
         self.records: List[AuditRecord] = []
 
     def record(self, timestamp, principal, resource, action, outcome) -> None:
-        self.records.append(AuditRecord(timestamp, principal, resource, action, outcome))
+        # callers build the resource per call (``Class.member``); the
+        # trail holds one shared copy of each
+        self.records.append(
+            AuditRecord(timestamp, principal, sys.intern(resource), action, outcome)
+        )
 
     def denials(self) -> List[AuditRecord]:
         return [r for r in self.records if r.outcome != "allow"]

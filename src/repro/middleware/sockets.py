@@ -46,7 +46,13 @@ from repro.analysis.witness import named_lock
 from repro.errors import NodeDownError, ProtocolError, TransportError
 from repro.middleware.bus import Response
 from repro.middleware.envelope import Envelope, ReplyFuture
-from repro.middleware.transport import Handler, Transport, mark_serving_thread
+from repro.middleware.transport import (
+    Handler,
+    Transport,
+    in_permit_chain,
+    mark_serving_thread,
+    permit_chain,
+)
 from repro.middleware.wire import (
     CONTROL,
     CONTROL_OK,
@@ -268,7 +274,13 @@ class WireServer:
             # a oneway too: its RESPONSE or FAULT follows the effect, so
             # the caller meters it like any call and a drained caller
             # (the harness's quiesce) knows it has fully landed
-            envelope = Envelope.from_wire(payload)
+            nested, wire = payload
+            envelope = Envelope.from_wire(wire)
+            # a nested request runs for a chain that already holds a
+            # permit (possibly on this node): it takes none, and what it
+            # sends on is marked in turn
+            chained = in_permit_chain()
+            permit_chain.held = nested
             try:
                 result = self.request_handler(envelope)
                 # encoded before it counts as served: a result the wire
@@ -283,6 +295,8 @@ class WireServer:
                     self.faults_returned += 1
                 conn.sendall(session.send_fault(envelope.correlation_id, exc))
                 return False
+            finally:
+                permit_chain.held = chained
             with self._lock:
                 self.requests_served += 1
             conn.sendall(reply)
@@ -540,7 +554,7 @@ class SocketTransport(Transport):
                 f"node {node!r} unreachable at {endpoint}: {exc}", node=node
             ) from exc
         try:
-            frame = client.session.send_request(envelope)
+            frame = client.session.send_request(envelope, nested=in_permit_chain())
         except ProtocolError:
             # the call is outside the wire contract; the connection is
             # untouched and goes back to the pool

@@ -91,6 +91,21 @@ def in_serving_thread() -> bool:
     return getattr(_serving_local, "serving", False)
 
 
+#: marks threads running on behalf of a call chain that already holds a
+#: dispatch permit (``held``): the permit holder itself, and a wire
+#: listener's connection thread while it serves a REQUEST that arrived
+#: with the nested bit.  Such a thread takes no further permit on any
+#: node (two nodes whose permit holders wait on each other would
+#: deadlock the federation), and the REQUESTs it sends over the wire
+#: carry the bit, so the rule crosses sockets and processes too.
+permit_chain = threading.local()
+
+
+def in_permit_chain() -> bool:
+    """True while this thread runs for a chain holding a dispatch permit."""
+    return getattr(permit_chain, "held", False)
+
+
 class Transport:
     """Base transport: retry-aware delivery into a handler."""
 

@@ -20,10 +20,11 @@ Frame layout (everything big-endian)::
 The two kinds every call pays for have a fixed layout, set once here
 rather than described per frame.  A REQUEST payload is one ``struct``
 header — correlation id and message id (u64), attempt and QoS retries
-(u32), the oneway flag, the timeout's kind (none, int or float) and
-value, and the byte lengths of target, binding, label, object id and
-operation (u32, :data:`ABSENT` for ``None``) — followed by those five
-UTF-8 strings and one tagged value ``(args, kwargs, context)``.  A
+(u32), the flags byte (:data:`ONEWAY` and :data:`NESTED`), the
+timeout's kind (none, int or float) and value, and the byte lengths of
+target, binding, label, object id and operation (u32, :data:`ABSENT`
+for ``None``) — followed by those five UTF-8 strings and one tagged
+value ``(args, kwargs, context)``.  A
 RESPONSE payload is a header of correlation id, message id and the
 lengths of the error type and message (:data:`ABSENT` for ``None``,
 which is how a success reads), followed by the error texts and one
@@ -66,9 +67,10 @@ from repro.middleware.bus import ObjectRefData, Response
 from repro.middleware.envelope import Envelope, is_retryable
 
 MAGIC = b"RW"
-#: version 2 sent REQUEST and RESPONSE payloads as tagged dicts; version
-#: 1 also acked a oneway with kind 5
-VERSION = 3
+#: version 3 had no nested bit (its flags byte held the oneway flag
+#: alone); version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
+#: version 1 also acked a oneway with kind 5
+VERSION = 4
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -286,10 +288,18 @@ def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 #: the header length of a string that is ``None`` (distinct from ``""``)
 ABSENT = 0xFFFFFFFF
 
-#: correlation id, message id, attempt, QoS retries, oneway flag,
-#: timeout kind and value, then the lengths of target, binding, label,
-#: object id and operation
+#: correlation id, message id, attempt, QoS retries, flags, timeout
+#: kind and value, then the lengths of target, binding, label, object id
+#: and operation
 _REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
+
+#: REQUEST flag: the caller meters no reply value (QoS oneway)
+ONEWAY = 0x01
+#: REQUEST flag: sent by a thread running for a call chain that holds a
+#: dispatch permit, so the peer must not make it wait for one
+NESTED = 0x02
+_FLAGS = ONEWAY | NESTED
+
 #: correlation id, message id, then the lengths of error type and message
 _RESPONSE_HEAD = struct.Struct(">QQ2I")
 
@@ -361,7 +371,7 @@ def _frame(kind: int, parts: List[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def _request_frame(wire: tuple) -> bytes:
+def _request_frame(wire: tuple, nested: bool) -> bytes:
     (
         correlation_id, message_id, attempt, retries, oneway, timeout_ms,
         target, binding, label, object_id, operation, call,
@@ -388,7 +398,8 @@ def _request_frame(wire: tuple) -> bytes:
     parts = _head_parts(
         _REQUEST_HEAD,
         REQUEST,
-        (correlation_id, message_id, attempt, retries, 1 if oneway else 0,
+        (correlation_id, message_id, attempt, retries,
+         (ONEWAY if oneway else 0) | (NESTED if nested else 0),
          timeout_kind, timeout),
         (target, binding, label, object_id, operation),
     )
@@ -405,12 +416,12 @@ def _response_frame(correlation_id: int, wire: tuple) -> bytes:
     return _frame(RESPONSE, parts)
 
 
-def _decode_request(payload: bytes) -> tuple:
-    """A REQUEST payload in ``Envelope.to_wire()``'s positional form."""
+def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
+    """A REQUEST payload as ``(nested, Envelope.to_wire() form)``."""
     fields, texts, offset = _read_head(_REQUEST_HEAD, REQUEST, payload, 5)
-    correlation_id, message_id, attempt, retries, oneway, timeout_kind, timeout = fields[:7]
-    if oneway > 1:
-        raise ProtocolError(f"malformed oneway flag {oneway}")
+    correlation_id, message_id, attempt, retries, flags, timeout_kind, timeout = fields[:7]
+    if flags & ~_FLAGS:
+        raise ProtocolError(f"unknown request flag bits {flags:#04x}")
     if timeout_kind == _NO_TIMEOUT:
         timeout_ms = None
     elif timeout_kind == _FLOAT_TIMEOUT:
@@ -428,9 +439,9 @@ def _decode_request(payload: bytes) -> tuple:
         and type(call[2]) is dict
     ):
         raise ProtocolError(_MALFORMED_CALL)
-    return (
-        correlation_id, message_id, attempt, retries, oneway == 1, timeout_ms,
-        *texts, call,
+    return bool(flags & NESTED), (
+        correlation_id, message_id, attempt, retries, bool(flags & ONEWAY),
+        timeout_ms, *texts, call,
     )
 
 
@@ -469,7 +480,7 @@ class FrameDecoder:
     arrive in any split (mid-header, several frames at once, a frame
     spread over many reads); :meth:`frames` yields every frame that has
     fully arrived and keeps the remainder buffered.  A REQUEST frame
-    comes out in ``Envelope.to_wire()``'s positional form, a RESPONSE
+    comes out as ``(nested bit, Envelope.to_wire() form)``, a RESPONSE
     frame as ``(correlation id, Response.to_wire() form)``, any other
     kind as its decoded tagged value.  A protocol violation (bad magic,
     unknown version/kind, oversized length, undecodable payload) raises
@@ -694,8 +705,10 @@ class WireSession:
 
     # -- conversation frames -------------------------------------------------
 
-    def send_request(self, envelope: Envelope) -> bytes:
-        return _request_frame(envelope.to_wire())
+    def send_request(self, envelope: Envelope, nested: bool = False) -> bytes:
+        """A REQUEST frame for ``envelope``; ``nested`` sets the bit
+        that lets the peer run it without a dispatch permit."""
+        return _request_frame(envelope.to_wire(), nested)
 
     def send_response(self, correlation_id: int, response: Response) -> bytes:
         return _response_frame(correlation_id, response.to_wire())

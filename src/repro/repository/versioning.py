@@ -67,12 +67,20 @@ class VersionHistory:
         self._versions: Dict[str, Version] = {}
         self._order: List[str] = []
         self.head: Optional[Version] = None
+        #: the resource's revision when it last matched ``head``
+        self._head_revision: Optional[int] = None
         #: live uuid → origin uuid (identity thread across checkouts)
         self._live_origin: Dict[str, str] = {}
 
     @property
     def versions(self) -> List[Version]:
         return [self._versions[v] for v in self._order]
+
+    def head_is_current(self) -> bool:
+        """Whether the resource has not changed since it last matched
+        ``head`` (its commit or checkout), so the head's snapshot
+        stands for the live model."""
+        return self.head is not None and self.resource.revision == self._head_revision
 
     def origin_uuid(self, obj: MObject) -> str:
         """The identity key of a live object, stable across checkouts."""
@@ -89,6 +97,7 @@ class VersionHistory:
         self._versions[version.id] = version
         self._order.append(version.id)
         self.head = version
+        self._head_revision = self.resource.revision
         return version
 
     def get(self, version_id: str) -> Version:
@@ -112,4 +121,5 @@ class VersionHistory:
             self.resource.add_root(root)
         self._live_origin = dict(origin_map)
         self.head = version
+        self._head_revision = self.resource.revision
         return origin_map

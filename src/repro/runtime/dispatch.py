@@ -25,7 +25,11 @@ instead of queueing behind each other.
 Nested dispatches (server code that calls back into a node while
 handling a request) run inline without a permit: the thread already
 holds one, and waiting for a second could deadlock two nodes whose
-permit holders call each other.  The rule is per thread, not per node.
+permit holders call each other.  The rule is per thread, not per node
+(:func:`~repro.middleware.transport.in_permit_chain`), and it crosses
+the wire: a permit holder's REQUEST carries the nested bit, and the
+listener runs a marked request under its servant lock alone, marking
+its own thread for the calls that request makes in turn.
 Nested calls that enter through the ORB directly (proxy arguments
 hydrated server-side) never reach :meth:`ConcurrentDispatcher.dispatch`;
 the node closes that gap by installing :meth:`_DispatcherBase.serialize`
@@ -41,15 +45,9 @@ from typing import Callable, Dict, TypeVar
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import MiddlewareError
-from repro.middleware.transport import swap_serving
+from repro.middleware.transport import permit_chain, swap_serving
 
 T = TypeVar("T")
-
-#: marks threads that hold a dispatch permit — shared across
-#: dispatchers, so a request that hops nodes mid-dispatch runs inline on
-#: the remote node instead of waiting for one of its permits (two nodes
-#: whose permit holders wait on each other would deadlock the federation)
-_worker_local = threading.local()
 
 #: gives the CPU to another runnable thread (POSIX); a no-op elsewhere
 _yield_cpu = getattr(os, "sched_yield", lambda: None)
@@ -159,7 +157,7 @@ class ConcurrentDispatcher(_DispatcherBase):
         self._free = workers  # guarded_by: _permits
 
     def dispatch(self, servant_key: str, fn: Callable[[], T]) -> T:
-        if getattr(_worker_local, "in_worker", False):
+        if getattr(permit_chain, "held", False):
             return self._run(servant_key, fn)
         permits = self._permits
         with permits:
@@ -170,11 +168,11 @@ class ConcurrentDispatcher(_DispatcherBase):
         # submissions the servant makes deliver inline rather than queue
         # behind delivery threads that may all be waiting for permits
         serving = swap_serving(True)
-        _worker_local.in_worker = True
+        permit_chain.held = True
         try:
             return self._run(servant_key, fn)
         finally:
-            _worker_local.in_worker = False
+            permit_chain.held = False
             swap_serving(serving)
             with permits:
                 self._free += 1

@@ -68,7 +68,7 @@ def _should_write_reference(ref: MetaReference) -> bool:
 def _serialize_object(obj: MObject, parent: ET.Element) -> ET.Element:
     tag = obj.meta_class.qualified_name
     element = ET.SubElement(parent, tag, {"xmi.id": obj.uuid})
-    for feature in obj.meta_class.all_features().values():
+    for feature in obj.meta_class._shape().features.values():
         value = obj._slots.get(feature.name)
         if value is None or (isinstance(value, MList) and not value):
             continue
@@ -99,7 +99,9 @@ def _serialize_attribute(element: ET.Element, feature: MetaAttribute, value) -> 
 
 
 def build_tree(resource: ModelResource) -> ET.ElementTree:
-    """Build the XMI element tree for ``resource``."""
+    """Build the XMI element tree for ``resource``: a
+    :class:`ModelResource`, or anything with its ``name`` and ``roots``
+    (such as a shipped package's model snapshot)."""
     root = ET.Element("XMI", {"xmi.version": XMI_VERSION})
     header = ET.SubElement(root, "XMI.header")
     documentation = ET.SubElement(header, "XMI.documentation")

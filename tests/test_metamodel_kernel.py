@@ -198,3 +198,104 @@ class TestFeatures:
     def test_annotations_chainable(self):
         c = MetaClass("C").annotate(doc="x", hint=1)
         assert c.annotations == {"doc": "x", "hint": 1}
+
+
+class TestShapeCache:
+    """A metaclass derives its superclass closure and merged features
+    once; an edit anywhere in the metamodel shows through on next read."""
+
+    @staticmethod
+    def _read_everything(cls):
+        return (
+            cls.all_superclasses(),
+            cls.all_features(),
+            list(cls.references()),
+            list(cls.containment_references()),
+        )
+
+    def test_edits_after_a_read_show_through_every_accessor(self):
+        base = MetaClass("Base")
+        mid = MetaClass("Mid", superclasses=[base])
+        leaf = MetaClass("Leaf", superclasses=[mid])
+        other = MetaClass("Other")
+        self._read_everything(leaf)
+        assert not leaf.conforms_to(other)
+
+        # a feature added to a superclass reaches the subclass
+        ref = base.add_reference("parts", other, upper=UNBOUNDED, containment=True)
+        assert list(leaf.all_features()) == ["parts"]
+        assert leaf.feature("parts") is ref
+        assert leaf.has_feature("parts")
+        assert list(leaf.references()) == [ref]
+        assert list(leaf.containment_references()) == [ref]
+        instance, part = leaf(), other()
+        instance.parts.append(part)
+        assert part.container is instance
+        assert list(instance.all_contents()) == [part]
+
+        # a superclass added to the subclass reaches closure and features
+        extra = MetaClass("Extra")
+        attr = extra.add_attribute("label", STRING)
+        leaf.add_superclass(extra)
+        assert leaf.all_superclasses() == [mid, extra, base]
+        assert leaf.conforms_to(extra)
+        assert leaf.feature("label") is attr
+        assert list(leaf.all_features()) == ["parts", "label"]
+        assert leaf(label="x").label == "x"
+
+        # so does a superclass added further up the chain
+        mid.add_superclass(other)
+        assert leaf.conforms_to(other)
+        assert leaf.all_superclasses() == [mid, extra, base, other]
+
+    def test_cycles_are_still_refused_after_reads(self):
+        a = MetaClass("A")
+        b = MetaClass("B", superclasses=[a])
+        c = MetaClass("C", superclasses=[b])
+        self._read_everything(c)
+        self._read_everything(a)
+        with pytest.raises(MetamodelError, match="cycle"):
+            a.add_superclass(c)
+        assert a.all_superclasses() == []
+        assert c.all_superclasses() == [b, a]
+
+    def test_a_returned_dict_or_list_is_the_callers_own(self):
+        a = MetaClass("A")
+        a.add_attribute("x", STRING)
+        b = MetaClass("B", superclasses=[a])
+        b.add_attribute("y", INTEGER)
+        features = b.all_features()
+        features.clear()
+        supers = b.all_superclasses()
+        supers.append(b)
+        assert list(b.all_features()) == ["x", "y"]
+        assert b.all_superclasses() == [a]
+        assert b.has_feature("x") and not b.conforms_to(MetaClass("Z"))
+
+    def test_a_warm_deploy_walks_no_superclass_chain(self, monkeypatch):
+        """A second deploy of the banking spec in one process edits no
+        metaclass and derives no shape (before the cache, a deploy
+        walked superclass chains about 4,300 times)."""
+        from repro.deploy import DeploymentCompiler
+        from repro.metamodel import kernel
+        from repro.runtime.harness import RunConfig
+        from repro.runtime.scenarios import get_scenario
+
+        spec = get_scenario("banking").deployment_spec(
+            RunConfig(scenario="banking", nodes=3)
+        )
+        DeploymentCompiler().deploy(spec).shutdown()
+        derived = []
+
+        class Counting(kernel._Shape):
+            __slots__ = ()
+
+            def __init__(self, meta, edits):
+                derived.append(meta.name)
+                super().__init__(meta, edits)
+
+        monkeypatch.setattr(kernel, "_Shape", Counting)
+        edits = MetaClass._edits
+        DeploymentCompiler().deploy(spec).shutdown()
+        assert derived == []
+        assert MetaClass._edits == edits

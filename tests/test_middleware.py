@@ -655,6 +655,33 @@ class TestSecurity:
         assert len(audit.denials()) == 2
         assert len(audit.for_principal("bob")) == 2
 
+    def test_audit_trail_retains_little_per_allowed_check(self, security):
+        """The trail keeps every record, in order, at a bounded cost: the
+        resource arrives as a fresh ``Class.member`` string each call
+        (as ``JoinPoint.signature`` builds it) and the clock moves."""
+        import tracemalloc
+
+        auth, ac, clock = security["auth"], security["ac"], security["clock"]
+        auth.ttl_ms = 1e9
+        token = auth.login("alice", "pw").token
+        members = ("deposit", "withdraw", "getBalance", "transfer")
+        checks = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(checks):
+                clock.advance(0.5)
+                ac.check_access(token, f"Account.{members[i % 4]}", "invoke")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        records = ac.audit.records
+        assert [r.resource for r in records] == [
+            f"Account.{members[i % 4]}" for i in range(checks)
+        ]
+        assert all(r.outcome == "allow" and r.principal == "alice" for r in records)
+        assert retained / checks <= 128, f"{retained / checks:.0f} B retained per check"
+
     def test_wildcard_actions(self, security):
         security["acl"].allow_role("customer", "Report.*", ["*"])
         cred = security["auth"].login("bob", "pw2")

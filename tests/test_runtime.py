@@ -199,11 +199,11 @@ class TestDispatchers:
         assert snap["max_in_flight"] <= 2 and snap["in_flight"] == 0
         assert dispatcher._free == 2, "a permit was lost or minted"
 
-    def test_permit_holders_never_wait_for_a_permit(self):
-        """A -> B -> A with one permit per node: the thread holding A's
-        permit runs the whole chain inline, so it never waits for a
-        second permit on A or a first one on B."""
-        federation = Federation(latency_ms=0.0)
+    @staticmethod
+    def _chain_a_b_a(transport):
+        """Run Outer on A -> Middle on B -> Leaf on A, one permit per
+        node; returns (results, seconds, caller thread)."""
+        federation = Federation(latency_ms=0.0, transport=transport)
         node_a = federation.join("a", workers=1)
         node_b = federation.join("b", workers=1)
         key_a = next(
@@ -236,10 +236,71 @@ class TestDispatchers:
             daemon=True,
         )
         try:
+            started = time.monotonic()
             caller.start()
             caller.join(10)
-            assert not caller.is_alive(), "A -> B -> A deadlocked on permits"
-            assert results == ["leaf"]
+            return results, time.monotonic() - started, caller
+        finally:
+            federation.shutdown()
+
+    def test_permit_holders_never_wait_for_a_permit(self):
+        """A -> B -> A with one permit per node: the thread holding A's
+        permit runs the whole chain inline, so it never waits for a
+        second permit on A or a first one on B."""
+        results, _seconds, caller = self._chain_a_b_a("inproc")
+        assert not caller.is_alive(), "A -> B -> A deadlocked on permits"
+        assert results == ["leaf"]
+
+    def test_permit_holders_never_wait_for_a_permit_over_the_wire(self):
+        """The same chain over sockets: Leaf reaches a listener thread on
+        A while Outer's thread holds A's one permit.  The REQUESTs the
+        chain sends carry the nested bit, so it runs without one."""
+        results, seconds, caller = self._chain_a_b_a("socket")
+        assert not caller.is_alive(), "A -> B -> A waited for a held permit"
+        assert results == ["leaf"]
+        assert seconds < 2.0
+
+    def test_unmarked_wire_requests_still_take_a_permit(self):
+        """Two clients calling two servants of one node with
+        ``workers=1`` over sockets: each REQUEST arrives unmarked on its
+        own listener thread, and they never run at once."""
+        federation = Federation(latency_ms=0.0, transport="socket")
+        node = federation.join("a", workers=1)
+        guard = threading.Lock()
+        running, peak = [0], [0]
+
+        class Slow:
+            def work(self):
+                with guard:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                time.sleep(0.02)
+                with guard:
+                    running[0] -= 1
+                return True
+
+        names = [f"p{i}/Slow/0" for i in range(2)]
+        for name in names:
+            node.bind(name, Slow())
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda n=name: results.extend(
+                    federation.call(n, "work") for _ in range(5)
+                ),
+                daemon=True,
+            )
+            for name in names
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [True] * 10
+            assert peak[0] == 1
+            assert node.dispatcher._free == 1, "a permit was lost or minted"
         finally:
             federation.shutdown()
 

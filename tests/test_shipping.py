@@ -14,10 +14,11 @@ from repro.core import (
     ship,
 )
 from repro.codegen import generate_module
+from repro.metamodel import ModelResource
 from repro.uml import UML, find_element, has_stereotype
 from repro.xmi import parse_xmi
 
-from helpers import build_bank_model, diverging_copy
+from helpers import FULL_BANK_PARAMS, build_bank_model, diverging_copy
 
 
 class TestFingerprint:
@@ -155,3 +156,89 @@ class TestDerivation:
         with pytest.raises(ShippingError, match="diverges"):
             node.install(diverging_copy(shipped))
         assert not node.deployed
+
+
+class TestSerializationOnDemand:
+    """``ship`` keeps model snapshots and writes the XMI documents on
+    first read, so an in-process deploy never writes them."""
+
+    @staticmethod
+    def _refined(lifecycle):
+        for concern, params in FULL_BANK_PARAMS.items():
+            lifecycle.apply_concern(concern, **params)
+        return lifecycle
+
+    @staticmethod
+    def _fingerprint_of(xmi_text):
+        return model_fingerprint(parse_xmi(xmi_text, UML.package))
+
+    def test_an_in_process_deploy_writes_no_xmi(self, monkeypatch):
+        import repro.core.shipping as shipping
+        from repro.deploy import DeploymentCompiler
+        from repro.repository.versioning import Version
+        from repro.runtime.harness import RunConfig
+        from repro.runtime.scenarios import get_scenario
+
+        writes, materialized = [], []
+        write, materialize = shipping.xmi_string, Version.materialize
+        monkeypatch.setattr(
+            shipping, "xmi_string", lambda model: writes.append(model) or write(model)
+        )
+        monkeypatch.setattr(
+            Version,
+            "materialize",
+            lambda version: materialized.append(version) or materialize(version),
+        )
+        spec = get_scenario("banking").deployment_spec(
+            RunConfig(scenario="banking", nodes=2)
+        )
+        federation = DeploymentCompiler().deploy(spec)
+        try:
+            assert writes == [] and materialized == []
+            package = federation.app_package
+            text = package.to_json()
+            assert len(writes) == 2
+            assert package.to_json() == text and len(writes) == 2
+        finally:
+            federation.shutdown()
+        # what a worker process receives still replays and verifies
+        restored = ComponentPackage.from_json(text)
+        assert restored == package
+        lifecycle = replay(restored, services=MiddlewareServices.create())
+        assert [cmt.concern for cmt, _ca in lifecycle.applied] == [
+            step.concern for step in package.steps
+        ]
+
+    def test_the_documents_are_the_models_at_ship_time(self, lifecycle):
+        self._refined(lifecycle)
+        history = lifecycle.repository.history
+        assert history.head_is_current()
+        pim = ModelResource("bank")
+        for root in history.versions[0].materialize()[0]:
+            pim.add_root(root)
+        at_ship = model_fingerprint(lifecycle.repository.resource)
+        package = ship(lifecycle)
+        # refining further after ship leaves the package as shipped
+        lifecycle.apply_concern("logging", log_patterns=["*"])
+        assert model_fingerprint(lifecycle.repository.resource) != at_ship
+        assert self._fingerprint_of(package.initial_model_xmi) == model_fingerprint(pim)
+        assert self._fingerprint_of(package.final_model_xmi) == at_ship
+        assert ComponentPackage.from_json(package.to_json()) == package
+        replay(ComponentPackage.from_json(package.to_json()), services=MiddlewareServices.create())
+
+    def test_an_uncommitted_edit_ships_as_the_live_model(self, lifecycle):
+        self._refined(lifecycle)
+        account = find_element(lifecycle.repository.resource.roots[0], "accounts.Account")
+        account.documentation = "edited after the last commit"
+        assert not lifecycle.repository.history.head_is_current()
+        at_ship = model_fingerprint(lifecycle.repository.resource)
+        package = ship(lifecycle)
+        account.documentation = "edited after ship"
+        assert self._fingerprint_of(package.final_model_xmi) == at_ship
+
+    def test_equality_writes_both_sides(self, lifecycle):
+        self._refined(lifecycle)
+        first, second = ship(lifecycle), ship(lifecycle)
+        assert first == second
+        assert first.final_model_xmi == second.final_model_xmi
+        assert "<?xml" in first.initial_model_xmi

@@ -242,7 +242,7 @@ class TestWireLayer:
         from repro.middleware.envelope import Envelope
 
         def misreply(conn, session, kind, payload):
-            envelope = Envelope.from_wire(payload)
+            envelope = Envelope.from_wire(payload[1])
             wrong = envelope.correlation_id + 7
             conn.sendall(
                 session.send_response(

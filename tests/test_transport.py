@@ -628,7 +628,7 @@ class TestSocketFederationPipeline(_PipelineCases):
         def serve_without_reply(server, conn, session, kind, payload):
             if kind != REQUEST:
                 return serve_frame(server, conn, session, kind, payload)
-            server.request_handler(Envelope.from_wire(payload))
+            server.request_handler(Envelope.from_wire(payload[1]))
             return True  # hang up instead of replying
 
         federation, servants = self._federation()

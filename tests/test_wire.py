@@ -274,8 +274,8 @@ def test_frames_survive_arbitrary_splits():
         decoder.feed(frame[i:i + 1])
         collected.extend(decoder.frames())
     assert len(collected) == 1
-    kind, payload = collected[0]
-    assert kind == REQUEST
+    kind, (nested, payload) = collected[0]
+    assert kind == REQUEST and nested is False
     assert Envelope.from_wire(payload).request.operation == "deposit"
     assert decoder.pending() == 0
 
@@ -502,7 +502,7 @@ def test_envelope_round_trip_preserves_correlation_and_qos():
     )
     decoder = FrameDecoder()
     decoder.feed(WireSession("client").send_request(envelope))
-    [(kind, payload)] = list(decoder.frames())
+    [(kind, (_nested, payload))] = list(decoder.frames())
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == envelope.correlation_id
     assert hydrated.attempt == 2
@@ -765,9 +765,10 @@ def test_decoder_accepts_any_bytes_like_payload():
 # fixed headers: REQUEST and RESPONSE
 # ---------------------------------------------------------------------------
 
-#: the version-3 REQUEST payload header: correlation id, message id,
-#: attempt, QoS retries, oneway flag, timeout kind and value, then the
-#: byte lengths of target, binding, label, object id and operation
+#: the version-4 REQUEST payload header: correlation id, message id,
+#: attempt, QoS retries, flags (oneway 1, nested 2), timeout kind and
+#: value, then the byte lengths of target, binding, label, object id and
+#: operation
 REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
 FRAME_HEADER = 8
 ABSENT = 0xFFFFFFFF
@@ -867,11 +868,23 @@ def test_invalid_utf8_in_a_header_string_is_refused(field):
     assert _poisoned(decoder)
 
 
+@pytest.mark.parametrize("oneway", [False, True])
+@pytest.mark.parametrize("nested", [False, True])
+def test_nested_bit_round_trips_beside_oneway(oneway, nested):
+    frame = WireSession("client").send_request(
+        _envelope(qos=QoS(oneway=oneway)), nested=nested
+    )
+    assert frame[FRAME_HEADER + 24] == (1 if oneway else 0) | (2 if nested else 0)
+    _kind, (decoded, payload) = _decoded(frame)
+    assert decoded is nested
+    assert Envelope.from_wire(payload).qos.oneway is oneway
+
+
 def test_malformed_flags_and_call_shape_are_refused():
     good = WireSession("client").send_request(_envelope())
     flags = FRAME_HEADER + 24
     for offset, byte, match in (
-        (flags, 2, "oneway flag"),
+        (flags, 4, "unknown request flag bits"),
         (flags + 1, 7, "malformed timeout"),
     ):
         frame = bytearray(good)
@@ -917,7 +930,7 @@ def test_a_response_id_wider_than_its_header_is_refused_at_encode():
 
 def test_widest_ids_round_trip_unwrapped():
     envelope = _envelope(correlation_id=2**64 - 1, message_id=2**64 - 1, attempt=2**32 - 1)
-    _kind, payload = _decoded(WireSession("client").send_request(envelope))
+    _kind, (_nested, payload) = _decoded(WireSession("client").send_request(envelope))
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == 2**64 - 1
     assert hydrated.request.message_id == 2**64 - 1
@@ -927,7 +940,7 @@ def test_widest_ids_round_trip_unwrapped():
 @pytest.mark.parametrize("field", ["target", "binding", "label"])
 @pytest.mark.parametrize("value", [None, ""])
 def test_none_and_empty_header_strings_stay_distinct(field, value):
-    _kind, payload = _decoded(
+    _kind, (_nested, payload) = _decoded(
         WireSession("client").send_request(_envelope(**{field: value}))
     )
     assert getattr(Envelope.from_wire(payload), field) == value
@@ -937,7 +950,7 @@ def test_none_and_empty_header_strings_stay_distinct(field, value):
 @pytest.mark.parametrize("timeout_ms", [None, 500, 0, -3, 2**53, 500.0, 0.25, float("inf")])
 def test_timeout_round_trips_keeping_its_type(timeout_ms):
     envelope = _envelope(qos=QoS(timeout_ms=timeout_ms))
-    _kind, payload = _decoded(WireSession("client").send_request(envelope))
+    _kind, (_nested, payload) = _decoded(WireSession("client").send_request(envelope))
     hydrated = Envelope.from_wire(payload).qos.timeout_ms
     assert hydrated == timeout_ms
     assert type(hydrated) is type(timeout_ms)
