@@ -138,18 +138,22 @@ def bench_pipeline_10_concerns_with_savepoints(benchmark):
 
 
 def measure_speedup(rounds: int = 5):
-    """Best-of-N wall-clock comparison; returns (sequential_s, pipeline_s, stats)."""
+    """Best-of-N wall-clock comparison; returns (sequential_s, pipeline_s, stats).
+
+    The two sides' rounds interleave, and which side runs first
+    alternates from round to round, so a host slowdown that lasts
+    through part of the measurement hits both sides instead of one."""
     registry = build_registry()
     # warm-up: imports, compile cache, code paths
     run_sequential(registry)
     stats = run_pipeline(registry)
 
-    sequential = min(
-        _timed(lambda: run_sequential(registry)) for _ in range(rounds)
-    )
-    pipeline = min(
-        _timed(lambda: run_pipeline(registry)) for _ in range(rounds)
-    )
+    sides = (lambda: run_sequential(registry), lambda: run_pipeline(registry))
+    best = [float("inf"), float("inf")]
+    for round_index in range(rounds):
+        for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+            best[side] = min(best[side], _timed(sides[side]))
+    sequential, pipeline = best
     return sequential, pipeline, stats
 
 

@@ -22,36 +22,128 @@ refined application runs*:
 Specs are **lossless JSON**: ``from_dict(to_dict(s)) == s``, and
 :meth:`DeploymentSpec.digest` is a stable content hash (advisory fields
 — the expected-owner hint on a partition — are excluded, since placement
-is derived from consistent hashing, not declared).  ``validate()``
-checks referential integrity before anything is materialized; the
-compiler (:mod:`repro.deploy.compiler`) turns a valid spec into a live
-federation, and the reconciler (:mod:`repro.deploy.reconcile`) turns a
-spec *difference* into an ordered migration plan.
+is derived from consistent hashing, not declared).  Every record reads
+and writes JSON by one rule, derived from its fields (:class:`_Record`);
+only :class:`DeploymentSpec` (its ``format`` key) and
+:class:`ReplicationSpec` (its accepted ``mode``) add to it.
+``validate()`` checks referential integrity before anything is
+materialized; the compiler (:mod:`repro.deploy.compiler`) turns a valid
+spec into a live federation, and the reconciler
+(:mod:`repro.deploy.reconcile`) turns a spec *difference* into an
+ordered migration plan.
 """
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations`` here: the codec reads each
+# field's declared type from ``dataclasses.fields``, which must be the
+# type itself, not its source text
 import hashlib
 import json
 import math
-from dataclasses import InitVar, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import MISSING, InitVar, dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    get_args,
+    get_origin,
+)
 
 from repro.errors import DeploymentError
 from repro.middleware.envelope import QoS
 
 SPEC_FORMAT = "repro-deployment-spec/1"
 
+R = TypeVar("R", bound="_Record")
 
-def _freeze(instance, **tuple_fields) -> None:
-    """Coerce list-valued constructor arguments into tuples (frozen
-    dataclasses cannot reassign in ``__post_init__`` directly)."""
-    for name, value in tuple_fields.items():
-        object.__setattr__(instance, name, tuple(value))
+#: how one field travels: (attribute, JSON key, required, is a tuple,
+#: to JSON, from JSON); a converter of None passes the value through
+_Field = Tuple[str, str, bool, bool, Optional[Callable], Optional[Callable]]
+
+
+def _converters(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
+    """A field's (to JSON, from JSON) converters, from its type: nested
+    records in their own JSON form, tuples as lists, dicts copied."""
+    if isinstance(hint, type) and issubclass(hint, _Record):
+        return (lambda record: record.to_dict()), hint.from_dict
+    origin = get_origin(hint)
+    if origin is dict:
+        return dict, dict
+    if origin is not tuple:
+        return None, None
+    item = get_args(hint)[0]
+    if isinstance(item, type) and issubclass(item, _Record):
+        return (
+            lambda records: [record.to_dict() for record in records],
+            lambda entries: tuple(map(item.from_dict, entries)),
+        )
+    return list, tuple
+
+
+class _Record:
+    """The one JSON codec every spec record inherits.
+
+    A record is one JSON object with one key per field, in field order
+    (a field's ``metadata["json"]`` renames its key).  Tuples travel as
+    lists and dicts as shallow copies; a nested record travels in its
+    own JSON form.  Reading, an absent key leaves the field's default
+    and a missing required key raises ``KeyError(<json key>)``.  The
+    layout is derived from the dataclass fields once per class.
+    """
+
+    @classmethod
+    def _layout(cls) -> Tuple[_Field, ...]:
+        layout = cls.__dict__.get("_json_layout")
+        if layout is None:
+            layout = cls._json_layout = tuple(
+                (
+                    member.name,
+                    member.metadata.get("json", member.name),
+                    member.default is MISSING and member.default_factory is MISSING,
+                    get_origin(member.type) is tuple,
+                    *_converters(member.type),
+                )
+                for member in fields(cls)
+            )
+        return layout
+
+    def __post_init__(self) -> None:
+        # constructors take any iterable for a tuple field (callers pass
+        # lists); frozen dataclasses cannot assign it plainly
+        for name, _key, _required, is_tuple, _out, _in in self._layout():
+            if is_tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = {}
+        for name, key, _required, _is_tuple, out, _in in self._layout():
+            value = getattr(self, name)
+            data[key] = value if out is None else out(value)
+        return data
+
+    @classmethod
+    def _init_args(cls, data: Dict[str, Any]) -> Dict[str, Any]:
+        """The constructor keywords ``data`` declares."""
+        args = {}
+        for name, key, required, _is_tuple, _out, into in cls._layout():
+            if key in data:
+                value = data[key]
+                args[name] = value if into is None else into(value)
+            elif required:
+                raise KeyError(key)
+        return args
+
+    @classmethod
+    def from_dict(cls: Type[R], data: Dict[str, Any]) -> R:
+        return cls(**cls._init_args(data))
 
 
 @dataclass(frozen=True)
-class QoSProfile:
+class QoSProfile(_Record):
     """A named quality-of-service policy (timeout / retry budget)."""
 
     name: str
@@ -64,26 +156,9 @@ class QoSProfile:
             oneway=self.oneway, timeout_ms=self.timeout_ms, retries=self.retries
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "timeout_ms": self.timeout_ms,
-            "retries": self.retries,
-            "oneway": self.oneway,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QoSProfile":
-        return cls(
-            name=data["name"],
-            timeout_ms=data.get("timeout_ms"),
-            retries=data.get("retries", 0),
-            oneway=data.get("oneway", False),
-        )
-
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(_Record):
     """One federation member: a named ORB endpoint.
 
     ``workers == 0`` means serial dispatch (the deterministic baseline);
@@ -96,20 +171,9 @@ class NodeSpec:
     workers: int = 0
     seed: Optional[int] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "workers": self.workers, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "NodeSpec":
-        return cls(
-            name=data["name"],
-            workers=data.get("workers", 0),
-            seed=data.get("seed"),
-        )
-
 
 @dataclass(frozen=True)
-class ServantSpec:
+class ServantSpec(_Record):
     """One named servant: type, initial state, operation classification.
 
     ``name`` is the full federation binding name
@@ -122,36 +186,14 @@ class ServantSpec:
     """
 
     name: str
-    type_name: str
+    type_name: str = field(metadata={"json": "type"})
     state: Dict[str, Any] = field(default_factory=dict)
     read_only_ops: Tuple[str, ...] = ()
     qos: Optional[str] = None
 
-    def __post_init__(self):
-        _freeze(self, read_only_ops=self.read_only_ops)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "type": self.type_name,
-            "state": dict(self.state),
-            "read_only_ops": list(self.read_only_ops),
-            "qos": self.qos,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServantSpec":
-        return cls(
-            name=data["name"],
-            type_name=data["type"],
-            state=dict(data.get("state", {})),
-            read_only_ops=tuple(data.get("read_only_ops", ())),
-            qos=data.get("qos"),
-        )
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Record):
     """One co-location unit: the servants sharing a partition key.
 
     ``node`` is an *advisory* expected-owner hint (useful in extracted
@@ -164,29 +206,9 @@ class PartitionSpec:
     servants: Tuple[ServantSpec, ...] = ()
     node: Optional[str] = None
 
-    def __post_init__(self):
-        _freeze(self, servants=self.servants)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "servants": [servant.to_dict() for servant in self.servants],
-            "node": self.node,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PartitionSpec":
-        return cls(
-            key=data["key"],
-            servants=tuple(
-                ServantSpec.from_dict(entry) for entry in data.get("servants", ())
-            ),
-            node=data.get("node"),
-        )
-
 
 @dataclass(frozen=True)
-class ReplicationSpec:
+class ReplicationSpec(_Record):
     """Standby copies per partition (0 = replication disabled).
 
     Standbys replay a sequenced per-partition log of per-servant state
@@ -208,20 +230,15 @@ class ReplicationSpec:
                 f"replication mode must be 'full' or 'log', got {mode!r}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "snapshot_every": self.snapshot_every}
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReplicationSpec":
-        return cls(
-            count=data.get("count", 0),
-            mode=data.get("mode", "log"),
-            snapshot_every=data.get("snapshot_every", 64),
-        )
+        # no field holds ``mode``, so the shared codec would drop it
+        # unchecked
+        return cls(mode=data.get("mode", "log"), **cls._init_args(data))
 
 
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(_Record):
     """The instrumentation knobs compiled onto a federation.
 
     ``sample_rate`` is the fraction of logical client calls traced when
@@ -238,41 +255,17 @@ class ObservabilitySpec:
     event_log_capacity: int = 1024
     span_capacity: int = 4096
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sample_rate": self.sample_rate,
-            "slow_call_ms": self.slow_call_ms,
-            "event_log_capacity": self.event_log_capacity,
-            "span_capacity": self.span_capacity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ObservabilitySpec":
-        return cls(
-            sample_rate=data.get("sample_rate", 1.0),
-            slow_call_ms=data.get("slow_call_ms", 50.0),
-            event_log_capacity=data.get("event_log_capacity", 1024),
-            span_capacity=data.get("span_capacity", 4096),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSiteSpec:
+class FaultSiteSpec(_Record):
     """One fault-injection site (pattern allowed) with its probability."""
 
     site: str
     probability: float
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"site": self.site, "probability": self.probability}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSiteSpec":
-        return cls(site=data["site"], probability=data["probability"])
-
 
 @dataclass(frozen=True)
-class FaultCampaignSpec:
+class FaultCampaignSpec(_Record):
     """The declared fault campaign; ``armed`` decides whether the
     compiler actually configures the sites (scenarios arm it only for
     ``--faults`` runs, but the campaign itself is part of the spec)."""
@@ -280,58 +273,22 @@ class FaultCampaignSpec:
     sites: Tuple[FaultSiteSpec, ...] = ()
     armed: bool = False
 
-    def __post_init__(self):
-        _freeze(self, sites=self.sites)
-
     def effective_sites(self) -> Tuple[FaultSiteSpec, ...]:
         """The sites that materialize on a deployed federation."""
         return self.sites if self.armed else ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sites": [site.to_dict() for site in self.sites],
-            "armed": self.armed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultCampaignSpec":
-        return cls(
-            sites=tuple(
-                FaultSiteSpec.from_dict(entry) for entry in data.get("sites", ())
-            ),
-            armed=data.get("armed", False),
-        )
-
 
 @dataclass(frozen=True)
-class ConcernSpec:
+class ConcernSpec(_Record):
     """One concern selection (the pipeline's ``Si``) in spec form."""
 
     concern: str
     params: Dict[str, Any] = field(default_factory=dict)
     after: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        _freeze(self, after=self.after)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "concern": self.concern,
-            "params": dict(self.params),
-            "after": list(self.after),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConcernSpec":
-        return cls(
-            concern=data["concern"],
-            params=dict(data.get("params", {})),
-            after=tuple(data.get("after", ())),
-        )
-
 
 @dataclass(frozen=True)
-class ApplicationSpec:
+class ApplicationSpec(_Record):
     """The application every node hosts: PIM source + concern plan.
 
     Exactly one of ``builder`` (a registered application-builder name;
@@ -344,58 +301,18 @@ class ApplicationSpec:
     model_xmi: Optional[str] = None
     concerns: Tuple[ConcernSpec, ...] = ()
 
-    def __post_init__(self):
-        _freeze(self, concerns=self.concerns)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "builder": self.builder,
-            "model_xmi": self.model_xmi,
-            "concerns": [concern.to_dict() for concern in self.concerns],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ApplicationSpec":
-        return cls(
-            name=data["name"],
-            builder=data.get("builder"),
-            model_xmi=data.get("model_xmi"),
-            concerns=tuple(
-                ConcernSpec.from_dict(entry) for entry in data.get("concerns", ())
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class UserSpec:
+class UserSpec(_Record):
     """A provisioned principal (credential store entry on every node)."""
 
     name: str
     password: str
     roles: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        _freeze(self, roles=self.roles)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "password": self.password,
-            "roles": list(self.roles),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "UserSpec":
-        return cls(
-            name=data["name"],
-            password=data["password"],
-            roles=tuple(data.get("roles", ())),
-        )
-
 
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(_Record):
     """The whole desired deployment, as one JSON-round-trippable value."""
 
     name: str
@@ -417,15 +334,6 @@ class DeploymentSpec:
     #: serialized form and the digest, so a spec that never mentions
     #: transports hashes exactly as before
     transport: str = "inproc"
-
-    def __post_init__(self):
-        _freeze(
-            self,
-            nodes=self.nodes,
-            partitions=self.partitions,
-            users=self.users,
-            qos_profiles=self.qos_profiles,
-        )
 
     # -- introspection ----------------------------------------------------------
 
@@ -629,27 +537,11 @@ class DeploymentSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """Lossless JSON form (``from_dict`` restores an equal spec)."""
-        data = {
-            "format": SPEC_FORMAT,
-            "name": self.name,
-            "application": self.application.to_dict(),
-            "nodes": [node.to_dict() for node in self.nodes],
-            "partitions": [partition.to_dict() for partition in self.partitions],
-            "replication": self.replication.to_dict(),
-            "faults": self.faults.to_dict(),
-            "users": [user.to_dict() for user in self.users],
-            "qos_profiles": [profile.to_dict() for profile in self.qos_profiles],
-            "client_qos": self.client_qos,
-            "observability": self.observability.to_dict(),
-            "sim_latency_ms": self.sim_latency_ms,
-            "real_latency_ms": self.real_latency_ms,
-            "delivery_workers": self.delivery_workers,
-            "seed": self.seed,
-        }
-        if self.transport != "inproc":
+        data = {"format": SPEC_FORMAT, **super().to_dict()}
+        if self.transport == "inproc":
             # omit-when-default: transport choice must not perturb the
             # digest of a spec that never mentions it
-            data["transport"] = self.transport
+            del data["transport"]
         return data
 
     @classmethod
@@ -664,37 +556,7 @@ class DeploymentSpec:
                 f"unsupported spec format {declared!r} (expected {SPEC_FORMAT!r})"
             )
         try:
-            return cls(
-                name=data["name"],
-                application=ApplicationSpec.from_dict(data["application"]),
-                nodes=tuple(
-                    NodeSpec.from_dict(entry) for entry in data.get("nodes", ())
-                ),
-                partitions=tuple(
-                    PartitionSpec.from_dict(entry)
-                    for entry in data.get("partitions", ())
-                ),
-                replication=ReplicationSpec.from_dict(
-                    data.get("replication", {})
-                ),
-                faults=FaultCampaignSpec.from_dict(data.get("faults", {})),
-                users=tuple(
-                    UserSpec.from_dict(entry) for entry in data.get("users", ())
-                ),
-                qos_profiles=tuple(
-                    QoSProfile.from_dict(entry)
-                    for entry in data.get("qos_profiles", ())
-                ),
-                client_qos=data.get("client_qos"),
-                observability=ObservabilitySpec.from_dict(
-                    data.get("observability", {})
-                ),
-                sim_latency_ms=data.get("sim_latency_ms", 0.5),
-                real_latency_ms=data.get("real_latency_ms", 0.0),
-                delivery_workers=data.get("delivery_workers", 2),
-                seed=data.get("seed", 0),
-                transport=data.get("transport", "inproc"),
-            )
+            return super().from_dict(data)
         except KeyError as exc:
             raise DeploymentError(
                 f"deployment spec is missing required key {exc.args[0]!r}"

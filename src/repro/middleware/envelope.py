@@ -148,6 +148,9 @@ class Envelope:
     partition = None
     context_source = None
     trace_headers = None
+    #: a pipelined batch's members and the sorted partitions they name
+    batch = None
+    partitions = None
     #: the owner node and live reference the current attempt resolved
     owner = None
     ref = None

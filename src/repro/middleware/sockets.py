@@ -50,7 +50,6 @@ from repro.middleware.transport import (
     Handler,
     Transport,
     in_permit_chain,
-    mark_serving_thread,
     permit_chain,
 )
 from repro.middleware.wire import (
@@ -231,9 +230,6 @@ class WireServer:
             ).start()
 
     def _serve_connection(self, conn_id: int, conn: socket.socket) -> None:
-        # this thread serves this connection's frames and nothing else,
-        # so it is marked once instead of around every request
-        mark_serving_thread()
         session = WireSession("server", node=self.node, max_frame=self.max_frame)
         try:
             conn.settimeout(None)

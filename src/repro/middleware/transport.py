@@ -36,7 +36,6 @@ node — that is the whole failover path: fault → promote → re-deliver.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import deque
 from typing import Any, Callable, Dict, Optional
@@ -47,49 +46,6 @@ from repro.middleware.envelope import Envelope, ReplyFuture, will_retry
 
 #: a handler delivers one envelope and returns the reply payload
 Handler = Callable[[Envelope], Any]
-
-#: marks threads currently serving a request — queued-transport delivery
-#: threads, any thread while it runs a request under a dispatch permit
-#: (the dispatcher sets the same marker), and wire listeners' connection
-#: threads for their whole life.  A servant that makes a nested
-#: asynchronous call while being served must not queue it behind the
-#: (possibly exhausted) bounded delivery threads and permits it is
-#: running on: two saturated nodes waiting on each other would deadlock
-#: the system, so nested submissions run inline instead — the async
-#: analogue of the dispatcher's nested-dispatch rule.
-_serving_local = threading.local()
-
-
-def swap_serving(serving: bool) -> bool:
-    """Set this thread's serving mark; returns the previous one, for
-    the caller to restore in a ``finally``."""
-    previous = getattr(_serving_local, "serving", False)
-    _serving_local.serving = serving
-    return previous
-
-
-@contextlib.contextmanager
-def serving_request():
-    """Mark this thread as serving a request for the duration."""
-    previous = swap_serving(True)
-    try:
-        yield
-    finally:
-        swap_serving(previous)
-
-
-def mark_serving_thread() -> None:
-    """Mark this thread as serving requests for the rest of its life —
-    for a thread that serves nothing else (a listener's per-connection
-    thread), so no request pays for entering and leaving the marker."""
-    _serving_local.serving = True
-
-
-def in_serving_thread() -> bool:
-    """True while this thread serves a request (a delivery thread, a
-    listener's connection thread, or a request under a dispatch permit)."""
-    return getattr(_serving_local, "serving", False)
-
 
 #: marks threads running on behalf of a call chain that already holds a
 #: dispatch permit (``held``): the permit holder itself, and a wire
@@ -228,8 +184,7 @@ class QueuedTransport(Transport):
                 envelope, handler, future = self._queue.popleft()
                 self._in_flight += 1
             try:
-                with serving_request():
-                    self._deliver(envelope, handler, future)
+                self._deliver(envelope, handler, future)
             finally:
                 with self._mutex:
                     self._in_flight -= 1

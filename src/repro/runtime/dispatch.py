@@ -45,7 +45,7 @@ from typing import Callable, Dict, TypeVar
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import MiddlewareError
-from repro.middleware.transport import permit_chain, swap_serving
+from repro.middleware.transport import permit_chain
 
 T = TypeVar("T")
 
@@ -164,16 +164,11 @@ class ConcurrentDispatcher(_DispatcherBase):
             while not self._free:
                 permits.wait()
             self._free -= 1
-        # the thread now counts as serving a request: nested asynchronous
-        # submissions the servant makes deliver inline rather than queue
-        # behind delivery threads that may all be waiting for permits
-        serving = swap_serving(True)
         permit_chain.held = True
         try:
             return self._run(servant_key, fn)
         finally:
             permit_chain.held = False
-            swap_serving(serving)
             with permits:
                 self._free += 1
                 permits.notify()

@@ -95,11 +95,7 @@ from repro.middleware.envelope import (
 )
 from repro.middleware.faults import FaultInjector
 from repro.middleware.naming import NamingService
-from repro.middleware.transport import (
-    InProcessTransport,
-    QueuedTransport,
-    in_serving_thread,
-)
+from repro.middleware.transport import InProcessTransport, QueuedTransport
 from repro.middleware.rpc import proxy_ref
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.node import BATCH, Node
@@ -463,15 +459,6 @@ class _MigrationGate:
             if not inflight and inflight is not self._inflight:
                 self._retired = [t for t in self._retired if t is not inflight]
             self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def entered_many(self, partitions: Iterable[str]):
-        parts = sorted(set(partitions))
-        inflight = self.enter(parts)
-        try:
-            yield
-        finally:
-            self.leave(parts, inflight)
 
     def _wait_drained(self, partitions: set, timeout_s: float) -> bool:
         """Under ``_cond``: wait until no other thread holds an entry on
@@ -1545,14 +1532,14 @@ class Federation:
     def _submission_transport(self):
         """Where an asynchronous submission delivers.
 
-        From a thread that is itself serving a request (a delivery or
-        listener thread, or one running a request under a dispatch
-        permit), nested submissions run inline on the in-process
-        transport — queueing them behind the bounded delivery threads
-        the caller occupies could deadlock the federation, exactly like
-        nested synchronous dispatch (the dispatcher's in-worker rule).
+        A nested submission — one made while this thread's delivery
+        stack is non-empty, i.e. by servant code — runs inline on the
+        in-process transport: queueing it behind the bounded delivery
+        threads and permits the servant may be holding could deadlock
+        the federation, exactly like nested synchronous dispatch (the
+        dispatcher's nested rule).
         """
-        if in_serving_thread():
+        if delivery_stack():
             return self.transport
         return self._async
 
@@ -1996,52 +1983,69 @@ class Federation:
     # -- batched delivery ----------------------------------------------------------
 
     def _submit_batch(self, items: List["_PipelinedCall"], context, qos: QoS) -> None:
-        """Route one node-batch as one envelope.
+        """Route one node-batch as one envelope; every delivery attempt
+        runs it through :meth:`_batch_attempt`, and the batch's final
+        error fails its unsettled members (:meth:`_fail_unsettled`).
 
-        Each delivery attempt does what a single call's attempt does
-        (:meth:`_envelope`): it enters the migration gate over the
-        members' partitions, atomically, re-resolves every member whose
-        future is not yet done, runs the chain once, and sends one hop
-        per owner those members resolve to (:meth:`_send_batch`).  So a
-        batch caught by a migration, a kill or an injected fault
-        re-routes under its QoS retry budget as a single call does, and
-        stays at-most-once: an attempt never re-sends a member whose
-        future an earlier attempt completed."""
+        The envelope carries the batch's state: its members, the sorted
+        partitions they name, its context source and the trace headers
+        captured here, on the caller's thread."""
         tracer = self.observability.tracer
-        trace_headers = tracer.current_headers() if tracer.enabled else None
         request = Request(BATCH, BATCH, [item.label for item in items], {})
         envelope = Envelope(request=request, qos=qos, target=items[0].node.name)
         envelope.context_source = self._context_source(context)
-        partitions = {ShardedNamingService.partition_key(item.name) for item in items}
-
-        def handler(env: Envelope):
-            with self._gate.entered_many(partitions):
-                hops: Dict[str, tuple] = {}
-                for item in items:
-                    if item.future.done():
-                        continue
-                    try:
-                        owner, ref = self.resolve(item.name)
-                    except ReproError as exc:
-                        item.future._fail(exc)
-                        continue
-                    hops.setdefault(owner.name, (owner, []))[1].append((item, ref))
-                if not hops:
-                    return None
-                env.target = next(iter(hops))
-                env.request.context = {} if trace_headers is None else {TRACE_KEY: trace_headers}
-                return self.chain.execute(env, functools.partial(self._send_batch, hops))
-
-        def fail_unsettled(batch: ReplyFuture) -> None:
-            # the batch's final error fails every member no attempt
-            # completed (failing a done future is a no-op)
-            if batch._exception is not None:
-                for item in items:
-                    item.future._fail(batch._exception)
-
-        self._submission_transport().submit(envelope, handler).add_done_callback(
-            fail_unsettled
+        envelope.trace_headers = tracer.current_headers() if tracer.enabled else None
+        envelope.batch = items
+        envelope.partitions = sorted(
+            {ShardedNamingService.partition_key(item.name) for item in items}
         )
+        future = self._submission_transport().submit(envelope, self._batch_attempt)
+        future.add_done_callback(self._fail_unsettled)
+
+    def _batch_attempt(self, envelope: Envelope):
+        """One delivery attempt of a pipelined batch, built like a single
+        call's (:meth:`_attempt`).
+
+        It enters the migration gate over the members' partitions,
+        atomically, re-resolves every member whose future is not yet
+        done, runs the chain once, and sends one hop per owner those
+        members resolve to (:meth:`_send_batch`).  So a batch caught by
+        a migration, a kill or an injected fault re-routes under its QoS
+        retry budget as a single call does, and stays at-most-once: an
+        attempt never re-sends a member whose future an earlier attempt
+        completed."""
+        partitions = envelope.partitions
+        gate = self._gate
+        inflight = gate.enter(partitions)
+        try:
+            hops: Dict[str, tuple] = {}
+            for item in envelope.batch:
+                if item.future.done():
+                    continue
+                try:
+                    owner, ref = self.resolve(item.name)
+                except ReproError as exc:
+                    item.future._fail(exc)
+                    continue
+                hops.setdefault(owner.name, (owner, []))[1].append((item, ref))
+            if not hops:
+                return None
+            envelope.target = next(iter(hops))
+            trace_headers = envelope.trace_headers
+            envelope.request.context = (
+                {} if trace_headers is None else {TRACE_KEY: trace_headers}
+            )
+            return self.chain.execute(envelope, functools.partial(self._send_batch, hops))
+        finally:
+            gate.leave(partitions, inflight)
+
+    @staticmethod
+    def _fail_unsettled(batch: ReplyFuture) -> None:
+        """The batch's final error fails every member no attempt
+        completed (failing a done future is a no-op)."""
+        if batch._exception is not None:
+            for item in batch.envelope.batch:
+                item.future._fail(batch._exception)
 
     def _send_batch(self, hops: Dict[str, tuple], envelope: Envelope) -> None:
         """A batch attempt's routing terminal: one hop per owner —

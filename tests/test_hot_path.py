@@ -172,24 +172,51 @@ def _echo_federation(user=None):
     return federation, call
 
 
+def _count_generator_context_managers(monkeypatch):
+    """The generator context managers opened, on any thread, from now on."""
+    opened = []
+    original = contextlib._GeneratorContextManager.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(contextlib._GeneratorContextManager, "__init__", counting_init)
+    return opened
+
+
 class TestNoGeneratorContextManagers:
     def test_warmed_routed_call_opens_none(self, monkeypatch):
         # with credentials, so the node also re-establishes the caller's
         # ORB call context around the servant
         federation, call = _echo_federation(user="alice")
-        opened = []
-        original = contextlib._GeneratorContextManager.__init__
-
-        def counting_init(self, *args, **kwargs):
-            opened.append(self)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(
-            contextlib._GeneratorContextManager, "__init__", counting_init
-        )
+        opened = _count_generator_context_managers(monkeypatch)
         try:
             for i in range(20):
                 assert call(i) == 16.0 + (i // 4 + 1)
+            assert opened == []
+        finally:
+            federation.shutdown()
+
+    def test_warmed_pipelined_batch_opens_none(self, monkeypatch):
+        # four members on one servant: one batch envelope, delivered by
+        # the federation's queued transport on its delivery thread
+        federation, _call = _echo_federation()
+
+        def batch():
+            with federation.pipeline(max_batch=4) as pipe:
+                futures = [pipe.call("counter-0/Counter/0", "bump", 1.0) for _ in range(4)]
+            return [future.result(timeout_ms=5000) for future in futures]
+
+        try:
+            for _ in range(3):
+                batch()
+            opened = _count_generator_context_managers(monkeypatch)
+            for _ in range(5):
+                first, *rest = batch()
+                assert rest == [first + 1.0, first + 2.0, first + 3.0]
+            owner = federation.node_for("counter-0/Counter/0").name
+            assert federation.stats()["batches"][owner] == 8
             assert opened == []
         finally:
             federation.shutdown()

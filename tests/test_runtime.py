@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.middleware.bus import ObjectRefData
 from repro.middleware.naming import NamingService
-from repro.middleware.transport import in_serving_thread, serving_request
+from repro.middleware.transport import in_permit_chain
 from repro.runtime import (
     ConcurrentDispatcher,
     Federation,
@@ -152,16 +152,9 @@ class TestDispatchers:
     def test_concurrent_runs_on_the_calling_thread(self):
         dispatcher = ConcurrentDispatcher(workers=2)
         caller = threading.current_thread()
-        probe = lambda: (threading.current_thread(), in_serving_thread())  # noqa: E731
-        assert not in_serving_thread()
+        probe = lambda: (threading.current_thread(), in_permit_chain())  # noqa: E731
         assert dispatcher.dispatch("k", probe) == (caller, True)
-        assert not in_serving_thread()
-        # a thread already serving (a delivery or listener thread) keeps
-        # its mark after the request
-        with serving_request():
-            assert dispatcher.dispatch("k", probe) == (caller, True)
-            assert in_serving_thread()
-        assert not in_serving_thread()
+        assert not in_permit_chain()
 
     def test_workers_bound_the_requests_running_at_once(self):
         dispatcher = ConcurrentDispatcher(workers=2)

@@ -472,6 +472,8 @@ class _PipelineCases:
     transport = "inproc"
     #: wire round trips one batch costs
     roundtrips_per_batch = 0
+    #: the thread an asynchronous call's servant runs on
+    serving_thread = "deliver-"
 
     def _federation(self):
         from repro.runtime import Federation
@@ -497,6 +499,41 @@ class _PipelineCases:
             node.bind(name, servant)
             servants[name] = servant
         return federation, servants
+
+    def test_nested_async_from_servant_cannot_deadlock(self):
+        # a servant blocking on a nested async future must not queue it
+        # behind the single delivery thread its own call holds: a
+        # submission made while the delivery stack is non-empty delivers
+        # inline (over sockets the servant runs on a listener thread)
+        from repro.runtime import Federation
+
+        federation = Federation(seed=0, delivery_workers=1, transport=self.transport)
+        node = federation.join("node-x", workers=1)
+        key = next(
+            f"k{i}" for i in range(100)
+            if federation.node_for(f"k{i}").name == "node-x"
+        )
+        ran_on = []
+
+        class Probe:
+            def who(self):
+                return "inner"
+
+        class Relay:
+            def relay(self):
+                ran_on.append(threading.current_thread().name)
+                return federation.call_async(f"{key}/Probe/0", "who").result(
+                    timeout_ms=5000
+                )
+
+        node.bind(f"{key}/Relay/0", Relay())
+        node.bind(f"{key}/Probe/0", Probe())
+        outer = federation.call_async(f"{key}/Relay/0", "relay")
+        try:
+            assert outer.result(timeout_ms=10_000) == "inner"
+            assert ran_on[0].startswith(self.serving_thread)
+        finally:
+            federation.shutdown()
 
     @staticmethod
     def _roundtrips(federation):
@@ -577,36 +614,7 @@ class _PipelineCases:
 
 
 class TestFederationPipeline(_PipelineCases):
-    def test_nested_async_from_servant_cannot_deadlock(self):
-        # a servant blocking on a nested async future must not queue it
-        # behind the single delivery thread it is running on: nested
-        # submissions from serving threads deliver inline
-        from repro.runtime import Federation
-
-        federation = Federation(seed=0, delivery_workers=1)
-        node = federation.join("node-x", workers=1)
-        key = next(
-            f"k{i}" for i in range(100)
-            if federation.node_for(f"k{i}").name == "node-x"
-        )
-
-        class Probe:
-            def who(self):
-                return "inner"
-
-        class Relay:
-            def relay(self):
-                return federation.call_async(f"{key}/Probe/0", "who").result(
-                    timeout_ms=5000
-                )
-
-        node.bind(f"{key}/Relay/0", Relay())
-        node.bind(f"{key}/Probe/0", Probe())
-        outer = federation.call_async(f"{key}/Relay/0", "relay")
-        try:
-            assert outer.result(timeout_ms=10_000) == "inner"
-        finally:
-            federation.shutdown()
+    """The batches in process, delivered by the queued transport."""
 
 
 class TestSocketFederationPipeline(_PipelineCases):
@@ -614,6 +622,7 @@ class TestSocketFederationPipeline(_PipelineCases):
 
     transport = "socket"
     roundtrips_per_batch = 1
+    serving_thread = "wire-serve-"
 
     def test_lost_batch_reply_never_reruns_a_member(self, monkeypatch):
         """A batch reply lost after its members ran, on a node still
