@@ -49,6 +49,7 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
+    Union,
     get_args,
     get_origin,
 )
@@ -61,27 +62,85 @@ SPEC_FORMAT = "repro-deployment-spec/1"
 R = TypeVar("R", bound="_Record")
 
 #: how one field travels: (attribute, JSON key, required, is a tuple,
-#: to JSON, from JSON); a converter of None passes the value through
-_Field = Tuple[str, str, bool, bool, Optional[Callable], Optional[Callable]]
+#: to JSON, from JSON); a to-JSON converter of None passes the value
+#: through
+_Field = Tuple[str, str, bool, bool, Optional[Callable], Callable]
 
 
-def _converters(hint: Any) -> Tuple[Optional[Callable], Optional[Callable]]:
-    """A field's (to JSON, from JSON) converters, from its type: nested
-    records in their own JSON form, tuples as lists, dicts copied."""
-    if isinstance(hint, type) and issubclass(hint, _Record):
-        return (lambda record: record.to_dict()), hint.from_dict
+def _is_record(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, _Record)
+
+
+def _writer(hint: Any) -> Optional[Callable]:
+    """A field's to-JSON converter, from its type: nested records in
+    their own JSON form, tuples as lists, dicts copied."""
+    if _is_record(hint):
+        return lambda record: record.to_dict()
     origin = get_origin(hint)
     if origin is dict:
-        return dict, dict
+        return dict
     if origin is not tuple:
-        return None, None
-    item = get_args(hint)[0]
-    if isinstance(item, type) and issubclass(item, _Record):
-        return (
-            lambda records: [record.to_dict() for record in records],
-            lambda entries: tuple(map(item.from_dict, entries)),
-        )
-    return list, tuple
+        return None
+    if _is_record(get_args(hint)[0]):
+        return lambda records: [record.to_dict() for record in records]
+    return list
+
+
+def _shown(value: Any) -> str:
+    """A decoded JSON value as a refusal names it."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, (list, tuple)):
+        return "an array"
+    return json.dumps(value)
+
+
+def _reader(hint: Any, where: str) -> Callable[[Any], Any]:
+    """A field's from-JSON converter: it checks a value's JSON type
+    against the field's declared type ``hint`` where it reads it, then
+    converts it.
+
+    A record or a dict needs an object (a record reads its own JSON
+    form, a dict is copied); a tuple an array, whose items are read in
+    turn; a string a string; an int or a float a number, never a
+    boolean, and an int an integral one; a bool a boolean.  Null is
+    read only for an ``Optional`` field.  A wrong type raises
+    :class:`DeploymentError` naming ``where``: the record and the key.
+    """
+    if get_origin(hint) is Union:
+        read = _reader(next(arg for arg in get_args(hint) if arg is not type(None)), where)
+        return lambda value: None if value is None else read(value)
+
+    def expect(value: Any, kinds: tuple, expected: str) -> Any:
+        if not isinstance(value, kinds) or (
+            isinstance(value, bool) and bool not in kinds
+        ):
+            raise DeploymentError(f"{where} must be {expected}, got {_shown(value)}")
+        return value
+
+    if _is_record(hint):
+        return lambda value: hint.from_dict(expect(value, (dict,), "an object"))
+    origin = get_origin(hint)
+    if origin is dict:
+        return lambda value: dict(expect(value, (dict,), "an object"))
+    if origin is tuple:
+        item = _reader(get_args(hint)[0], f"{where} item")
+        return lambda value: tuple(map(item, expect(value, (list, tuple), "an array")))
+    if hint is int:
+
+        def read_int(value: Any) -> int:
+            # JSON has one number type: 2.0 is as integral as 2
+            integral = isinstance(value, float) and value.is_integer()
+            return int(expect(value, (int, float) if integral else (int,), "an integer"))
+
+        return read_int
+    if hint is float:
+        return lambda value: expect(value, (int, float), "a number")
+    if hint is str:
+        return lambda value: expect(value, (str,), "a string")
+    if hint is bool:
+        return lambda value: expect(value, (bool,), "a boolean")
+    return lambda value: value
 
 
 class _Record:
@@ -90,9 +149,11 @@ class _Record:
     A record is one JSON object with one key per field, in field order
     (a field's ``metadata["json"]`` renames its key).  Tuples travel as
     lists and dicts as shallow copies; a nested record travels in its
-    own JSON form.  Reading, an absent key leaves the field's default
-    and a missing required key raises ``KeyError(<json key>)``.  The
-    layout is derived from the dataclass fields once per class.
+    own JSON form.  Reading, an absent key leaves the field's default,
+    a missing required key raises ``KeyError(<json key>)``, and a value
+    of the wrong JSON type raises :class:`DeploymentError`
+    (:func:`_reader`).  The layout is derived from the dataclass fields
+    once per class.
     """
 
     @classmethod
@@ -102,12 +163,14 @@ class _Record:
             layout = cls._json_layout = tuple(
                 (
                     member.name,
-                    member.metadata.get("json", member.name),
+                    key,
                     member.default is MISSING and member.default_factory is MISSING,
                     get_origin(member.type) is tuple,
-                    *_converters(member.type),
+                    _writer(member.type),
+                    _reader(member.type, f"{cls.__name__} key {key!r}"),
                 )
                 for member in fields(cls)
+                for key in (member.metadata.get("json", member.name),)
             )
         return layout
 
@@ -129,10 +192,9 @@ class _Record:
     def _init_args(cls, data: Dict[str, Any]) -> Dict[str, Any]:
         """The constructor keywords ``data`` declares."""
         args = {}
-        for name, key, required, _is_tuple, _out, into in cls._layout():
+        for name, key, required, _is_tuple, _out, read in cls._layout():
             if key in data:
-                value = data[key]
-                args[name] = value if into is None else into(value)
+                args[name] = read(data[key])
             elif required:
                 raise KeyError(key)
         return args

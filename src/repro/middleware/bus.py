@@ -45,9 +45,14 @@ from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
 
 import repro.errors as errors_module
 from repro.analysis.witness import named_lock
-from repro.errors import MarshallingError, RemoteInvocationError, ReproError
+from repro.errors import MarshallingError, ProtocolError, RemoteInvocationError, ReproError
 from repro.middleware.clock import SimClock
-from repro.middleware.envelope import Envelope, InterceptorChain, sim_latency_element
+from repro.middleware.envelope import (
+    Envelope,
+    InterceptorChain,
+    is_retryable,
+    sim_latency_element,
+)
 from repro.middleware.faults import FaultInjector
 
 _message_counter = itertools.count(1)
@@ -177,58 +182,93 @@ class Request:
 class Response:
     message_id: int
     result: Any = None
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
+    #: the error's wire form (:func:`error_to_wire`); None on success
+    error: Optional[Dict[str, Any]] = None
 
     @property
     def is_error(self) -> bool:
-        return self.error_type is not None
+        return self.error is not None
 
     @classmethod
     def from_exception(cls, message_id: int, exc: BaseException) -> "Response":
-        """The wire error reply of a call that raised ``exc``."""
-        return cls(message_id, error_type=type(exc).__name__, error_message=str(exc))
+        """The error reply of a dispatch that raised ``exc``."""
+        return cls(message_id, error=error_to_wire(exc, dispatched=True))
 
     def to_wire(self) -> tuple:
-        """The response in its positional wire form — the fields a
-        RESPONSE frame's fixed header and result carry, and the form a
-        batch reply lists one per member (inverse of ``from_wire``)."""
-        return (self.message_id, self.result, self.error_type, self.error_message)
+        """The response in its positional wire form — the form a batch
+        reply lists one per member (inverse of ``from_wire``)."""
+        return (self.message_id, self.result, self.error)
 
     @classmethod
     def from_wire(cls, data: tuple) -> "Response":
-        message_id, result, error_type, error_message = data
-        return cls(message_id, result, error_type, error_message)
+        message_id, result, error = data
+        return cls(message_id, result, error)
 
 
-def _rebuild_exception(response: Response) -> Exception:
-    """Reconstruct a library exception by name; unknown types degrade to
-    :class:`RemoteInvocationError` carrying the original description.
+def error_to_wire(exc: BaseException, dispatched: bool = False) -> Dict[str, Any]:
+    """``exc`` in the one form an error crosses any boundary in: a
+    :class:`Response`, a batch member's reply, a ``FAULT`` frame or a
+    ``CONTROL`` error reply (inverse of :func:`error_from_wire`).
 
-    Rebuilt exceptions are marked ``_remote_rebuilt``: crossing the
-    wire-error conversion means a servant dispatch was already underway
-    (effects may exist), so the QoS retry policy must never re-deliver
-    them — even when the original type was a bare transport fault raised
-    by a *nested* call inside the servant.
+    The form carries the type name (the stable error code), the text,
+    the public instance attributes the marshal contract admits (any
+    other attribute is dropped; its text survives in the message), and
+    the sender's retry verdict.  An error that ``dispatched`` — it
+    crossed a servant dispatch, so effects may exist — is never
+    retryable; otherwise the sender classifies it with
+    :func:`~repro.middleware.envelope.is_retryable`, since it is the
+    side that knows whether the fault fired before any effect.
     """
-    exc_type = getattr(errors_module, response.error_type or "", None)
-    rebuilt: Exception
-    if (
-        isinstance(exc_type, type)
-        and issubclass(exc_type, ReproError)
-        and exc_type is not None
-    ):
+    attributes = {}
+    for name, value in vars(exc).items():
+        if name.startswith("_"):
+            continue
         try:
-            rebuilt = exc_type(response.error_message)
-        except TypeError:
-            rebuilt = RemoteInvocationError(
-                f"remote raised {response.error_type}: {response.error_message}"
-            )
+            attributes[name] = marshal(value, root=name)
+        except MarshallingError:
+            continue
+    return {
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "attributes": attributes,
+        "retryable": not dispatched and is_retryable(exc),
+    }
+
+
+def error_from_wire(error: Any) -> Exception:
+    """The exception :func:`error_to_wire` encoded as ``error``.
+
+    A library error comes back as its own type, built without running
+    its constructor (``ValidationError`` takes diagnostics,
+    ``TransactionAborted`` an id and a reason): the sender's text and
+    attributes are set on a bare instance.  Anything else comes back
+    as :class:`RemoteInvocationError` naming the original type.  An
+    error its sender judged not retryable is marked
+    ``_remote_rebuilt``, so no QoS budget re-delivers it and no
+    failover acts on it.  A malformed form comes back as a
+    :class:`ProtocolError`.
+    """
+    if not (
+        isinstance(error, dict)
+        and isinstance(error.get("type"), str)
+        and isinstance(error.get("message"), str)
+        and isinstance(error.get("attributes"), dict)
+        and isinstance(error.get("retryable"), bool)
+    ):
+        return ProtocolError(f"malformed wire fault {error!r}")
+    name, message = error["type"], error["message"]
+    exc_type = getattr(errors_module, name, None)
+    rebuilt: Exception
+    if isinstance(exc_type, type) and issubclass(exc_type, ReproError):
+        rebuilt = exc_type.__new__(exc_type)
+        Exception.__init__(rebuilt, message)
+        for attribute, value in error["attributes"].items():
+            if not attribute.startswith("_"):
+                setattr(rebuilt, attribute, value)
     else:
-        rebuilt = RemoteInvocationError(
-            f"remote raised {response.error_type}: {response.error_message}"
-        )
-    rebuilt._remote_rebuilt = True
+        rebuilt = RemoteInvocationError(f"remote raised {name}: {message}")
+    if not error["retryable"]:
+        rebuilt._remote_rebuilt = True
     return rebuilt
 
 
@@ -402,8 +442,3 @@ class MessageBus:
         return self.chain.execute(
             Envelope(request=request), functools.partial(self._terminal, dispatch)
         )
-
-    @staticmethod
-    def raise_remote(response: Response):
-        """Re-raise a wire error client-side, preserving library exception types."""
-        raise _rebuild_exception(response)

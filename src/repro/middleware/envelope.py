@@ -98,11 +98,12 @@ def is_retryable(exc: BaseException) -> bool:
 
     Subclasses — remote invocation errors, denials, transaction aborts —
     carry application meaning and are surfaced to the caller untouched.
-    An exception rebuilt from a wire error response (``_remote_rebuilt``)
-    is excluded even when its type is bare: it crossed a servant
-    dispatch — e.g. a nested call's transport fault *inside* servant
-    code — so effects may already exist and re-delivery could duplicate
-    them.
+    An exception rebuilt from an error its sender judged not retryable
+    (``_remote_rebuilt``, see :func:`~repro.middleware.bus.error_from_wire`)
+    is excluded even when its type is bare: an error response crossed a
+    servant dispatch — e.g. a nested call's transport fault *inside*
+    servant code — so effects may already exist and re-delivery could
+    duplicate them.
     """
     if getattr(exc, "_remote_rebuilt", False):
         return False

@@ -30,6 +30,7 @@ from repro.middleware.bus import (
     MessageBus,
     ObjectRefData,
     Request,
+    error_from_wire,
     marshal,
 )
 from repro.middleware.naming import NamingService
@@ -144,8 +145,8 @@ class Orb:
         references in the result into proxies."""
         request = self._build_request(ref, operation, args, kwargs)
         response = self.bus.deliver(request, self._dispatch)
-        if response.is_error:
-            self.bus.raise_remote(response)
+        if response.error is not None:
+            raise error_from_wire(response.error)
         return self._from_wire(response.result)
 
     def _dispatch(self, request: Request, servant: Any):

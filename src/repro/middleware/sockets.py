@@ -1,8 +1,8 @@
 """Socket IO for the sans-IO wire protocol: listeners, pools, transport.
 
 Everything protocol-shaped lives in :mod:`repro.middleware.wire` (frame
-codec, handshake, fault encoding); this module owns the sockets and the
-threads:
+codec, handshake) and, for errors, in :mod:`repro.middleware.bus`'s one
+error codec; this module owns the sockets and the threads:
 
 * :class:`WireServer` — a listener (TCP or unix-domain) that runs one
   :class:`~repro.middleware.wire.WireSession` per accepted connection
@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, Deque, Optional, Tuple
 
 from repro.analysis.witness import named_lock
 from repro.errors import NodeDownError, ProtocolError, TransportError
-from repro.middleware.bus import Response
+from repro.middleware.bus import Response, error_from_wire, error_to_wire
 from repro.middleware.envelope import Envelope, ReplyFuture
 from repro.middleware.transport import (
     Handler,
@@ -60,8 +60,6 @@ from repro.middleware.wire import (
     REQUEST,
     RESPONSE,
     WireSession,
-    decode_fault,
-    encode_fault,
 )
 
 _RECV_CHUNK = 64 * 1024
@@ -115,7 +113,7 @@ class WireServer:
     become FAULT frames with retryability classified sender-side.
     ``control_handler(payload) -> dict`` answers CONTROL frames (deploy,
     state transfer, shutdown); its exceptions cross as an ``"error"``
-    reply carrying the same fault encoding, and a reply containing
+    reply in the FAULT frame's error form, and a reply containing
     ``"__stop__"`` closes the server after it is sent — how a management
     conversation ends a worker from the outside.
     """
@@ -304,7 +302,7 @@ class WireServer:
                 reply = self.control_handler(dict(payload))
                 stop = bool(reply.pop("__stop__", False))
             except Exception as exc:  # noqa: BLE001 - crosses as error reply
-                reply, stop = {"error": encode_fault(exc)}, False
+                reply, stop = {"error": error_to_wire(exc)}, False
             conn.sendall(session.send_control_ok(reply))
             if stop:
                 self.stop()
@@ -650,16 +648,16 @@ class SocketTransport(Transport):
             )
         self.pool.checkin(client)
         if kind == FAULT:
-            raise decode_fault(payload.get("fault", {}))
+            raise error_from_wire(payload.get("fault"))
         return Response.from_wire(reply)
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One management round trip (deploy, state transfer, shutdown).
 
-        A failure on the peer raises here as it was raised there: a
-        library error rebuilt by type name, anything else as
-        :class:`~repro.errors.RemoteInvocationError` — the FAULT frame's
-        rules."""
+        A failure on the peer raises here as a FAULT frame's error
+        does (:func:`~repro.middleware.bus.error_from_wire`): a library
+        error as its own type, text and attributes, anything else as
+        :class:`~repro.errors.RemoteInvocationError`."""
         endpoint = self.endpoints(node)
         if endpoint is None:
             raise NodeDownError(f"node {node!r} has no wire endpoint", node=node)
@@ -685,7 +683,7 @@ class SocketTransport(Transport):
             )
         self.pool.checkin(client)
         if "error" in reply:
-            raise decode_fault(reply["error"])
+            raise error_from_wire(reply["error"])
         return dict(reply)
 
     def _disconnected(self, endpoint: str) -> None:

@@ -25,11 +25,9 @@ timeout's kind (none, int or float) and value, and the byte lengths of
 target, binding, label, object id and operation (u32, :data:`ABSENT`
 for ``None``) — followed by those five UTF-8 strings and one tagged
 value ``(args, kwargs, context)``.  A
-RESPONSE payload is a header of correlation id, message id and the
-lengths of the error type and message (:data:`ABSENT` for ``None``,
-which is how a success reads), followed by the error texts and one
-tagged result.  HELLO, FAULT and CONTROL payloads are one tagged value
-each.
+RESPONSE carries a success only: a header of correlation id and message
+id, followed by one tagged result.  An error crosses as a FAULT, whose
+payload — like HELLO's and CONTROL's — is one tagged value.
 
 The tagged codec is closed over exactly the bus's marshal contract
 (``None``/``bool``/``int``/``float``/``str``/``bytes``, lists, tuples,
@@ -55,22 +53,17 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import repro.errors as errors_module
-from repro.errors import (
-    MiddlewareError,
-    NodeDownError,
-    ProtocolError,
-    RemoteInvocationError,
-    ReproError,
-)
-from repro.middleware.bus import ObjectRefData, Response
-from repro.middleware.envelope import Envelope, is_retryable
+from repro.errors import ProtocolError
+from repro.middleware.bus import ObjectRefData, Response, error_to_wire
+from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
-#: version 3 had no nested bit (its flags byte held the oneway flag
-#: alone); version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
+#: version 4's RESPONSE header held the lengths of an error type and
+#: message, always absent since errors cross as FAULT frames; version 3
+#: had no nested bit (its flags byte held the oneway flag alone);
+#: version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
 #: version 1 also acked a oneway with kind 5
-VERSION = 4
+VERSION = 5
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -89,8 +82,8 @@ _HEADER = struct.Struct(">2sBBI")
 HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: fixed header + Envelope.to_wire()'s strings and call
-RESPONSE = 4  #: its reply: fixed header + Response.to_wire()'s error texts and result
-FAULT = 6  #: delivery failed before a Response existed: {"correlation_id", "fault"}
+RESPONSE = 4  #: its success: fixed header (correlation and message ids) + the result
+FAULT = 6  #: its failure: {"correlation_id", "fault": bus.error_to_wire form}
 CONTROL = 7  #: management conversation (deploy, state, shutdown): free-form dict
 CONTROL_OK = 8  #: management reply
 
@@ -300,8 +293,8 @@ ONEWAY = 0x01
 NESTED = 0x02
 _FLAGS = ONEWAY | NESTED
 
-#: correlation id, message id, then the lengths of error type and message
-_RESPONSE_HEAD = struct.Struct(">QQ2I")
+#: correlation id, message id
+_RESPONSE_HEAD = struct.Struct(">QQ")
 
 #: the REQUEST header's timeout kinds; an int timeout travels in the
 #: float field, so it must be one the field holds exactly
@@ -350,7 +343,7 @@ def _read_head(
     fields = head.unpack_from(payload)
     offset = head.size
     texts: List[Optional[str]] = []
-    for length in fields[-count:]:
+    for length in fields[len(fields) - count:]:
         if length == ABSENT:
             texts.append(None)
             continue
@@ -408,10 +401,10 @@ def _request_frame(wire: tuple, nested: bool) -> bytes:
 
 
 def _response_frame(correlation_id: int, wire: tuple) -> bytes:
-    message_id, result, error_type, error_message = wire
-    parts = _head_parts(
-        _RESPONSE_HEAD, RESPONSE, (correlation_id, message_id), (error_type, error_message)
-    )
+    message_id, result, error = wire
+    if error is not None:
+        raise ProtocolError("a RESPONSE carries a success only: errors cross as FAULT frames")
+    parts = _head_parts(_RESPONSE_HEAD, RESPONSE, (correlation_id, message_id), ())
     parts.append(encode_value(result))
     return _frame(RESPONSE, parts)
 
@@ -447,11 +440,8 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
 
 def _decode_response(payload: bytes) -> Tuple[int, tuple]:
     """A RESPONSE payload as ``(correlation id, Response.to_wire() form)``."""
-    fields, (error_type, error_message), offset = _read_head(
-        _RESPONSE_HEAD, RESPONSE, payload, 2
-    )
-    result = decode_value(payload[offset:])
-    return fields[0], (fields[1], result, error_type, error_message)
+    fields, _texts, offset = _read_head(_RESPONSE_HEAD, RESPONSE, payload, 0)
+    return fields[0], (fields[1], decode_value(payload[offset:]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -546,67 +536,6 @@ class FrameDecoder:
         except ProtocolError:
             self._poisoned = True
             raise
-
-
-# ---------------------------------------------------------------------------
-# faults on the wire
-# ---------------------------------------------------------------------------
-
-
-def encode_fault(exc: BaseException) -> Dict[str, Any]:
-    """A delivery failure as a wire dict, retry semantics preserved.
-
-    The *sender* computes :func:`~repro.middleware.envelope.is_retryable`
-    — the side that actually knows whether the fault fired before any
-    servant effect — so the retry decision crosses the wire instead of
-    being degraded to "unknown, never retry" on arrival.
-    """
-    fault: Dict[str, Any] = {
-        "error_type": type(exc).__name__,
-        "message": str(exc),
-        "retryable": is_retryable(exc),
-    }
-    if isinstance(exc, NodeDownError):
-        fault["node"] = exc.node
-        fault["pre_effect"] = exc.pre_effect
-    return fault
-
-
-def decode_fault(fault: Dict[str, Any]) -> Exception:
-    """Rebuild a wire fault, honouring the sender's retry classification.
-
-    A retryable fault comes back exactly as raised (a pre-effect
-    :class:`NodeDownError` keeps its node and pre-effect flag, a bare
-    :class:`MiddlewareError` stays bare) so the QoS retry budget and the
-    failover element behave as if the hop had been in-process.  A
-    non-retryable fault is rebuilt by type name and marked
-    ``_remote_rebuilt`` — effects may exist on the peer, so re-delivery
-    is off the table.
-    """
-    if not isinstance(fault, dict):
-        return ProtocolError(f"malformed wire fault {fault!r}")
-    error_type = fault.get("error_type", "")
-    message = fault.get("message", "")
-    if error_type == "NodeDownError":
-        return NodeDownError(
-            message,
-            node=fault.get("node", ""),
-            pre_effect=bool(fault.get("pre_effect", False)),
-        )
-    if fault.get("retryable") and error_type == "MiddlewareError":
-        return MiddlewareError(message)
-    exc_type = getattr(errors_module, error_type, None)
-    rebuilt: Exception
-    if isinstance(exc_type, type) and issubclass(exc_type, ReproError):
-        # the sender's text verbatim, without re-running a constructor
-        # that takes something other than a message (ValidationError's
-        # diagnostics, TransactionAborted's id and reason)
-        rebuilt = exc_type.__new__(exc_type)
-        Exception.__init__(rebuilt, message)
-    else:
-        rebuilt = RemoteInvocationError(f"remote raised {error_type}: {message}")
-    rebuilt._remote_rebuilt = True
-    return rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +645,7 @@ class WireSession:
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(
             FAULT,
-            {"correlation_id": correlation_id, "fault": encode_fault(exc)},
+            {"correlation_id": correlation_id, "fault": error_to_wire(exc)},
         )
 
     def send_control(self, payload: Dict[str, Any]) -> bytes:

@@ -75,11 +75,10 @@ from typing import (
 from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import FederationError, NamingError, NodeDownError, ProtocolError, ReproError
 from repro.middleware.bus import (
-    MessageBus,
     ObjectRefData,
     Request,
     Response,
-    _rebuild_exception,
+    error_from_wire,
     marshal,
 )
 from repro.middleware.clock import SimClock
@@ -1445,11 +1444,16 @@ class Federation:
         alive every fault stays as raised: a pre-effect one (a refused
         dial) keeps its retryability, a mid-call one stays
         non-retryable, because a lost reply must not re-run the
-        effect."""
+        effect.
+
+        Only the hop's own dead-node fault counts.  A servant's error
+        that crossed back to this hop (``_remote_rebuilt``) keeps the
+        node and flags of a call the servant made itself: it is left as
+        raised, and its effects may exist, so nothing re-delivers it."""
         try:
             return next(envelope)
         except NodeDownError as exc:
-            if exc.node:
+            if exc.node and not getattr(exc, "_remote_rebuilt", False):
                 node = self.nodes.get(exc.node)
                 dead = node is None or not node.alive
                 # a call nested in a servant's dispatch never promotes:
@@ -1716,10 +1720,9 @@ class Federation:
             label=envelope.label,
             attempt=envelope.attempt,
         )
-        response = self._socket_transport.roundtrip(node.name, hop)
-        if response.is_error:
-            MessageBus.raise_remote(response)
-        return self._hydrate(node, response.result)
+        return self._hydrate(
+            node, self._socket_transport.roundtrip(node.name, hop).result
+        )
 
     def _wire_batch(
         self,
@@ -1757,7 +1760,7 @@ class Federation:
         for data in replies:
             reply = Response.from_wire(data)
             if reply.is_error:
-                outcomes.append(_rebuild_exception(reply))
+                outcomes.append(error_from_wire(reply.error))
             else:
                 outcomes.append(self._hydrate(node, reply.result))
         return outcomes

@@ -52,7 +52,7 @@ import json
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.witness import named_condition
@@ -121,37 +121,15 @@ class RunConfig:
     open_loop: Optional[Dict[str, Any]] = None
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "nodes": self.nodes,
-            "clients": self.clients,
-            "ops": self.ops,
-            "seed": self.seed,
-            "workers": self.workers,
-            "concurrent": self.concurrent,
-            "sim_latency_ms": self.sim_latency_ms,
-            "real_latency_ms": self.real_latency_ms,
-            "think_time_ms": self.think_time_ms,
-            "faults": self.faults,
-            "entities_per_node": self.entities_per_node,
-            "window": self.window,
-            "delivery_workers": self.delivery_workers,
-            "transport": self.transport,
-            "churn": self.churn,
-            "spec_digest": self.spec_digest,
-            "replication": self.replication,
-            "trace": self.trace,
-            "observability": self.observability,
-            "open_loop": (
-                None
-                if self.open_loop is None
-                # a schedule object override serializes as its spec dict
-                else {
-                    key: value.to_dict() if hasattr(value, "to_dict") else value
-                    for key, value in sorted(self.open_loop.items())
-                }
-            ),
-        }
+        """Every field by name, in field order."""
+        described = {member.name: getattr(self, member.name) for member in fields(self)}
+        if self.open_loop is not None:
+            # a schedule object override serializes as its spec dict
+            described["open_loop"] = {
+                key: value.to_dict() if hasattr(value, "to_dict") else value
+                for key, value in sorted(self.open_loop.items())
+            }
+        return described
 
 
 @dataclass

@@ -399,7 +399,7 @@ class Tracer:
             else:
                 if getattr(response, "is_error", False):
                     span.status = "error"
-                    span.error = response.error_type
+                    span.error = response.error["type"]
                 else:
                     span.status = "ok"
                 return response

@@ -516,6 +516,66 @@ class TestMalformedInput:
             _ref_from_dict(data)
         assert str(reference.value) == message
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda data: data.update(replication=None),
+                "DeploymentSpec key 'replication' must be an object, got null",
+            ),
+            (
+                lambda data: data["nodes"][1].update(workers="two"),
+                'NodeSpec key \'workers\' must be an integer, got "two"',
+            ),
+        ],
+        ids=["null-replication", "string-workers"],
+    )
+    def test_a_wrong_json_type_names_the_record_and_key(
+        self, damage, message, tmp_path, capsys
+    ):
+        """A hand-edited spec with a value of the wrong JSON type fails
+        where the codec reads it, and ``deploy --check`` reports it
+        instead of dying with a traceback."""
+        from repro.cli import main
+
+        data = _example()
+        damage(data)
+        with pytest.raises(DeploymentError) as caught:
+            DeploymentSpec.from_dict(data)
+        assert str(caught.value) == message
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert main(["deploy", "--spec", str(path), "--check"]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "record, data, message",
+        [
+            (NodeSpec, {"name": "n", "workers": True}, "must be an integer, got true"),
+            (NodeSpec, {"name": "n", "workers": 2.5}, "must be an integer, got 2.5"),
+            (NodeSpec, {"name": None}, "NodeSpec key 'name' must be a string, got null"),
+            (UserSpec, {"name": "u", "password": "p", "roles": "admin"}, "must be an array"),
+            (UserSpec, {"name": "u", "password": "p", "roles": [1]}, "'roles' item must be a string"),
+            (ServantSpec, {"name": "p/T/0", "type": "T", "state": []}, "must be an object"),
+            (QoSProfile, {"name": "q", "timeout_ms": "1"}, "must be a number"),
+            (FaultCampaignSpec, {"armed": 1}, "must be a boolean, got 1"),
+        ],
+        ids=[
+            "bool-int", "fractional-int", "null-str", "string-tuple",
+            "number-item", "array-dict", "string-float", "number-bool",
+        ],
+    )
+    def test_each_declared_type_is_checked(self, record, data, message):
+        with pytest.raises(DeploymentError, match=message):
+            record.from_dict(data)
+
+    def test_an_integral_number_reads_as_an_int_and_null_as_an_optional(self):
+        assert NodeSpec.from_dict({"name": "n", "workers": 2.0, "seed": None}) == NodeSpec(
+            "n", workers=2
+        )
+        assert type(NodeSpec.from_dict({"name": "n", "workers": 2.0}).workers) is int
+        assert QoSProfile.from_dict({"name": "q", "timeout_ms": 5}).timeout_ms == 5
+
     @pytest.mark.parametrize("data", [[], "spec", 3, None])
     def test_non_object_spec(self, data):
         message = f"deployment spec must be a JSON object, got {type(data).__name__}"

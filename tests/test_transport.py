@@ -55,12 +55,12 @@ class TestQoS:
         assert not is_retryable(ValueError("not ours"))
 
     def test_wire_rebuilt_bare_faults_are_not_retryable(self):
-        # a bare MiddlewareError that crossed the wire-error conversion
-        # means a servant dispatch was underway: never re-deliver
-        from repro.middleware.bus import Response, _rebuild_exception
+        # a bare MiddlewareError that crossed a servant dispatch (an
+        # error Response) means effects may exist: never re-deliver
+        from repro.middleware.bus import Response, error_from_wire
 
-        rebuilt = _rebuild_exception(
-            Response(1, error_type="MiddlewareError", error_message="nested fault")
+        rebuilt = error_from_wire(
+            Response.from_exception(1, MiddlewareError("nested fault")).error
         )
         assert type(rebuilt) is MiddlewareError
         assert not is_retryable(rebuilt)

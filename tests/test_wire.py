@@ -32,7 +32,16 @@ from repro.errors import (
     TransactionAborted,
     ValidationError,
 )
-from repro.middleware.bus import ObjectRefData, Request, Response, marshal, wire_size
+from repro.middleware.bus import (
+    ObjectRefData,
+    Request,
+    Response,
+    marshal,
+    wire_size,
+    # a FAULT frame carries its error in the one error codec's form
+    error_from_wire as decode_fault,
+    error_to_wire as encode_fault,
+)
 from repro.middleware.envelope import Envelope, QoS
 from repro.middleware.wire import (
     FAULT,
@@ -43,9 +52,7 @@ from repro.middleware.wire import (
     VERSION,
     FrameDecoder,
     WireSession,
-    decode_fault,
     decode_value,
-    encode_fault,
     encode_frame,
     encode_value,
 )
@@ -845,16 +852,16 @@ def test_header_string_past_the_payload_end_is_refused():
     assert _poisoned(decoder)
 
 
-def test_response_error_text_past_the_payload_end_is_refused():
-    frame = bytearray(
-        WireSession("server").send_response(3, Response(1, error_type="E", error_message="m"))
-    )
-    frame[FRAME_HEADER + 16:FRAME_HEADER + 20] = (10_000).to_bytes(4, "big")
-    decoder = FrameDecoder()
-    decoder.feed(bytes(frame))
-    with pytest.raises(ProtocolError, match="runs past the end"):
-        list(decoder.frames())
-    assert _poisoned(decoder)
+def test_version_4_hello_is_refused():
+    """Version 4's RESPONSE header ended in two error-text lengths: a
+    peer still speaking it is refused at HELLO, before any frame of
+    that layout is read, and the refusal poisons the session."""
+    hello = _frame_of(HELLO, encode_value({"version": 4, "node": "c"}))
+    server = WireSession("server", node="w")
+    with pytest.raises(ProtocolError, match="unsupported wire version 4"):
+        server.feed(hello[:2] + bytes([4]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
 
 
 @pytest.mark.parametrize("field", ["target", "binding", "label", "operation"])
@@ -956,17 +963,20 @@ def test_timeout_round_trips_keeping_its_type(timeout_ms):
     assert type(hydrated) is type(timeout_ms)
 
 
-def test_response_round_trips_result_and_error_texts():
-    for response in (
-        Response(5, result={"balance": [1.5, ObjectRefData("o", "T")]}),
-        Response(6, error_type="AccessDeniedError", error_message="denied"),
-        Response(7, error_type="", error_message=""),
-    ):
-        kind, (correlation_id, wire) = _decoded(
-            WireSession("server").send_response(11, response)
+def test_response_carries_a_success_only():
+    """A RESPONSE is the two ids and the result; an error reply cannot
+    be framed as one, because an error crosses as a FAULT."""
+    response = Response(5, result={"balance": [1.5, ObjectRefData("o", "T")]})
+    frame = WireSession("server").send_response(11, response)
+    assert frame[FRAME_HEADER:FRAME_HEADER + 16] == struct.pack(">QQ", 11, 5)
+    assert decode_value(frame[FRAME_HEADER + 16:]) == response.result
+    kind, (correlation_id, wire) = _decoded(frame)
+    assert kind == RESPONSE and correlation_id == 11
+    assert Response.from_wire(wire) == response
+    with pytest.raises(ProtocolError, match="success only"):
+        WireSession("server").send_response(
+            11, Response.from_exception(6, AccessDeniedError("denied"))
         )
-        assert kind == RESPONSE and correlation_id == 11
-        assert Response.from_wire(wire) == response
 
 
 def test_request_and_response_frames_have_no_tagged_payload_path():
