@@ -7,8 +7,8 @@ error codec; this module owns the sockets and the threads:
 * :class:`WireServer` — a listener (TCP or unix-domain) that runs one
   :class:`~repro.middleware.wire.WireSession` per accepted connection
   and hands decoded REQUEST/CONTROL frames to callbacks.
-* :class:`WireClient` — one handshaken client connection with a
-  blocking send-one-await-one conversation step.
+* :class:`WireClient` — one handshaken client connection with blocking
+  send and await-reply steps.
 * :class:`ConnectionPool` — per-endpoint reuse of idle client
   connections (dial on miss, bounded idle keep).
 * :class:`SocketTransport` — the :class:`~repro.middleware.transport.Transport`
@@ -16,7 +16,8 @@ error codec; this module owns the sockets and the threads:
   waits release the GIL, which is the whole point), the QoS retry
   budget is honoured by the shared delivery core, and socket-level
   failures surface as :class:`~repro.errors.NodeDownError` classified
-  by *when* they struck.  A failure before the request frame was fully
+  by *when* they struck, on one exchange that routed calls and control
+  verbs share.  A failure before the frame was fully
   written (no endpoint, dial refused, send error) is pre-effect — the
   peer can never have dispatched a partial frame — and is safe for the
   failover element and the QoS budget to re-deliver.  A failure *after*
@@ -60,6 +61,8 @@ from repro.middleware.wire import (
     REQUEST,
     RESPONSE,
     WireSession,
+    encode_frame,
+    request_frame,
 )
 
 _RECV_CHUNK = 64 * 1024
@@ -111,11 +114,11 @@ class WireServer:
     ``request_handler(envelope) -> wire value`` executes a decoded
     REQUEST and returns the (already marshalled) result; exceptions
     become FAULT frames with retryability classified sender-side.
-    ``control_handler(payload) -> dict`` answers CONTROL frames (deploy,
-    state transfer, shutdown); its exceptions cross as an ``"error"``
-    reply in the FAULT frame's error form, and a reply containing
-    ``"__stop__"`` closes the server after it is sent — how a management
-    conversation ends a worker from the outside.
+    ``control_handler(payload) -> dict`` answers CONTROL frames (a
+    worker's node-surface verbs); its exceptions cross as an ``"error"``
+    reply in the FAULT frame's error form.  A handler that calls
+    :meth:`stop_after_reply` closes the server once its reply is sent —
+    how a management conversation ends a worker from the outside.
     """
 
     def __init__(
@@ -142,6 +145,8 @@ class WireServer:
         self._lock = named_lock("sockets.server")
         self._closed = False
         self._stopped = threading.Event()
+        #: per connection thread: its CONTROL reply ends the server
+        self._replying = threading.local()
         #: served-frame counters (observable in tests and stats)
         self.requests_served = 0  # guarded_by: _lock
         self.faults_returned = 0  # guarded_by: _lock
@@ -202,6 +207,11 @@ class WireServer:
     def wait(self, timeout_s: Optional[float] = None) -> bool:
         """Block until :meth:`stop` ran (a worker process's main loop)."""
         return self._stopped.wait(timeout_s)
+
+    def stop_after_reply(self) -> None:
+        """Stop once the CONTROL reply now being served is sent; called
+        by the control handler, on the connection's thread."""
+        self._replying.stop = True
 
     # -- serving -------------------------------------------------------------
 
@@ -300,13 +310,13 @@ class WireServer:
                 if self.control_handler is None:
                     raise TransportError("node serves no control plane")
                 reply = self.control_handler(dict(payload))
-                stop = bool(reply.pop("__stop__", False))
             except Exception as exc:  # noqa: BLE001 - crosses as error reply
-                reply, stop = {"error": error_to_wire(exc)}, False
+                reply = {"error": error_to_wire(exc)}
             conn.sendall(session.send_control_ok(reply))
-            if stop:
+            if getattr(self._replying, "stop", False):
                 self.stop()
-            return stop
+                return True
+            return False
         # RESPONSE/FAULT frames are client-bound; receiving one here
         # is a peer bug, not recoverable on this connection
         with self._lock:
@@ -359,11 +369,6 @@ class WireClient:
             if not data:
                 raise TransportError(f"peer at {self.endpoint} disconnected")
             self.session.feed(data)
-
-    def roundtrip(self, frame: bytes) -> Tuple[int, Any]:
-        """Send one frame and block for the next conversation frame."""
-        self.send(frame)
-        return self.await_reply()
 
     def stale(self) -> bool:
         """True when the *idle* socket is readable: the peer closed it
@@ -425,14 +430,12 @@ class ConnectionPool:
         finally:
             for client in discarded:
                 client.close()
-        return (
-            WireClient(
-                endpoint,
-                node=self.node,
-                timeout_s=self.timeout_s,
-                max_frame=self.max_frame,
-            ),
-            False,
+        return self.dial(endpoint), False
+
+    def dial(self, endpoint: str) -> WireClient:
+        """A fresh connection, bypassing the idle set and its counters."""
+        return WireClient(
+            endpoint, node=self.node, timeout_s=self.timeout_s, max_frame=self.max_frame
         )
 
     def checkin(self, client: WireClient) -> None:
@@ -521,112 +524,12 @@ class SocketTransport(Transport):
     def roundtrip(self, node: str, envelope: Envelope) -> Any:
         """Deliver ``envelope`` to ``node`` and return the wire result.
 
-        Raises the decoded remote fault on FAULT frames.  Socket-level
-        failures are classified by phase, because at-most-once hinges on
-        it: a failure *before* the request frame was fully written (no
-        endpoint, dial refused, send error — a partial frame can never
-        decode, so no effect can exist) raises the pre-effect
-        :class:`NodeDownError` the failover/retry path may re-deliver;
-        a failure *after* the frame was written (disconnect or timeout
-        while awaiting the reply) raises
-        ``NodeDownError(pre_effect=False, mid_call=True)`` — the effect
-        may have executed, so re-delivery is only safe once the failover
-        element confirms the node is fail-stop dead.
-        """
-        endpoint = self.endpoints(node)
-        if endpoint is None:
-            raise NodeDownError(
-                f"node {node!r} has no wire endpoint", node=node
-            )
-        try:
-            client, pooled = self.pool.checkout(endpoint)
-        except (OSError, TransportError) as exc:
-            if isinstance(exc, NodeDownError):
-                raise
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} unreachable at {endpoint}: {exc}", node=node
-            ) from exc
-        try:
-            frame = client.session.send_request(envelope, nested=in_permit_chain())
-        except ProtocolError:
-            # the call is outside the wire contract; the connection is
-            # untouched and goes back to the pool
-            self.pool.checkin(client)
-            raise
-        try:
-            client.send(frame)
-        except (OSError, TransportError) as exc:
-            client.close()
-            self._disconnected(endpoint)
-            if pooled:
-                # the checkout probe can race the peer's close: a pooled
-                # connection that rejected the *send* never delivered a
-                # complete frame, so one blind fresh dial is effect-free
-                return self._retry_fresh(node, endpoint, envelope, frame)
-            raise NodeDownError(
-                f"node {node!r} rejected the request at {endpoint}: {exc}",
-                node=node,
-            ) from exc
-        return self._await_and_conclude(node, endpoint, envelope, client)
-
-    def _retry_fresh(self, node, endpoint, envelope, frame) -> Any:
-        """One fresh dial after a pooled connection refused the *send*.
-
-        Only reachable pre-effect: the stale socket never accepted a
-        complete request frame, so re-sending on a new connection cannot
-        duplicate anything.  Failures here are classified exactly like a
-        first attempt's."""
-        try:
-            client = WireClient(
-                endpoint,
-                node=self.pool.node,
-                timeout_s=self.pool.timeout_s,
-                max_frame=self.pool.max_frame,
-            )
-        except (OSError, TransportError) as exc:
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} unreachable at {endpoint}: {exc}", node=node
-            ) from exc
-        try:
-            client.send(frame)
-        except (OSError, TransportError) as exc:
-            client.close()
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} rejected the request at {endpoint}: {exc}",
-                node=node,
-            ) from exc
-        return self._await_and_conclude(node, endpoint, envelope, client)
-
-    def _await_and_conclude(
-        self, node: str, endpoint: str, envelope: Envelope, client: WireClient
-    ) -> Any:
-        """The post-send half of a hop: any failure past this point is
-        mid-call — the request frame is on the wire and the effect may
-        run (or already have run) on the peer."""
-        try:
-            kind, payload = client.await_reply()
-        except (OSError, TransportError) as exc:
-            client.close()
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} gave no reply mid-call: {exc}",
-                node=node,
-                pre_effect=False,
-                mid_call=True,
-            ) from exc
-        return self._conclude(node, envelope, client, kind, payload)
-
-    def _conclude(
-        self,
-        node: str,
-        envelope: Envelope,
-        client: WireClient,
-        kind: int,
-        payload: Any,
-    ):
+        Raises the decoded remote fault on FAULT frames, and a socket
+        failure as :meth:`_exchange` classifies it.  A call outside the
+        wire contract raises :class:`~repro.errors.ProtocolError` before
+        any connection is touched."""
+        frame = request_frame(envelope, nested=in_permit_chain())
+        client, kind, payload = self._exchange(node, frame)
         with self._stats_lock:
             self.roundtrips += 1
         if kind == RESPONSE:
@@ -652,30 +555,15 @@ class SocketTransport(Transport):
         return Response.from_wire(reply)
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One management round trip (deploy, state transfer, shutdown).
+        """One management round trip (a worker's node-surface verb).
 
-        A failure on the peer raises here as a FAULT frame's error
-        does (:func:`~repro.middleware.bus.error_from_wire`): a library
-        error as its own type, text and attributes, anything else as
+        It travels :meth:`_exchange` like a routed call, so a socket
+        failure is classified the same way.  A failure on the peer
+        raises here as a FAULT frame's error does
+        (:func:`~repro.middleware.bus.error_from_wire`): a library error
+        as its own type, text and attributes, anything else as
         :class:`~repro.errors.RemoteInvocationError`."""
-        endpoint = self.endpoints(node)
-        if endpoint is None:
-            raise NodeDownError(f"node {node!r} has no wire endpoint", node=node)
-        try:
-            client, _pooled = self.pool.checkout(endpoint)
-        except (OSError, TransportError) as exc:
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} unreachable at {endpoint}: {exc}", node=node
-            ) from exc
-        try:
-            kind, reply = client.roundtrip(client.session.send_control(payload))
-        except (OSError, TransportError) as exc:
-            client.close()
-            self._disconnected(endpoint)
-            raise NodeDownError(
-                f"node {node!r} unreachable at {endpoint}: {exc}", node=node
-            ) from exc
+        client, kind, reply = self._exchange(node, encode_frame(CONTROL, payload))
         if kind != CONTROL_OK:
             client.close()
             raise ProtocolError(
@@ -684,7 +572,56 @@ class SocketTransport(Transport):
         self.pool.checkin(client)
         if "error" in reply:
             raise error_from_wire(reply["error"])
-        return dict(reply)
+        return reply
+
+    def _exchange(self, node: str, frame: bytes) -> Tuple[WireClient, int, Any]:
+        """Send ``frame`` to ``node`` and await the peer's next frame;
+        returns the still checked-out connection and that frame.
+
+        Socket failures are classified by phase, because at-most-once
+        hinges on it.  A failure *before* the frame was fully written
+        (no endpoint, dial refused, send error — a partial frame can
+        never decode, so no effect can exist) raises the pre-effect
+        :class:`NodeDownError` the failover/retry path may re-deliver.
+        A failure *after* it (disconnect or timeout while awaiting the
+        reply) raises ``NodeDownError(pre_effect=False, mid_call=True)``:
+        the effect may have executed, so re-delivery is only safe once
+        the failover element confirms the node is fail-stop dead."""
+        endpoint = self.endpoints(node)
+        if endpoint is None:
+            raise NodeDownError(f"node {node!r} has no wire endpoint", node=node)
+        try:
+            client, pooled = self.pool.checkout(endpoint)
+            while True:
+                try:
+                    client.send(frame)
+                    break
+                except (OSError, TransportError):
+                    client.close()
+                    if not pooled:
+                        raise
+                # the checkout probe can race the peer's close: a pooled
+                # connection that refused the send never delivered a
+                # complete frame, so one fresh dial is effect-free
+                self._disconnected(endpoint)
+                client, pooled = self.pool.dial(endpoint), False
+        except (OSError, TransportError) as exc:
+            self._disconnected(endpoint)
+            raise NodeDownError(
+                f"node {node!r} unreachable at {endpoint}: {exc}", node=node
+            ) from exc
+        try:
+            kind, payload = client.await_reply()
+        except (OSError, TransportError) as exc:
+            client.close()
+            self._disconnected(endpoint)
+            raise NodeDownError(
+                f"node {node!r} gave no reply mid-call: {exc}",
+                node=node,
+                pre_effect=False,
+                mid_call=True,
+            ) from exc
+        return client, kind, payload
 
     def _disconnected(self, endpoint: str) -> None:
         with self._stats_lock:

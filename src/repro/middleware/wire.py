@@ -58,12 +58,13 @@ from repro.middleware.bus import ObjectRefData, Response, error_to_wire
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
+#: version 5's CONTROL payloads were per-verb dicts of named fields;
 #: version 4's RESPONSE header held the lengths of an error type and
 #: message, always absent since errors cross as FAULT frames; version 3
 #: had no nested bit (its flags byte held the oneway flag alone);
 #: version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
 #: version 1 also acked a oneway with kind 5
-VERSION = 5
+VERSION = 6
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -84,8 +85,8 @@ HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: fixed header + Envelope.to_wire()'s strings and call
 RESPONSE = 4  #: its success: fixed header (correlation and message ids) + the result
 FAULT = 6  #: its failure: {"correlation_id", "fault": bus.error_to_wire form}
-CONTROL = 7  #: management conversation (deploy, state, shutdown): free-form dict
-CONTROL_OK = 8  #: management reply
+CONTROL = 7  #: one node-surface verb: {"verb", "args", "kwargs"}, empty ones omitted
+CONTROL_OK = 8  #: its reply: {"result": value} or {"error": bus.error_to_wire form}
 
 _KINDS = frozenset((HELLO, HELLO_OK, REQUEST, RESPONSE, FAULT, CONTROL, CONTROL_OK))
 
@@ -364,11 +365,14 @@ def _frame(kind: int, parts: List[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def _request_frame(wire: tuple, nested: bool) -> bytes:
+def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
+    """A REQUEST frame for ``envelope``; ``nested`` sets the bit that
+    lets the peer run it without a dispatch permit.  It depends on no
+    connection, so a sender builds it before choosing one."""
     (
         correlation_id, message_id, attempt, retries, oneway, timeout_ms,
         target, binding, label, object_id, operation, call,
-    ) = wire
+    ) = envelope.to_wire()
     if timeout_ms is None:
         timeout_kind, timeout = _NO_TIMEOUT, 0.0
     elif isinstance(timeout_ms, float):
@@ -452,7 +456,7 @@ def _decode_response(payload: bytes) -> Tuple[int, tuple]:
 def encode_frame(kind: int, payload_value: Any) -> bytes:
     """One complete frame of a tagged-payload kind: header + encoded
     payload.  REQUEST and RESPONSE frames have fixed headers and are
-    built by :meth:`WireSession.send_request` / :meth:`~WireSession.send_response`."""
+    built by :func:`request_frame` / :meth:`WireSession.send_response`."""
     if kind not in _KINDS:
         raise ProtocolError(f"unknown frame kind {kind!r}")
     if kind == REQUEST or kind == RESPONSE:
@@ -635,9 +639,7 @@ class WireSession:
     # -- conversation frames -------------------------------------------------
 
     def send_request(self, envelope: Envelope, nested: bool = False) -> bytes:
-        """A REQUEST frame for ``envelope``; ``nested`` sets the bit
-        that lets the peer run it without a dispatch permit."""
-        return _request_frame(envelope.to_wire(), nested)
+        return request_frame(envelope, nested)
 
     def send_response(self, correlation_id: int, response: Response) -> bytes:
         return _response_frame(correlation_id, response.to_wire())
@@ -647,9 +649,6 @@ class WireSession:
             FAULT,
             {"correlation_id": correlation_id, "fault": error_to_wire(exc)},
         )
-
-    def send_control(self, payload: Dict[str, Any]) -> bytes:
-        return encode_frame(CONTROL, payload)
 
     def send_control_ok(self, payload: Dict[str, Any]) -> bytes:
         return encode_frame(CONTROL_OK, payload)

@@ -1612,15 +1612,18 @@ class Federation:
         call runs inside its entry, so a drained kill has already
         captured every completed effect in the standby copies (or
         shipped it through the replication log) — there is no window
-        where an effect exists only on the dying primary."""
+        where an effect exists only on the dying primary.  A hop that
+        raises replicates too: its servant may have changed state
+        before the error."""
         if not node.alive:
             raise NodeDownError(f"node {node.name!r} is down", node=node.name)
         if self.replicas is None:
             return hop()
         mark = self._mutation_mark(node)
-        value = hop()
-        self._replicate(node, calls, mark)
-        return value
+        try:
+            return hop()
+        finally:
+            self._replicate(node, calls, mark)
 
     def routed_in_flight(self, name: str) -> int:
         """Routed calls holding a migration-gate entry on one of node

@@ -646,44 +646,8 @@ class ScenarioRunner:
         }
 
 
-def run_scenario(
-    scenario,
-    nodes: int = 3,
-    clients: int = 8,
-    ops: int = 400,
-    seed: int = 1,
-    workers: int = 4,
-    concurrent: bool = True,
-    sim_latency_ms: float = 0.5,
-    real_latency_ms: float = 0.0,
-    think_time_ms: float = 0.0,
-    faults: bool = False,
-    entities_per_node: int = 2,
-    window: int = 4,
-    delivery_workers: int = 2,
-    churn: bool = False,
-    trace: bool = False,
-    open_loop: Optional[Dict[str, Any]] = None,
-) -> ScenarioResult:
-    """One-call convenience over :class:`ScenarioRunner`."""
+def run_scenario(scenario, **config) -> ScenarioResult:
+    """One-call convenience over :class:`ScenarioRunner`: ``config`` is
+    :class:`RunConfig`'s fields by keyword."""
     name = scenario if isinstance(scenario, str) else scenario.name
-    config = RunConfig(
-        scenario=name,
-        nodes=nodes,
-        clients=clients,
-        ops=ops,
-        seed=seed,
-        workers=workers,
-        concurrent=concurrent,
-        sim_latency_ms=sim_latency_ms,
-        real_latency_ms=real_latency_ms,
-        think_time_ms=think_time_ms,
-        faults=faults,
-        entities_per_node=entities_per_node,
-        window=window,
-        delivery_workers=delivery_workers,
-        churn=churn,
-        trace=trace,
-        open_loop=open_loop,
-    )
-    return ScenarioRunner(scenario, config).run()
+    return ScenarioRunner(scenario, RunConfig(scenario=name, **config)).run()

@@ -16,20 +16,21 @@ Two halves, meeting only at the wire protocol:
   plus a listener, announced on stdout as ``REPRO-NODE <name>
   <endpoint>``.  Routed calls arrive as REQUEST frames, served by
   :meth:`Node.serve` exactly as a socket-mode listener serves them;
-  everything else arrives as CONTROL verbs, each a one-line call into
-  the worker's own ``Node`` (``deploy`` replays the shipped
+  everything else arrives as CONTROL verbs, each one entry of
+  :attr:`NodeHost.verbs`, keyed by the node-surface method it runs on
+  the worker's own ``Node`` (``install`` replays the shipped
   :class:`~repro.core.shipping.ComponentPackage` once, verified against
-  its final model, and weaves it; ``bind`` / ``import`` / ``snapshot``
-  / ``release`` move servant state, and so on).  The
+  its final model, and weaves it; ``create`` / ``import_states`` /
+  ``export`` / ``release`` move servant state, and so on).  The
   worker never sees the deployment spec or the ring.
 
 * :class:`RemoteNode` — the front-end's handle on one worker: it spawns
   the process and offers the node surface the federation drives
   (``install``, ``create``, ``export``, ``import_states``, ``release``,
-  ``add_user``, ``login``, fault configuration, ``kill``, ``stats``) as
-  CONTROL round trips.  Its ``naming`` shard mirrors the worker's
-  bindings, so routing resolves a worker-owned name without a round
-  trip.
+  ``add_user``, ``login``, fault configuration, ``kill``, ``stats``),
+  each method one CONTROL round trip through :meth:`RemoteNode.call`.
+  Its ``naming`` shard mirrors the worker's bindings, so routing
+  resolves a worker-owned name without a round trip.
 
 Failover follows the fail-stop contract the socket transport relies
 on: a mid-call fault (request written, reply lost) is upgraded to
@@ -46,7 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.errors import (
     DeploymentError,
@@ -72,12 +73,8 @@ ANNOUNCE_PREFIX = "REPRO-NODE"
 STARTUP_TIMEOUT_S = 30.0
 
 
-def _ref_reply(ref: ObjectRefData) -> Dict[str, Any]:
-    return {"object_id": ref.object_id, "type": ref.type_name}
-
-
 class NodeHost:
-    """One worker's serving state: the node, its listener, its controls."""
+    """One worker's serving state: the node, its listener, its verbs."""
 
     def __init__(
         self,
@@ -86,68 +83,48 @@ class NodeHost:
         seed: int = 0,
         endpoint: str = "tcp://127.0.0.1:0",
     ):
-        self.node = Node(name, workers=workers, seed=seed)
+        node = self.node = Node(name, workers=workers, seed=seed)
         self.server = WireServer(
             node=name,
-            request_handler=self.node.serve,
+            request_handler=node.serve,
             control_handler=self._serve_control,
             endpoint=endpoint,
         )
-
-    # -- controls: one verb per node-surface call ----------------------------
+        #: the CONTROL verbs, keyed by the node-surface method each runs;
+        #: arguments and results cross as wire values
+        self.verbs: Dict[str, Callable[..., Any]] = {
+            "ping": self._ping,
+            "install": self._install,
+            "create": node.create,
+            "export": node.export,
+            "import_states": node.import_states,
+            "release": node.release,
+            "add_user": node.add_user,
+            "login": node.login,
+            "configure_fault": node.configure_fault,
+            "faults_injected": node.faults_injected,
+            "mark_read_only": node.mark_read_only,
+            "stats": self._stats,
+            "stop": self._stop,
+        }
 
     def _serve_control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Run one verb; what it raises crosses as the listener's typed
         error reply."""
-        verb = payload.get("verb")
-        handler = getattr(self, f"_control_{verb}", None)
-        if handler is None:
-            raise RemoteInvocationError(f"unknown control verb {verb!r}")
-        return handler(payload)
+        verb = self.verbs.get(payload["verb"])
+        if verb is None:
+            raise RemoteInvocationError(f"unknown control verb {payload['verb']!r}")
+        return {"result": verb(*payload.get("args", ()), **payload.get("kwargs", {}))}
 
-    def _control_ping(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _ping(self) -> Dict[str, Any]:
         return {"node": self.node.name, "pid": os.getpid()}
 
-    def _control_deploy(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _install(self, package: str) -> None:
         from repro.core.shipping import ComponentPackage
 
-        self.node.install(ComponentPackage.from_json(payload["package"]))
-        return {"node": self.node.name}
+        self.node.install(ComponentPackage.from_json(package))
 
-    def _control_bind(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return _ref_reply(
-            self.node.create(payload["name"], payload["type"], payload.get("state", {}))
-        )
-
-    def _control_import(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"refs": [_ref_reply(ref) for ref in self.node.import_states(payload["entries"])]}
-
-    def _control_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"entries": self.node.export(payload["names"])}
-
-    def _control_release(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self.node.release(payload["names"])
-        return {}
-
-    def _control_add_user(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self.node.add_user(payload["name"], payload["password"], roles=payload["roles"])
-        return {}
-
-    def _control_login(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"token": self.node.login(payload["user"], payload["password"])}
-
-    def _control_configure_fault(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self.node.configure_fault(payload["site"], payload["probability"], **payload["options"])
-        return {}
-
-    def _control_faults(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"injected": self.node.faults_injected()}
-
-    def _control_mark_read_only(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self.node.mark_read_only(payload["type"], payload["ops"])
-        return {}
-
-    def _control_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _stats(self) -> Dict[str, Any]:
         stats = self.node.stats()
         stats["wire"] = {
             "requests_served": self.server.requests_served,
@@ -156,8 +133,10 @@ class NodeHost:
         }
         return stats
 
-    def _control_stop(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {"__stop__": True, "node": self.node.name}
+    def _stop(self) -> str:
+        """End the worker once this verb's reply is sent."""
+        self.server.stop_after_reply()
+        return self.node.name
 
 
 def serve_node(
@@ -252,9 +231,10 @@ class RemoteNode:
     Routed calls do not go through this object: the federation sends
     them as REQUEST frames, checking the node is alive on its own side
     as it does for every transport.  CONTROL verbs travel on the
-    same socket transport, so its pool and statistics cover both.
-    Results stay wire values — the front-end hosts no servants, so
-    references come back as :class:`ObjectRefData`.
+    same socket transport and its one exchange, so its pool,
+    statistics and failure classification cover both.  Results stay
+    wire values — the front-end hosts no servants, so references come
+    back as :class:`ObjectRefData`.
     """
 
     def __init__(
@@ -331,40 +311,46 @@ class RemoteNode:
     def alive(self, value: bool) -> None:
         self._alive = value
 
-    def _control(self, verb: str, **payload) -> Dict[str, Any]:
-        payload["verb"] = verb
-        return self._transport.control(self.name, payload)
+    def call(self, verb: str, *args, **kwargs) -> Any:
+        """Run node-surface method ``verb`` on the worker: one CONTROL
+        round trip, whose failure raises here with its own type.  Empty
+        ``args`` and ``kwargs`` stay off the wire, so a verb without
+        arguments costs no more to encode and decode than its name."""
+        payload: Dict[str, Any] = {"verb": verb}
+        if args:
+            payload["args"] = list(args)
+        if kwargs:
+            payload["kwargs"] = kwargs
+        return self._transport.control(self.name, payload)["result"]
 
     # -- the node surface ------------------------------------------------------
 
     def install(self, package) -> None:
-        self._control("deploy", package=package.to_json())
+        self.call("install", package.to_json())
         self.deployed = True
 
     def create(
         self, name: str, type_name: str, state: Dict[str, Any]
     ) -> ObjectRefData:
-        reply = self._control("bind", name=name, type=type_name, state=dict(state))
-        ref = ObjectRefData(reply["object_id"], reply["type"])
+        ref = self.call("create", name, type_name, dict(state))
         self.naming.rebind(name, ref)
         return ref
 
     def export(self, names: Iterable[str]) -> List[Tuple[str, str, Dict[str, Any]]]:
-        return self._control("snapshot", names=list(names))["entries"]
+        return self.call("export", list(names))
 
     def import_states(
         self, entries: Iterable[Tuple[str, str, Dict[str, Any]]]
     ) -> List[ObjectRefData]:
         entries = list(entries)
-        reply = self._control("import", entries=entries)
-        refs = [ObjectRefData(ref["object_id"], ref["type"]) for ref in reply["refs"]]
+        refs = self.call("import_states", entries)
         for (name, _type_name, _state), ref in zip(entries, refs):
             self.naming.rebind(name, ref)
         return refs
 
     def release(self, names: Iterable[str]) -> None:
         names = list(names)
-        self._control("release", names=names)
+        self.call("release", names)
         for name in names:
             with contextlib.suppress(NamingError):
                 self.naming.unbind(name)
@@ -376,19 +362,19 @@ class RemoteNode:
         )
 
     def add_user(self, name: str, password: str, roles=()) -> None:
-        self._control("add_user", name=name, password=password, roles=list(roles))
+        self.call("add_user", name, password, roles=list(roles))
 
     def login(self, user: str, password: str) -> str:
-        return self._control("login", user=user, password=password)["token"]
+        return self.call("login", user, password)
 
     def configure_fault(self, site: str, probability: float, **kwargs) -> None:
-        self._control("configure_fault", site=site, probability=probability, options=kwargs)
+        self.call("configure_fault", site, probability, **kwargs)
 
     def faults_injected(self) -> Dict[str, int]:
-        return self._control("faults")["injected"] if self.alive else {}
+        return self.call("faults_injected") if self.alive else {}
 
     def mark_read_only(self, type_name: str, operations) -> None:
-        self._control("mark_read_only", type=type_name, ops=sorted(operations))
+        self.call("mark_read_only", type_name, sorted(operations))
 
     def kill(self) -> None:
         """Fail-stop: SIGKILL the worker process and reap it."""
@@ -400,13 +386,13 @@ class RemoteNode:
     def stats(self) -> Dict[str, Any]:
         if not self.alive:
             return {"node": self.name, "alive": False}
-        return self._control("stats")
+        return self.call("stats")
 
     def shutdown(self) -> None:
         """Stop the worker (polite CONTROL first, then the OS)."""
         if self.process.poll() is None:
             with contextlib.suppress(ReproError, OSError):
-                self._control("stop")
+                self.call("stop")
         self._alive = False
         try:
             self.process.wait(timeout=5)

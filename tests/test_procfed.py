@@ -62,6 +62,13 @@ def teller(federation):
     return FederationClient(federation, "alice", "pw", qos=RETRY)
 
 
+def verb(transport, node, name, *args, **kwargs):
+    """One CONTROL verb to a bare worker, as ``RemoteNode.call`` runs
+    one (here with both argument fields always sent)."""
+    payload = {"verb": name, "args": list(args), "kwargs": kwargs}
+    return transport.control(node, payload)["result"]
+
+
 def unread_at(endpoint):
     """Bytes a worker's connections received but the worker has not read
     (the kernel's per-socket receive queues, from ``/proc/net/tcp``)."""
@@ -114,7 +121,10 @@ needs_proc_net = pytest.mark.skipif(
 def fed():
     federation = deploy()
     yield federation
+    workers = [node.process for node in federation.nodes.values()]
     federation.shutdown()
+    # status 0: each worker ran the stop verb, not the SIGKILL fallback
+    assert [process.returncode for process in workers] == [0] * len(workers)
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +135,7 @@ def client(fed):
 class TestProcessFederation:
     def test_workers_are_separate_processes(self, fed):
         assert all(isinstance(node, RemoteNode) for node in fed.nodes.values())
-        pids = {
-            fed.transport.control(name, {"verb": "ping"})["pid"]
-            for name in fed.nodes
-        }
+        pids = {node.call("ping")["pid"] for node in fed.nodes.values()}
         assert len(pids) == 3
         assert os.getpid() not in pids
 
@@ -421,9 +428,8 @@ class TestNodeServeCli:
             from repro.middleware.sockets import SocketTransport
 
             transport = SocketTransport({"solo": endpoint}.get)
-            assert transport.control("solo", {"verb": "ping"})["node"] == "solo"
-            reply = transport.control("solo", {"verb": "stop"})
-            assert reply["node"] == "solo"  # __stop__ is consumed server-side
+            assert verb(transport, "solo", "ping")["node"] == "solo"
+            assert verb(transport, "solo", "stop") == "solo"  # answered, then stopped
             transport.shutdown()
             assert process.wait(timeout=10) == 0
         finally:
@@ -447,13 +453,10 @@ class TestNodeServeCli:
 
             transport = SocketTransport({"bare": endpoint}.get)
             with pytest.raises(DeploymentError, match="no application deployed"):
-                transport.control(
-                    "bare",
-                    {"verb": "bind", "name": "p/T/0", "type": "T", "state": {}},
-                )
+                verb(transport, "bare", "create", "p/T/0", "T", {})
             with pytest.raises(RemoteInvocationError, match="unknown control verb 'dance'"):
-                transport.control("bare", {"verb": "dance"})
-            transport.control("bare", {"verb": "stop"})
+                verb(transport, "bare", "dance")
+            verb(transport, "bare", "stop")
             transport.shutdown()
             process.wait(timeout=10)
         finally:

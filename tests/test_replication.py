@@ -19,7 +19,12 @@ from repro.deploy import (
     NodeSpec,
     ReplicationSpec,
 )
-from repro.errors import DeploymentError, FederationError, NodeDownError
+from repro.errors import (
+    DeploymentError,
+    FederationError,
+    NodeDownError,
+    RemoteInvocationError,
+)
 from repro.middleware.envelope import QoS
 from repro.runtime import Federation, ReplicaManager
 from repro.runtime.federation import ReplicationLog
@@ -34,6 +39,11 @@ class Counter:
     def bump(self, amount):
         self.value += amount
         return self.value
+
+    def bump_then_fail(self, amount):
+        """Change state, then raise: the effect outlives the error."""
+        self.value += amount
+        raise ValueError("failed after its effect")
 
     def bump_other(self, other, amount):
         """Mutate ``other`` (a reference to a servant on this node)."""
@@ -366,6 +376,30 @@ class TestReplayEquivalence:
         assert final["log_appends"] - after["log_appends"] == 1
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_effect_of_a_call_that_raised_survives_failover(self, transport):
+        """A servant that changes its state and then raises still has
+        its hop replicated, so the promoted standby holds the effect
+        the primary kept."""
+        federation = Federation(seed=7, latency_ms=0.0, transport=transport)
+        try:
+            for i in range(3):
+                federation.join(f"node-{i}").module = MODULE
+            name = "part-0/Counter/0"
+            federation.node_for("part-0").bind(name, Counter(100.0))
+            federation.enable_replication(1)
+            assert federation.call(name, "bump", 1.0) == 101.0
+            with pytest.raises(RemoteInvocationError, match="after its effect"):
+                federation.call(name, "bump_then_fail", 10.0)
+            assert federation.servant(name).value == 111.0
+            victim = federation.naming.owner_of(name)
+            federation.kill(victim)
+            assert federation.fail_over(victim)
+            assert federation.naming.owner_of(name) != victim
+            assert federation.call(name, "read") == 111.0
+        finally:
+            federation.shutdown()
 
     def test_kill_after_log_tail_promotes_last_write(self):
         federation, names = build(snapshot_every=4)

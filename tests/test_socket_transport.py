@@ -406,12 +406,58 @@ class TestWireLayer:
         server = _ScriptedServer(lambda conn, session, kind, payload: True)
         try:
             transport = SocketTransport({"w": server.endpoint}.get)
-            with pytest.raises(NodeDownError):
+            with pytest.raises(NodeDownError) as excinfo:
                 transport.control("w", {"verb": "ping"})
             assert len(closed) == 1  # no socket leaked until GC
+            # the verb was written, so it may have run: classified as a
+            # routed call's lost reply is
+            assert excinfo.value.mid_call
+            assert not excinfo.value.pre_effect
+            assert not is_retryable(excinfo.value)
             transport.shutdown()
         finally:
             server.close()
+
+    @pytest.mark.parametrize("path", ["roundtrip", "control"])
+    def test_a_stale_pooled_send_gets_one_fresh_dial(self, path, monkeypatch):
+        """The checkout probe can race the peer's close: a pooled
+        connection that refuses the send delivered no complete frame, so
+        a routed call and a control verb alike re-send on one fresh
+        connection and succeed."""
+        server = WireServer(
+            node="w",
+            request_handler=lambda env: 1,
+            control_handler=lambda payload: {"verb": payload["verb"]},
+        )
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            call, expected = {
+                "roundtrip": (lambda: transport.roundtrip("w", _envelope("w")).result, 1),
+                "control": (lambda: transport.control("w", {"verb": "ping"}), {"verb": "ping"}),
+            }[path]
+            assert call() == expected  # leaves one pooled connection
+            dialed, refused = [], []
+            init, send = WireClient.__init__, WireClient.send
+
+            def dialing(self, *args, **kwargs):
+                dialed.append(self)
+                init(self, *args, **kwargs)
+
+            def refusing_once(self, frame):
+                if not refused:
+                    refused.append(self)
+                    raise ConnectionResetError("peer closed the pooled connection")
+                send(self, frame)
+
+            monkeypatch.setattr(WireClient, "__init__", dialing)
+            monkeypatch.setattr(WireClient, "send", refusing_once)
+            assert call() == expected
+            assert len(dialed) == 1 and dialed[0] is not refused[0]
+            assert transport.stats()["disconnects"] == 1
+            transport.shutdown()
+        finally:
+            server.stop()
 
     def test_pool_discards_connections_closed_while_idle(self):
         """The checkout probe: a pooled connection the peer closed is

@@ -864,6 +864,18 @@ def test_version_4_hello_is_refused():
         server.feed(b"more")
 
 
+def test_version_5_hello_is_refused():
+    """Version 5's CONTROL payloads were per-verb dicts of named fields:
+    a peer still speaking it is refused at HELLO, and the refusal
+    poisons the session."""
+    hello = _frame_of(HELLO, encode_value({"version": 5, "node": "c"}))
+    server = WireSession("server", node="w")
+    with pytest.raises(ProtocolError, match="unsupported wire version 5"):
+        server.feed(hello[:2] + bytes([5]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
+
+
 @pytest.mark.parametrize("field", ["target", "binding", "label", "operation"])
 def test_invalid_utf8_in_a_header_string_is_refused(field):
     frame = WireSession("client").send_request(_envelope(**{field: "zz-ok"}))
