@@ -167,37 +167,13 @@ class Envelope:
 
     # -- sans-IO wire form ----------------------------------------------------
 
-    def to_wire(self) -> tuple:
-        """The envelope in the positional form a REQUEST frame's fixed
-        header packs — no bytes, no IO.
-
-        Everything a remote peer needs to re-dispatch the call travels:
-        the correlation id (pairing the reply frame), the request's
-        message id, the attempt, the QoS policy (so the receiving side
-        can honour oneway semantics), the routing strings and the call
-        itself — ``(args, kwargs, context)``, already marshalled when
-        the request was built.
-        """
-        request = self.request
-        qos = self.qos
-        return (
-            self.correlation_id,
-            request.message_id,
-            self.attempt,
-            qos.retries,
-            qos.oneway,
-            qos.timeout_ms,
-            self.target,
-            self.binding,
-            self.label,
-            request.object_id,
-            request.operation,
-            (request.args, request.kwargs, request.context),
-        )
-
     @classmethod
     def from_wire(cls, data: tuple) -> "Envelope":
-        """Rebuild an envelope from its positional wire form.
+        """Rebuild an envelope from the positional form a REQUEST
+        frame decodes to (:mod:`repro.middleware.wire`): correlation id,
+        message id, attempt, QoS retries, oneway and timeout, target,
+        binding, label, object id, operation, and the call ``(args,
+        kwargs, context)`` in wire values.
 
         The correlation and message ids are *preserved*, never
         re-minted: the peer's reply frame must carry the ids the sender

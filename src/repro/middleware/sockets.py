@@ -63,6 +63,7 @@ from repro.middleware.wire import (
     WireSession,
     encode_frame,
     request_frame,
+    response_frame,
 )
 
 _RECV_CHUNK = 64 * 1024
@@ -239,6 +240,7 @@ class WireServer:
 
     def _serve_connection(self, conn_id: int, conn: socket.socket) -> None:
         session = WireSession("server", node=self.node, max_frame=self.max_frame)
+        greeted = False
         try:
             conn.settimeout(None)
             while True:
@@ -256,9 +258,12 @@ class WireServer:
                     with self._lock:
                         self.protocol_errors += 1
                     return
-                greeting = session.take_outbound()
-                if greeting:
-                    conn.sendall(greeting)
+                if not greeted:
+                    # the HELLO-OK; a handshaken session sends nothing unasked
+                    greeting = session.take_outbound()
+                    if greeting:
+                        conn.sendall(greeting)
+                    greeted = session.handshaken
                 for kind, payload in session.events():
                     try:
                         stop = self._serve_frame(conn, session, kind, payload)
@@ -290,9 +295,8 @@ class WireServer:
                 # encoded before it counts as served: a result the wire
                 # cannot carry (ProtocolError) crosses as a FAULT too,
                 # and the connection keeps serving
-                reply = session.send_response(
-                    envelope.correlation_id,
-                    Response(envelope.request.message_id, result=result),
+                reply = response_frame(
+                    envelope.correlation_id, envelope.request.message_id, result
                 )
             except Exception as exc:  # noqa: BLE001 - crosses as FAULT frame
                 with self._lock:
@@ -360,15 +364,23 @@ class WireClient:
         self._sock.sendall(frame)
 
     def await_reply(self) -> Tuple[int, Any]:
-        """Block for the next conversation frame from the peer."""
-        while True:
-            events = self.session.events()
-            if events:
-                return events[0]
+        """Block for the next conversation frame from the peer.  Another
+        frame decoded beside it in the same read answers no call of this
+        connection, so it raises :class:`~repro.errors.ProtocolError`."""
+        session = self.session
+        events = session.events()
+        while not events:
             data = self._sock.recv(_RECV_CHUNK)
             if not data:
                 raise TransportError(f"peer at {self.endpoint} disconnected")
-            self.session.feed(data)
+            session.feed(data)
+            events = session.events()
+        if len(events) > 1:
+            raise ProtocolError(
+                f"peer at {self.endpoint} sent {len(events) - 1} frame(s) "
+                "beside its reply"
+            )
+        return events[0]
 
     def stale(self) -> bool:
         """True when the *idle* socket is readable: the peer closed it
@@ -586,7 +598,11 @@ class SocketTransport(Transport):
         A failure *after* it (disconnect or timeout while awaiting the
         reply) raises ``NodeDownError(pre_effect=False, mid_call=True)``:
         the effect may have executed, so re-delivery is only safe once
-        the failover element confirms the node is fail-stop dead."""
+        the failover element confirms the node is fail-stop dead.  A
+        reply that breaks the protocol (undecodable, or with another
+        conversation frame beside it in the same read) raises
+        :class:`~repro.errors.ProtocolError`, which is not retryable, and
+        the connection is closed, never pooled."""
         endpoint = self.endpoints(node)
         if endpoint is None:
             raise NodeDownError(f"node {node!r} has no wire endpoint", node=node)
@@ -612,6 +628,9 @@ class SocketTransport(Transport):
             ) from exc
         try:
             kind, payload = client.await_reply()
+        except ProtocolError:
+            client.close()
+            raise
         except (OSError, TransportError) as exc:
             client.close()
             self._disconnected(endpoint)

@@ -2,9 +2,10 @@
 
 This module is the byte half of the invocation path's sans-IO split.
 The envelope layer (:mod:`repro.middleware.envelope` /
-:mod:`repro.middleware.bus`) turns calls into plain positional wire
-forms (``Envelope.to_wire`` / ``Response.to_wire``); this module turns
-those into length-prefixed binary **frames** and back — and knows
+:mod:`repro.middleware.bus`) holds calls as envelopes and responses;
+this module packs them into length-prefixed binary **frames** and
+parses frames back into the plain positional forms
+``Envelope.from_wire`` and ``Response.from_wire`` rebuild — and knows
 nothing about sockets, threads, or who is on the other end.  IO owners
 (:mod:`repro.middleware.sockets`) feed received bytes in and write
 returned bytes out; a future asyncio transport drives the very same
@@ -29,6 +30,10 @@ RESPONSE carries a success only: a header of correlation id and message
 id, followed by one tagged result.  An error crosses as a FAULT, whose
 payload — like HELLO's and CONTROL's — is one tagged value.
 
+Each frame is built in one pass: its frame header and fixed header are
+one ``struct`` pack, joined once with the header strings and the
+payload.
+
 The tagged codec is closed over exactly the bus's marshal contract
 (``None``/``bool``/``int``/``float``/``str``/``bytes``, lists, tuples,
 string-keyed dicts, :class:`~repro.middleware.bus.ObjectRefData`), so
@@ -39,13 +44,15 @@ object.  Garbage magic, unknown versions or kinds, oversized frames,
 over-deep nesting (:data:`MAX_DEPTH`), short headers, strings running
 past the payload, invalid UTF-8, truncated or trailing payload bytes
 all raise :class:`~repro.errors.ProtocolError`; so does an id or count
-too wide for its header field, at encode time, instead of wrapping.
+too wide for its header field, or a header field that is neither a
+string nor ``None``, at encode time, instead of wrapping.
 
 :class:`FrameDecoder` is an incremental state machine: bytes arrive in
 arbitrary splits (half a header, three frames and a tail, ...) and
 complete frames come out.  :class:`WireSession` layers the
 handshake/conversation rules on top: HELLO/HELLO-OK version agreement
-first, then request/response/fault frames correlated by envelope ids.
+first, then request/response/fault frames correlated by envelope ids,
+which a handshaken session queues in one plain loop per read.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import struct
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.middleware.bus import ObjectRefData, Response, error_to_wire
+from repro.middleware.bus import ObjectRefData, error_to_wire
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
@@ -82,7 +89,7 @@ _HEADER = struct.Struct(">2sBBI")
 
 HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
-REQUEST = 3  #: one routed call: fixed header + Envelope.to_wire()'s strings and call
+REQUEST = 3  #: one routed call: fixed header + the envelope's strings and call
 RESPONSE = 4  #: its success: fixed header (correlation and message ids) + the result
 FAULT = 6  #: its failure: {"correlation_id", "fault": bus.error_to_wire form}
 CONTROL = 7  #: one node-surface verb: {"verb", "args", "kwargs"}, empty ones omitted
@@ -297,6 +304,11 @@ _FLAGS = ONEWAY | NESTED
 #: correlation id, message id
 _RESPONSE_HEAD = struct.Struct(">QQ")
 
+#: the frame header followed by a kind's fixed header: what one pack
+#: writes when a REQUEST or RESPONSE frame is built
+_REQUEST_FRAME = struct.Struct(_HEADER.format + _REQUEST_HEAD.format[1:])
+_RESPONSE_FRAME = struct.Struct(_HEADER.format + _RESPONSE_HEAD.format[1:])
+
 #: the REQUEST header's timeout kinds; an int timeout travels in the
 #: float field, so it must be one the field holds exactly
 _NO_TIMEOUT, _INT_TIMEOUT, _FLOAT_TIMEOUT = 0, 1, 2
@@ -304,75 +316,16 @@ _EXACT_INT = 2**53
 
 _MALFORMED_CALL = "a request's call is not (args list, kwargs dict, context dict)"
 
-
-def _head_parts(
-    head: struct.Struct, kind: int, fields: tuple, texts: Tuple[Optional[str], ...]
-) -> List[bytes]:
-    """A fixed header packing ``fields`` and the byte lengths of
-    ``texts``, followed by the texts' UTF-8 bodies."""
-    lengths = []
-    parts: List[bytes] = []
-    for text in texts:
-        if text is None:
-            lengths.append(ABSENT)
-            continue
-        if type(text) is not str and not isinstance(text, str):
-            raise ProtocolError(
-                f"header field {text!r} is neither a string nor None"
-            )
-        data = text.encode("utf-8")
-        lengths.append(len(data))
-        parts.append(data)
-    try:
-        parts.insert(0, head.pack(*fields, *lengths))
-    except struct.error as exc:
-        raise ProtocolError(
-            f"{KIND_NAMES[kind]} header field out of range: {exc}"
-        ) from None
-    return parts
-
-
-def _read_head(
-    head: struct.Struct, kind: int, payload: bytes, count: int
-) -> Tuple[tuple, List[Optional[str]], int]:
-    """A fixed header's fields, the ``count`` strings whose lengths end
-    it, and the offset of the tagged value after them."""
-    if len(payload) < head.size:
-        raise ProtocolError(
-            f"{KIND_NAMES[kind]} header needs {head.size} bytes, got {len(payload)}"
-        )
-    fields = head.unpack_from(payload)
-    offset = head.size
-    texts: List[Optional[str]] = []
-    for length in fields[len(fields) - count:]:
-        if length == ABSENT:
-            texts.append(None)
-            continue
-        end = offset + length
-        if end > len(payload):
-            raise ProtocolError("header string runs past the end of the payload")
-        try:
-            texts.append(payload[offset:end].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"malformed header string: {exc}") from None
-        offset = end
-    return fields, texts, offset
-
-
-def _frame(kind: int, parts: List[bytes]) -> bytes:
-    """A frame header over the concatenated ``parts``."""
-    parts.insert(0, _HEADER.pack(MAGIC, VERSION, kind, sum(map(len, parts))))
-    return b"".join(parts)
-
-
 def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     """A REQUEST frame for ``envelope``; ``nested`` sets the bit that
     lets the peer run it without a dispatch permit.  It depends on no
-    connection, so a sender builds it before choosing one."""
-    (
-        correlation_id, message_id, attempt, retries, oneway, timeout_ms,
-        target, binding, label, object_id, operation, call,
-    ) = envelope.to_wire()
+    connection, so a sender builds it before choosing one.
+
+    The fields are read off the envelope and its request, which
+    already carries the call in wire values."""
+    request = envelope.request
+    qos = envelope.qos
+    timeout_ms = qos.timeout_ms
     if timeout_ms is None:
         timeout_kind, timeout = _NO_TIMEOUT, 0.0
     elif isinstance(timeout_ms, float):
@@ -387,36 +340,82 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
         raise ProtocolError(
             f"timeout_ms {timeout_ms!r} is neither None, an int nor a float"
         )
-    args, kwargs, context = call
+    args, kwargs, context = request.args, request.kwargs, request.context
     if not (
         isinstance(args, list) and isinstance(kwargs, dict) and isinstance(context, dict)
     ):
         raise ProtocolError(_MALFORMED_CALL)
-    parts = _head_parts(
-        _REQUEST_HEAD,
-        REQUEST,
-        (correlation_id, message_id, attempt, retries,
-         (ONEWAY if oneway else 0) | (NESTED if nested else 0),
-         timeout_kind, timeout),
-        (target, binding, label, object_id, operation),
-    )
-    parts.append(encode_value(call))
-    return _frame(REQUEST, parts)
+    # parts[0] becomes the frame and fixed header once the size is known
+    parts = [b""]
+    lengths = []
+    size = _REQUEST_HEAD.size
+    for text in (
+        envelope.target, envelope.binding, envelope.label,
+        request.object_id, request.operation,
+    ):
+        if text is None:
+            lengths.append(ABSENT)
+            continue
+        if type(text) is not str and not isinstance(text, str):
+            raise ProtocolError(f"header field {text!r} is neither a string nor None")
+        body = text.encode("utf-8")
+        lengths.append(len(body))
+        size += len(body)
+        parts.append(body)
+    payload = encode_value((args, kwargs, context))
+    parts.append(payload)
+    try:
+        parts[0] = _REQUEST_FRAME.pack(
+            MAGIC, VERSION, REQUEST, size + len(payload),
+            envelope.correlation_id, request.message_id, envelope.attempt,
+            qos.retries,
+            (ONEWAY if qos.oneway else 0) | (NESTED if nested else 0),
+            timeout_kind, timeout, *lengths,
+        )
+    except struct.error as exc:
+        raise ProtocolError(f"request header field out of range: {exc}") from None
+    return b"".join(parts)
 
 
-def _response_frame(correlation_id: int, wire: tuple) -> bytes:
-    message_id, result, error = wire
-    if error is not None:
-        raise ProtocolError("a RESPONSE carries a success only: errors cross as FAULT frames")
-    parts = _head_parts(_RESPONSE_HEAD, RESPONSE, (correlation_id, message_id), ())
-    parts.append(encode_value(result))
-    return _frame(RESPONSE, parts)
+def response_frame(correlation_id: int, message_id: int, result: Any) -> bytes:
+    """A RESPONSE frame carrying the success ``result`` of the request
+    with these ids."""
+    payload = encode_value(result)
+    try:
+        head = _RESPONSE_FRAME.pack(
+            MAGIC, VERSION, RESPONSE, _RESPONSE_HEAD.size + len(payload),
+            correlation_id, message_id,
+        )
+    except struct.error as exc:
+        raise ProtocolError(f"response header field out of range: {exc}") from None
+    return head + payload
 
 
 def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
-    """A REQUEST payload as ``(nested, Envelope.to_wire() form)``."""
-    fields, texts, offset = _read_head(_REQUEST_HEAD, REQUEST, payload, 5)
-    correlation_id, message_id, attempt, retries, flags, timeout_kind, timeout = fields[:7]
+    """A REQUEST payload as ``(nested, the positional form
+    Envelope.from_wire rebuilds)``."""
+    if len(payload) < _REQUEST_HEAD.size:
+        raise ProtocolError(
+            f"request header needs {_REQUEST_HEAD.size} bytes, got {len(payload)}"
+        )
+    (
+        correlation_id, message_id, attempt, retries, flags, timeout_kind, timeout,
+        *lengths,
+    ) = _REQUEST_HEAD.unpack_from(payload)
+    offset = _REQUEST_HEAD.size
+    texts: List[Optional[str]] = []
+    for length in lengths:
+        if length == ABSENT:
+            texts.append(None)
+            continue
+        end = offset + length
+        if end > len(payload):
+            raise ProtocolError("header string runs past the end of the payload")
+        try:
+            texts.append(payload[offset:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed header string: {exc}") from None
+        offset = end
     if flags & ~_FLAGS:
         raise ProtocolError(f"unknown request flag bits {flags:#04x}")
     if timeout_kind == _NO_TIMEOUT:
@@ -443,9 +442,15 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
 
 
 def _decode_response(payload: bytes) -> Tuple[int, tuple]:
-    """A RESPONSE payload as ``(correlation id, Response.to_wire() form)``."""
-    fields, _texts, offset = _read_head(_RESPONSE_HEAD, RESPONSE, payload, 0)
-    return fields[0], (fields[1], decode_value(payload[offset:]), None)
+    """A RESPONSE payload as ``(correlation id, Response.from_wire form)``."""
+    if len(payload) < _RESPONSE_HEAD.size:
+        raise ProtocolError(
+            f"response header needs {_RESPONSE_HEAD.size} bytes, got {len(payload)}"
+        )
+    correlation_id, message_id = _RESPONSE_HEAD.unpack_from(payload)
+    return correlation_id, (
+        message_id, decode_value(payload[_RESPONSE_HEAD.size:]), None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +461,16 @@ def _decode_response(payload: bytes) -> Tuple[int, tuple]:
 def encode_frame(kind: int, payload_value: Any) -> bytes:
     """One complete frame of a tagged-payload kind: header + encoded
     payload.  REQUEST and RESPONSE frames have fixed headers and are
-    built by :func:`request_frame` / :meth:`WireSession.send_response`."""
+    built by :func:`request_frame` / :func:`response_frame`."""
     if kind not in _KINDS:
         raise ProtocolError(f"unknown frame kind {kind!r}")
     if kind == REQUEST or kind == RESPONSE:
         raise ProtocolError(
             f"{KIND_NAMES[kind]} frames have a fixed header: build them "
-            "through a WireSession"
+            "with request_frame or response_frame"
         )
-    return _frame(kind, [encode_value(payload_value)])
+    payload = encode_value(payload_value)
+    return _HEADER.pack(MAGIC, VERSION, kind, len(payload)) + payload
 
 
 class FrameDecoder:
@@ -474,8 +480,8 @@ class FrameDecoder:
     arrive in any split (mid-header, several frames at once, a frame
     spread over many reads); :meth:`frames` yields every frame that has
     fully arrived and keeps the remainder buffered.  A REQUEST frame
-    comes out as ``(nested bit, Envelope.to_wire() form)``, a RESPONSE
-    frame as ``(correlation id, Response.to_wire() form)``, any other
+    comes out as ``(nested bit, Envelope.from_wire form)``, a RESPONSE
+    frame as ``(correlation id, Response.from_wire form)``, any other
     kind as its decoded tagged value.  A protocol violation (bad magic,
     unknown version/kind, oversized length, undecodable payload) raises
     :class:`~repro.errors.ProtocolError` and poisons the decoder — the
@@ -559,8 +565,9 @@ class WireSession:
     The IO owner's loop is::
 
         session.feed(sock.recv(...))          # bytes in
+        sock.sendall(session.take_outbound()) # bytes out (handshake replies),
+                                              # until session.handshaken
         for kind, payload in session.events() # decoded conversation
-        sock.sendall(session.take_outbound()) # bytes out (handshake replies)
     """
 
     def __init__(
@@ -588,10 +595,18 @@ class WireSession:
         return encode_frame(HELLO, {"version": VERSION, "node": self.node})
 
     def feed(self, data: bytes) -> None:
-        """Buffer received bytes and run the handshake state machine."""
+        """Buffer received bytes and decode every frame they complete.
+
+        Once the handshake is done, a conversation frame is queued for
+        :meth:`events` as it comes; a handshake frame, or any frame
+        before the handshake, runs the handshake rules."""
         self._decoder.feed(data)
-        for kind, payload in self._decoder.frames():
-            self._handle(kind, payload)
+        events = self._events
+        for frame in self._decoder.frames():
+            if self.handshaken and frame[0] not in (HELLO, HELLO_OK):
+                events.append(frame)
+            else:
+                self._handshake(*frame)
 
     def take_outbound(self) -> bytes:
         """Bytes the session decided to send (handshake replies); may be empty."""
@@ -606,7 +621,7 @@ class WireSession:
 
     # -- handshake rules -----------------------------------------------------
 
-    def _handle(self, kind: int, payload: Any) -> None:
+    def _handshake(self, kind: int, payload: Any) -> None:
         if kind == HELLO:
             if self.role != "server" or self.handshaken:
                 raise ProtocolError("unexpected HELLO")
@@ -630,19 +645,12 @@ class WireSession:
             self.peer = str(payload.get("node", ""))
             self.handshaken = True
             return
-        if not self.handshaken:
-            raise ProtocolError(
-                f"{KIND_NAMES.get(kind, kind)} frame before handshake"
-            )
-        self._events.append((kind, payload))
+        raise ProtocolError(f"{KIND_NAMES.get(kind, kind)} frame before handshake")
 
     # -- conversation frames -------------------------------------------------
 
     def send_request(self, envelope: Envelope, nested: bool = False) -> bytes:
         return request_frame(envelope, nested)
-
-    def send_response(self, correlation_id: int, response: Response) -> bytes:
-        return _response_frame(correlation_id, response.to_wire())
 
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(

@@ -643,6 +643,11 @@ class ReplicaManager:
         #: partitions whose last sync was skipped because an export
         #: raised: their standbys may miss an effect
         self._export_failed: set = set()  # guarded_by: _lock
+        #: partitions a hop left unsynced because their owner was
+        #: unreachable (:meth:`defer_sync`); kept apart so that a sync
+        #: already exporting cannot clear them, and only :meth:`rebuild`
+        #: takes them over
+        self._deferred: set = set()  # guarded_by: _lock
         #: syncs that actually refreshed at least one standby copy /
         #: skipped because the routed call touched no mutable servant
         self.syncs = 0
@@ -814,6 +819,13 @@ class ReplicaManager:
         with self._lock:
             self.skipped_syncs += 1
 
+    def defer_sync(self, partitions: Iterable[str]) -> None:
+        """Leave ``partitions`` to the next :meth:`rebuild` without an
+        export now: their owner could not be reached, so their standbys
+        may miss an effect."""
+        with self._lock:
+            self._deferred.update(partitions)
+
     def take(
         self, partition: str, node_name: str
     ) -> Dict[str, Tuple[str, Dict[str, Any]]]:
@@ -850,6 +862,11 @@ class ReplicaManager:
                 del self._groups[stale]
             for stale in set(self._logs) - partitions:
                 del self._logs[stale]
+            # a deferred partition is due now, and from here on it is
+            # marked as a failed export: only a sync that starts after
+            # this point can clear it
+            self._export_failed |= self._deferred
+            self._deferred.clear()
             self._export_failed &= partitions
             due = [
                 partition
@@ -864,7 +881,7 @@ class ReplicaManager:
         primary or standbys differ from ``placement`` (the ring's
         preference list), a standby hosting the application is behind
         the log head, or its last sync was skipped because an export
-        raised."""
+        raised or was deferred (:meth:`defer_sync`)."""
         group = self._groups.get(partition)
         if group is None or partition in self._export_failed:
             return True
@@ -1577,7 +1594,7 @@ class Federation:
         which chain elements (tracing) stamped per-attempt keys."""
         node, ref, request = envelope.owner, envelope.ref, envelope.request
         if self._socket_transport is not None:
-            hop = functools.partial(self._wire_dispatch, node, ref, envelope)
+            hop = functools.partial(self._wire_dispatch, node, envelope)
         else:
             hop = functools.partial(
                 node.invoke,
@@ -1614,16 +1631,28 @@ class Federation:
         shipped it through the replication log) — there is no window
         where an effect exists only on the dying primary.  A hop that
         raises replicates too: its servant may have changed state
-        before the error."""
+        before the error.  A worker hop that lost its own transport
+        (its :class:`NodeDownError` names this node and was raised on
+        this side of the wire) defers that replication to the next
+        rebuild: an export round trip to the worker it just failed to
+        reach would wait out a second reply timeout."""
         if not node.alive:
             raise NodeDownError(f"node {node.name!r} is down", node=node.name)
         if self.replicas is None:
             return hop()
         mark = self._mutation_mark(node)
+        lost = False
         try:
             return hop()
+        except NodeDownError as exc:
+            lost = (
+                mark is None
+                and exc.node == node.name
+                and not getattr(exc, "_remote_rebuilt", False)
+            )
+            raise
         finally:
-            self._replicate(node, calls, mark)
+            self._replicate(node, calls, mark, lost)
 
     def routed_in_flight(self, name: str) -> int:
         """Routed calls holding a migration-gate entry on one of node
@@ -1646,6 +1675,7 @@ class Federation:
         node: Union[Node, RemoteNode],
         calls: Iterable[Tuple[ObjectRefData, str, str]],
         mark: Optional[int],
+        lost: bool,
     ) -> None:
         """The one replication decision after a hop's ``calls`` ran on
         ``node``, opened at ``mark`` (:meth:`_mutation_mark`).
@@ -1665,7 +1695,9 @@ class Federation:
         A worker process has no bus here to report what a hop changed,
         so each partition with a call the read-only classification does
         not cover gets one full sync (one export round trip), and a hop
-        of read-only calls one skip."""
+        of read-only calls one skip.  When the hop ``lost`` its
+        transport, those partitions are marked for the next rebuild
+        (:meth:`ReplicaManager.defer_sync`) instead."""
         replicas = self.replicas
         if mark is not None:
             changed = node.changed_since(mark)
@@ -1686,45 +1718,33 @@ class Federation:
             if not partitions:
                 replicas.note_skip()
                 return
+            if lost:
+                replicas.defer_sync(partitions)
+                return
         for partition in dict.fromkeys(partitions):
             replicas.sync_partition(partition)
 
     # -- wire hops (socket and process modes) -------------------------------------
 
-    def _wire_dispatch(
-        self, node: Union[Node, RemoteNode], ref: ObjectRefData, envelope: Envelope
-    ):
+    def _wire_dispatch(self, node: Union[Node, RemoteNode], envelope: Envelope):
         """Send one routed hop over the wire to ``node``'s listener,
         where :meth:`Node.serve` runs it.
 
-        The hop envelope carries the *same* correlation id, message id,
-        QoS, binding, and attempt counter as the in-memory envelope the
-        chain executed — a traced retry over sockets is recognizably the
-        same logical call — but its request payload is re-marshalled
-        into pure wire values (proxies become references).  Faults come
-        back as FAULT frames and re-raise here with their retryability
-        intact, so the failover element and the QoS budget behave
-        exactly as they do in process.
+        The hop sends the attempt's own envelope — its correlation id,
+        message id, QoS, binding and attempt counter, so a traced retry
+        over sockets is recognizably the same logical call.  The
+        attempt already set its target and object id and minted a fresh
+        context; here its arguments are marshalled into pure wire values
+        in place (proxies become references), which a QoS retry repeats
+        as an identity copy.  Faults come back as FAULT frames and
+        re-raise here with their retryability intact, so the failover
+        element and the QoS budget behave exactly as they do in process.
         """
         request = envelope.request
-        hop = Envelope(
-            request=Request(
-                object_id=ref.object_id,
-                operation=request.operation,
-                args=marshal(list(request.args), proxy_ref, root="args"),
-                kwargs=marshal(dict(request.kwargs), proxy_ref, root="kwargs"),
-                context=dict(request.context),
-                message_id=request.message_id,
-            ),
-            qos=envelope.qos,
-            correlation_id=envelope.correlation_id,
-            target=node.name,
-            binding=envelope.binding,
-            label=envelope.label,
-            attempt=envelope.attempt,
-        )
+        request.args = marshal(request.args, proxy_ref, root="args")
+        request.kwargs = marshal(request.kwargs, proxy_ref, root="kwargs")
         return self._hydrate(
-            node, self._socket_transport.roundtrip(node.name, hop).result
+            node, self._socket_transport.roundtrip(node.name, envelope).result
         )
 
     def _wire_batch(

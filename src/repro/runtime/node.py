@@ -335,19 +335,20 @@ class Node:
         :meth:`invoke`.  The hop label carries the servant type
         (``Type.operation``), so the reference is rebuilt without a
         naming lookup; arguments are wire values the ORB hydrates
-        against this node's registry, and proxies in the result leave
-        as references.  A :data:`BATCH` request runs its members through
-        :meth:`invoke_batch` and answers with one :class:`Response` per
-        member, carrying its value or its error.
+        against this node's registry, passed on as decoded (:meth:`_run`
+        and the ORB copy what they keep), and proxies in the result
+        leave as references.  A :data:`BATCH` request runs its members
+        through :meth:`invoke_batch` and answers with one
+        :class:`Response` per member, carrying its value or its error.
         """
         request = envelope.request
         if request.operation == BATCH:
             outcomes = self.invoke_batch(
                 [
-                    (ObjectRefData(object_id, type_name), operation, tuple(args), kwargs)
+                    (ObjectRefData(object_id, type_name), operation, args, kwargs)
                     for object_id, type_name, operation, args, kwargs in request.args
                 ],
-                dict(request.context),
+                request.context,
             )
             replies = []
             for outcome in outcomes:
@@ -364,9 +365,9 @@ class Node:
         result = self.invoke(
             ObjectRefData(request.object_id, type_name),
             request.operation,
-            tuple(request.args),
-            dict(request.kwargs),
-            dict(request.context),
+            request.args,
+            request.kwargs,
+            request.context,
         )
         return marshal(result, proxy_ref, root="result")
 

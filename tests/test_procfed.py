@@ -396,6 +396,42 @@ class TestProcessFailover:
         finally:
             fed.shutdown()
 
+    @needs_proc_net
+    def test_lost_reply_defers_the_sync_to_the_next_rebuild(self):
+        """A worker hop whose reply timed out makes no export round trip
+        to the worker it just failed to reach, which would wait out a
+        second reply timeout: the deposit fails within 1.5x the pool's
+        timeout and its partition is marked, so the next rebuild
+        re-syncs it once the worker runs again."""
+        fed = deploy()
+        try:
+            client = teller(fed)
+            owner = fed.naming.owner_of("branch-0")
+            worker = fed.node(owner)
+            fed.transport.pool.timeout_s = 1.0
+            fed.transport.pool.invalidate(worker.endpoint)
+            assert client.call("branch-0/Account/2", "getBalance") == 1000.0
+            with stopped(worker.process):
+                started = time.monotonic()
+                with pytest.raises(NodeDownError) as excinfo:
+                    client.call("branch-0/Account/2", "deposit", 5)
+                elapsed = time.monotonic() - started
+                assert excinfo.value.mid_call and not excinfo.value.pre_effect
+            assert elapsed < 1.5 * fed.transport.pool.timeout_s
+            assert "branch-0" in fed.replicas._deferred
+            deadline = time.monotonic() + 10
+            while client.call("branch-0/Account/2", "getBalance") == 1000.0:
+                assert time.monotonic() < deadline, "the deposit never landed"
+                time.sleep(0.05)
+            fed.replicas.rebuild()
+            assert "branch-0" not in fed.replicas._deferred
+            assert "branch-0" not in fed.replicas._export_failed
+            [standby] = fed.replicas._groups["branch-0"].standbys
+            _type_name, state = fed.replicas.take("branch-0", standby)["branch-0/Account/2"]
+            assert state["balance"] == 1005.0
+        finally:
+            fed.shutdown()
+
     def test_kill_without_retry_budget_surfaces_node_down(self):
         fed = deploy()
         try:

@@ -580,6 +580,39 @@ class TestSyncLocking:
         assert_standbys_match_primaries(federation, names)
         federation.shutdown()
 
+    def test_a_deferred_sync_outlives_a_full_sync_already_exporting(
+        self, monkeypatch
+    ):
+        """A hop that could not reach its owner defers its sync while
+        another sync of the partition is exporting a snapshot taken
+        before the hop's effect: that sync finishing does not clear the
+        mark, and the next rebuild re-syncs the partition."""
+        federation, names = build(nodes=3, partitions=6)
+        replicas = federation.replicas
+        name = names[0]
+        partition = federation.naming.partition_key(name)
+        owner = federation.node(federation.naming.owner_of(name))
+        exported, release = stall_export(
+            monkeypatch, owner, federation.naming.partition_view(partition)[1]
+        )
+        syncing, _ = in_thread(replicas.sync_partition, partition)
+        assert exported.wait(10)  # a full snapshot with value 100.0 taken
+        try:
+            federation.servant(name).value += 5.0  # the lost hop's effect
+            replicas.defer_sync([partition])
+        finally:
+            release.set()
+        syncing.join(10)
+        assert not syncing.is_alive()
+        monkeypatch.undo()
+        assert partition in replicas._deferred
+        syncs = replicas.stats()["syncs"]
+        replicas.rebuild()
+        assert replicas.stats()["syncs"] == syncs + 1
+        assert partition not in replicas._deferred
+        assert_standbys_match_primaries(federation, names)
+        federation.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # seeded multi-threaded stress: writers + churn

@@ -238,17 +238,13 @@ class TestWireLayer:
             server.close()
 
     def test_mismatched_correlation_id_fails_loudly(self):
-        from repro.middleware.bus import Response
         from repro.middleware.envelope import Envelope
+        from repro.middleware.wire import response_frame
 
         def misreply(conn, session, kind, payload):
             envelope = Envelope.from_wire(payload[1])
             wrong = envelope.correlation_id + 7
-            conn.sendall(
-                session.send_response(
-                    wrong, Response(envelope.request.message_id, result=1)
-                )
-            )
+            conn.sendall(response_frame(wrong, envelope.request.message_id, 1))
             return False
 
         server = _ScriptedServer(misreply)
@@ -256,6 +252,81 @@ class TestWireLayer:
             transport = SocketTransport({"w": server.endpoint}.get)
             with pytest.raises(ProtocolError, match="correlates to"):
                 transport.roundtrip("w", _envelope("w"))
+            transport.shutdown()
+        finally:
+            server.close()
+
+    def test_a_stray_frame_beside_the_reply_fails_the_call(self):
+        """A listener that answers a REQUEST with its RESPONSE and, in
+        the same write, a second RESPONSE under another correlation id:
+        the call fails loudly and is not retried, its connection is
+        closed instead of pooled, and the next call dials afresh."""
+        from repro.middleware.envelope import Envelope
+        from repro.middleware.wire import response_frame
+
+        def double_reply(conn, session, kind, payload):
+            envelope = Envelope.from_wire(payload[1])
+            message_id = envelope.request.message_id
+            conn.sendall(
+                response_frame(envelope.correlation_id, message_id, 1)
+                + response_frame(envelope.correlation_id + 7, message_id, 2)
+            )
+            return False
+
+        server = _ScriptedServer(double_reply)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            with pytest.raises(ProtocolError, match="beside its reply") as excinfo:
+                transport.roundtrip("w", _envelope("w"))
+            assert not is_retryable(excinfo.value)
+            assert not transport.pool._idle.get(server.endpoint)
+            with pytest.raises(ProtocolError, match="beside its reply"):
+                transport.roundtrip("w", _envelope("w"))
+            stats = transport.stats()
+            assert (stats["dials"], stats["reuses"]) == (2, 0)
+            assert not transport.pool._idle.get(server.endpoint)
+            transport.shutdown()
+        finally:
+            server.close()
+
+    def test_a_stray_frame_beside_a_control_reply_fails_the_verb(self):
+        def double_reply(conn, session, kind, payload):
+            conn.sendall(
+                session.send_control_ok({"result": 1})
+                + session.send_control_ok({"result": 2})
+            )
+            return False
+
+        server = _ScriptedServer(double_reply)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            for _ in range(2):
+                with pytest.raises(ProtocolError, match="beside its reply"):
+                    transport.control("w", {"verb": "ping"})
+                assert not transport.pool._idle.get(server.endpoint)
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (2, 0)
+            transport.shutdown()
+        finally:
+            server.close()
+
+    def test_an_undecodable_reply_fails_the_call(self):
+        """A reply the decoder refuses is a protocol violation, not a
+        lost reply: ProtocolError, not retryable, and the connection is
+        closed instead of pooled."""
+
+        def garbage(conn, session, kind, payload):
+            conn.sendall(b"XX" + bytes(14))
+            return False
+
+        server = _ScriptedServer(garbage)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            for _ in range(2):
+                with pytest.raises(ProtocolError, match="bad frame magic") as excinfo:
+                    transport.roundtrip("w", _envelope("w"))
+                assert not is_retryable(excinfo.value)
+                assert not transport.pool._idle.get(server.endpoint)
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (2, 0)
             transport.shutdown()
         finally:
             server.close()

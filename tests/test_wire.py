@@ -55,6 +55,8 @@ from repro.middleware.wire import (
     decode_value,
     encode_frame,
     encode_value,
+    request_frame,
+    response_frame,
 )
 
 
@@ -292,7 +294,7 @@ def test_interleaved_frames_in_one_read():
     frames = [
         encode_frame(HELLO, {"version": VERSION, "node": "a"}),
         _request_frame(),
-        WireSession("server").send_response(7, Response(1)),
+        response_frame(7, 1, None),
     ]
     partial = _request_frame()
     decoder = FrameDecoder()
@@ -942,9 +944,9 @@ def test_a_field_wider_than_its_header_is_refused_at_encode(fields):
 
 def test_a_response_id_wider_than_its_header_is_refused_at_encode():
     with pytest.raises(ProtocolError):
-        WireSession("server").send_response(2**64, Response(1))
+        response_frame(2**64, 1, None)
     with pytest.raises(ProtocolError):
-        WireSession("server").send_response(1, Response(2**64))
+        response_frame(1, 2**64, None)
 
 
 def test_widest_ids_round_trip_unwrapped():
@@ -976,19 +978,16 @@ def test_timeout_round_trips_keeping_its_type(timeout_ms):
 
 
 def test_response_carries_a_success_only():
-    """A RESPONSE is the two ids and the result; an error reply cannot
-    be framed as one, because an error crosses as a FAULT."""
+    """A RESPONSE is the two ids and the result, and it decodes as a
+    success: an error crosses as a FAULT."""
     response = Response(5, result={"balance": [1.5, ObjectRefData("o", "T")]})
-    frame = WireSession("server").send_response(11, response)
+    frame = response_frame(11, 5, response.result)
     assert frame[FRAME_HEADER:FRAME_HEADER + 16] == struct.pack(">QQ", 11, 5)
     assert decode_value(frame[FRAME_HEADER + 16:]) == response.result
     kind, (correlation_id, wire) = _decoded(frame)
     assert kind == RESPONSE and correlation_id == 11
     assert Response.from_wire(wire) == response
-    with pytest.raises(ProtocolError, match="success only"):
-        WireSession("server").send_response(
-            11, Response.from_exception(6, AccessDeniedError("denied"))
-        )
+    assert Response.from_wire(wire).error is None
 
 
 def test_request_and_response_frames_have_no_tagged_payload_path():
@@ -1004,3 +1003,144 @@ def test_version_2_hello_is_refused():
         server.feed(hello[:2] + bytes([2]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
         server.feed(b"more")
+
+
+# ---------------------------------------------------------------------------
+# one-pass frames against the reference framing
+# ---------------------------------------------------------------------------
+
+RESPONSE_HEAD = struct.Struct(">QQ")
+_FRAME_HEAD = struct.Struct(">2sBBI")
+
+
+def _reference_to_wire(envelope):
+    """An envelope's positional form, read as the REQUEST framing read
+    it before frames were packed in one pass."""
+    request, qos = envelope.request, envelope.qos
+    return (
+        envelope.correlation_id, request.message_id, envelope.attempt,
+        qos.retries, qos.oneway, qos.timeout_ms, envelope.target,
+        envelope.binding, envelope.label, request.object_id, request.operation,
+        (request.args, request.kwargs, request.context),
+    )
+
+
+def _reference_head_parts(head, fields, texts):
+    lengths, parts = [], []
+    for text in texts:
+        if text is None:
+            lengths.append(ABSENT)
+            continue
+        if not isinstance(text, str):
+            raise ProtocolError(f"header field {text!r} is neither a string nor None")
+        data = text.encode("utf-8")
+        lengths.append(len(data))
+        parts.append(data)
+    try:
+        parts.insert(0, head.pack(*fields, *lengths))
+    except struct.error as exc:
+        raise ProtocolError(f"header field out of range: {exc}") from None
+    return parts
+
+
+def _reference_frame(kind, parts):
+    parts.insert(0, _FRAME_HEAD.pack(b"RW", VERSION, kind, sum(map(len, parts))))
+    return b"".join(parts)
+
+
+def _reference_request_frame(envelope, nested=False):
+    """A REQUEST frame as it was built field list by field list: the
+    bytes :func:`request_frame` must keep producing."""
+    (
+        correlation_id, message_id, attempt, retries, oneway, timeout_ms,
+        target, binding, label, object_id, operation, call,
+    ) = _reference_to_wire(envelope)
+    if timeout_ms is None:
+        timeout_kind, timeout = 0, 0.0
+    elif isinstance(timeout_ms, float):
+        timeout_kind, timeout = 2, timeout_ms
+    else:
+        timeout_kind, timeout = 1, float(timeout_ms)
+    parts = _reference_head_parts(
+        REQUEST_HEAD,
+        (correlation_id, message_id, attempt, retries,
+         (1 if oneway else 0) | (2 if nested else 0), timeout_kind, timeout),
+        (target, binding, label, object_id, operation),
+    )
+    parts.append(_reference_encode(call))
+    return _reference_frame(REQUEST, parts)
+
+
+def _reference_response_frame(correlation_id, message_id, result):
+    parts = _reference_head_parts(RESPONSE_HEAD, (correlation_id, message_id), ())
+    parts.append(_reference_encode(result))
+    return _reference_frame(RESPONSE, parts)
+
+
+_HEADER_TEXT = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(max_size=24),
+    st.text(alphabet="é中\ufeff\U0001f600x", max_size=12),
+    st.text(min_size=300, max_size=1200),
+    st.text(max_size=24).map(_Str),
+)
+_U64 = st.integers(0, 2**64 - 1)
+_U32_FIELD = st.integers(0, 2**32 - 1)
+_TIMEOUT = st.one_of(
+    st.none(),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False),
+)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.tuples(*[_HEADER_TEXT] * 5),
+    st.tuples(_U64, _U64, _U32_FIELD, _U32_FIELD),
+    _TIMEOUT,
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_request_frames_match_the_reference_framing(
+    rng, texts, ids, timeout_ms, oneway, nested
+):
+    target, binding, label, object_id, operation = texts
+    correlation_id, message_id, attempt, retries = ids
+    envelope = Envelope(
+        request=Request(
+            object_id=object_id,
+            operation=operation,
+            args=[_random_value(rng) for _ in range(rng.randint(0, 3))],
+            kwargs={f"k{i}": _random_value(rng) for i in range(rng.randint(0, 2))},
+            context={"user": _random_value(rng)} if rng.random() < 0.5 else {},
+            message_id=message_id,
+        ),
+        qos=QoS(oneway=oneway, timeout_ms=timeout_ms, retries=retries),
+        correlation_id=correlation_id,
+        target=target,
+        binding=binding,
+        label=label,
+        attempt=attempt,
+    )
+    frame = request_frame(envelope, nested)
+    assert frame == _reference_request_frame(envelope, nested)
+    assert WireSession("client").send_request(envelope, nested) == frame
+
+
+@given(st.randoms(use_true_random=False), _U64, _U64)
+@settings(max_examples=200, deadline=None)
+def test_response_frames_match_the_reference_framing(rng, correlation_id, message_id):
+    result = _random_value(rng)
+    frame = response_frame(correlation_id, message_id, result)
+    assert frame == _reference_response_frame(correlation_id, message_id, result)
+
+
+@pytest.mark.parametrize("field", ["target", "binding", "label", "object_id", "operation"])
+@pytest.mark.parametrize("bad", [7, b"node-0", ["node-0"]], ids=repr)
+def test_a_non_string_header_field_is_refused(field, bad):
+    """An int, a bytes or an unhashable list is no header string: it
+    raises ProtocolError."""
+    with pytest.raises(ProtocolError, match="neither a string nor None"):
+        request_frame(_envelope(**{field: bad}))
