@@ -8,9 +8,10 @@ concrete aspects target (see the substitution table in DESIGN.md):
 
 * :mod:`repro.middleware.clock` — logical simulation clock;
 * :mod:`repro.middleware.faults` — deterministic fault injection;
-* :mod:`repro.middleware.envelope` — envelopes (correlation id,
-  propagated context, QoS policy), reply futures, and the ordered
-  interceptor-chain element pipeline every delivery runs through;
+* :mod:`repro.middleware.envelope` — envelopes (the call itself, its
+  correlation id, propagated context and QoS policy), reply futures,
+  and the ordered interceptor-chain element pipeline every delivery
+  runs through;
 * :mod:`repro.middleware.transport` — pluggable transports: in-process
   synchronous and queued-asynchronous (delivery threads);
 * :mod:`repro.middleware.bus` — message bus with pass-by-value
@@ -28,7 +29,7 @@ concrete aspects target (see the substitution table in DESIGN.md):
 
 from repro.middleware.clock import SimClock
 from repro.middleware.faults import FaultInjector, FaultSpec
-from repro.middleware.bus import MessageBus, Request, Response
+from repro.middleware.bus import MessageBus
 from repro.middleware.envelope import (
     DEFAULT_QOS,
     ONEWAY_QOS,
@@ -67,8 +68,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "MessageBus",
-    "Request",
-    "Response",
     "Envelope",
     "QoS",
     "DEFAULT_QOS",

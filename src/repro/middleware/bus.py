@@ -1,9 +1,10 @@
 """In-process message bus with pass-by-value marshalling.
 
 The bus is the transport endpoint of the simulated middleware: the ORB
-(S10/rpc) turns proxy calls into :class:`Request` messages wrapped in
-:class:`~repro.middleware.envelope.Envelope` objects, and the bus delivers
-them to registered servants, producing :class:`Response` messages.
+(S10/rpc) turns proxy calls into
+:class:`~repro.middleware.envelope.Envelope` messages, and the bus
+delivers them to registered servants, answering each with its outcome
+in the one outcome form (see :func:`error_to_wire`).
 Delivery is synchronous, on the caller's thread, through a single
 ordered :class:`~repro.middleware.envelope.InterceptorChain` that
 carries the cross-cutting transport behaviour — fault injection, latency
@@ -31,7 +32,7 @@ Wire-type contract (what `marshal` guarantees end to end):
 
 Every value this contract admits has an exact binary encoding in
 :mod:`repro.middleware.wire` — the frame codec socket transports frame
-requests and responses with — so "marshallable" and "wire-encodable"
+calls and results with — so "marshallable" and "wire-encodable"
 are the same predicate by construction.
 """
 
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
 
 import repro.errors as errors_module
@@ -54,8 +54,6 @@ from repro.middleware.envelope import (
     sim_latency_element,
 )
 from repro.middleware.faults import FaultInjector
-
-_message_counter = itertools.count(1)
 
 _PRIMITIVES = (str, int, float, bool, bytes, type(None))
 
@@ -168,47 +166,17 @@ def wire_size(value) -> int:
     return 1  # None, bool
 
 
-@dataclass
-class Request:
-    object_id: str
-    operation: str
-    args: list
-    kwargs: Dict[str, Any]
-    context: Dict[str, Any] = field(default_factory=dict)
-    message_id: int = field(default_factory=lambda: next(_message_counter))
-
-
-@dataclass
-class Response:
-    message_id: int
-    result: Any = None
-    #: the error's wire form (:func:`error_to_wire`); None on success
-    error: Optional[Dict[str, Any]] = None
-
-    @property
-    def is_error(self) -> bool:
-        return self.error is not None
-
-    @classmethod
-    def from_exception(cls, message_id: int, exc: BaseException) -> "Response":
-        """The error reply of a dispatch that raised ``exc``."""
-        return cls(message_id, error=error_to_wire(exc, dispatched=True))
-
-    def to_wire(self) -> tuple:
-        """The response in its positional wire form — the form a batch
-        reply lists one per member (inverse of ``from_wire``)."""
-        return (self.message_id, self.result, self.error)
-
-    @classmethod
-    def from_wire(cls, data: tuple) -> "Response":
-        message_id, result, error = data
-        return cls(message_id, result, error)
+# An outcome crosses every boundary in one form: ``{"result": value}``
+# on success, ``{"error": error_to_wire(exc)}`` on failure.  The bus
+# terminal returns it, a batch member's wire reply is it, and so is a
+# ``CONTROL`` reply; a routed call's wire hop answers with a RESPONSE
+# frame (the value) or a FAULT frame (the error form) instead.
 
 
 def error_to_wire(exc: BaseException, dispatched: bool = False) -> Dict[str, Any]:
-    """``exc`` in the one form an error crosses any boundary in: a
-    :class:`Response`, a batch member's reply, a ``FAULT`` frame or a
-    ``CONTROL`` error reply (inverse of :func:`error_from_wire`).
+    """``exc`` in the one form an error crosses any boundary in: an
+    outcome's ``"error"``, a ``FAULT`` frame's ``"fault"`` (inverse of
+    :func:`error_from_wire`).
 
     The form carries the type name (the stable error code), the text,
     the public instance attributes the marshal contract admits (any
@@ -387,32 +355,31 @@ class MessageBus:
     # -- chain elements ----------------------------------------------------------
 
     def _stats_element(self, envelope: Envelope, next: Callable[[Envelope], Any]):
-        request = envelope.request
         # sized outside the lock: the walk is the element's only real work
-        size = wire_size(request.args) + wire_size(request.kwargs)
+        size = wire_size(envelope.args) + wire_size(envelope.kwargs)
         with self._stats_lock:
             self.messages_delivered += 1
             self.bytes_transferred += size
-        response = next(envelope)
-        if response.is_error:
+        outcome = next(envelope)
+        if "error" in outcome:
             with self._stats_lock:
                 self.errors_returned += 1
         else:
-            size = wire_size(response.result)
+            size = wire_size(outcome["result"])
             with self._stats_lock:
                 self.bytes_transferred += size
-        return response
+        return outcome
 
     # -- delivery ----------------------------------------------------------------
 
-    def _terminal(self, dispatch, envelope: Envelope) -> Response:
-        """Execute the request against its servant through ``dispatch``;
-        errors become wire responses — the terminal never leaks servant
-        exceptions."""
-        request = envelope.request
+    def _terminal(self, dispatch, envelope: Envelope) -> Dict[str, Any]:
+        """Execute the call against its servant through ``dispatch``;
+        the outcome is ``{"result": value}``, or ``{"error": ...}`` for
+        an exception — the terminal never leaks servant exceptions."""
+        object_id = envelope.object_id
         try:
-            servant = self.servant(request.object_id)
-            read_only = request.operation in self.read_only_ops.get(
+            servant = self.servant(object_id)
+            read_only = envelope.operation in self.read_only_ops.get(
                 type(servant).__name__, ()
             )
             if not read_only:
@@ -420,25 +387,27 @@ class MessageBus:
                 # must still trigger the replication sync
                 with self._stats_lock:
                     self.mutations += 1
-                    self._touch_log.append((self.mutations, request.object_id))
+                    self._touch_log.append((self.mutations, object_id))
             if self.dispatch_guard is not None:
                 result = self.dispatch_guard(
-                    request.object_id, functools.partial(dispatch, request, servant)
+                    object_id, functools.partial(dispatch, envelope, servant)
                 )
             else:
-                result = dispatch(request, servant)
-            return Response(request.message_id, result=result)
+                result = dispatch(envelope, servant)
+            return {"result": result}
         except Exception as exc:  # noqa: BLE001 - converted to wire error
-            return Response.from_exception(request.message_id, exc)
+            return {"error": error_to_wire(exc, dispatched=True)}
 
-    def deliver(self, request: Request, dispatch: Callable[[Request, Any], Any]) -> Response:
-        """Deliver ``request`` on this thread; ``dispatch`` invokes the servant.
+    def deliver(
+        self, envelope: Envelope, dispatch: Callable[[Envelope, Any], Any]
+    ) -> Dict[str, Any]:
+        """Deliver ``envelope`` on this thread; ``dispatch`` invokes the
+        servant, and the call's outcome comes back.
 
         The two-hop latency (request + reply) is charged to the clock by
         the chain's latency element; servant exceptions come back as
-        error responses, while injected *transport* faults (the chain's
-        fault element) keep raising out, as a lost message would.
+        ``{"error": ...}`` outcomes, while injected *transport* faults
+        (the chain's fault element) keep raising out, as a lost message
+        would.
         """
-        return self.chain.execute(
-            Envelope(request=request), functools.partial(self._terminal, dispatch)
-        )
+        return self.chain.execute(envelope, functools.partial(self._terminal, dispatch))

@@ -1,13 +1,18 @@
-"""Envelopes: the unit every transport carries, plus the element pipeline.
+"""Envelopes: the one message a call travels in, plus the element pipeline.
 
-An :class:`Envelope` wraps a :class:`~repro.middleware.bus.Request` with
-the metadata the invocation path needs end to end:
+An :class:`Envelope` is the call itself — object id, operation and
+arguments in wire values — together with what the invocation path needs
+end to end:
 
-* a **correlation id** pairing replies with requests across asynchronous
-  transports;
+* a **correlation id**, the one id a call carries: a reply frame is
+  paired with its call by it;
 * the **propagated context** (transaction id, credentials, ...) captured
-  on the caller's thread when the envelope is built;
+  on the caller's thread;
 * a per-call :class:`QoS` policy — oneway, timeout, retry budget.
+
+Its outcome travels in the one form :mod:`repro.middleware.bus`
+documents beside ``error_to_wire``: ``{"result": value}`` or
+``{"error": ...}``.
 
 Cross-cutting behaviour over envelopes — fault injection, latency
 simulation, statistics, metrics, portable interceptors — composes as a
@@ -100,8 +105,8 @@ def is_retryable(exc: BaseException) -> bool:
     carry application meaning and are surfaced to the caller untouched.
     An exception rebuilt from an error its sender judged not retryable
     (``_remote_rebuilt``, see :func:`~repro.middleware.bus.error_from_wire`)
-    is excluded even when its type is bare: an error response crossed a
-    servant dispatch — e.g. a nested call's transport fault *inside*
+    is excluded even when its type is bare: an ``{"error": ...}`` outcome
+    crossed a servant dispatch — e.g. a nested call's transport fault *inside*
     servant code — so effects may already exist and re-delivery could
     duplicate them.
     """
@@ -119,12 +124,19 @@ def is_retryable(exc: BaseException) -> bool:
 
 @dataclass
 class Envelope:
-    """One message travelling through a transport: payload + call policy."""
+    """One call travelling through a transport: the call, its context
+    and its policy."""
 
-    request: Any  #: the wrapped Request payload
+    object_id: str
+    operation: str
+    #: the arguments, in wire values once the building layer marshalled them
+    args: list
+    kwargs: Dict[str, Any]
+    #: the propagated per-call context (txn id, credentials, ...)
+    context: Dict[str, Any] = field(default_factory=dict)
     qos: QoS = DEFAULT_QOS
-    #: pairs this envelope's reply with the caller-held future
-    correlation_id: int = field(default_factory=lambda: next(_correlation_counter))
+    #: pairs this envelope's reply with the caller
+    correlation_id: int = field(default_factory=_correlation_counter.__next__)
     #: routing target (federation node name; None for in-process buses)
     target: Optional[str] = None
     #: the federation *name* a routed call is addressed to (None on bus
@@ -156,33 +168,21 @@ class Envelope:
     owner = None
     ref = None
 
-    @property
-    def context(self) -> Dict[str, Any]:
-        """The propagated per-call context (txn id, credentials, ...)."""
-        return getattr(self.request, "context", {})
-
-    @property
-    def is_oneway(self) -> bool:
-        return self.qos.oneway
-
     # -- sans-IO wire form ----------------------------------------------------
 
     @classmethod
     def from_wire(cls, data: tuple) -> "Envelope":
         """Rebuild an envelope from the positional form a REQUEST
         frame decodes to (:mod:`repro.middleware.wire`): correlation id,
-        message id, attempt, QoS retries, oneway and timeout, target,
-        binding, label, object id, operation, and the call ``(args,
-        kwargs, context)`` in wire values.
+        attempt, QoS retries, oneway and timeout, target, binding,
+        label, object id, operation, and the call ``(args, kwargs,
+        context)`` in wire values.
 
-        The correlation and message ids are *preserved*, never
-        re-minted: the peer's reply frame must carry the ids the sender
-        is waiting on.
+        The correlation id is *preserved*, never re-minted: the peer's
+        reply frame must carry the id the sender is waiting on.
         """
-        from repro.middleware.bus import Request
-
         (
-            correlation_id, message_id, attempt, retries, oneway, timeout_ms,
+            correlation_id, attempt, retries, oneway, timeout_ms,
             target, binding, label, object_id, operation, (args, kwargs, context),
         ) = data
         if oneway or retries or timeout_ms is not None:
@@ -190,13 +190,8 @@ class Envelope:
         else:
             qos = DEFAULT_QOS
         return cls(
-            request=Request(object_id, operation, args, kwargs, context, message_id),
-            qos=qos,
-            correlation_id=correlation_id,
-            target=target,
-            binding=binding,
-            label=label,
-            attempt=attempt,
+            object_id, operation, args, kwargs, context, qos,
+            correlation_id, target, binding, label, attempt,
         )
 
 
@@ -410,8 +405,8 @@ _delivery_local = threading.local()
 def delivery_stack() -> List[Dict[str, Any]]:
     """This thread's stack of delivery contexts, innermost last.
 
-    The layer that hands a request to application code (the node's
-    dispatch path) pushes a copy of the request's propagated context
+    The layer that hands a call to application code (the node's
+    dispatch path) pushes a copy of the call's propagated context
     before the servant runs and pops it in a ``finally`` after, so
     outbound calls the servant makes can inherit the caller's
     transaction id and credentials.

@@ -26,13 +26,8 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import RemoteInvocationError
-from repro.middleware.bus import (
-    MessageBus,
-    ObjectRefData,
-    Request,
-    error_from_wire,
-    marshal,
-)
+from repro.middleware.bus import MessageBus, ObjectRefData, error_from_wire, marshal
+from repro.middleware.envelope import Envelope
 from repro.middleware.naming import NamingService
 
 ObjectRef = ObjectRefData
@@ -46,8 +41,8 @@ class Orb:
     def __init__(self, bus: Optional[MessageBus] = None, naming: Optional[NamingService] = None):
         self.bus = bus or MessageBus()
         self.naming = naming or NamingService()
-        self.client_interceptors: List[Callable[[Request], None]] = []
-        self.server_interceptors: List[Callable[[Request, Any], None]] = []
+        self.client_interceptors: List[Callable[[Envelope], None]] = []
+        self.server_interceptors: List[Callable[[Envelope, Any], None]] = []
         self._refs_by_identity: Dict[int, ObjectRef] = {}
         # the implicit call context is thread-local: concurrent requests
         # dispatched on worker threads must not see each other's
@@ -116,50 +111,51 @@ class Orb:
 
     # -- invocation path ---------------------------------------------------------
 
-    def _build_request(self, ref: ObjectRef, operation: str, args: tuple, kwargs: dict) -> Request:
-        """Marshal arguments and capture context on the *caller's* thread.
+    def _build_request(self, ref: ObjectRef, operation: str, args: tuple, kwargs: dict) -> Envelope:
+        """The bus envelope of a call: arguments marshalled and context
+        captured on the *caller's* thread.
 
         Everything thread-sensitive (implicit context, argument
         snapshots, client interceptors) happens here, so the envelope
-        payload is finished and self-contained before delivery starts.
+        is finished and self-contained before delivery starts.
         Client interceptors run exactly once per logical call, never for
-        requests issued through another orb sharing the same bus.
+        calls issued through another orb sharing the same bus.
         """
         if operation.startswith("_"):
             raise RemoteInvocationError(
                 f"operation {operation!r} is not remotely accessible"
             )
-        request = Request(
-            object_id=ref.object_id,
-            operation=operation,
-            args=marshal(list(args), self.ref_of, root="args"),
-            kwargs=marshal(dict(kwargs), self.ref_of, root="kwargs"),
-            context=dict(self.current_context()),
+        envelope = Envelope(
+            ref.object_id,
+            operation,
+            marshal(list(args), self.ref_of, root="args"),
+            marshal(dict(kwargs), self.ref_of, root="kwargs"),
+            self.current_context(),
         )
         for interceptor in self.client_interceptors:
-            interceptor(request)
-        return request
+            interceptor(envelope)
+        return envelope
 
     def invoke(self, ref: ObjectRef, operation: str, args: tuple, kwargs: dict):
         """One synchronous round trip: raise wire errors, hydrate
         references in the result into proxies."""
-        request = self._build_request(ref, operation, args, kwargs)
-        response = self.bus.deliver(request, self._dispatch)
-        if response.error is not None:
-            raise error_from_wire(response.error)
-        return self._from_wire(response.result)
+        envelope = self._build_request(ref, operation, args, kwargs)
+        outcome = self.bus.deliver(envelope, self._dispatch)
+        if "error" in outcome:
+            raise error_from_wire(outcome["error"])
+        return self._from_wire(outcome["result"])
 
-    def _dispatch(self, request: Request, servant: Any):
+    def _dispatch(self, envelope: Envelope, servant: Any):
         for interceptor in self.server_interceptors:
-            interceptor(request, servant)
-        method = getattr(servant, request.operation, None)
+            interceptor(envelope, servant)
+        method = getattr(servant, envelope.operation, None)
         if method is None or not callable(method):
             raise RemoteInvocationError(
-                f"{type(servant).__name__} has no operation {request.operation!r}"
+                f"{type(servant).__name__} has no operation {envelope.operation!r}"
             )
-        args = [self._from_wire(a) for a in request.args]
-        kwargs = {k: self._from_wire(v) for k, v in request.kwargs.items()}
-        context = dict(request.context)
+        args = [self._from_wire(a) for a in envelope.args]
+        kwargs = {k: self._from_wire(v) for k, v in envelope.kwargs.items()}
+        context = dict(envelope.context)
         context["__dispatching__"] = True  # lets aspects detect server side
         frames = self.context_stack
         frames.append(context)

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Deque, Optional, Tuple
 
 from repro.analysis.witness import named_lock
 from repro.errors import NodeDownError, ProtocolError, TransportError
-from repro.middleware.bus import Response, error_from_wire, error_to_wire
+from repro.middleware.bus import error_from_wire, error_to_wire
 from repro.middleware.envelope import Envelope, ReplyFuture
 from repro.middleware.transport import (
     Handler,
@@ -295,9 +295,7 @@ class WireServer:
                 # encoded before it counts as served: a result the wire
                 # cannot carry (ProtocolError) crosses as a FAULT too,
                 # and the connection keeps serving
-                reply = response_frame(
-                    envelope.correlation_id, envelope.request.message_id, result
-                )
+                reply = response_frame(envelope.correlation_id, result)
             except Exception as exc:  # noqa: BLE001 - crosses as FAULT frame
                 with self._lock:
                     self.faults_returned += 1
@@ -534,7 +532,8 @@ class SocketTransport(Transport):
     # -- the wire hop --------------------------------------------------------
 
     def roundtrip(self, node: str, envelope: Envelope) -> Any:
-        """Deliver ``envelope`` to ``node`` and return the wire result.
+        """Deliver ``envelope`` to ``node`` and return its result, in
+        wire values.
 
         Raises the decoded remote fault on FAULT frames, and a socket
         failure as :meth:`_exchange` classifies it.  A call outside the
@@ -545,7 +544,7 @@ class SocketTransport(Transport):
         with self._stats_lock:
             self.roundtrips += 1
         if kind == RESPONSE:
-            got, reply = payload
+            got, result = payload
         elif kind == FAULT:
             got = payload.get("correlation_id") if isinstance(payload, dict) else None
         else:
@@ -564,7 +563,7 @@ class SocketTransport(Transport):
         self.pool.checkin(client)
         if kind == FAULT:
             raise error_from_wire(payload.get("fault"))
-        return Response.from_wire(reply)
+        return result
 
     def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One management round trip (a worker's node-surface verb).

@@ -1,12 +1,12 @@
 """Sans-IO wire protocol: the frame codec socket transports speak.
 
 This module is the byte half of the invocation path's sans-IO split.
-The envelope layer (:mod:`repro.middleware.envelope` /
-:mod:`repro.middleware.bus`) holds calls as envelopes and responses;
-this module packs them into length-prefixed binary **frames** and
-parses frames back into the plain positional forms
-``Envelope.from_wire`` and ``Response.from_wire`` rebuild — and knows
-nothing about sockets, threads, or who is on the other end.  IO owners
+The envelope layer (:mod:`repro.middleware.envelope`) holds a call as
+one envelope; this module packs it and its result into length-prefixed
+binary **frames** and parses frames back — a REQUEST into the plain
+positional form ``Envelope.from_wire`` rebuilds, a RESPONSE into its
+correlation id and result — and knows nothing about sockets, threads,
+or who is on the other end.  IO owners
 (:mod:`repro.middleware.sockets`) feed received bytes in and write
 returned bytes out; a future asyncio transport drives the very same
 state machine.
@@ -20,15 +20,15 @@ Frame layout (everything big-endian)::
 
 The two kinds every call pays for have a fixed layout, set once here
 rather than described per frame.  A REQUEST payload is one ``struct``
-header — correlation id and message id (u64), attempt and QoS retries
-(u32), the flags byte (:data:`ONEWAY` and :data:`NESTED`), the
-timeout's kind (none, int or float) and value, and the byte lengths of
-target, binding, label, object id and operation (u32, :data:`ABSENT`
-for ``None``) — followed by those five UTF-8 strings and one tagged
-value ``(args, kwargs, context)``.  A
-RESPONSE carries a success only: a header of correlation id and message
-id, followed by one tagged result.  An error crosses as a FAULT, whose
-payload — like HELLO's and CONTROL's — is one tagged value.
+header — the correlation id (u64), attempt and QoS retries (u32), the
+flags byte (:data:`ONEWAY` and :data:`NESTED`), the timeout's kind
+(none, int or float) and value, and the byte lengths of target,
+binding, label, object id and operation (u32, :data:`ABSENT` for
+``None``) — followed by those five UTF-8 strings and one tagged value
+``(args, kwargs, context)``.  A RESPONSE carries a success only: the
+correlation id (u64), followed by one tagged result.  An error crosses
+as a FAULT, whose payload — like HELLO's and CONTROL's — is one tagged
+value.
 
 Each frame is built in one pass: its frame header and fixed header are
 one ``struct`` pack, joined once with the header strings and the
@@ -51,7 +51,7 @@ string nor ``None``, at encode time, instead of wrapping.
 arbitrary splits (half a header, three frames and a tail, ...) and
 complete frames come out.  :class:`WireSession` layers the
 handshake/conversation rules on top: HELLO/HELLO-OK version agreement
-first, then request/response/fault frames correlated by envelope ids,
+first, then request/response/fault frames paired by correlation id,
 which a handshaken session queues in one plain loop per read.
 """
 
@@ -65,13 +65,15 @@ from repro.middleware.bus import ObjectRefData, error_to_wire
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
-#: version 5's CONTROL payloads were per-verb dicts of named fields;
+#: version 6's REQUEST and RESPONSE headers also held a message id that
+#: nothing read; version 5's CONTROL payloads were per-verb dicts of
+#: named fields;
 #: version 4's RESPONSE header held the lengths of an error type and
 #: message, always absent since errors cross as FAULT frames; version 3
 #: had no nested bit (its flags byte held the oneway flag alone);
 #: version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
 #: version 1 also acked a oneway with kind 5
-VERSION = 6
+VERSION = 7
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -90,7 +92,7 @@ _HEADER = struct.Struct(">2sBBI")
 HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: fixed header + the envelope's strings and call
-RESPONSE = 4  #: its success: fixed header (correlation and message ids) + the result
+RESPONSE = 4  #: its success: fixed header (the correlation id) + the result
 FAULT = 6  #: its failure: {"correlation_id", "fault": bus.error_to_wire form}
 CONTROL = 7  #: one node-surface verb: {"verb", "args", "kwargs"}, empty ones omitted
 CONTROL_OK = 8  #: its reply: {"result": value} or {"error": bus.error_to_wire form}
@@ -289,10 +291,9 @@ def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 #: the header length of a string that is ``None`` (distinct from ``""``)
 ABSENT = 0xFFFFFFFF
 
-#: correlation id, message id, attempt, QoS retries, flags, timeout
-#: kind and value, then the lengths of target, binding, label, object id
-#: and operation
-_REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
+#: correlation id, attempt, QoS retries, flags, timeout kind and value,
+#: then the lengths of target, binding, label, object id and operation
+_REQUEST_HEAD = struct.Struct(">QIIBBd5I")
 
 #: REQUEST flag: the caller meters no reply value (QoS oneway)
 ONEWAY = 0x01
@@ -301,8 +302,8 @@ ONEWAY = 0x01
 NESTED = 0x02
 _FLAGS = ONEWAY | NESTED
 
-#: correlation id, message id
-_RESPONSE_HEAD = struct.Struct(">QQ")
+#: correlation id
+_RESPONSE_HEAD = struct.Struct(">Q")
 
 #: the frame header followed by a kind's fixed header: what one pack
 #: writes when a REQUEST or RESPONSE frame is built
@@ -316,14 +317,14 @@ _EXACT_INT = 2**53
 
 _MALFORMED_CALL = "a request's call is not (args list, kwargs dict, context dict)"
 
+
 def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     """A REQUEST frame for ``envelope``; ``nested`` sets the bit that
     lets the peer run it without a dispatch permit.  It depends on no
     connection, so a sender builds it before choosing one.
 
-    The fields are read off the envelope and its request, which
-    already carries the call in wire values."""
-    request = envelope.request
+    The fields are read off the envelope, which already carries the
+    call in wire values."""
     qos = envelope.qos
     timeout_ms = qos.timeout_ms
     if timeout_ms is None:
@@ -340,7 +341,7 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
         raise ProtocolError(
             f"timeout_ms {timeout_ms!r} is neither None, an int nor a float"
         )
-    args, kwargs, context = request.args, request.kwargs, request.context
+    args, kwargs, context = envelope.args, envelope.kwargs, envelope.context
     if not (
         isinstance(args, list) and isinstance(kwargs, dict) and isinstance(context, dict)
     ):
@@ -351,7 +352,7 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     size = _REQUEST_HEAD.size
     for text in (
         envelope.target, envelope.binding, envelope.label,
-        request.object_id, request.operation,
+        envelope.object_id, envelope.operation,
     ):
         if text is None:
             lengths.append(ABSENT)
@@ -367,8 +368,7 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     try:
         parts[0] = _REQUEST_FRAME.pack(
             MAGIC, VERSION, REQUEST, size + len(payload),
-            envelope.correlation_id, request.message_id, envelope.attempt,
-            qos.retries,
+            envelope.correlation_id, envelope.attempt, qos.retries,
             (ONEWAY if qos.oneway else 0) | (NESTED if nested else 0),
             timeout_kind, timeout, *lengths,
         )
@@ -377,14 +377,14 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     return b"".join(parts)
 
 
-def response_frame(correlation_id: int, message_id: int, result: Any) -> bytes:
-    """A RESPONSE frame carrying the success ``result`` of the request
-    with these ids."""
+def response_frame(correlation_id: int, result: Any) -> bytes:
+    """A RESPONSE frame carrying the success ``result`` of the call
+    with this correlation id."""
     payload = encode_value(result)
     try:
         head = _RESPONSE_FRAME.pack(
             MAGIC, VERSION, RESPONSE, _RESPONSE_HEAD.size + len(payload),
-            correlation_id, message_id,
+            correlation_id,
         )
     except struct.error as exc:
         raise ProtocolError(f"response header field out of range: {exc}") from None
@@ -399,8 +399,7 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
             f"request header needs {_REQUEST_HEAD.size} bytes, got {len(payload)}"
         )
     (
-        correlation_id, message_id, attempt, retries, flags, timeout_kind, timeout,
-        *lengths,
+        correlation_id, attempt, retries, flags, timeout_kind, timeout, *lengths,
     ) = _REQUEST_HEAD.unpack_from(payload)
     offset = _REQUEST_HEAD.size
     texts: List[Optional[str]] = []
@@ -436,20 +435,20 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
     ):
         raise ProtocolError(_MALFORMED_CALL)
     return bool(flags & NESTED), (
-        correlation_id, message_id, attempt, retries, bool(flags & ONEWAY),
-        timeout_ms, *texts, call,
+        correlation_id, attempt, retries, bool(flags & ONEWAY), timeout_ms,
+        *texts, call,
     )
 
 
-def _decode_response(payload: bytes) -> Tuple[int, tuple]:
-    """A RESPONSE payload as ``(correlation id, Response.from_wire form)``."""
+def _decode_response(payload: bytes) -> Tuple[int, Any]:
+    """A RESPONSE payload as ``(correlation id, result)``."""
     if len(payload) < _RESPONSE_HEAD.size:
         raise ProtocolError(
             f"response header needs {_RESPONSE_HEAD.size} bytes, got {len(payload)}"
         )
-    correlation_id, message_id = _RESPONSE_HEAD.unpack_from(payload)
-    return correlation_id, (
-        message_id, decode_value(payload[_RESPONSE_HEAD.size:]), None
+    return (
+        _RESPONSE_HEAD.unpack_from(payload)[0],
+        decode_value(payload[_RESPONSE_HEAD.size:]),
     )
 
 
@@ -481,7 +480,7 @@ class FrameDecoder:
     spread over many reads); :meth:`frames` yields every frame that has
     fully arrived and keeps the remainder buffered.  A REQUEST frame
     comes out as ``(nested bit, Envelope.from_wire form)``, a RESPONSE
-    frame as ``(correlation id, Response.from_wire form)``, any other
+    frame as ``(correlation id, result)``, any other
     kind as its decoded tagged value.  A protocol violation (bad magic,
     unknown version/kind, oversized length, undecodable payload) raises
     :class:`~repro.errors.ProtocolError` and poisons the decoder — the
@@ -648,9 +647,6 @@ class WireSession:
         raise ProtocolError(f"{KIND_NAMES.get(kind, kind)} frame before handshake")
 
     # -- conversation frames -------------------------------------------------
-
-    def send_request(self, envelope: Envelope, nested: bool = False) -> bytes:
-        return request_frame(envelope, nested)
 
     def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
         return encode_frame(

@@ -74,13 +74,7 @@ from typing import (
 
 from repro.analysis.witness import named_condition, named_lock, named_rlock
 from repro.errors import FederationError, NamingError, NodeDownError, ProtocolError, ReproError
-from repro.middleware.bus import (
-    ObjectRefData,
-    Request,
-    Response,
-    error_from_wire,
-    marshal,
-)
+from repro.middleware.bus import ObjectRefData, error_from_wire, marshal
 from repro.middleware.clock import SimClock
 from repro.middleware.envelope import (
     DEFAULT_QOS,
@@ -1592,20 +1586,20 @@ class Federation:
         shares.  The attempt resolved ``envelope.owner`` and
         ``envelope.ref``; the hop carries the envelope's context, into
         which chain elements (tracing) stamped per-attempt keys."""
-        node, ref, request = envelope.owner, envelope.ref, envelope.request
+        node, ref = envelope.owner, envelope.ref
         if self._socket_transport is not None:
             hop = functools.partial(self._wire_dispatch, node, envelope)
         else:
             hop = functools.partial(
                 node.invoke,
                 ref,
-                request.operation,
-                request.args,
-                request.kwargs,
-                request.context,
+                envelope.operation,
+                envelope.args,
+                envelope.kwargs,
+                envelope.context,
             )
         return self._local_dispatch(
-            node, ((ref, request.operation, envelope.partition),), hop
+            node, ((ref, envelope.operation, envelope.partition),), hop
         )
 
     def _local_dispatch(
@@ -1731,20 +1725,19 @@ class Federation:
         where :meth:`Node.serve` runs it.
 
         The hop sends the attempt's own envelope — its correlation id,
-        message id, QoS, binding and attempt counter, so a traced retry
-        over sockets is recognizably the same logical call.  The
-        attempt already set its target and object id and minted a fresh
-        context; here its arguments are marshalled into pure wire values
-        in place (proxies become references), which a QoS retry repeats
-        as an identity copy.  Faults come back as FAULT frames and
-        re-raise here with their retryability intact, so the failover
-        element and the QoS budget behave exactly as they do in process.
+        QoS, binding and attempt counter, so a traced retry over sockets
+        is recognizably the same logical call.  The attempt already set
+        its target and object id and minted a fresh context; here its
+        arguments are marshalled into pure wire values in place (proxies
+        become references), which a QoS retry repeats as an identity
+        copy.  Faults come back as FAULT frames and re-raise here with
+        their retryability intact, so the failover element and the QoS
+        budget behave exactly as they do in process.
         """
-        request = envelope.request
-        request.args = marshal(request.args, proxy_ref, root="args")
-        request.kwargs = marshal(request.kwargs, proxy_ref, root="kwargs")
+        envelope.args = marshal(envelope.args, proxy_ref, root="args")
+        envelope.kwargs = marshal(envelope.kwargs, proxy_ref, root="kwargs")
         return self._hydrate(
-            node, self._socket_transport.roundtrip(node.name, envelope).result
+            node, self._socket_transport.roundtrip(node.name, envelope)
         )
 
     def _wire_batch(
@@ -1755,37 +1748,39 @@ class Federation:
         envelope: Envelope,
     ) -> List[Any]:
         """Send a batch's hop to ``node`` as one REQUEST frame, whose
-        :data:`~repro.runtime.node.BATCH` request carries the member
+        :data:`~repro.runtime.node.BATCH` envelope carries the member
         calls in wire values.  :meth:`Node.serve` answers with one
-        :class:`Response` per member; each comes back as the member's
-        value or its rebuilt error.  A fault of the whole frame raises,
-        classified as for a single call's hop."""
+        outcome per member, ``{"result": value}`` or ``{"error": ...}``;
+        each comes back as the member's value or its rebuilt error.  A
+        fault of the whole frame raises, classified as for a single
+        call's hop; a reply of any other shape raises
+        :class:`~repro.errors.ProtocolError`, which is not retryable, so
+        members whose effects already ran are never re-sent."""
         members = [
             [ref.object_id, ref.type_name, operation, list(args), kwargs]
             for ref, operation, args, kwargs in calls
         ]
         hop = Envelope(
-            request=Request(
-                BATCH, BATCH, marshal(members, proxy_ref, root="batch"), {}, context
-            ),
-            qos=envelope.qos,
-            correlation_id=envelope.correlation_id,
-            target=node.name,
-            attempt=envelope.attempt,
+            BATCH, BATCH, marshal(members, proxy_ref, root="batch"), {}, context,
+            envelope.qos, envelope.correlation_id, node.name, attempt=envelope.attempt,
         )
-        replies = self._socket_transport.roundtrip(node.name, hop).result
-        if len(replies) != len(calls):
+        replies = self._socket_transport.roundtrip(node.name, hop)
+        if type(replies) is not list or len(replies) != len(calls):
             raise ProtocolError(
-                f"batch reply from {node.name!r} has {len(replies)} outcomes "
-                f"for {len(calls)} calls"
+                f"batch reply from {node.name!r} is not a list of "
+                f"{len(calls)} outcomes, one per call"
             )
         outcomes = []
-        for data in replies:
-            reply = Response.from_wire(data)
-            if reply.is_error:
-                outcomes.append(error_from_wire(reply.error))
+        for reply in replies:
+            if type(reply) is not dict or list(reply) not in (["result"], ["error"]):
+                raise ProtocolError(
+                    f"batch reply from {node.name!r} holds an outcome that is "
+                    f"neither a result nor an error: {reply!r}"
+                )
+            if "error" in reply:
+                outcomes.append(error_from_wire(reply["error"]))
             else:
-                outcomes.append(self._hydrate(node, reply.result))
+                outcomes.append(self._hydrate(node, reply["result"]))
         return outcomes
 
     def _hydrate(self, node: Union[Node, RemoteNode], value: Any) -> Any:
@@ -1855,7 +1850,8 @@ class Federation:
 
         The envelope carries the call's state: its partition, its
         context source (:meth:`_context_source`) and the trace headers
-        captured here, on the caller's thread.
+        captured here, on the caller's thread.  Its context is minted by
+        each attempt, for the owner that attempt resolves.
         """
         node, ref = self.resolve(binding)
         if qos is DEFAULT_QOS:
@@ -1865,32 +1861,24 @@ class Federation:
             declared = self.qos_for(binding)
             if declared is not None:
                 qos = declared
-        source = self._context_source(context)
         tracer = self.observability.tracer
+        envelope = Envelope(
+            ref.object_id,
+            operation,
+            list(args),
+            dict(kwargs or {}),
+            qos=qos,
+            target=node.name,
+            binding=binding,
+            label=f"{ref.type_name}.{operation}",
+        )
+        envelope.partition = ShardedNamingService.partition_key(binding)
+        envelope.context_source = self._context_source(context)
         # captured on the caller's thread at build time: the active
         # span (a harness root span, or the bus span of the dispatch
         # this nested call was made from) becomes this hop's parent.
         # Inherited delivery contexts already carry the trace key.
-        trace_headers = tracer.current_headers() if tracer.enabled else None
-        request = Request(
-            object_id=ref.object_id,
-            operation=operation,
-            args=list(args),
-            kwargs=dict(kwargs or {}),
-            context=self._mint_context(source, node),
-        )
-        if trace_headers is not None:
-            request.context[TRACE_KEY] = trace_headers
-        envelope = Envelope(
-            request=request,
-            qos=qos,
-            target=node.name,
-            label=f"{ref.type_name}.{operation}",
-            binding=binding,
-        )
-        envelope.partition = ShardedNamingService.partition_key(binding)
-        envelope.context_source = source
-        envelope.trace_headers = trace_headers
+        envelope.trace_headers = tracer.current_headers() if tracer.enabled else None
         return envelope
 
     def _attempt(self, envelope: Envelope):
@@ -1911,9 +1899,8 @@ class Federation:
             envelope.owner = owner
             envelope.ref = ref
             envelope.target = owner.name
-            request = envelope.request
-            request.object_id = ref.object_id
-            request.context = context = self._mint_context(
+            envelope.object_id = ref.object_id
+            envelope.context = context = self._mint_context(
                 envelope.context_source, owner
             )
             if envelope.trace_headers is not None:
@@ -2017,8 +2004,10 @@ class Federation:
         partitions they name, its context source and the trace headers
         captured here, on the caller's thread."""
         tracer = self.observability.tracer
-        request = Request(BATCH, BATCH, [item.label for item in items], {})
-        envelope = Envelope(request=request, qos=qos, target=items[0].node.name)
+        envelope = Envelope(
+            BATCH, BATCH, [item.label for item in items], {}, qos=qos,
+            target=items[0].node.name,
+        )
         envelope.context_source = self._context_source(context)
         envelope.trace_headers = tracer.current_headers() if tracer.enabled else None
         envelope.batch = items
@@ -2058,7 +2047,7 @@ class Federation:
                 return None
             envelope.target = next(iter(hops))
             trace_headers = envelope.trace_headers
-            envelope.request.context = (
+            envelope.context = (
                 {} if trace_headers is None else {TRACE_KEY: trace_headers}
             )
             return self.chain.execute(envelope, functools.partial(self._send_batch, hops))
@@ -2085,7 +2074,7 @@ class Federation:
             # the owner's context plus the per-attempt keys the chain
             # (tracing) stamped into the envelope's
             context = self._mint_context(envelope.context_source, owner)
-            context.update(envelope.request.context)
+            context.update(envelope.context)
             calls = [(ref, item.operation, item.args, item.kwargs) for item, ref in members]
             if self._socket_transport is not None:
                 hop = functools.partial(self._wire_batch, owner, calls, context, envelope)
@@ -2197,7 +2186,9 @@ class InvocationPipeline:
     def call(self, name: str, operation: str, *args, **kwargs) -> ReplyFuture:
         node, ref = self.federation.resolve(name)
         label = f"{ref.type_name}.{operation}"
-        future = ReplyFuture(Envelope(request=None, qos=self.qos, label=label))
+        future = ReplyFuture(
+            Envelope(ref.object_id, operation, args, kwargs, qos=self.qos, label=label)
+        )
         item = _PipelinedCall(node, name, operation, args, kwargs, label, future)
         self._pending.append(item)
         if len(self._pending) >= self.max_batch:

@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.analysis.witness import named_lock
 from repro.core.runtime import MiddlewareServices
 from repro.errors import DeploymentError, FederationError, NamingError, ReproError
-from repro.middleware.bus import ObjectRefData, Response, marshal
+from repro.middleware.bus import ObjectRefData, error_to_wire, marshal
 from repro.middleware.naming import NamingService
 from repro.middleware.envelope import Envelope, delivery_stack
 from repro.middleware.rpc import proxy_ref
@@ -338,36 +338,31 @@ class Node:
         against this node's registry, passed on as decoded (:meth:`_run`
         and the ORB copy what they keep), and proxies in the result
         leave as references.  A :data:`BATCH` request runs its members
-        through :meth:`invoke_batch` and answers with one
-        :class:`Response` per member, carrying its value or its error.
+        through :meth:`invoke_batch` and answers with one outcome per
+        member, ``{"result": value}`` or ``{"error": ...}`` (the form
+        :mod:`repro.middleware.bus` documents beside ``error_to_wire``).
         """
-        request = envelope.request
-        if request.operation == BATCH:
+        if envelope.operation == BATCH:
             outcomes = self.invoke_batch(
                 [
                     (ObjectRefData(object_id, type_name), operation, args, kwargs)
-                    for object_id, type_name, operation, args, kwargs in request.args
+                    for object_id, type_name, operation, args, kwargs in envelope.args
                 ],
-                request.context,
+                envelope.context,
             )
-            replies = []
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    reply = Response.from_exception(request.message_id, outcome)
-                else:
-                    reply = Response(
-                        request.message_id,
-                        result=marshal(outcome, proxy_ref, root="result"),
-                    )
-                replies.append(reply.to_wire())
-            return replies
+            return [
+                {"error": error_to_wire(outcome, dispatched=True)}
+                if isinstance(outcome, Exception)
+                else {"result": marshal(outcome, proxy_ref, root="result")}
+                for outcome in outcomes
+            ]
         type_name = (envelope.label or ".").rsplit(".", 1)[0]
         result = self.invoke(
-            ObjectRefData(request.object_id, type_name),
-            request.operation,
-            request.args,
-            request.kwargs,
-            request.context,
+            ObjectRefData(envelope.object_id, type_name),
+            envelope.operation,
+            envelope.args,
+            envelope.kwargs,
+            envelope.context,
         )
         return marshal(result, proxy_ref, root="result")
 

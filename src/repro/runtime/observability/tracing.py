@@ -57,7 +57,7 @@ class TraceContext:
         self.parent_span_id = parent_span_id
 
     def headers(self) -> Dict[str, str]:
-        """The propagation form stamped into ``request.context['trace']``."""
+        """The propagation form stamped into ``envelope.context['trace']``."""
         return {"trace_id": self.trace_id, "span_id": self.span_id}
 
     def child(self, span_id: str) -> "TraceContext":
@@ -319,15 +319,15 @@ class Tracer:
         def trace_element(envelope, next):
             if not self.enabled:
                 return next(envelope)
-            context = envelope.request.context
-            ctx = context.get(TRACE_KEY) if isinstance(context, dict) else None
+            context = envelope.context
+            ctx = context.get(TRACE_KEY)
             if not ctx:
                 return next(envelope)
             parent = getattr(envelope, "_trace_retry_parent", None)
             span = self._open(
                 ctx["trace_id"],
                 parent or ctx["span_id"],
-                envelope.label or envelope.request.operation,
+                envelope.label or envelope.operation,
                 "hop",
                 envelope.target,
                 envelope.attempt,
@@ -365,44 +365,43 @@ class Tracer:
     def bus_element(self, node_name: str):
         """Bus-chain element: one span per servant dispatch on a node.
 
-        The parent comes from the bus request's own context or — for
+        The parent comes from the bus envelope's own context or — for
         dispatches issued inside a delivery (the common path) — from the
         thread's delivery context, which the federation hop stamped.
-        The bus terminal converts servant errors to wire responses, so
-        status is read off the Response rather than an exception.
+        The bus terminal returns a servant's error as an ``{"error":
+        ...}`` outcome, so status is read off the outcome rather than
+        an exception, and the span's ``error`` is the servant's own
+        type name.
         """
 
         def bus_trace_element(envelope, next):
             if not self.enabled:
                 return next(envelope)
-            context = envelope.request.context
-            ctx = context.get(TRACE_KEY) if isinstance(context, dict) else None
-            if not ctx:
-                ctx = delivery_context_value(TRACE_KEY)
+            ctx = envelope.context.get(TRACE_KEY) or delivery_context_value(TRACE_KEY)
             if not ctx:
                 return next(envelope)
             span = self._open(
                 ctx["trace_id"],
                 ctx["span_id"],
-                envelope.request.operation,
+                envelope.operation,
                 "bus",
                 node_name,
                 envelope.attempt,
             )
             self._push(span)
             try:
-                response = next(envelope)
+                outcome = next(envelope)
             except Exception as exc:
                 span.status = "error"
                 span.error = type(exc).__name__
                 raise
             else:
-                if getattr(response, "is_error", False):
+                if "error" in outcome:
                     span.status = "error"
-                    span.error = response.error["type"]
+                    span.error = outcome["error"]["type"]
                 else:
                     span.status = "ok"
-                return response
+                return outcome
             finally:
                 self._close(span)
 
@@ -512,9 +511,8 @@ class Tracer:
 def _batch_members(envelope) -> Optional[List[str]]:
     """Labels of a pipelined batch's member calls, if this is one.
 
-    The batch envelope carries its member labels as the request args
-    (see ``Federation._submit_batch``)."""
-    request = envelope.request
-    if getattr(request, "operation", None) != "<batch>":
+    The batch envelope carries its member labels as its args (see
+    ``Federation._submit_batch``)."""
+    if envelope.operation != "<batch>":
         return None
-    return [label for label in request.args if label is not None]
+    return [label for label in envelope.args if label is not None]

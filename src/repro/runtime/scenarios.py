@@ -75,9 +75,9 @@ def attach_late_success(future, action) -> None:
     The timed-out-call hook: a delivery may still land after the caller
     gave up, and bookkeeping (e.g. a deposit's tally delta) must follow
     the *actual* outcome.  Goes through ``future.result()`` so the
-    outcome is decoded exactly like a normal wait — a bus-level reply
-    whose Response carries a wire error counts as failure, never as
-    success with a raw Response payload.
+    outcome is decoded exactly like a normal wait — a bus-level
+    ``{"error": ...}`` outcome counts as failure, never as success with
+    the raw outcome as its value.
     """
 
     def callback(done):

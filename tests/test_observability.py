@@ -180,9 +180,10 @@ def test_report_renders_per_node_latency_table():
 
 
 def _envelope(label, retries=0):
-    request = SimpleNamespace(context={}, operation=label or "<batch>", args=[])
     return SimpleNamespace(
-        request=request,
+        context={},
+        operation=label or "<batch>",
+        args=[],
         label=label,
         target="node-1",
         attempt=0,
@@ -249,9 +250,10 @@ def test_metrics_element_skips_labelless_batch_envelopes():
 
 
 def _hop_env(label, context, target="node-1", retries=0):
-    request = SimpleNamespace(context=context, operation=label, args=[])
     return SimpleNamespace(
-        request=request,
+        context=context,
+        operation=label,
+        args=[],
         label=label,
         target=target,
         attempt=0,
@@ -281,10 +283,8 @@ def test_tracer_tree_and_critical_path():
         env = _hop_env("Bank.op", {TRACE_KEY: tracer.current_headers()})
 
         def deliver(envelope):
-            bus_env = _hop_env("op", dict(envelope.request.context))
-            return bus_element(
-                bus_env, lambda e: SimpleNamespace(is_error=False)
-            )
+            bus_env = _hop_env("op", dict(envelope.context))
+            return bus_element(bus_env, lambda e: {"result": None})
 
         hop_element(env, deliver)
 

@@ -73,16 +73,9 @@ def build(transport="socket", nodes=3, partitions=6, replication=0, **kwargs):
 
 
 def _envelope(target, operation="op"):
-    from repro.middleware.bus import Request
     from repro.middleware.envelope import Envelope
 
-    return Envelope(
-        request=Request(
-            object_id="obj-1", operation=operation, args=[], kwargs={}, context={}
-        ),
-        target=target,
-        label=f"T.{operation}",
-    )
+    return Envelope("obj-1", operation, [], {}, {}, target=target, label=f"T.{operation}")
 
 
 class _ScriptedServer:
@@ -158,26 +151,20 @@ def test_parse_endpoints():
 
 class TestWireLayer:
     def test_request_response_over_tcp(self):
-        from repro.middleware.bus import Request
         from repro.middleware.envelope import Envelope
 
         served = []
 
         def handler(envelope):
-            served.append(envelope.request.operation)
-            return envelope.request.args[0] * 2
+            served.append(envelope.operation)
+            return envelope.args[0] * 2
 
         server = WireServer(node="w", request_handler=handler)
         endpoint = server.start()
         try:
             transport = SocketTransport({"w": endpoint}.get)
-            request = Request(
-                object_id="obj-1", operation="double", args=[21], kwargs={},
-                context={},
-            )
-            envelope = Envelope(request=request, target="w", label="T.double")
-            response = transport.roundtrip("w", envelope)
-            assert response.result == 42
+            envelope = Envelope("obj-1", "double", [21], {}, {}, target="w", label="T.double")
+            assert transport.roundtrip("w", envelope) == 42
             assert served == ["double"]
             transport.shutdown()
         finally:
@@ -185,15 +172,9 @@ class TestWireLayer:
 
     def test_unknown_node_is_node_down(self):
         transport = SocketTransport({}.get)
-        from repro.middleware.bus import Request
         from repro.middleware.envelope import Envelope
 
-        envelope = Envelope(
-            request=Request(
-                object_id="o", operation="x", args=[], kwargs={}, context={}
-            ),
-            target="ghost",
-        )
+        envelope = Envelope("o", "x", [], {}, {}, target="ghost")
         with pytest.raises(NodeDownError) as excinfo:
             transport.roundtrip("ghost", envelope)
         assert excinfo.value.node == "ghost"
@@ -244,7 +225,7 @@ class TestWireLayer:
         def misreply(conn, session, kind, payload):
             envelope = Envelope.from_wire(payload[1])
             wrong = envelope.correlation_id + 7
-            conn.sendall(response_frame(wrong, envelope.request.message_id, 1))
+            conn.sendall(response_frame(wrong, 1))
             return False
 
         server = _ScriptedServer(misreply)
@@ -266,10 +247,9 @@ class TestWireLayer:
 
         def double_reply(conn, session, kind, payload):
             envelope = Envelope.from_wire(payload[1])
-            message_id = envelope.request.message_id
             conn.sendall(
-                response_frame(envelope.correlation_id, message_id, 1)
-                + response_frame(envelope.correlation_id + 7, message_id, 2)
+                response_frame(envelope.correlation_id, 1)
+                + response_frame(envelope.correlation_id + 7, 2)
             )
             return False
 
@@ -394,7 +374,7 @@ class TestWireLayer:
         serving."""
 
         def handler(envelope):
-            return object() if envelope.request.operation == "bad" else 7
+            return object() if envelope.operation == "bad" else 7
 
         server = WireServer(node="w", request_handler=handler)
         endpoint = server.start()
@@ -403,7 +383,7 @@ class TestWireLayer:
             with pytest.raises(ProtocolError, match="outside the wire contract") as bad:
                 transport.roundtrip("w", _envelope("w", "bad"))
             assert not is_retryable(bad.value)
-            assert transport.roundtrip("w", _envelope("w", "good")).result == 7
+            assert transport.roundtrip("w", _envelope("w", "good")) == 7
             assert transport.stats()["dials"] == 1
             assert (server.requests_served, server.faults_returned) == (1, 1)
             transport.shutdown()
@@ -432,37 +412,30 @@ class TestWireLayer:
         monkeypatch.setattr(wire, "encode_value", traced("encode", encode))
         monkeypatch.setattr(wire, "decode_value", traced("decode", decode))
         monkeypatch.setattr(Envelope, "from_wire", classmethod(traced("from_wire", from_wire)))
-        server = WireServer(node="w", request_handler=lambda env: [env.request.operation])
+        server = WireServer(node="w", request_handler=lambda env: [env.operation])
         endpoint = server.start()
         try:
             transport = SocketTransport({"w": endpoint}.get)
             transport.roundtrip("w", _envelope("w"))  # dials and shakes hands
             events.clear()
-            assert transport.roundtrip("w", _envelope("w")).result == ["op"]
+            assert transport.roundtrip("w", _envelope("w")) == ["op"]
             assert events == ["encode", "decode", "from_wire", "encode", "decode"]
             transport.shutdown()
         finally:
             server.stop()
 
     def test_unencodable_request_returns_its_connection_to_the_pool(self):
-        from repro.middleware.bus import Request
         from repro.middleware.envelope import Envelope
 
         server = WireServer(node="w", request_handler=lambda env: 1)
         endpoint = server.start()
         try:
             transport = SocketTransport({"w": endpoint}.get)
-            assert transport.roundtrip("w", _envelope("w")).result == 1
-            bad = Envelope(
-                request=Request(
-                    object_id="obj-1", operation="op", args=[object()], kwargs={},
-                    context={},
-                ),
-                target="w",
-            )
+            assert transport.roundtrip("w", _envelope("w")) == 1
+            bad = Envelope("obj-1", "op", [object()], {}, {}, target="w")
             with pytest.raises(ProtocolError, match="outside the wire contract"):
                 transport.roundtrip("w", bad)
-            assert transport.roundtrip("w", _envelope("w")).result == 1
+            assert transport.roundtrip("w", _envelope("w")) == 1
             assert transport.stats()["dials"] == 1
             transport.shutdown()
         finally:
@@ -504,7 +477,7 @@ class TestWireLayer:
         try:
             transport = SocketTransport({"w": endpoint}.get)
             call, expected = {
-                "roundtrip": (lambda: transport.roundtrip("w", _envelope("w")).result, 1),
+                "roundtrip": (lambda: transport.roundtrip("w", _envelope("w")), 1),
                 "control": (lambda: transport.control("w", {"verb": "ping"}), {"verb": "ping"}),
             }[path]
             assert call() == expected  # leaves one pooled connection

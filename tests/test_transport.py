@@ -21,16 +21,12 @@ from repro.middleware import (
     QoS,
     QueuedTransport,
     ReplyFuture,
-    Request,
 )
 from repro.middleware.envelope import is_retryable
 
 
 def make_envelope(qos=DEFAULT_QOS, **context):
-    request = Request(
-        object_id="obj-1", operation="op", args=[], kwargs={}, context=dict(context)
-    )
-    return Envelope(request=request, qos=qos)
+    return Envelope("obj-1", "op", [], {}, dict(context), qos=qos)
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +52,11 @@ class TestQoS:
 
     def test_wire_rebuilt_bare_faults_are_not_retryable(self):
         # a bare MiddlewareError that crossed a servant dispatch (an
-        # error Response) means effects may exist: never re-deliver
-        from repro.middleware.bus import Response, error_from_wire
+        # error outcome) means effects may exist: never re-deliver
+        from repro.middleware.bus import error_from_wire, error_to_wire
 
         rebuilt = error_from_wire(
-            Response.from_exception(1, MiddlewareError("nested fault")).error
+            error_to_wire(MiddlewareError("nested fault"), dispatched=True)
         )
         assert type(rebuilt) is MiddlewareError
         assert not is_retryable(rebuilt)
@@ -674,6 +670,42 @@ class TestSocketFederationPipeline(_PipelineCases):
             for future in futures:
                 with pytest.raises(ProtocolError, match="outcomes"):
                     future.result(timeout_ms=5000)
+        finally:
+            federation.shutdown()
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [lambda n: [[1, 2]] * n, lambda n: [7] * n, lambda n: 5],
+        ids=["a-pair-per-member", "an-int-per-member", "an-int"],
+    )
+    def test_malformed_batch_reply_fails_every_member_as_a_protocol_error(
+        self, monkeypatch, malformed
+    ):
+        """A batch reply that is not one ``{"result": ...}`` or
+        ``{"error": ...}`` outcome per member fails every member with a
+        protocol error naming the node, never a bare builtin error, and
+        re-sends none: the peer really ran the batch, and each effect
+        happened once."""
+        from repro.errors import ProtocolError
+
+        federation, servants = self._federation()
+        try:
+            names = sorted(servants)
+            node = federation.node_for(names[0])
+            group = [n for n in names if federation.node_for(n) is node]
+            transport = federation._socket_transport
+            roundtrip = transport.roundtrip
+
+            def replaced(node_name, envelope):
+                return malformed(len(roundtrip(node_name, envelope)))
+
+            monkeypatch.setattr(transport, "roundtrip", replaced)
+            pipe = federation.pipeline(max_batch=len(group), qos=QoS(retries=3))
+            futures = [pipe.call(name, "add", 1) for name in group]
+            for future in futures:
+                with pytest.raises(ProtocolError, match=f"batch reply from {node.name!r}"):
+                    future.result(timeout_ms=5000)
+            assert [servants[name].value for name in group] == [1] * len(group)
         finally:
             federation.shutdown()
 

@@ -34,8 +34,6 @@ from repro.errors import (
 )
 from repro.middleware.bus import (
     ObjectRefData,
-    Request,
-    Response,
     marshal,
     wire_size,
     # a FAULT frame carries its error in the one error codec's form
@@ -263,15 +261,10 @@ def test_marshal_accepts_bytes():
 
 
 def _request_frame(**overrides):
-    request = Request(
-        object_id="obj-1",
-        operation="deposit",
-        args=[100],
-        kwargs={},
-        context={"user": "alice"},
+    envelope = Envelope(
+        "obj-1", "deposit", [100], {}, {"user": "alice"}, QoS(retries=2), target="node-0"
     )
-    envelope = Envelope(request=request, qos=QoS(retries=2), target="node-0")
-    return WireSession("client").send_request(envelope)
+    return request_frame(envelope)
 
 
 def test_frames_survive_arbitrary_splits():
@@ -285,7 +278,7 @@ def test_frames_survive_arbitrary_splits():
     assert len(collected) == 1
     kind, (nested, payload) = collected[0]
     assert kind == REQUEST and nested is False
-    assert Envelope.from_wire(payload).request.operation == "deposit"
+    assert Envelope.from_wire(payload).operation == "deposit"
     assert decoder.pending() == 0
 
 
@@ -294,7 +287,7 @@ def test_interleaved_frames_in_one_read():
     frames = [
         encode_frame(HELLO, {"version": VERSION, "node": "a"}),
         _request_frame(),
-        response_frame(7, 1, None),
+        response_frame(7, None),
     ]
     partial = _request_frame()
     decoder = FrameDecoder()
@@ -494,15 +487,12 @@ def test_fault_frames_round_trip_through_the_codec():
 
 
 def test_envelope_round_trip_preserves_correlation_and_qos():
-    request = Request(
-        object_id="obj-3",
-        operation="transfer",
-        args=[ObjectRefData("obj-1", "Account"), 25],
-        kwargs={"memo": "rent"},
-        context={},
-    )
     envelope = Envelope(
-        request=request,
+        "obj-3",
+        "transfer",
+        [ObjectRefData("obj-1", "Account"), 25],
+        {"memo": "rent"},
+        {},
         qos=QoS(retries=3, timeout_ms=500),
         target="node-2",
         binding="branch-0/Bank/0",
@@ -510,14 +500,14 @@ def test_envelope_round_trip_preserves_correlation_and_qos():
         attempt=2,
     )
     decoder = FrameDecoder()
-    decoder.feed(WireSession("client").send_request(envelope))
+    decoder.feed(request_frame(envelope))
     [(kind, (_nested, payload))] = list(decoder.frames())
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == envelope.correlation_id
     assert hydrated.attempt == 2
     assert hydrated.qos.retries == 3
     assert hydrated.binding == "branch-0/Bank/0"
-    assert hydrated.request.args[0] == ObjectRefData("obj-1", "Account")
+    assert hydrated.args[0] == ObjectRefData("obj-1", "Account")
 
 
 # ---------------------------------------------------------------------------
@@ -774,25 +764,27 @@ def test_decoder_accepts_any_bytes_like_payload():
 # fixed headers: REQUEST and RESPONSE
 # ---------------------------------------------------------------------------
 
-#: the version-4 REQUEST payload header: correlation id, message id,
-#: attempt, QoS retries, flags (oneway 1, nested 2), timeout kind and
-#: value, then the byte lengths of target, binding, label, object id and
-#: operation
-REQUEST_HEAD = struct.Struct(">QQIIBBd5I")
+#: the version-7 REQUEST payload header: correlation id, attempt, QoS
+#: retries, flags (oneway 1, nested 2), timeout kind and value, then the
+#: byte lengths of target, binding, label, object id and operation
+REQUEST_HEAD = struct.Struct(">QIIBBd5I")
+#: the version-7 RESPONSE payload header: the correlation id alone
+RESPONSE_HEAD = struct.Struct(">Q")
 FRAME_HEADER = 8
+#: where the flags byte sits in a REQUEST frame
+FLAGS = FRAME_HEADER + 16
 ABSENT = 0xFFFFFFFF
 
 
 def _envelope(**fields):
-    request = Request(
-        object_id=fields.pop("object_id", "obj-1"),
-        operation=fields.pop("operation", "deposit"),
-        args=[100],
-        kwargs={"memo": "x"},
-        context={"user": "alice"},
-        message_id=fields.pop("message_id", 41),
+    return Envelope(
+        fields.pop("object_id", "obj-1"),
+        fields.pop("operation", "deposit"),
+        [100],
+        {"memo": "x"},
+        {"user": "alice"},
+        **fields,
     )
-    return Envelope(request=request, **fields)
 
 
 def _decoded(frame):
@@ -811,10 +803,11 @@ def test_request_header_layout_is_pinned():
         label="",
         attempt=1,
     )
-    frame = WireSession("client").send_request(envelope)
+    frame = request_frame(envelope)
+    assert frame[:4] == b"RW" + bytes([7, REQUEST])
     payload = frame[FRAME_HEADER:]
     assert REQUEST_HEAD.unpack_from(payload) == (
-        9, 41, 1, 2, 1, 1, 250.0, 6, ABSENT, 0, 5, 7
+        9, 1, 2, 1, 1, 250.0, 6, ABSENT, 0, 5, 7
     )
     strings = payload[REQUEST_HEAD.size:REQUEST_HEAD.size + 18]
     assert strings == b"node-0" + b"obj-1" + b"deposit"
@@ -836,14 +829,14 @@ def _frame_of(kind, payload):
 @pytest.mark.parametrize("kind", [REQUEST, RESPONSE])
 def test_header_shorter_than_its_struct_is_refused(kind):
     decoder = FrameDecoder()
-    decoder.feed(_frame_of(kind, b"\x00" * 12))
+    decoder.feed(_frame_of(kind, b"\x00" * (RESPONSE_HEAD.size - 1)))
     with pytest.raises(ProtocolError, match="header needs"):
         list(decoder.frames())
     assert _poisoned(decoder)
 
 
 def test_header_string_past_the_payload_end_is_refused():
-    frame = bytearray(WireSession("client").send_request(_envelope(target="node-0")))
+    frame = bytearray(request_frame(_envelope(target="node-0")))
     target_length = FRAME_HEADER + REQUEST_HEAD.size - 5 * 4
     assert frame[target_length:target_length + 4] == (6).to_bytes(4, "big")
     frame[target_length:target_length + 4] = (len(frame)).to_bytes(4, "big")
@@ -878,9 +871,22 @@ def test_version_5_hello_is_refused():
         server.feed(b"more")
 
 
+def test_version_6_hello_is_refused():
+    """Version 6's REQUEST and RESPONSE headers held a message id beside
+    the correlation id: a peer still speaking it is refused at HELLO,
+    before any frame of that layout is read, and the refusal poisons
+    the session."""
+    hello = _frame_of(HELLO, encode_value({"version": 6, "node": "c"}))
+    server = WireSession("server", node="w")
+    with pytest.raises(ProtocolError, match="unsupported wire version 6"):
+        server.feed(hello[:2] + bytes([6]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
+
+
 @pytest.mark.parametrize("field", ["target", "binding", "label", "operation"])
 def test_invalid_utf8_in_a_header_string_is_refused(field):
-    frame = WireSession("client").send_request(_envelope(**{field: "zz-ok"}))
+    frame = request_frame(_envelope(**{field: "zz-ok"}))
     assert frame.count(b"zz-ok") == 1
     decoder = FrameDecoder()
     decoder.feed(frame.replace(b"zz-ok", b"\xff\xfe-ok"))
@@ -892,21 +898,18 @@ def test_invalid_utf8_in_a_header_string_is_refused(field):
 @pytest.mark.parametrize("oneway", [False, True])
 @pytest.mark.parametrize("nested", [False, True])
 def test_nested_bit_round_trips_beside_oneway(oneway, nested):
-    frame = WireSession("client").send_request(
-        _envelope(qos=QoS(oneway=oneway)), nested=nested
-    )
-    assert frame[FRAME_HEADER + 24] == (1 if oneway else 0) | (2 if nested else 0)
+    frame = request_frame(_envelope(qos=QoS(oneway=oneway)), nested=nested)
+    assert frame[FLAGS] == (1 if oneway else 0) | (2 if nested else 0)
     _kind, (decoded, payload) = _decoded(frame)
     assert decoded is nested
     assert Envelope.from_wire(payload).qos.oneway is oneway
 
 
 def test_malformed_flags_and_call_shape_are_refused():
-    good = WireSession("client").send_request(_envelope())
-    flags = FRAME_HEADER + 24
+    good = request_frame(_envelope())
     for offset, byte, match in (
-        (flags, 4, "unknown request flag bits"),
-        (flags + 1, 7, "malformed timeout"),
+        (FLAGS, 4, "unknown request flag bits"),
+        (FLAGS + 1, 7, "malformed timeout"),
     ):
         frame = bytearray(good)
         frame[offset] = byte
@@ -915,7 +918,7 @@ def test_malformed_flags_and_call_shape_are_refused():
         with pytest.raises(ProtocolError, match=match):
             list(decoder.frames())
         assert _poisoned(decoder)
-    head = REQUEST_HEAD.pack(1, 1, 0, 0, 0, 0, 0.0, ABSENT, ABSENT, ABSENT, 0, 0)
+    head = REQUEST_HEAD.pack(1, 0, 0, 0, 0, 0.0, ABSENT, ABSENT, ABSENT, 0, 0)
     for call in ([[], {}, {}], ((), {}, {}), ([], {})):
         decoder = FrameDecoder()
         decoder.feed(_frame_of(REQUEST, head + encode_value(call)))
@@ -929,7 +932,6 @@ def test_malformed_flags_and_call_shape_are_refused():
     [
         {"correlation_id": 2**64},
         {"correlation_id": -1},
-        {"message_id": 2**64},
         {"attempt": 2**32},
         {"qos": QoS(retries=2**32)},
         {"qos": QoS(timeout_ms=2**53 + 1)},
@@ -939,22 +941,21 @@ def test_malformed_flags_and_call_shape_are_refused():
 )
 def test_a_field_wider_than_its_header_is_refused_at_encode(fields):
     with pytest.raises(ProtocolError):
-        WireSession("client").send_request(_envelope(**fields))
+        request_frame(_envelope(**fields))
 
 
 def test_a_response_id_wider_than_its_header_is_refused_at_encode():
     with pytest.raises(ProtocolError):
-        response_frame(2**64, 1, None)
+        response_frame(2**64, None)
     with pytest.raises(ProtocolError):
-        response_frame(1, 2**64, None)
+        response_frame(-1, None)
 
 
 def test_widest_ids_round_trip_unwrapped():
-    envelope = _envelope(correlation_id=2**64 - 1, message_id=2**64 - 1, attempt=2**32 - 1)
-    _kind, (_nested, payload) = _decoded(WireSession("client").send_request(envelope))
+    envelope = _envelope(correlation_id=2**64 - 1, attempt=2**32 - 1)
+    _kind, (_nested, payload) = _decoded(request_frame(envelope))
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == 2**64 - 1
-    assert hydrated.request.message_id == 2**64 - 1
     assert hydrated.attempt == 2**32 - 1
 
 
@@ -962,7 +963,7 @@ def test_widest_ids_round_trip_unwrapped():
 @pytest.mark.parametrize("value", [None, ""])
 def test_none_and_empty_header_strings_stay_distinct(field, value):
     _kind, (_nested, payload) = _decoded(
-        WireSession("client").send_request(_envelope(**{field: value}))
+        request_frame(_envelope(**{field: value}))
     )
     assert getattr(Envelope.from_wire(payload), field) == value
     assert (getattr(Envelope.from_wire(payload), field) is None) == (value is None)
@@ -971,23 +972,23 @@ def test_none_and_empty_header_strings_stay_distinct(field, value):
 @pytest.mark.parametrize("timeout_ms", [None, 500, 0, -3, 2**53, 500.0, 0.25, float("inf")])
 def test_timeout_round_trips_keeping_its_type(timeout_ms):
     envelope = _envelope(qos=QoS(timeout_ms=timeout_ms))
-    _kind, (_nested, payload) = _decoded(WireSession("client").send_request(envelope))
+    _kind, (_nested, payload) = _decoded(request_frame(envelope))
     hydrated = Envelope.from_wire(payload).qos.timeout_ms
     assert hydrated == timeout_ms
     assert type(hydrated) is type(timeout_ms)
 
 
 def test_response_carries_a_success_only():
-    """A RESPONSE is the two ids and the result, and it decodes as a
-    success: an error crosses as a FAULT."""
-    response = Response(5, result={"balance": [1.5, ObjectRefData("o", "T")]})
-    frame = response_frame(11, 5, response.result)
-    assert frame[FRAME_HEADER:FRAME_HEADER + 16] == struct.pack(">QQ", 11, 5)
-    assert decode_value(frame[FRAME_HEADER + 16:]) == response.result
-    kind, (correlation_id, wire) = _decoded(frame)
+    """A RESPONSE is the correlation id and the result, and it decodes
+    as the result itself: an error crosses as a FAULT."""
+    result = {"balance": [1.5, ObjectRefData("o", "T")]}
+    frame = response_frame(11, result)
+    assert frame[:4] == b"RW" + bytes([7, RESPONSE])
+    assert frame[FRAME_HEADER:FRAME_HEADER + RESPONSE_HEAD.size] == struct.pack(">Q", 11)
+    assert decode_value(frame[FRAME_HEADER + RESPONSE_HEAD.size:]) == result
+    kind, (correlation_id, decoded) = _decoded(frame)
     assert kind == RESPONSE and correlation_id == 11
-    assert Response.from_wire(wire) == response
-    assert Response.from_wire(wire).error is None
+    assert decoded == result
 
 
 def test_request_and_response_frames_have_no_tagged_payload_path():
@@ -1009,19 +1010,18 @@ def test_version_2_hello_is_refused():
 # one-pass frames against the reference framing
 # ---------------------------------------------------------------------------
 
-RESPONSE_HEAD = struct.Struct(">QQ")
 _FRAME_HEAD = struct.Struct(">2sBBI")
 
 
 def _reference_to_wire(envelope):
     """An envelope's positional form, read as the REQUEST framing read
     it before frames were packed in one pass."""
-    request, qos = envelope.request, envelope.qos
+    qos = envelope.qos
     return (
-        envelope.correlation_id, request.message_id, envelope.attempt,
-        qos.retries, qos.oneway, qos.timeout_ms, envelope.target,
-        envelope.binding, envelope.label, request.object_id, request.operation,
-        (request.args, request.kwargs, request.context),
+        envelope.correlation_id, envelope.attempt, qos.retries, qos.oneway,
+        qos.timeout_ms, envelope.target, envelope.binding, envelope.label,
+        envelope.object_id, envelope.operation,
+        (envelope.args, envelope.kwargs, envelope.context),
     )
 
 
@@ -1052,7 +1052,7 @@ def _reference_request_frame(envelope, nested=False):
     """A REQUEST frame as it was built field list by field list: the
     bytes :func:`request_frame` must keep producing."""
     (
-        correlation_id, message_id, attempt, retries, oneway, timeout_ms,
+        correlation_id, attempt, retries, oneway, timeout_ms,
         target, binding, label, object_id, operation, call,
     ) = _reference_to_wire(envelope)
     if timeout_ms is None:
@@ -1063,7 +1063,7 @@ def _reference_request_frame(envelope, nested=False):
         timeout_kind, timeout = 1, float(timeout_ms)
     parts = _reference_head_parts(
         REQUEST_HEAD,
-        (correlation_id, message_id, attempt, retries,
+        (correlation_id, attempt, retries,
          (1 if oneway else 0) | (2 if nested else 0), timeout_kind, timeout),
         (target, binding, label, object_id, operation),
     )
@@ -1071,8 +1071,8 @@ def _reference_request_frame(envelope, nested=False):
     return _reference_frame(REQUEST, parts)
 
 
-def _reference_response_frame(correlation_id, message_id, result):
-    parts = _reference_head_parts(RESPONSE_HEAD, (correlation_id, message_id), ())
+def _reference_response_frame(correlation_id, result):
+    parts = _reference_head_parts(RESPONSE_HEAD, (correlation_id,), ())
     parts.append(_reference_encode(result))
     return _reference_frame(RESPONSE, parts)
 
@@ -1097,7 +1097,7 @@ _TIMEOUT = st.one_of(
 @given(
     st.randoms(use_true_random=False),
     st.tuples(*[_HEADER_TEXT] * 5),
-    st.tuples(_U64, _U64, _U32_FIELD, _U32_FIELD),
+    st.tuples(_U64, _U32_FIELD, _U32_FIELD),
     _TIMEOUT,
     st.booleans(),
     st.booleans(),
@@ -1107,16 +1107,13 @@ def test_request_frames_match_the_reference_framing(
     rng, texts, ids, timeout_ms, oneway, nested
 ):
     target, binding, label, object_id, operation = texts
-    correlation_id, message_id, attempt, retries = ids
+    correlation_id, attempt, retries = ids
     envelope = Envelope(
-        request=Request(
-            object_id=object_id,
-            operation=operation,
-            args=[_random_value(rng) for _ in range(rng.randint(0, 3))],
-            kwargs={f"k{i}": _random_value(rng) for i in range(rng.randint(0, 2))},
-            context={"user": _random_value(rng)} if rng.random() < 0.5 else {},
-            message_id=message_id,
-        ),
+        object_id,
+        operation,
+        [_random_value(rng) for _ in range(rng.randint(0, 3))],
+        {f"k{i}": _random_value(rng) for i in range(rng.randint(0, 2))},
+        {"user": _random_value(rng)} if rng.random() < 0.5 else {},
         qos=QoS(oneway=oneway, timeout_ms=timeout_ms, retries=retries),
         correlation_id=correlation_id,
         target=target,
@@ -1126,15 +1123,14 @@ def test_request_frames_match_the_reference_framing(
     )
     frame = request_frame(envelope, nested)
     assert frame == _reference_request_frame(envelope, nested)
-    assert WireSession("client").send_request(envelope, nested) == frame
 
 
-@given(st.randoms(use_true_random=False), _U64, _U64)
+@given(st.randoms(use_true_random=False), _U64)
 @settings(max_examples=200, deadline=None)
-def test_response_frames_match_the_reference_framing(rng, correlation_id, message_id):
+def test_response_frames_match_the_reference_framing(rng, correlation_id):
     result = _random_value(rng)
-    frame = response_frame(correlation_id, message_id, result)
-    assert frame == _reference_response_frame(correlation_id, message_id, result)
+    frame = response_frame(correlation_id, result)
+    assert frame == _reference_response_frame(correlation_id, result)
 
 
 @pytest.mark.parametrize("field", ["target", "binding", "label", "object_id", "operation"])
