@@ -168,14 +168,13 @@ def wire_size(value) -> int:
 
 # An outcome crosses every boundary in one form: ``{"result": value}``
 # on success, ``{"error": error_to_wire(exc)}`` on failure.  The bus
-# terminal returns it, a batch member's wire reply is it, and so is a
-# ``CONTROL`` reply; a routed call's wire hop answers with a RESPONSE
-# frame (the value) or a FAULT frame (the error form) instead.
+# terminal returns it, a batch member's wire reply is it, and a REPLY
+# frame carries it as its outcome byte and the value or error form.
 
 
 def error_to_wire(exc: BaseException, dispatched: bool = False) -> Dict[str, Any]:
     """``exc`` in the one form an error crosses any boundary in: an
-    outcome's ``"error"``, a ``FAULT`` frame's ``"fault"`` (inverse of
+    outcome's ``"error"``, an error REPLY frame's value (inverse of
     :func:`error_from_wire`).
 
     The form carries the type name (the stable error code), the text,

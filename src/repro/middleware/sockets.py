@@ -5,8 +5,9 @@ codec, handshake) and, for errors, in :mod:`repro.middleware.bus`'s one
 error codec; this module owns the sockets and the threads:
 
 * :class:`WireServer` — a listener (TCP or unix-domain) that runs one
-  :class:`~repro.middleware.wire.WireSession` per accepted connection
-  and hands decoded REQUEST/CONTROL frames to callbacks.
+  :class:`~repro.middleware.wire.WireSession` per accepted connection,
+  hands decoded REQUEST/CONTROL frames to callbacks and answers each
+  with one REPLY frame.
 * :class:`WireClient` — one handshaken client connection with blocking
   send and await-reply steps.
 * :class:`ConnectionPool` — per-endpoint reuse of idle client
@@ -55,11 +56,9 @@ from repro.middleware.transport import (
 )
 from repro.middleware.wire import (
     CONTROL,
-    CONTROL_OK,
     DEFAULT_MAX_FRAME,
-    FAULT,
+    REPLY,
     REQUEST,
-    RESPONSE,
     WireSession,
     encode_frame,
     request_frame,
@@ -109,31 +108,35 @@ def _dial(endpoint: str, timeout_s: float) -> socket.socket:
 # ---------------------------------------------------------------------------
 
 
+def _no_control_plane(payload: Dict[str, Any]) -> Any:
+    raise TransportError("node serves no control plane")
+
+
 class WireServer:
     """A wire-protocol listener serving one node's envelopes.
 
     ``request_handler(envelope) -> wire value`` executes a decoded
-    REQUEST and returns the (already marshalled) result; exceptions
-    become FAULT frames with retryability classified sender-side.
-    ``control_handler(payload) -> dict`` answers CONTROL frames (a
-    worker's node-surface verbs); its exceptions cross as an ``"error"``
-    reply in the FAULT frame's error form.  A handler that calls
-    :meth:`stop_after_reply` closes the server once its reply is sent —
-    how a management conversation ends a worker from the outside.
+    REQUEST and returns the (already marshalled) result;
+    ``control_handler(payload) -> wire value`` runs a CONTROL frame (a
+    worker's node-surface verb).  Either's value, or the exception it
+    raised with its retryability classified sender-side, crosses back
+    as one REPLY frame.  A handler that calls :meth:`stop_after_reply`
+    closes the server once its reply is sent — how a management
+    conversation ends a worker from the outside.
     """
 
     def __init__(
         self,
         node: str,
         request_handler: Callable[[Envelope], Any],
-        control_handler: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
+        control_handler: Optional[Callable[[Dict[str, Any]], Any]] = None,
         endpoint: str = "tcp://127.0.0.1:0",
         max_frame: int = DEFAULT_MAX_FRAME,
         backlog: int = 32,
     ):
         self.node = node
         self.request_handler = request_handler
-        self.control_handler = control_handler
+        self.control_handler = control_handler or _no_control_plane
         self.max_frame = max_frame
         self._requested_endpoint = endpoint
         self._backlog = backlog
@@ -266,7 +269,7 @@ class WireServer:
                     greeted = session.handshaken
                 for kind, payload in session.events():
                     try:
-                        stop = self._serve_frame(conn, session, kind, payload)
+                        stop = self._serve_frame(conn, kind, payload)
                     except OSError:
                         return  # client went away while we replied
                     if stop:
@@ -277,53 +280,54 @@ class WireServer:
             with contextlib.suppress(OSError):
                 conn.close()
 
-    def _serve_frame(self, conn, session, kind: int, payload: Any) -> bool:
-        """Serve one conversation frame; True ends the connection."""
+    def _serve_frame(self, conn, kind: int, payload: Any) -> bool:
+        """Answer one conversation frame with its REPLY; True ends the
+        connection.
+
+        A REQUEST runs through the request handler and answers its
+        correlation id — a oneway too: its REPLY follows the effect, so
+        the caller meters it like any call and a drained caller (the
+        harness's quiesce) knows it has fully landed.  A CONTROL runs
+        through the control handler and answers id 0."""
         if kind == REQUEST:
-            # a oneway too: its RESPONSE or FAULT follows the effect, so
-            # the caller meters it like any call and a drained caller
-            # (the harness's quiesce) knows it has fully landed
             nested, wire = payload
-            envelope = Envelope.from_wire(wire)
-            # a nested request runs for a chain that already holds a
-            # permit (possibly on this node): it takes none, and what it
-            # sends on is marked in turn
-            chained = in_permit_chain()
-            permit_chain.held = nested
-            try:
-                result = self.request_handler(envelope)
-                # encoded before it counts as served: a result the wire
-                # cannot carry (ProtocolError) crosses as a FAULT too,
-                # and the connection keeps serving
-                reply = response_frame(envelope.correlation_id, result)
-            except Exception as exc:  # noqa: BLE001 - crosses as FAULT frame
-                with self._lock:
-                    self.faults_returned += 1
-                conn.sendall(session.send_fault(envelope.correlation_id, exc))
-                return False
-            finally:
-                permit_chain.held = chained
+            argument = Envelope.from_wire(wire)
+            correlation_id, handler = argument.correlation_id, self.request_handler
+        elif kind == CONTROL:
+            nested, argument, correlation_id, handler = False, payload, 0, self.control_handler
+        else:
+            # a REPLY is client-bound; receiving one here is a peer
+            # bug, not recoverable on this connection
             with self._lock:
-                self.requests_served += 1
-            conn.sendall(reply)
-            return False
-        if kind == CONTROL:
-            try:
-                if self.control_handler is None:
-                    raise TransportError("node serves no control plane")
-                reply = self.control_handler(dict(payload))
-            except Exception as exc:  # noqa: BLE001 - crosses as error reply
-                reply = {"error": error_to_wire(exc)}
-            conn.sendall(session.send_control_ok(reply))
-            if getattr(self._replying, "stop", False):
-                self.stop()
-                return True
-            return False
-        # RESPONSE/FAULT frames are client-bound; receiving one here
-        # is a peer bug, not recoverable on this connection
-        with self._lock:
-            self.protocol_errors += 1
-        return True
+                self.protocol_errors += 1
+            return True
+        # a nested request runs for a chain that already holds a permit
+        # (possibly on this node): it takes none, and what it sends on
+        # is marked in turn
+        chained = in_permit_chain()
+        permit_chain.held = nested
+        try:
+            # encoded before it counts as served: a value the wire
+            # cannot carry (ProtocolError) crosses as an error too, and
+            # the connection keeps serving
+            reply = response_frame(correlation_id, handler(argument))
+            failed = False
+        except Exception as exc:  # noqa: BLE001 - crosses as an error REPLY
+            reply = response_frame(correlation_id, error_to_wire(exc), error=True)
+            failed = True
+        finally:
+            permit_chain.held = chained
+        if kind == REQUEST:
+            with self._lock:
+                if failed:
+                    self.faults_returned += 1
+                else:
+                    self.requests_served += 1
+        conn.sendall(reply)
+        if kind == CONTROL and getattr(self._replying, "stop", False):
+            self.stop()
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -533,61 +537,26 @@ class SocketTransport(Transport):
 
     def roundtrip(self, node: str, envelope: Envelope) -> Any:
         """Deliver ``envelope`` to ``node`` and return its result, in
-        wire values.
-
-        Raises the decoded remote fault on FAULT frames, and a socket
-        failure as :meth:`_exchange` classifies it.  A call outside the
-        wire contract raises :class:`~repro.errors.ProtocolError` before
-        any connection is touched."""
+        wire values, or raise its error, as :meth:`_exchange` does.  A
+        call outside the wire contract raises
+        :class:`~repro.errors.ProtocolError` before any connection is
+        touched."""
         frame = request_frame(envelope, nested=in_permit_chain())
-        client, kind, payload = self._exchange(node, frame)
-        with self._stats_lock:
-            self.roundtrips += 1
-        if kind == RESPONSE:
-            got, result = payload
-        elif kind == FAULT:
-            got = payload.get("correlation_id") if isinstance(payload, dict) else None
-        else:
-            client.close()
-            raise ProtocolError(
-                f"expected a response frame from {node!r}, got kind {kind}"
-            )
-        if got != envelope.correlation_id:
-            # a stray or reordered frame must fail loudly, never be
-            # paired with the wrong call; the connection is beyond trust
-            client.close()
-            raise ProtocolError(
-                f"reply from {node!r} correlates to {got!r}, expected "
-                f"{envelope.correlation_id}"
-            )
-        self.pool.checkin(client)
-        if kind == FAULT:
-            raise error_from_wire(payload.get("fault"))
-        return result
+        return self._exchange(node, frame, envelope.correlation_id)
 
-    def control(self, node: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One management round trip (a worker's node-surface verb).
+    def control(self, node: str, payload: Dict[str, Any]) -> Any:
+        """One management round trip (a worker's node-surface verb):
+        the verb's value, or its error raised, as :meth:`_exchange`
+        returns a routed call's — a CONTROL's REPLY answers id 0."""
+        return self._exchange(node, encode_frame(CONTROL, payload), 0)
 
-        It travels :meth:`_exchange` like a routed call, so a socket
-        failure is classified the same way.  A failure on the peer
-        raises here as a FAULT frame's error does
-        (:func:`~repro.middleware.bus.error_from_wire`): a library error
-        as its own type, text and attributes, anything else as
-        :class:`~repro.errors.RemoteInvocationError`."""
-        client, kind, reply = self._exchange(node, encode_frame(CONTROL, payload))
-        if kind != CONTROL_OK:
-            client.close()
-            raise ProtocolError(
-                f"expected a control reply from {node!r}, got kind {kind}"
-            )
-        self.pool.checkin(client)
-        if "error" in reply:
-            raise error_from_wire(reply["error"])
-        return reply
-
-    def _exchange(self, node: str, frame: bytes) -> Tuple[WireClient, int, Any]:
-        """Send ``frame`` to ``node`` and await the peer's next frame;
-        returns the still checked-out connection and that frame.
+    def _exchange(self, node: str, frame: bytes, correlation_id: int) -> Any:
+        """Send ``frame`` to ``node`` and return the value of the REPLY
+        answering ``correlation_id``; an error REPLY raises its error
+        rebuilt (:func:`~repro.middleware.bus.error_from_wire`): a
+        library error as its own type, text and attributes, anything
+        else as :class:`~repro.errors.RemoteInvocationError`, a
+        malformed form as :class:`~repro.errors.ProtocolError`.
 
         Socket failures are classified by phase, because at-most-once
         hinges on it.  A failure *before* the frame was fully written
@@ -598,8 +567,9 @@ class SocketTransport(Transport):
         reply) raises ``NodeDownError(pre_effect=False, mid_call=True)``:
         the effect may have executed, so re-delivery is only safe once
         the failover element confirms the node is fail-stop dead.  A
-        reply that breaks the protocol (undecodable, or with another
-        conversation frame beside it in the same read) raises
+        reply that breaks the protocol (undecodable, with another
+        conversation frame beside it in the same read, of another kind
+        than REPLY or answering another id) raises
         :class:`~repro.errors.ProtocolError`, which is not retryable, and
         the connection is closed, never pooled."""
         endpoint = self.endpoints(node)
@@ -639,7 +609,24 @@ class SocketTransport(Transport):
                 pre_effect=False,
                 mid_call=True,
             ) from exc
-        return client, kind, payload
+        if correlation_id:  # routed calls only: a CONTROL's REPLY answers 0
+            with self._stats_lock:
+                self.roundtrips += 1
+        if kind != REPLY:
+            client.close()
+            raise ProtocolError(f"expected a reply frame from {node!r}, got kind {kind}")
+        got, error, value = payload
+        if got != correlation_id:
+            # a stray or reordered frame must fail loudly, never be
+            # paired with the wrong call; the connection is beyond trust
+            client.close()
+            raise ProtocolError(
+                f"reply from {node!r} correlates to {got}, expected {correlation_id}"
+            )
+        self.pool.checkin(client)
+        if error:
+            raise error_from_wire(value)
+        return value
 
     def _disconnected(self, endpoint: str) -> None:
         with self._stats_lock:

@@ -4,9 +4,9 @@ This module is the byte half of the invocation path's sans-IO split.
 The envelope layer (:mod:`repro.middleware.envelope`) holds a call as
 one envelope; this module packs it and its result into length-prefixed
 binary **frames** and parses frames back — a REQUEST into the plain
-positional form ``Envelope.from_wire`` rebuilds, a RESPONSE into its
-correlation id and result — and knows nothing about sockets, threads,
-or who is on the other end.  IO owners
+positional form ``Envelope.from_wire`` rebuilds, a REPLY into the
+correlation id it answers and its outcome — and knows nothing about
+sockets, threads, or who is on the other end.  IO owners
 (:mod:`repro.middleware.sockets`) feed received bytes in and write
 returned bytes out; a future asyncio transport drives the very same
 state machine.
@@ -25,10 +25,13 @@ flags byte (:data:`ONEWAY` and :data:`NESTED`), the timeout's kind
 (none, int or float) and value, and the byte lengths of target,
 binding, label, object id and operation (u32, :data:`ABSENT` for
 ``None``) — followed by those five UTF-8 strings and one tagged value
-``(args, kwargs, context)``.  A RESPONSE carries a success only: the
-correlation id (u64), followed by one tagged result.  An error crosses
-as a FAULT, whose payload — like HELLO's and CONTROL's — is one tagged
-value.
+``(args, kwargs, context)``.  A REPLY answers every REQUEST and every
+CONTROL: the correlation id it answers (u64; a CONTROL carries no id,
+so its REPLY answers 0) and an outcome byte (0 result, 1 error),
+followed by one tagged value — the result, or the error in
+:func:`~repro.middleware.bus.error_to_wire`'s form with the sender's
+retry verdict.  HELLO, HELLO-OK and CONTROL payloads are one tagged
+value each.
 
 Each frame is built in one pass: its frame header and fixed header are
 one ``struct`` pack, joined once with the header strings and the
@@ -51,8 +54,9 @@ string nor ``None``, at encode time, instead of wrapping.
 arbitrary splits (half a header, three frames and a tail, ...) and
 complete frames come out.  :class:`WireSession` layers the
 handshake/conversation rules on top: HELLO/HELLO-OK version agreement
-first, then request/response/fault frames paired by correlation id,
-which a handshaken session queues in one plain loop per read.
+first, then requests and control verbs answered by replies paired by
+correlation id, which a handshaken session queues in one plain loop
+per read.
 """
 
 from __future__ import annotations
@@ -61,19 +65,20 @@ import struct
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.middleware.bus import ObjectRefData, error_to_wire
+from repro.middleware.bus import ObjectRefData
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
-#: version 6's REQUEST and RESPONSE headers also held a message id that
-#: nothing read; version 5's CONTROL payloads were per-verb dicts of
-#: named fields;
-#: version 4's RESPONSE header held the lengths of an error type and
-#: message, always absent since errors cross as FAULT frames; version 3
-#: had no nested bit (its flags byte held the oneway flag alone);
-#: version 2 sent REQUEST and RESPONSE payloads as tagged dicts;
-#: version 1 also acked a oneway with kind 5
-VERSION = 7
+#: version 7 answered a REQUEST with a RESPONSE (kind 4, a success only)
+#: or an error frame (kind 6), and a CONTROL with an outcome-dict frame
+#: (kind 8); version 6's REQUEST and RESPONSE headers also held a
+#: message id that nothing read; version 5's CONTROL payloads were
+#: per-verb dicts of named fields; version 4's RESPONSE header held the
+#: lengths of an error type and message, always absent since errors
+#: crossed in error frames; version 3 had no nested bit (its flags byte
+#: held the oneway flag alone); version 2 sent REQUEST and RESPONSE
+#: payloads as tagged dicts; version 1 also acked a oneway with kind 5
+VERSION = 8
 
 #: refuse frames larger than this (a garbage length prefix must not make
 #: the decoder buffer gigabytes before noticing)
@@ -92,21 +97,19 @@ _HEADER = struct.Struct(">2sBBI")
 HELLO = 1  #: client greeting: {"version", "node"}
 HELLO_OK = 2  #: server accept: {"version", "node"}
 REQUEST = 3  #: one routed call: fixed header + the envelope's strings and call
-RESPONSE = 4  #: its success: fixed header (the correlation id) + the result
-FAULT = 6  #: its failure: {"correlation_id", "fault": bus.error_to_wire form}
+#: the outcome of a REQUEST or a CONTROL: fixed header (the correlation
+#: id it answers, the outcome byte) + the result or the error form
+REPLY = 4
 CONTROL = 7  #: one node-surface verb: {"verb", "args", "kwargs"}, empty ones omitted
-CONTROL_OK = 8  #: its reply: {"result": value} or {"error": bus.error_to_wire form}
 
-_KINDS = frozenset((HELLO, HELLO_OK, REQUEST, RESPONSE, FAULT, CONTROL, CONTROL_OK))
+_KINDS = frozenset((HELLO, HELLO_OK, REQUEST, REPLY, CONTROL))
 
 KIND_NAMES = {
     HELLO: "hello",
     HELLO_OK: "hello_ok",
     REQUEST: "request",
-    RESPONSE: "response",
-    FAULT: "fault",
+    REPLY: "reply",
     CONTROL: "control",
-    CONTROL_OK: "control_ok",
 }
 
 
@@ -285,7 +288,7 @@ def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 
 
 # ---------------------------------------------------------------------------
-# fixed headers: REQUEST and RESPONSE
+# fixed headers: REQUEST and REPLY
 # ---------------------------------------------------------------------------
 
 #: the header length of a string that is ``None`` (distinct from ``""``)
@@ -302,13 +305,13 @@ ONEWAY = 0x01
 NESTED = 0x02
 _FLAGS = ONEWAY | NESTED
 
-#: correlation id
-_RESPONSE_HEAD = struct.Struct(">Q")
+#: the correlation id answered, and the outcome byte: 0 result, 1 error
+_REPLY_HEAD = struct.Struct(">QB")
 
 #: the frame header followed by a kind's fixed header: what one pack
-#: writes when a REQUEST or RESPONSE frame is built
+#: writes when a REQUEST or REPLY frame is built
 _REQUEST_FRAME = struct.Struct(_HEADER.format + _REQUEST_HEAD.format[1:])
-_RESPONSE_FRAME = struct.Struct(_HEADER.format + _RESPONSE_HEAD.format[1:])
+_REPLY_FRAME = struct.Struct(_HEADER.format + _REPLY_HEAD.format[1:])
 
 #: the REQUEST header's timeout kinds; an int timeout travels in the
 #: float field, so it must be one the field holds exactly
@@ -377,17 +380,20 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     return b"".join(parts)
 
 
-def response_frame(correlation_id: int, result: Any) -> bytes:
-    """A RESPONSE frame carrying the success ``result`` of the call
-    with this correlation id."""
-    payload = encode_value(result)
+def response_frame(correlation_id: int, value: Any, error: bool = False) -> bytes:
+    """The REPLY frame answering the REQUEST with this correlation id,
+    or a CONTROL (id 0): ``value`` is its result, or with ``error`` the
+    :func:`~repro.middleware.bus.error_to_wire` form of what it raised.
+    A value outside the wire contract raises
+    :class:`~repro.errors.ProtocolError`."""
+    payload = encode_value(value)
     try:
-        head = _RESPONSE_FRAME.pack(
-            MAGIC, VERSION, RESPONSE, _RESPONSE_HEAD.size + len(payload),
-            correlation_id,
+        head = _REPLY_FRAME.pack(
+            MAGIC, VERSION, REPLY, _REPLY_HEAD.size + len(payload),
+            correlation_id, 1 if error else 0,
         )
     except struct.error as exc:
-        raise ProtocolError(f"response header field out of range: {exc}") from None
+        raise ProtocolError(f"reply header field out of range: {exc}") from None
     return head + payload
 
 
@@ -440,16 +446,16 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
     )
 
 
-def _decode_response(payload: bytes) -> Tuple[int, Any]:
-    """A RESPONSE payload as ``(correlation id, result)``."""
-    if len(payload) < _RESPONSE_HEAD.size:
+def _decode_reply(payload: bytes) -> Tuple[int, bool, Any]:
+    """A REPLY payload as ``(correlation id, error, value)``."""
+    if len(payload) < _REPLY_HEAD.size:
         raise ProtocolError(
-            f"response header needs {_RESPONSE_HEAD.size} bytes, got {len(payload)}"
+            f"reply header needs {_REPLY_HEAD.size} bytes, got {len(payload)}"
         )
-    return (
-        _RESPONSE_HEAD.unpack_from(payload)[0],
-        decode_value(payload[_RESPONSE_HEAD.size:]),
-    )
+    correlation_id, outcome = _REPLY_HEAD.unpack_from(payload)
+    if outcome > 1:
+        raise ProtocolError(f"unknown reply outcome {outcome}")
+    return correlation_id, outcome == 1, decode_value(payload[_REPLY_HEAD.size:])
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +465,11 @@ def _decode_response(payload: bytes) -> Tuple[int, Any]:
 
 def encode_frame(kind: int, payload_value: Any) -> bytes:
     """One complete frame of a tagged-payload kind: header + encoded
-    payload.  REQUEST and RESPONSE frames have fixed headers and are
+    payload.  REQUEST and REPLY frames have fixed headers and are
     built by :func:`request_frame` / :func:`response_frame`."""
     if kind not in _KINDS:
         raise ProtocolError(f"unknown frame kind {kind!r}")
-    if kind == REQUEST or kind == RESPONSE:
+    if kind == REQUEST or kind == REPLY:
         raise ProtocolError(
             f"{KIND_NAMES[kind]} frames have a fixed header: build them "
             "with request_frame or response_frame"
@@ -479,9 +485,9 @@ class FrameDecoder:
     arrive in any split (mid-header, several frames at once, a frame
     spread over many reads); :meth:`frames` yields every frame that has
     fully arrived and keeps the remainder buffered.  A REQUEST frame
-    comes out as ``(nested bit, Envelope.from_wire form)``, a RESPONSE
-    frame as ``(correlation id, result)``, any other
-    kind as its decoded tagged value.  A protocol violation (bad magic,
+    comes out as ``(nested bit, Envelope.from_wire form)``, a REPLY
+    frame as ``(correlation id, error, value)``, any other kind as its
+    decoded tagged value.  A protocol violation (bad magic,
     unknown version/kind, oversized length, undecodable payload) raises
     :class:`~repro.errors.ProtocolError` and poisons the decoder — the
     connection that fed it is beyond resynchronization and must be
@@ -539,8 +545,8 @@ class FrameDecoder:
             del self._buffer[:end]
             if kind == REQUEST:
                 return kind, _decode_request(payload)
-            if kind == RESPONSE:
-                return kind, _decode_response(payload)
+            if kind == REPLY:
+                return kind, _decode_reply(payload)
             return kind, decode_value(payload)
         except ProtocolError:
             self._poisoned = True
@@ -645,14 +651,3 @@ class WireSession:
             self.handshaken = True
             return
         raise ProtocolError(f"{KIND_NAMES.get(kind, kind)} frame before handshake")
-
-    # -- conversation frames -------------------------------------------------
-
-    def send_fault(self, correlation_id: int, exc: BaseException) -> bytes:
-        return encode_frame(
-            FAULT,
-            {"correlation_id": correlation_id, "fault": error_to_wire(exc)},
-        )
-
-    def send_control_ok(self, payload: Dict[str, Any]) -> bytes:
-        return encode_frame(CONTROL_OK, payload)

@@ -59,7 +59,6 @@ import functools
 import hashlib
 import threading
 import time
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -1730,9 +1729,9 @@ class Federation:
         its target and object id and minted a fresh context; here its
         arguments are marshalled into pure wire values in place (proxies
         become references), which a QoS retry repeats as an identity
-        copy.  Faults come back as FAULT frames and re-raise here with
-        their retryability intact, so the failover element and the QoS
-        budget behave exactly as they do in process.
+        copy.  A fault comes back as an error REPLY and re-raises here
+        with its retryability intact, so the failover element and the
+        QoS budget behave exactly as they do in process.
         """
         envelope.args = marshal(envelope.args, proxy_ref, root="args")
         envelope.kwargs = marshal(envelope.kwargs, proxy_ref, root="kwargs")
@@ -1995,24 +1994,25 @@ class Federation:
 
     # -- batched delivery ----------------------------------------------------------
 
-    def _submit_batch(self, items: List["_PipelinedCall"], context, qos: QoS) -> None:
+    def _submit_batch(self, members: List[ReplyFuture], context, qos: QoS) -> None:
         """Route one node-batch as one envelope; every delivery attempt
         runs it through :meth:`_batch_attempt`, and the batch's final
         error fails its unsettled members (:meth:`_fail_unsettled`).
 
-        The envelope carries the batch's state: its members, the sorted
-        partitions they name, its context source and the trace headers
-        captured here, on the caller's thread."""
+        Each member is a pipelined call's future, whose envelope holds
+        the call.  The batch's envelope carries the batch's state: its
+        members, the sorted partitions they name, its context source and
+        the trace headers captured here, on the caller's thread."""
         tracer = self.observability.tracer
         envelope = Envelope(
-            BATCH, BATCH, [item.label for item in items], {}, qos=qos,
-            target=items[0].node.name,
+            BATCH, BATCH, [member.envelope.label for member in members], {}, qos=qos,
+            target=members[0].envelope.target,
         )
         envelope.context_source = self._context_source(context)
         envelope.trace_headers = tracer.current_headers() if tracer.enabled else None
-        envelope.batch = items
+        envelope.batch = members
         envelope.partitions = sorted(
-            {ShardedNamingService.partition_key(item.name) for item in items}
+            {ShardedNamingService.partition_key(member.envelope.binding) for member in members}
         )
         future = self._submission_transport().submit(envelope, self._batch_attempt)
         future.add_done_callback(self._fail_unsettled)
@@ -2034,15 +2034,15 @@ class Federation:
         inflight = gate.enter(partitions)
         try:
             hops: Dict[str, tuple] = {}
-            for item in envelope.batch:
-                if item.future.done():
+            for member in envelope.batch:
+                if member.done():
                     continue
                 try:
-                    owner, ref = self.resolve(item.name)
+                    owner, ref = self.resolve(member.envelope.binding)
                 except ReproError as exc:
-                    item.future._fail(exc)
+                    member._fail(exc)
                     continue
-                hops.setdefault(owner.name, (owner, []))[1].append((item, ref))
+                hops.setdefault(owner.name, (owner, []))[1].append((member, ref))
             if not hops:
                 return None
             envelope.target = next(iter(hops))
@@ -2059,8 +2059,8 @@ class Federation:
         """The batch's final error fails every member no attempt
         completed (failing a done future is a no-op)."""
         if batch._exception is not None:
-            for item in batch.envelope.batch:
-                item.future._fail(batch._exception)
+            for member in batch.envelope.batch:
+                member._fail(batch._exception)
 
     def _send_batch(self, hops: Dict[str, tuple], envelope: Envelope) -> None:
         """A batch attempt's routing terminal: one hop per owner —
@@ -2075,27 +2075,33 @@ class Federation:
             # (tracing) stamped into the envelope's
             context = self._mint_context(envelope.context_source, owner)
             context.update(envelope.context)
-            calls = [(ref, item.operation, item.args, item.kwargs) for item, ref in members]
+            calls = [
+                (ref, member.envelope.operation, member.envelope.args, member.envelope.kwargs)
+                for member, ref in members
+            ]
             if self._socket_transport is not None:
                 hop = functools.partial(self._wire_batch, owner, calls, context, envelope)
             else:
                 hop = functools.partial(owner.invoke_batch, calls, context)
             replicated = [
-                (ref, item.operation, ShardedNamingService.partition_key(item.name))
-                for item, ref in members
+                (
+                    ref, member.envelope.operation,
+                    ShardedNamingService.partition_key(member.envelope.binding),
+                )
+                for member, ref in members
             ]
             with self._route_lock:
                 self.batches[owner.name] = self.batches.get(owner.name, 0) + 1
             started = time.perf_counter()
             outcomes = self._local_dispatch(owner, replicated, hop)
             elapsed = time.perf_counter() - started
-            for (item, _ref), outcome in zip(members, outcomes):
+            for (member, _ref), outcome in zip(members, outcomes):
                 failed = isinstance(outcome, Exception)
-                self.metrics.record(item.label, owner.name, elapsed, error=failed)
+                self.metrics.record(member.envelope.label, owner.name, elapsed, error=failed)
                 if failed:
-                    item.future._fail(outcome)
+                    member._fail(outcome)
                 else:
-                    item.future._complete(outcome)
+                    member._complete(outcome)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -2124,23 +2130,6 @@ class Federation:
         if delivery["submitted"]:
             stats["async_transport"] = delivery
         return stats
-
-
-@dataclass
-class _PipelinedCall:
-    """One queued member of an :class:`InvocationPipeline` batch: what to
-    call, and the future its outcome completes.  Every delivery attempt
-    re-resolves it and mints its context afresh; the future's envelope
-    carries the pipeline's QoS, so ``future.result()`` honours the
-    configured timeout."""
-
-    node: Any
-    name: str
-    operation: str
-    args: tuple
-    kwargs: dict
-    label: str
-    future: ReplyFuture
 
 
 class InvocationPipeline:
@@ -2181,29 +2170,35 @@ class InvocationPipeline:
         #: static, a provider, or None (see Federation._context_source)
         self.context = context
         self.qos = qos
-        self._pending: List[_PipelinedCall] = []
+        self._pending: List[ReplyFuture] = []
 
     def call(self, name: str, operation: str, *args, **kwargs) -> ReplyFuture:
+        """Queue one call; its future's envelope holds it — the
+        federation name (``binding``) every delivery attempt re-resolves,
+        the owner resolved now (``target``), which groups it, and the
+        pipeline's QoS, so ``future.result()`` honours the configured
+        timeout."""
         node, ref = self.federation.resolve(name)
-        label = f"{ref.type_name}.{operation}"
         future = ReplyFuture(
-            Envelope(ref.object_id, operation, args, kwargs, qos=self.qos, label=label)
+            Envelope(
+                ref.object_id, operation, args, kwargs, qos=self.qos,
+                target=node.name, binding=name, label=f"{ref.type_name}.{operation}",
+            )
         )
-        item = _PipelinedCall(node, name, operation, args, kwargs, label, future)
-        self._pending.append(item)
+        self._pending.append(future)
         if len(self._pending) >= self.max_batch:
             self.flush()
-        return item.future
+        return future
 
     def flush(self) -> None:
         """Ship every queued call, grouped by consecutive target node."""
         pending, self._pending = self._pending, []
-        batch: List[_PipelinedCall] = []
-        for item in pending:
-            if batch and item.node is not batch[0].node:
+        batch: List[ReplyFuture] = []
+        for future in pending:
+            if batch and future.envelope.target != batch[0].envelope.target:
                 self.federation._submit_batch(batch, self.context, self.qos)
                 batch = []
-            batch.append(item)
+            batch.append(future)
         if batch:
             self.federation._submit_batch(batch, self.context, self.qos)
 

@@ -5,8 +5,8 @@ queue-drain marker, a gauge sample) is an entry in one binary heap keyed
 by its virtual due time, and :meth:`VirtualTimeScheduler.run` pops them
 in time order, advancing the federation's
 :class:`~repro.middleware.clock.SimClock` to each event's instant via
-``advance_to`` (forward-only; threads blocked in ``wait_until`` wake as
-time passes their deadline).
+``advance_to`` (forward-only: a hop's latency the transport accounted
+meanwhile is never wound back).
 
 Determinism guarantees:
 

@@ -21,16 +21,18 @@ Two halves, meeting only at the wire protocol:
   the worker's own ``Node`` (``install`` replays the shipped
   :class:`~repro.core.shipping.ComponentPackage` once, verified against
   its final model, and weaves it; ``create`` / ``import_states`` /
-  ``export`` / ``release`` move servant state, and so on).  The
-  worker never sees the deployment spec or the ring.
+  ``export`` / ``release`` move servant state, and so on).  A call and
+  a verb alike are answered by one REPLY frame: the value, or the
+  error raised.  The worker never sees the deployment spec or the ring.
 
 * :class:`RemoteNode` — the front-end's handle on one worker: it spawns
   the process and offers the node surface the federation drives
   (``install``, ``create``, ``export``, ``import_states``, ``release``,
   ``add_user``, ``login``, fault configuration, ``kill``, ``stats``),
-  each method one CONTROL round trip through :meth:`RemoteNode.call`.
-  Its ``naming`` shard mirrors the worker's bindings, so routing
-  resolves a worker-owned name without a round trip.
+  each method one CONTROL round trip through :meth:`RemoteNode.call`,
+  which returns the verb's value or raises its error.  Its ``naming``
+  shard mirrors the worker's bindings, so routing resolves a
+  worker-owned name without a round trip.
 
 Failover follows the fail-stop contract the socket transport relies
 on: a mid-call fault (request written, reply lost) is upgraded to
@@ -108,13 +110,13 @@ class NodeHost:
             "stop": self._stop,
         }
 
-    def _serve_control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one verb; what it raises crosses as the listener's typed
-        error reply."""
+    def _serve_control(self, payload: Dict[str, Any]) -> Any:
+        """Run one verb; its value, or what it raises, crosses back as
+        the listener's REPLY."""
         verb = self.verbs.get(payload["verb"])
         if verb is None:
             raise RemoteInvocationError(f"unknown control verb {payload['verb']!r}")
-        return {"result": verb(*payload.get("args", ()), **payload.get("kwargs", {}))}
+        return verb(*payload.get("args", ()), **payload.get("kwargs", {}))
 
     def _ping(self) -> Dict[str, Any]:
         return {"node": self.node.name, "pid": os.getpid()}
@@ -313,15 +315,16 @@ class RemoteNode:
 
     def call(self, verb: str, *args, **kwargs) -> Any:
         """Run node-surface method ``verb`` on the worker: one CONTROL
-        round trip, whose failure raises here with its own type.  Empty
-        ``args`` and ``kwargs`` stay off the wire, so a verb without
-        arguments costs no more to encode and decode than its name."""
+        round trip, returning the verb's value; its failure raises here
+        with its own type.  Empty ``args`` and ``kwargs`` stay off the
+        wire, so a verb without arguments costs no more to encode and
+        decode than its name."""
         payload: Dict[str, Any] = {"verb": verb}
         if args:
             payload["args"] = list(args)
         if kwargs:
             payload["kwargs"] = kwargs
-        return self._transport.control(self.name, payload)["result"]
+        return self._transport.control(self.name, payload)
 
     # -- the node surface ------------------------------------------------------
 

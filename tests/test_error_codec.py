@@ -3,10 +3,11 @@
 An exception crosses a boundary in one wire form
 (:func:`~repro.middleware.bus.error_to_wire`) and is rebuilt by one
 function (:func:`~repro.middleware.bus.error_from_wire`), whether it
-rides an in-process bus ``Response``, a batch member's reply, a
-``FAULT`` frame or a ``CONTROL`` error reply.  So a caller sees the same
-type, text and public attributes whichever path the error took, and a
-library error keeps its type however its constructor is shaped.
+rides an in-process bus outcome, a batch member's reply, or the error
+``REPLY`` frame answering a routed call or a ``CONTROL`` verb.  So a
+caller sees the same type, text and public attributes whichever path
+the error took, and a library error keeps its type however its
+constructor is shaped.
 """
 
 from types import SimpleNamespace

@@ -250,28 +250,6 @@ def test_simclock_advance_to_is_forward_only():
     assert clock.advance_to(150.0) == 150.0
 
 
-def test_simclock_wait_until_wakes_on_virtual_deadline():
-    clock = SimClock()
-    reached = threading.Event()
-
-    def waiter():
-        if clock.wait_until(10.0, timeout_s=5.0):
-            reached.set()
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    clock.advance(4.0)
-    assert not reached.wait(0.05)
-    clock.advance(6.0)
-    thread.join(timeout=5.0)
-    assert reached.is_set()
-
-
-def test_simclock_wait_until_times_out_without_a_driver():
-    clock = SimClock()
-    assert clock.wait_until(5.0, timeout_s=0.05) is False
-
-
 # ---------------------------------------------------------------------------
 # user population
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def verb(transport, node, name, *args, **kwargs):
     """One CONTROL verb to a bare worker, as ``RemoteNode.call`` runs
     one (here with both argument fields always sent)."""
     payload = {"verb": name, "args": list(args), "kwargs": kwargs}
-    return transport.control(node, payload)["result"]
+    return transport.control(node, payload)
 
 
 def unread_at(endpoint):

@@ -238,8 +238,8 @@ class TestWireLayer:
             server.close()
 
     def test_a_stray_frame_beside_the_reply_fails_the_call(self):
-        """A listener that answers a REQUEST with its RESPONSE and, in
-        the same write, a second RESPONSE under another correlation id:
+        """A listener that answers a REQUEST with its REPLY and, in the
+        same write, a second REPLY under another correlation id:
         the call fails loudly and is not retried, its connection is
         closed instead of pooled, and the next call dials afresh."""
         from repro.middleware.envelope import Envelope
@@ -270,11 +270,10 @@ class TestWireLayer:
             server.close()
 
     def test_a_stray_frame_beside_a_control_reply_fails_the_verb(self):
+        from repro.middleware.wire import response_frame
+
         def double_reply(conn, session, kind, payload):
-            conn.sendall(
-                session.send_control_ok({"result": 1})
-                + session.send_control_ok({"result": 2})
-            )
+            conn.sendall(response_frame(0, 1) + response_frame(0, 2))
             return False
 
         server = _ScriptedServer(double_reply)
@@ -312,9 +311,10 @@ class TestWireLayer:
             server.close()
 
     def test_control_failures_arrive_typed(self):
-        """A control handler's error crosses as the FAULT frame's
-        encoding: a library error comes back as its own type, anything
-        else as RemoteInvocationError, and the connection stays usable."""
+        """A control handler's error crosses as a routed call's does, in
+        an error REPLY: a library error comes back as its own type,
+        anything else as RemoteInvocationError, and the connection stays
+        usable."""
         from repro.errors import ShippingError
 
         def control(payload):
@@ -369,9 +369,9 @@ class TestWireLayer:
 
     def test_a_reply_the_wire_cannot_carry_comes_back_as_a_fault(self):
         """The listener encodes a result before it counts the request as
-        served: a result outside the wire contract crosses as a FAULT
-        that is never re-delivered, and the pooled connection keeps
-        serving."""
+        served: a result outside the wire contract crosses as an error
+        REPLY that is never re-delivered, and the pooled connection
+        keeps serving."""
 
         def handler(envelope):
             return object() if envelope.operation == "bad" else 7
@@ -386,6 +386,27 @@ class TestWireLayer:
             assert transport.roundtrip("w", _envelope("w", "good")) == 7
             assert transport.stats()["dials"] == 1
             assert (server.requests_served, server.faults_returned) == (1, 1)
+            transport.shutdown()
+        finally:
+            server.stop()
+
+    def test_a_verb_value_the_wire_cannot_carry_comes_back_as_an_error(self):
+        """A control verb's value is framed by the builder a call's
+        result is: one outside the wire contract crosses as an error
+        REPLY, and the pooled connection keeps serving."""
+
+        def control(payload):
+            return object() if payload["verb"] == "bad" else 7
+
+        server = WireServer(node="w", request_handler=lambda env: None, control_handler=control)
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            with pytest.raises(ProtocolError, match="outside the wire contract") as bad:
+                transport.control("w", {"verb": "bad"})
+            assert not is_retryable(bad.value)
+            assert transport.control("w", {"verb": "good"}) == 7
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (1, 1)
             transport.shutdown()
         finally:
             server.stop()
@@ -423,6 +444,88 @@ class TestWireLayer:
             transport.shutdown()
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("value", [5, [1, 2], {"foo": 1}, None], ids=repr)
+    def test_a_control_verb_returns_its_value_itself(self, value):
+        """Whatever wire value a control handler returns comes back from
+        ``control`` as that value, and the connection is pooled."""
+        server = WireServer(
+            node="w", request_handler=lambda env: None, control_handler=lambda p: value
+        )
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            for _ in range(2):
+                assert transport.control("w", {"verb": "get"}) == value
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (1, 1)
+            transport.shutdown()
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("path", ["roundtrip", "control"])
+    def test_an_error_reply_with_a_malformed_form_is_a_protocol_error(self, path):
+        """An error REPLY whose value is not the error codec's form
+        raises ProtocolError, which is not retryable; the frame itself
+        was well formed, so its connection stays pooled."""
+        from repro.middleware.envelope import Envelope
+        from repro.middleware.wire import REQUEST, response_frame
+
+        def malformed(conn, session, kind, payload):
+            answered = Envelope.from_wire(payload[1]).correlation_id if kind == REQUEST else 0
+            conn.sendall(response_frame(answered, "ValueError: no", error=True))
+            return False
+
+        server = _ScriptedServer(malformed)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            call = {
+                "roundtrip": lambda: transport.roundtrip("w", _envelope("w")),
+                "control": lambda: transport.control("w", {"verb": "ping"}),
+            }[path]
+            for _ in range(2):
+                with pytest.raises(ProtocolError, match="malformed wire fault") as excinfo:
+                    call()
+                assert not is_retryable(excinfo.value)
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (1, 1)
+            transport.shutdown()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("answered", [7, None], ids=["nonzero id", "request"])
+    def test_a_control_answered_by_another_frame_closes_its_connection(
+        self, answered, monkeypatch
+    ):
+        """A CONTROL carries no id, so its REPLY answers 0: a REPLY with
+        another id, or a frame of another kind, raises ProtocolError and
+        its connection is closed, never pooled."""
+        from repro.middleware.wire import request_frame, response_frame
+
+        closed = []
+        original = WireClient.close
+        monkeypatch.setattr(
+            WireClient, "close", lambda self: (closed.append(self), original(self))
+        )
+
+        def misreply(conn, session, kind, payload):
+            if answered is None:
+                conn.sendall(request_frame(_envelope("c")))
+            else:
+                conn.sendall(response_frame(answered, {"verb": "ping"}))
+            return False
+
+        server = _ScriptedServer(misreply)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            match = "correlates to 7, expected 0" if answered else "expected a reply frame"
+            for attempt in range(2):
+                with pytest.raises(ProtocolError, match=match):
+                    transport.control("w", {"verb": "ping"})
+                assert len(closed) == attempt + 1
+                assert not transport.pool._idle.get(server.endpoint)
+            assert (transport.stats()["dials"], transport.stats()["reuses"]) == (2, 0)
+            transport.shutdown()
+        finally:
+            server.close()
 
     def test_unencodable_request_returns_its_connection_to_the_pool(self):
         from repro.middleware.envelope import Envelope
@@ -598,7 +701,7 @@ class TestSocketFederation:
 
     def test_faulted_oneway_is_metered_as_in_process(self):
         """A oneway whose delivery faults is one call and one error on
-        both transports: over the wire its FAULT frame comes back like
+        both transports: over the wire its error REPLY comes back like
         any call's, instead of a receipt that hid the lost effect."""
         metered = {}
         for mode in ("inproc", "socket"):
@@ -635,7 +738,7 @@ class TestSocketFederation:
             federation.shutdown()
 
     def test_kill_mid_stream_fails_over_and_retries(self):
-        """Dead node -> wire FAULT -> NodeDownError -> promotion -> retry."""
+        """Dead node -> error REPLY -> NodeDownError -> promotion -> retry."""
         federation, names = build(replication=1)
         try:
             name = names[0]

@@ -630,9 +630,9 @@ class TestSocketFederationPipeline(_PipelineCases):
 
         serve_frame = WireServer._serve_frame
 
-        def serve_without_reply(server, conn, session, kind, payload):
+        def serve_without_reply(server, conn, kind, payload):
             if kind != REQUEST:
-                return serve_frame(server, conn, session, kind, payload)
+                return serve_frame(server, conn, kind, payload)
             server.request_handler(Envelope.from_wire(payload[1]))
             return True  # hang up instead of replying
 

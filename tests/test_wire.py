@@ -10,7 +10,7 @@ angles:
   unknown versions/kinds, oversized lengths, truncated and trailing
   payloads all surface :class:`~repro.errors.ProtocolError` without
   crashing the decoder's owner;
-* conversation rules: handshake ordering, fault encoding carrying the
+* conversation rules: handshake ordering, an error reply carrying the
   sender-side retry classification across.
 """
 
@@ -36,17 +36,16 @@ from repro.middleware.bus import (
     ObjectRefData,
     marshal,
     wire_size,
-    # a FAULT frame carries its error in the one error codec's form
+    # an error REPLY carries its error in the one error codec's form
     error_from_wire as decode_fault,
     error_to_wire as encode_fault,
 )
 from repro.middleware.envelope import Envelope, QoS
 from repro.middleware.wire import (
-    FAULT,
     HELLO,
     MAX_DEPTH,
+    REPLY,
     REQUEST,
-    RESPONSE,
     VERSION,
     FrameDecoder,
     WireSession,
@@ -293,7 +292,7 @@ def test_interleaved_frames_in_one_read():
     decoder = FrameDecoder()
     decoder.feed(b"".join(frames) + partial[: len(partial) // 2])
     kinds = [kind for kind, _payload in decoder.frames()]
-    assert kinds == [HELLO, REQUEST, RESPONSE]
+    assert kinds == [HELLO, REQUEST, REPLY]
     assert decoder.pending() > 0  # the tail stays buffered
     decoder.feed(partial[len(partial) // 2:])
     assert [kind for kind, _ in decoder.frames()] == [REQUEST]
@@ -316,7 +315,9 @@ def test_unknown_version_is_refused():
 
 
 def test_unknown_kind_is_refused():
-    for kind in (42, 5):  # 5: version 1's oneway receipt, retired
+    # 5: version 1's oneway receipt; 6 and 8: version 7's error frame
+    # and control reply, each folded into REPLY
+    for kind in (42, 5, 6, 8):
         frame = bytearray(_request_frame())
         frame[3] = kind  # kind byte
         decoder = FrameDecoder()
@@ -475,15 +476,18 @@ def test_malformed_fault_decodes_to_a_protocol_error():
 
 
 def test_fault_frames_round_trip_through_the_codec():
-    session = WireSession("client", node="c")
-    frame = session.send_fault(17, NodeDownError("gone", node="n", pre_effect=True))
+    """A fault crosses as an error REPLY: outcome byte 1 and the error
+    codec's form, rebuilt with its retry verdict on the far side."""
+    fault = encode_fault(NodeDownError("gone", node="n", pre_effect=True))
+    frame = response_frame(17, fault, error=True)
     decoder = FrameDecoder()
     decoder.feed(frame)
     [(kind, payload)] = list(decoder.frames())
-    assert kind == FAULT
-    assert payload["correlation_id"] == 17
-    rebuilt = decode_fault(payload["fault"])
+    assert kind == REPLY
+    assert payload == (17, True, fault)
+    rebuilt = decode_fault(payload[2])
     assert isinstance(rebuilt, NodeDownError) and rebuilt.node == "n"
+    assert rebuilt.pre_effect is True
 
 
 def test_envelope_round_trip_preserves_correlation_and_qos():
@@ -761,15 +765,17 @@ def test_decoder_accepts_any_bytes_like_payload():
 
 
 # ---------------------------------------------------------------------------
-# fixed headers: REQUEST and RESPONSE
+# fixed headers: REQUEST and REPLY
 # ---------------------------------------------------------------------------
 
-#: the version-7 REQUEST payload header: correlation id, attempt, QoS
-#: retries, flags (oneway 1, nested 2), timeout kind and value, then the
-#: byte lengths of target, binding, label, object id and operation
+#: the REQUEST payload header (unchanged since version 7): correlation
+#: id, attempt, QoS retries, flags (oneway 1, nested 2), timeout kind and
+#: value, then the byte lengths of target, binding, label, object id and
+#: operation
 REQUEST_HEAD = struct.Struct(">QIIBBd5I")
-#: the version-7 RESPONSE payload header: the correlation id alone
-RESPONSE_HEAD = struct.Struct(">Q")
+#: the version-8 REPLY payload header: the correlation id answered and
+#: the outcome byte (0 result, 1 error)
+REPLY_HEAD = struct.Struct(">QB")
 FRAME_HEADER = 8
 #: where the flags byte sits in a REQUEST frame
 FLAGS = FRAME_HEADER + 16
@@ -804,7 +810,7 @@ def test_request_header_layout_is_pinned():
         attempt=1,
     )
     frame = request_frame(envelope)
-    assert frame[:4] == b"RW" + bytes([7, REQUEST])
+    assert frame[:4] == b"RW" + bytes([8, REQUEST])
     payload = frame[FRAME_HEADER:]
     assert REQUEST_HEAD.unpack_from(payload) == (
         9, 1, 2, 1, 1, 250.0, 6, ABSENT, 0, 5, 7
@@ -826,10 +832,10 @@ def _frame_of(kind, payload):
     return struct.pack(">2sBBI", b"RW", VERSION, kind, len(payload)) + payload
 
 
-@pytest.mark.parametrize("kind", [REQUEST, RESPONSE])
+@pytest.mark.parametrize("kind", [REQUEST, REPLY])
 def test_header_shorter_than_its_struct_is_refused(kind):
     decoder = FrameDecoder()
-    decoder.feed(_frame_of(kind, b"\x00" * (RESPONSE_HEAD.size - 1)))
+    decoder.feed(_frame_of(kind, b"\x00" * (REPLY_HEAD.size - 1)))
     with pytest.raises(ProtocolError, match="header needs"):
         list(decoder.frames())
     assert _poisoned(decoder)
@@ -880,6 +886,19 @@ def test_version_6_hello_is_refused():
     server = WireSession("server", node="w")
     with pytest.raises(ProtocolError, match="unsupported wire version 6"):
         server.feed(hello[:2] + bytes([6]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
+
+
+def test_version_7_hello_is_refused():
+    """Version 7 answered a call with a success or an error frame and a
+    control verb with a third kind: a peer still speaking it is refused
+    at HELLO, before any of its replies is read, and the refusal
+    poisons the session."""
+    hello = _frame_of(HELLO, encode_value({"version": 7, "node": "c"}))
+    server = WireSession("server", node="w")
+    with pytest.raises(ProtocolError, match="unsupported wire version 7"):
+        server.feed(hello[:2] + bytes([7]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
         server.feed(b"more")
 
@@ -979,20 +998,35 @@ def test_timeout_round_trips_keeping_its_type(timeout_ms):
 
 
 def test_response_carries_a_success_only():
-    """A RESPONSE is the correlation id and the result, and it decodes
-    as the result itself: an error crosses as a FAULT."""
+    """A REPLY built from a result carries that success only: the
+    correlation id, outcome byte 0 and the result, decoding as the
+    result itself.  An error REPLY differs in its outcome byte alone."""
     result = {"balance": [1.5, ObjectRefData("o", "T")]}
     frame = response_frame(11, result)
-    assert frame[:4] == b"RW" + bytes([7, RESPONSE])
-    assert frame[FRAME_HEADER:FRAME_HEADER + RESPONSE_HEAD.size] == struct.pack(">Q", 11)
-    assert decode_value(frame[FRAME_HEADER + RESPONSE_HEAD.size:]) == result
-    kind, (correlation_id, decoded) = _decoded(frame)
-    assert kind == RESPONSE and correlation_id == 11
+    assert frame[:4] == b"RW" + bytes([8, REPLY])
+    assert frame[FRAME_HEADER:FRAME_HEADER + REPLY_HEAD.size] == struct.pack(">QB", 11, 0)
+    assert decode_value(frame[FRAME_HEADER + REPLY_HEAD.size:]) == result
+    kind, (correlation_id, error, decoded) = _decoded(frame)
+    assert kind == REPLY and correlation_id == 11 and error is False
     assert decoded == result
+    failed = response_frame(11, result, error=True)
+    assert failed[FRAME_HEADER + 8] == 1
+    assert failed[:FRAME_HEADER + 8] + bytes([0]) + failed[FRAME_HEADER + 9:] == frame
+    assert _decoded(failed) == (REPLY, (11, True, result))
+
+
+def test_a_reply_with_an_unknown_outcome_is_refused():
+    frame = bytearray(response_frame(11, None))
+    frame[FRAME_HEADER + 8] = 2
+    decoder = FrameDecoder()
+    decoder.feed(bytes(frame))
+    with pytest.raises(ProtocolError, match="unknown reply outcome 2"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
 
 
 def test_request_and_response_frames_have_no_tagged_payload_path():
-    for kind in (REQUEST, RESPONSE):
+    for kind in (REQUEST, REPLY):
         with pytest.raises(ProtocolError, match="fixed header"):
             encode_frame(kind, {"correlation_id": 1})
 
@@ -1071,10 +1105,10 @@ def _reference_request_frame(envelope, nested=False):
     return _reference_frame(REQUEST, parts)
 
 
-def _reference_response_frame(correlation_id, result):
-    parts = _reference_head_parts(RESPONSE_HEAD, (correlation_id,), ())
-    parts.append(_reference_encode(result))
-    return _reference_frame(RESPONSE, parts)
+def _reference_response_frame(correlation_id, value, error):
+    parts = _reference_head_parts(REPLY_HEAD, (correlation_id, 1 if error else 0), ())
+    parts.append(_reference_encode(value))
+    return _reference_frame(REPLY, parts)
 
 
 _HEADER_TEXT = st.one_of(
@@ -1125,12 +1159,12 @@ def test_request_frames_match_the_reference_framing(
     assert frame == _reference_request_frame(envelope, nested)
 
 
-@given(st.randoms(use_true_random=False), _U64)
+@given(st.randoms(use_true_random=False), _U64, st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_response_frames_match_the_reference_framing(rng, correlation_id):
-    result = _random_value(rng)
-    frame = response_frame(correlation_id, result)
-    assert frame == _reference_response_frame(correlation_id, result)
+def test_response_frames_match_the_reference_framing(rng, correlation_id, error):
+    value = encode_fault(ValueError(_random_value(rng))) if error else _random_value(rng)
+    frame = response_frame(correlation_id, value, error)
+    assert frame == _reference_response_frame(correlation_id, value, error)
 
 
 @pytest.mark.parametrize("field", ["target", "binding", "label", "object_id", "operation"])
