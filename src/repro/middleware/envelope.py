@@ -174,24 +174,20 @@ class Envelope:
     def from_wire(cls, data: tuple) -> "Envelope":
         """Rebuild an envelope from the positional form a REQUEST
         frame decodes to (:mod:`repro.middleware.wire`): correlation id,
-        attempt, QoS retries, oneway and timeout, target, binding,
         label, object id, operation, and the call ``(args, kwargs,
         context)`` in wire values.
 
         The correlation id is *preserved*, never re-minted: the peer's
-        reply frame must carry the id the sender is waiting on.
+        reply frame must carry the id the sender is waiting on.  The
+        rest of the call's policy — QoS, attempt, target, binding —
+        never crosses the wire, because only the caller applies it, so
+        the rebuilt envelope has :data:`DEFAULT_QOS` and no target or
+        binding.
         """
-        (
-            correlation_id, attempt, retries, oneway, timeout_ms,
-            target, binding, label, object_id, operation, (args, kwargs, context),
-        ) = data
-        if oneway or retries or timeout_ms is not None:
-            qos = QoS(oneway=oneway, timeout_ms=timeout_ms, retries=retries)
-        else:
-            qos = DEFAULT_QOS
+        correlation_id, label, object_id, operation, (args, kwargs, context) = data
         return cls(
-            object_id, operation, args, kwargs, context, qos,
-            correlation_id, target, binding, label, attempt,
+            object_id, operation, args, kwargs, context, DEFAULT_QOS,
+            correlation_id, label=label,
         )
 
 

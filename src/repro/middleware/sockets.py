@@ -11,7 +11,7 @@ error codec; this module owns the sockets and the threads:
 * :class:`WireClient` — one handshaken client connection with blocking
   send and await-reply steps.
 * :class:`ConnectionPool` — per-endpoint reuse of idle client
-  connections (dial on miss, bounded idle keep).
+  connections (dial on miss, at most ``_MAX_IDLE`` kept idle).
 * :class:`SocketTransport` — the :class:`~repro.middleware.transport.Transport`
   implementation: delivery runs inline on the caller's thread (socket
   waits release the GIL, which is the whole point), the QoS retry
@@ -29,6 +29,14 @@ error codec; this module owns the sockets and the threads:
   re-delivery pre-effect again).  Reconnection is therefore not a
   private loop here: a retryable envelope redials simply by being
   re-delivered under its own budget.
+
+The sizes are constants, not settings: every decoder refuses frames
+over :data:`~repro.middleware.wire.DEFAULT_MAX_FRAME`, a listener
+backs up to ``_BACKLOG`` connections and a pool keeps ``_MAX_IDLE`` per
+endpoint.  A transport chooses only its socket timeout (``timeout_s``),
+and a client connection announces nothing but the wire version.  A
+socket whose dial or handshake fails is closed before the error
+propagates.
 
 Endpoints are strings: ``tcp://127.0.0.1:9307`` or
 ``unix:///tmp/node-a.sock``.
@@ -56,7 +64,6 @@ from repro.middleware.transport import (
 )
 from repro.middleware.wire import (
     CONTROL,
-    DEFAULT_MAX_FRAME,
     REPLY,
     REQUEST,
     WireSession,
@@ -66,6 +73,10 @@ from repro.middleware.wire import (
 )
 
 _RECV_CHUNK = 64 * 1024
+#: a listener's accept backlog
+_BACKLOG = 32
+#: idle connections a pool keeps per endpoint
+_MAX_IDLE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +109,12 @@ def _dial(endpoint: str, timeout_s: float) -> socket.socket:
     if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
         raise TransportError("unix-domain sockets are unavailable here")
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(timeout_s)
-    sock.connect(address)
+    try:
+        sock.settimeout(timeout_s)
+        sock.connect(address)
+    except BaseException:
+        sock.close()
+        raise
     return sock
 
 
@@ -122,7 +137,9 @@ class WireServer:
     raised with its retryability classified sender-side, crosses back
     as one REPLY frame.  A handler that calls :meth:`stop_after_reply`
     closes the server once its reply is sent — how a management
-    conversation ends a worker from the outside.
+    conversation ends a worker from the outside.  ``node`` names the
+    listener's threads.  A client that goes away mid-conversation, even
+    right after its HELLO, ends only its own connection.
     """
 
     def __init__(
@@ -131,15 +148,11 @@ class WireServer:
         request_handler: Callable[[Envelope], Any],
         control_handler: Optional[Callable[[Dict[str, Any]], Any]] = None,
         endpoint: str = "tcp://127.0.0.1:0",
-        max_frame: int = DEFAULT_MAX_FRAME,
-        backlog: int = 32,
     ):
         self.node = node
         self.request_handler = request_handler
         self.control_handler = control_handler or _no_control_plane
-        self.max_frame = max_frame
         self._requested_endpoint = endpoint
-        self._backlog = backlog
         self._listener: Optional[socket.socket] = None
         self._unix_path: Optional[str] = None
         self.endpoint: Optional[str] = None
@@ -176,7 +189,7 @@ class WireServer:
             listener.bind(address)
             self._unix_path = address
             self.endpoint = f"unix://{address}"
-        listener.listen(self._backlog)
+        listener.listen(_BACKLOG)
         self._listener = listener
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"wire-accept-{self.node}", daemon=True
@@ -203,10 +216,6 @@ class WireServer:
             with contextlib.suppress(OSError):
                 os.unlink(self._unix_path)
         self._stopped.set()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def wait(self, timeout_s: Optional[float] = None) -> bool:
         """Block until :meth:`stop` ran (a worker process's main loop)."""
@@ -242,7 +251,7 @@ class WireServer:
             ).start()
 
     def _serve_connection(self, conn_id: int, conn: socket.socket) -> None:
-        session = WireSession("server", node=self.node, max_frame=self.max_frame)
+        session = WireSession("server")
         greeted = False
         try:
             conn.settimeout(None)
@@ -261,19 +270,18 @@ class WireServer:
                     with self._lock:
                         self.protocol_errors += 1
                     return
-                if not greeted:
-                    # the HELLO-OK; a handshaken session sends nothing unasked
-                    greeting = session.take_outbound()
-                    if greeting:
-                        conn.sendall(greeting)
-                    greeted = session.handshaken
-                for kind, payload in session.events():
-                    try:
-                        stop = self._serve_frame(conn, kind, payload)
-                    except OSError:
-                        return  # client went away while we replied
-                    if stop:
-                        return
+                try:
+                    if not greeted:
+                        # the HELLO-OK; a handshaken session sends nothing unasked
+                        greeting = session.take_outbound()
+                        if greeting:
+                            conn.sendall(greeting)
+                        greeted = session.handshaken
+                    for kind, payload in session.events():
+                        if self._serve_frame(conn, kind, payload):
+                            return
+                except OSError:
+                    return  # the client went away while we answered it
         finally:
             with self._lock:
                 self._connections.pop(conn_id, None)
@@ -338,27 +346,23 @@ class WireServer:
 class WireClient:
     """One handshaken client connection (single caller at a time)."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        node: str = "client",
-        timeout_s: float = 10.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ):
+    def __init__(self, endpoint: str, timeout_s: float = 10.0):
         self.endpoint = endpoint
+        self.session = WireSession("client")
+        # the dial leaves the socket under ``timeout_s``
         self._sock = _dial(endpoint, timeout_s)
-        self._sock.settimeout(timeout_s)
-        self.session = WireSession("client", node=node, max_frame=max_frame)
-        self._sock.sendall(self.session.greeting())
-        while not self.session.handshaken:
-            data = self._sock.recv(_RECV_CHUNK)
-            if not data:
-                raise TransportError(
-                    f"peer at {endpoint} closed during handshake"
-                )
-            self.session.feed(data)
-        #: the node name the server announced in its HELLO-OK
-        self.peer = self.session.peer
+        try:
+            self._sock.sendall(self.session.greeting())
+            while not self.session.handshaken:
+                data = self._sock.recv(_RECV_CHUNK)
+                if not data:
+                    raise TransportError(
+                        f"peer at {endpoint} closed during handshake"
+                    )
+                self.session.feed(data)
+        except BaseException:
+            self._sock.close()
+            raise
 
     def send(self, frame: bytes) -> None:
         """Write one frame; raising means the frame was NOT fully written,
@@ -402,17 +406,8 @@ class WireClient:
 class ConnectionPool:
     """Idle-connection reuse per endpoint (dial on miss)."""
 
-    def __init__(
-        self,
-        node: str = "client",
-        max_idle: int = 4,
-        timeout_s: float = 10.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ):
-        self.node = node
-        self.max_idle = max_idle
+    def __init__(self, timeout_s: float = 10.0):
         self.timeout_s = timeout_s
-        self.max_frame = max_frame
         self._idle: Dict[str, Deque[WireClient]] = {}  # guarded_by: _lock
         self._lock = named_lock("sockets.pool")
         self._closed = False
@@ -448,15 +443,13 @@ class ConnectionPool:
 
     def dial(self, endpoint: str) -> WireClient:
         """A fresh connection, bypassing the idle set and its counters."""
-        return WireClient(
-            endpoint, node=self.node, timeout_s=self.timeout_s, max_frame=self.max_frame
-        )
+        return WireClient(endpoint, timeout_s=self.timeout_s)
 
     def checkin(self, client: WireClient) -> None:
         with self._lock:
             if not self._closed:
                 queue = self._idle.setdefault(client.endpoint, deque())
-                if len(queue) < self.max_idle:
+                if len(queue) < _MAX_IDLE:
                     queue.append(client)
                     return
         client.close()
@@ -510,17 +503,10 @@ class SocketTransport(Transport):
     name = "socket"
 
     def __init__(
-        self,
-        endpoints: Callable[[str], Optional[str]],
-        node: str = "client",
-        timeout_s: float = 10.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        max_idle: int = 4,
+        self, endpoints: Callable[[str], Optional[str]], timeout_s: float = 10.0
     ):
         self.endpoints = endpoints
-        self.pool = ConnectionPool(
-            node=node, max_idle=max_idle, timeout_s=timeout_s, max_frame=max_frame
-        )
+        self.pool = ConnectionPool(timeout_s=timeout_s)
         #: transport statistics
         self.roundtrips = 0  # guarded_by: _stats_lock
         self.disconnects = 0  # guarded_by: _stats_lock

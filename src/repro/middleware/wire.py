@@ -19,19 +19,19 @@ Frame layout (everything big-endian)::
       magic (2)  1      1         4          `length` bytes
 
 The two kinds every call pays for have a fixed layout, set once here
-rather than described per frame.  A REQUEST payload is one ``struct``
-header — the correlation id (u64), attempt and QoS retries (u32), the
-flags byte (:data:`ONEWAY` and :data:`NESTED`), the timeout's kind
-(none, int or float) and value, and the byte lengths of target,
-binding, label, object id and operation (u32, :data:`ABSENT` for
-``None``) — followed by those five UTF-8 strings and one tagged value
-``(args, kwargs, context)``.  A REPLY answers every REQUEST and every
-CONTROL: the correlation id it answers (u64; a CONTROL carries no id,
-so its REPLY answers 0) and an outcome byte (0 result, 1 error),
-followed by one tagged value — the result, or the error in
-:func:`~repro.middleware.bus.error_to_wire`'s form with the sender's
-retry verdict.  HELLO, HELLO-OK and CONTROL payloads are one tagged
-value each.
+rather than described per frame.  A REQUEST carries only what its
+server reads.  Its payload is one ``struct`` header — the correlation
+id (u64), the flags byte (:data:`NESTED` its only bit), and the byte
+lengths of label, object id and operation (u32, :data:`ABSENT` for
+``None``) — followed by those three UTF-8 strings and one tagged value
+``(args, kwargs, context)``.  The call's QoS, attempt, target and
+binding stay with the caller, the only side that applies them.  A
+REPLY answers every REQUEST and every CONTROL: the correlation id it
+answers (u64; a CONTROL carries no id, so its REPLY answers 0) and an
+outcome byte (0 result, 1 error), followed by one tagged value — the
+result, or the error in :func:`~repro.middleware.bus.error_to_wire`'s
+form with the sender's retry verdict.  HELLO and HELLO-OK payloads are
+``{"version": VERSION}``, and a CONTROL payload is one tagged value.
 
 Each frame is built in one pass: its frame header and fixed header are
 one ``struct`` pack, joined once with the header strings and the
@@ -69,6 +69,10 @@ from repro.middleware.bus import ObjectRefData
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
+#: version 8's REQUEST header also held the attempt, the QoS retries,
+#: a oneway flag bit (0x01), the timeout's kind and value, the target
+#: and the binding, and its HELLO and HELLO-OK named their nodes, all
+#: unread by the peer;
 #: version 7 answered a REQUEST with a RESPONSE (kind 4, a success only)
 #: or an error frame (kind 6), and a CONTROL with an outcome-dict frame
 #: (kind 8); version 6's REQUEST and RESPONSE headers also held a
@@ -78,10 +82,10 @@ MAGIC = b"RW"
 #: crossed in error frames; version 3 had no nested bit (its flags byte
 #: held the oneway flag alone); version 2 sent REQUEST and RESPONSE
 #: payloads as tagged dicts; version 1 also acked a oneway with kind 5
-VERSION = 8
+VERSION = 9
 
-#: refuse frames larger than this (a garbage length prefix must not make
-#: the decoder buffer gigabytes before noticing)
+#: every decoder refuses frames larger than this (a garbage length
+#: prefix must not make it buffer gigabytes before noticing)
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
 #: refuse values nested deeper than this — a hostile frame packing one
@@ -94,8 +98,8 @@ _HEADER = struct.Struct(">2sBBI")
 
 # -- frame kinds -------------------------------------------------------------
 
-HELLO = 1  #: client greeting: {"version", "node"}
-HELLO_OK = 2  #: server accept: {"version", "node"}
+HELLO = 1  #: client greeting: {"version"}
+HELLO_OK = 2  #: server accept: {"version"}
 REQUEST = 3  #: one routed call: fixed header + the envelope's strings and call
 #: the outcome of a REQUEST or a CONTROL: fixed header (the correlation
 #: id it answers, the outcome byte) + the result or the error form
@@ -294,16 +298,15 @@ def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 #: the header length of a string that is ``None`` (distinct from ``""``)
 ABSENT = 0xFFFFFFFF
 
-#: correlation id, attempt, QoS retries, flags, timeout kind and value,
-#: then the lengths of target, binding, label, object id and operation
-_REQUEST_HEAD = struct.Struct(">QIIBBd5I")
+#: correlation id, flags, then the lengths of label, object id and
+#: operation
+_REQUEST_HEAD = struct.Struct(">QB3I")
 
-#: REQUEST flag: the caller meters no reply value (QoS oneway)
-ONEWAY = 0x01
-#: REQUEST flag: sent by a thread running for a call chain that holds a
-#: dispatch permit, so the peer must not make it wait for one
+#: REQUEST flag, the only one: sent by a thread running for a call
+#: chain that holds a dispatch permit, so the peer must not make it
+#: wait for one (version 8's oneway bit, 0x01, is refused like any
+#: other)
 NESTED = 0x02
-_FLAGS = ONEWAY | NESTED
 
 #: the correlation id answered, and the outcome byte: 0 result, 1 error
 _REPLY_HEAD = struct.Struct(">QB")
@@ -312,11 +315,6 @@ _REPLY_HEAD = struct.Struct(">QB")
 #: writes when a REQUEST or REPLY frame is built
 _REQUEST_FRAME = struct.Struct(_HEADER.format + _REQUEST_HEAD.format[1:])
 _REPLY_FRAME = struct.Struct(_HEADER.format + _REPLY_HEAD.format[1:])
-
-#: the REQUEST header's timeout kinds; an int timeout travels in the
-#: float field, so it must be one the field holds exactly
-_NO_TIMEOUT, _INT_TIMEOUT, _FLOAT_TIMEOUT = 0, 1, 2
-_EXACT_INT = 2**53
 
 _MALFORMED_CALL = "a request's call is not (args list, kwargs dict, context dict)"
 
@@ -328,22 +326,6 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
 
     The fields are read off the envelope, which already carries the
     call in wire values."""
-    qos = envelope.qos
-    timeout_ms = qos.timeout_ms
-    if timeout_ms is None:
-        timeout_kind, timeout = _NO_TIMEOUT, 0.0
-    elif isinstance(timeout_ms, float):
-        timeout_kind, timeout = _FLOAT_TIMEOUT, timeout_ms
-    elif isinstance(timeout_ms, int) and not isinstance(timeout_ms, bool):
-        if not -_EXACT_INT <= timeout_ms <= _EXACT_INT:
-            raise ProtocolError(
-                f"timeout_ms {timeout_ms} is wider than its header field"
-            )
-        timeout_kind, timeout = _INT_TIMEOUT, float(timeout_ms)
-    else:
-        raise ProtocolError(
-            f"timeout_ms {timeout_ms!r} is neither None, an int nor a float"
-        )
     args, kwargs, context = envelope.args, envelope.kwargs, envelope.context
     if not (
         isinstance(args, list) and isinstance(kwargs, dict) and isinstance(context, dict)
@@ -353,10 +335,7 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     parts = [b""]
     lengths = []
     size = _REQUEST_HEAD.size
-    for text in (
-        envelope.target, envelope.binding, envelope.label,
-        envelope.object_id, envelope.operation,
-    ):
+    for text in (envelope.label, envelope.object_id, envelope.operation):
         if text is None:
             lengths.append(ABSENT)
             continue
@@ -371,9 +350,7 @@ def request_frame(envelope: Envelope, nested: bool = False) -> bytes:
     try:
         parts[0] = _REQUEST_FRAME.pack(
             MAGIC, VERSION, REQUEST, size + len(payload),
-            envelope.correlation_id, envelope.attempt, qos.retries,
-            (ONEWAY if qos.oneway else 0) | (NESTED if nested else 0),
-            timeout_kind, timeout, *lengths,
+            envelope.correlation_id, NESTED if nested else 0, *lengths,
         )
     except struct.error as exc:
         raise ProtocolError(f"request header field out of range: {exc}") from None
@@ -404,9 +381,9 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
         raise ProtocolError(
             f"request header needs {_REQUEST_HEAD.size} bytes, got {len(payload)}"
         )
-    (
-        correlation_id, attempt, retries, flags, timeout_kind, timeout, *lengths,
-    ) = _REQUEST_HEAD.unpack_from(payload)
+    correlation_id, flags, *lengths = _REQUEST_HEAD.unpack_from(payload)
+    if flags & ~NESTED:
+        raise ProtocolError(f"unknown request flag bits {flags:#04x}")
     offset = _REQUEST_HEAD.size
     texts: List[Optional[str]] = []
     for length in lengths:
@@ -421,16 +398,6 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"malformed header string: {exc}") from None
         offset = end
-    if flags & ~_FLAGS:
-        raise ProtocolError(f"unknown request flag bits {flags:#04x}")
-    if timeout_kind == _NO_TIMEOUT:
-        timeout_ms = None
-    elif timeout_kind == _FLOAT_TIMEOUT:
-        timeout_ms = timeout
-    elif timeout_kind == _INT_TIMEOUT and timeout.is_integer():
-        timeout_ms = int(timeout)
-    else:
-        raise ProtocolError(f"malformed timeout (kind {timeout_kind}, {timeout!r})")
     call = decode_value(payload[offset:])
     if not (
         type(call) is tuple
@@ -440,10 +407,7 @@ def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
         and type(call[2]) is dict
     ):
         raise ProtocolError(_MALFORMED_CALL)
-    return bool(flags & NESTED), (
-        correlation_id, attempt, retries, bool(flags & ONEWAY), timeout_ms,
-        *texts, call,
-    )
+    return flags == NESTED, (correlation_id, *texts, call)
 
 
 def _decode_reply(payload: bytes) -> Tuple[int, bool, Any]:
@@ -487,15 +451,14 @@ class FrameDecoder:
     fully arrived and keeps the remainder buffered.  A REQUEST frame
     comes out as ``(nested bit, Envelope.from_wire form)``, a REPLY
     frame as ``(correlation id, error, value)``, any other kind as its
-    decoded tagged value.  A protocol violation (bad magic,
-    unknown version/kind, oversized length, undecodable payload) raises
-    :class:`~repro.errors.ProtocolError` and poisons the decoder — the
-    connection that fed it is beyond resynchronization and must be
-    dropped by its owner.
+    decoded tagged value.  A protocol violation (bad magic, unknown
+    version/kind, a length over :data:`DEFAULT_MAX_FRAME`, an
+    undecodable payload) raises :class:`~repro.errors.ProtocolError`
+    and poisons the decoder — the connection that fed it is beyond
+    resynchronization and must be dropped by its owner.
     """
 
-    def __init__(self, max_frame: int = DEFAULT_MAX_FRAME):
-        self.max_frame = max_frame
+    def __init__(self):
         self._buffer = bytearray()
         self._poisoned = False
 
@@ -533,10 +496,10 @@ class FrameDecoder:
                 )
             if kind not in _KINDS:
                 raise ProtocolError(f"unknown frame kind {kind}")
-            if length > self.max_frame:
+            if length > DEFAULT_MAX_FRAME:
                 raise ProtocolError(
                     f"frame of {length} bytes exceeds the "
-                    f"{self.max_frame}-byte limit"
+                    f"{DEFAULT_MAX_FRAME}-byte limit"
                 )
             end = _HEADER.size + length
             if len(self._buffer) < end:
@@ -575,19 +538,12 @@ class WireSession:
         for kind, payload in session.events() # decoded conversation
     """
 
-    def __init__(
-        self,
-        role: str,
-        node: str = "",
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ):
+    def __init__(self, role: str):
         if role not in ("client", "server"):
             raise ProtocolError(f"unknown session role {role!r}")
         self.role = role
-        self.node = node
-        self.peer: Optional[str] = None
         self.handshaken = False
-        self._decoder = FrameDecoder(max_frame=max_frame)
+        self._decoder = FrameDecoder()
         self._outbound = bytearray()
         self._events: List[Tuple[int, Any]] = []
 
@@ -597,7 +553,7 @@ class WireSession:
         """The client's opening HELLO (server sessions never greet)."""
         if self.role != "client":
             raise ProtocolError("only client sessions greet")
-        return encode_frame(HELLO, {"version": VERSION, "node": self.node})
+        return encode_frame(HELLO, {"version": VERSION})
 
     def feed(self, data: bytes) -> None:
         """Buffer received bytes and decode every frame they complete.
@@ -636,18 +592,14 @@ class WireSession:
                     f"{payload.get('version') if isinstance(payload, dict) else payload!r}, "
                     f"not {VERSION}"
                 )
-            self.peer = str(payload.get("node", ""))
             self.handshaken = True
-            self._outbound.extend(
-                encode_frame(HELLO_OK, {"version": VERSION, "node": self.node})
-            )
+            self._outbound.extend(encode_frame(HELLO_OK, {"version": VERSION}))
             return
         if kind == HELLO_OK:
             if self.role != "client" or self.handshaken:
                 raise ProtocolError("unexpected HELLO-OK")
             if not isinstance(payload, dict) or payload.get("version") != VERSION:
                 raise ProtocolError("handshake reply speaks another version")
-            self.peer = str(payload.get("node", ""))
             self.handshaken = True
             return
         raise ProtocolError(f"{KIND_NAMES.get(kind, kind)} frame before handshake")

@@ -973,9 +973,7 @@ class Federation:
         if transport in ("socket", "process"):
             from repro.middleware.sockets import SocketTransport
 
-            self._socket_transport = SocketTransport(
-                self._endpoints.get, node="federation"
-            )
+            self._socket_transport = SocketTransport(self._endpoints.get)
             self.transport = self._socket_transport
         else:
             self.transport = InProcessTransport()
@@ -1723,15 +1721,16 @@ class Federation:
         """Send one routed hop over the wire to ``node``'s listener,
         where :meth:`Node.serve` runs it.
 
-        The hop sends the attempt's own envelope — its correlation id,
-        QoS, binding and attempt counter, so a traced retry over sockets
-        is recognizably the same logical call.  The attempt already set
-        its target and object id and minted a fresh context; here its
-        arguments are marshalled into pure wire values in place (proxies
-        become references), which a QoS retry repeats as an identity
-        copy.  A fault comes back as an error REPLY and re-raises here
-        with its retryability intact, so the failover element and the
-        QoS budget behave exactly as they do in process.
+        The hop sends the attempt's own envelope; its REQUEST frame
+        carries the correlation id, label, object id, operation and call
+        (QoS, binding and attempt counter stay on this side, which alone
+        applies them).  The attempt already set its target and object
+        id and minted a fresh context; here its arguments are marshalled
+        into pure wire values in place (proxies become references),
+        which a QoS retry repeats as an identity copy.  A fault comes
+        back as an error REPLY and re-raises here with its retryability
+        intact, so the failover element and the QoS budget behave
+        exactly as they do in process.
         """
         envelope.args = marshal(envelope.args, proxy_ref, root="args")
         envelope.kwargs = marshal(envelope.kwargs, proxy_ref, root="kwargs")

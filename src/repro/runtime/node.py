@@ -331,16 +331,19 @@ class Node:
         """The server half of a wire hop: run one REQUEST frame here.
 
         The caller already resolved the binding, checked the node is
-        alive and makes the replication decision, so serving is a plain
-        :meth:`invoke`.  The hop label carries the servant type
-        (``Type.operation``), so the reference is rebuilt without a
-        naming lookup; arguments are wire values the ORB hydrates
-        against this node's registry, passed on as decoded (:meth:`_run`
-        and the ORB copy what they keep), and proxies in the result
-        leave as references.  A :data:`BATCH` request runs its members
-        through :meth:`invoke_batch` and answers with one outcome per
-        member, ``{"result": value}`` or ``{"error": ...}`` (the form
-        :mod:`repro.middleware.bus` documents beside ``error_to_wire``).
+        alive, applied the call's QoS and makes the replication
+        decision, so serving is a plain :meth:`invoke` that reads the
+        envelope's operation, call, object id and label, which is all a
+        REQUEST frame carries besides its correlation id.  The hop label
+        carries the servant type (``Type.operation``), so the reference
+        is rebuilt without a naming lookup; arguments are wire values
+        the ORB hydrates against this node's registry, passed on as
+        decoded (:meth:`_run` and the ORB copy what they keep), and
+        proxies in the result leave as references.  A :data:`BATCH`
+        request runs its members through :meth:`invoke_batch` and
+        answers with one outcome per member, ``{"result": value}`` or
+        ``{"error": ...}`` (the form :mod:`repro.middleware.bus`
+        documents beside ``error_to_wire``).
         """
         if envelope.operation == BATCH:
             outcomes = self.invoke_batch(

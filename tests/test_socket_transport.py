@@ -11,6 +11,7 @@ shapes, same failover sequence.
 """
 
 import socket
+import struct
 import threading
 import time
 from types import SimpleNamespace
@@ -113,7 +114,7 @@ class _ScriptedServer:
                 conn.close()
 
     def _converse(self, conn):
-        session = WireSession("server", node="scripted")
+        session = WireSession("server")
         while True:
             data = conn.recv(65536)
             if not data:
@@ -611,7 +612,7 @@ class TestWireLayer:
         discarded before any request bytes are risked on it."""
         server = _ScriptedServer(script=None, close_after_handshake=True)
         try:
-            pool = ConnectionPool(node="c")
+            pool = ConnectionPool()
             client, pooled = pool.checkout(server.endpoint)
             assert not pooled
             pool.checkin(client)
@@ -624,11 +625,129 @@ class TestWireLayer:
         finally:
             server.close()
 
+    def test_a_client_reset_right_after_its_hello_ends_only_its_connection(
+        self, monkeypatch
+    ):
+        """A client that sends HELLO and resets (SO_LINGER 0) makes the
+        listener's HELLO-OK fail: that connection ends quietly, its
+        thread raises nothing, and the listener serves the next call."""
+        from repro.middleware.wire import HELLO, VERSION, encode_frame
+
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        server = WireServer(node="w", request_handler=lambda env: 1)
+        endpoint = server.start()
+        try:
+            for _ in range(3):
+                probe = socket.create_connection(parse_endpoint(endpoint)[1])
+                probe.sendall(encode_frame(HELLO, {"version": VERSION}))
+                probe.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                probe.close()
+            deadline = time.monotonic() + 5
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for thread in threading.enumerate():
+                if thread.name.startswith("wire-serve-w-"):
+                    thread.join(timeout=5)
+            assert not server._connections
+            transport = SocketTransport({"w": endpoint}.get)
+            assert transport.roundtrip("w", _envelope("w")) == 1
+            transport.shutdown()
+        finally:
+            server.stop()
+        assert raised == []
+
+    def test_a_failed_unix_dial_closes_its_socket(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recording)
+        with pytest.raises(OSError):
+            WireClient(f"unix://{tmp_path}/missing.sock", timeout_s=1.0)
+        [dialled] = [sock for sock in made if sock.family == socket.AF_UNIX]
+        assert dialled.fileno() == -1
+
+    @pytest.mark.parametrize("peer", ["closes", "times out", "answers garbage"])
+    def test_a_failed_handshake_closes_its_socket(self, peer, monkeypatch):
+        """A listener that accepts and then closes, never answers, or
+        answers the HELLO with bytes that are no HELLO-OK: the client's
+        handshake fails, and the socket it dialled is closed before the
+        error reaches the caller."""
+        from repro.middleware import sockets
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
+        done = threading.Event()
+
+        def misbehave():
+            conn, _peer = listener.accept()
+            with conn:
+                if peer == "times out":
+                    done.wait(5)
+                elif peer == "answers garbage":
+                    conn.recv(65536)
+                    conn.sendall(b"XX" + bytes(14))
+                    done.wait(5)
+
+        listening = threading.Thread(target=misbehave, daemon=True)
+        listening.start()
+        dialled, dial = [], sockets._dial
+        monkeypatch.setattr(
+            sockets, "_dial", lambda *args: dialled.append(dial(*args)) or dialled[-1]
+        )
+        try:
+            with pytest.raises((TransportError, OSError)):
+                WireClient(f"tcp://{host}:{port}", timeout_s=0.3)
+            assert len(dialled) == 1 and dialled[0].fileno() == -1
+        finally:
+            done.set()
+            listening.join(timeout=5)
+            listener.close()
+
+    def test_the_listener_sees_the_call_under_the_default_policy(self):
+        """A REQUEST carries the call, not the caller's policy: the
+        handler gets the label, object id, operation and arguments under
+        the default QoS, with no attempt, target or binding, while the
+        caller's envelope keeps its own."""
+        from repro.middleware.envelope import DEFAULT_QOS, Envelope
+
+        seen = []
+        server = WireServer(node="w", request_handler=lambda env: seen.append(env) or 1)
+        endpoint = server.start()
+        try:
+            transport = SocketTransport({"w": endpoint}.get)
+            envelope = Envelope(
+                "obj-3", "bump", [1.0], {}, {"user": "alice"},
+                qos=QoS(oneway=True, retries=2, timeout_ms=250), target="w",
+                binding="p/Counter/0", label="Counter.bump", attempt=1,
+            )
+            assert transport.roundtrip("w", envelope) == 1
+            transport.shutdown()
+        finally:
+            server.stop()
+        [served] = seen
+        assert served.correlation_id == envelope.correlation_id
+        assert (served.label, served.object_id, served.operation) == (
+            "Counter.bump", "obj-3", "bump"
+        )
+        assert (served.args, served.kwargs, served.context) == ([1.0], {}, {"user": "alice"})
+        assert served.qos is DEFAULT_QOS and served.attempt == 0
+        assert served.target is None and served.binding is None
+        assert envelope.qos.retries == 2 and envelope.binding == "p/Counter/0"
+
     def test_connection_pool_reuses_and_invalidates(self):
         server = WireServer(node="w", request_handler=lambda env: None)
         endpoint = server.start()
         try:
-            pool = ConnectionPool(node="c")
+            pool = ConnectionPool()
             client, pooled = pool.checkout(endpoint)
             assert not pooled
             pool.checkin(client)

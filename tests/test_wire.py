@@ -40,9 +40,11 @@ from repro.middleware.bus import (
     error_from_wire as decode_fault,
     error_to_wire as encode_fault,
 )
-from repro.middleware.envelope import Envelope, QoS
+from repro.middleware.envelope import DEFAULT_QOS, Envelope, QoS
 from repro.middleware.wire import (
+    DEFAULT_MAX_FRAME,
     HELLO,
+    HELLO_OK,
     MAX_DEPTH,
     REPLY,
     REQUEST,
@@ -284,7 +286,7 @@ def test_frames_survive_arbitrary_splits():
 def test_interleaved_frames_in_one_read():
     """Three frames and a tail of a fourth in a single feed."""
     frames = [
-        encode_frame(HELLO, {"version": VERSION, "node": "a"}),
+        encode_frame(HELLO, {"version": VERSION}),
         _request_frame(),
         response_frame(7, None),
     ]
@@ -327,12 +329,17 @@ def test_unknown_kind_is_refused():
 
 
 def test_oversized_frame_is_rejected_from_the_header_alone():
-    """A huge length prefix is refused before any payload is buffered."""
-    header = encode_frame(HELLO, {})[:4] + (2**31).to_bytes(4, "big")
-    decoder = FrameDecoder(max_frame=1024)
+    """A length prefix one byte over the limit is refused before any
+    payload is buffered."""
+    header = encode_frame(HELLO, {})[:4] + (DEFAULT_MAX_FRAME + 1).to_bytes(4, "big")
+    decoder = FrameDecoder()
     decoder.feed(header)
-    with pytest.raises(ProtocolError, match="exceeds the 1024-byte limit"):
+    with pytest.raises(
+        ProtocolError,
+        match=f"frame of {DEFAULT_MAX_FRAME + 1} bytes exceeds the {DEFAULT_MAX_FRAME}-byte limit",
+    ):
         list(decoder.frames())
+    assert decoder.pending() == 8
 
 
 def test_truncated_payload_is_a_protocol_error():
@@ -389,33 +396,38 @@ def test_hostile_deep_frame_is_a_protocol_error_not_recursion():
 # ---------------------------------------------------------------------------
 
 
-def test_handshake_agrees_and_exchanges_node_names():
-    client = WireSession("client", node="frontend")
-    server = WireSession("server", node="worker-1")
-    server.feed(client.greeting())
-    assert server.handshaken and server.peer == "frontend"
-    client.feed(server.take_outbound())
-    assert client.handshaken and client.peer == "worker-1"
+def test_handshake_agrees_on_the_version_alone():
+    """HELLO and HELLO-OK carry the wire version and nothing else."""
+    client = WireSession("client")
+    server = WireSession("server")
+    greeting = client.greeting()
+    assert _decoded(greeting) == (HELLO, {"version": VERSION})
+    server.feed(greeting)
+    assert server.handshaken
+    accept = server.take_outbound()
+    assert _decoded(accept) == (HELLO_OK, {"version": VERSION})
+    client.feed(accept)
+    assert client.handshaken
 
 
 def test_conversation_before_handshake_is_refused():
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="before handshake"):
         server.feed(_request_frame())
 
 
 def test_version_mismatch_is_refused_at_hello():
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="wire version"):
-        server.feed(encode_frame(HELLO, {"version": VERSION + 1, "node": "c"}))
+        server.feed(encode_frame(HELLO, {"version": VERSION + 1}))
 
 
 def test_double_hello_is_refused():
-    server = WireSession("server", node="w")
-    server.feed(encode_frame(HELLO, {"version": VERSION, "node": "c"}))
+    server = WireSession("server")
+    server.feed(encode_frame(HELLO, {"version": VERSION}))
     server.take_outbound()
     with pytest.raises(ProtocolError, match="unexpected HELLO"):
-        server.feed(encode_frame(HELLO, {"version": VERSION, "node": "c"}))
+        server.feed(encode_frame(HELLO, {"version": VERSION}))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +502,10 @@ def test_fault_frames_round_trip_through_the_codec():
     assert rebuilt.pre_effect is True
 
 
-def test_envelope_round_trip_preserves_correlation_and_qos():
+def test_envelope_round_trip_preserves_correlation_and_the_call():
+    """The peer rebuilds the correlation id, label, object id, operation
+    and call; the caller's QoS, attempt, target and binding never
+    cross, so it rebuilds the defaults."""
     envelope = Envelope(
         "obj-3",
         "transfer",
@@ -508,10 +523,13 @@ def test_envelope_round_trip_preserves_correlation_and_qos():
     [(kind, (_nested, payload))] = list(decoder.frames())
     hydrated = Envelope.from_wire(payload)
     assert hydrated.correlation_id == envelope.correlation_id
-    assert hydrated.attempt == 2
-    assert hydrated.qos.retries == 3
-    assert hydrated.binding == "branch-0/Bank/0"
-    assert hydrated.args[0] == ObjectRefData("obj-1", "Account")
+    assert (hydrated.label, hydrated.object_id, hydrated.operation) == (
+        "Bank.transfer", "obj-3", "transfer"
+    )
+    assert hydrated.args == [ObjectRefData("obj-1", "Account"), 25]
+    assert hydrated.kwargs == {"memo": "rent"}
+    assert hydrated.qos is DEFAULT_QOS and hydrated.attempt == 0
+    assert hydrated.target is None and hydrated.binding is None
 
 
 # ---------------------------------------------------------------------------
@@ -768,17 +786,16 @@ def test_decoder_accepts_any_bytes_like_payload():
 # fixed headers: REQUEST and REPLY
 # ---------------------------------------------------------------------------
 
-#: the REQUEST payload header (unchanged since version 7): correlation
-#: id, attempt, QoS retries, flags (oneway 1, nested 2), timeout kind and
-#: value, then the byte lengths of target, binding, label, object id and
+#: the version-9 REQUEST payload header: correlation id, flags (nested
+#: 2 the only bit), then the byte lengths of label, object id and
 #: operation
-REQUEST_HEAD = struct.Struct(">QIIBBd5I")
+REQUEST_HEAD = struct.Struct(">QB3I")
 #: the version-8 REPLY payload header: the correlation id answered and
 #: the outcome byte (0 result, 1 error)
 REPLY_HEAD = struct.Struct(">QB")
 FRAME_HEADER = 8
 #: where the flags byte sits in a REQUEST frame
-FLAGS = FRAME_HEADER + 16
+FLAGS = FRAME_HEADER + 8
 ABSENT = 0xFFFFFFFF
 
 
@@ -810,16 +827,21 @@ def test_request_header_layout_is_pinned():
         attempt=1,
     )
     frame = request_frame(envelope)
-    assert frame[:4] == b"RW" + bytes([8, REQUEST])
+    assert frame[:4] == b"RW" + bytes([9, REQUEST])
     payload = frame[FRAME_HEADER:]
-    assert REQUEST_HEAD.unpack_from(payload) == (
-        9, 1, 2, 1, 1, 250.0, 6, ABSENT, 0, 5, 7
-    )
-    strings = payload[REQUEST_HEAD.size:REQUEST_HEAD.size + 18]
-    assert strings == b"node-0" + b"obj-1" + b"deposit"
-    assert decode_value(payload[REQUEST_HEAD.size + 18:]) == (
+    assert REQUEST_HEAD.unpack_from(payload) == (9, 0, 0, 5, 7)
+    strings = payload[REQUEST_HEAD.size:REQUEST_HEAD.size + 12]
+    assert strings == b"obj-1" + b"deposit"
+    assert decode_value(payload[REQUEST_HEAD.size + 12:]) == (
         [100], {"memo": "x"}, {"user": "alice"}
     )
+    # the echo call's REQUEST: 129 bytes at version 8, which also sent
+    # the attempt, QoS retries, timeout, target and binding
+    echo = Envelope(
+        "obj-3", "bump", [1.0], {}, {},
+        target="node-1", binding="counter-1/Counter/0", label="Counter.bump",
+    )
+    assert len(request_frame(echo)) == 79
 
 
 def _poisoned(decoder):
@@ -842,10 +864,10 @@ def test_header_shorter_than_its_struct_is_refused(kind):
 
 
 def test_header_string_past_the_payload_end_is_refused():
-    frame = bytearray(request_frame(_envelope(target="node-0")))
-    target_length = FRAME_HEADER + REQUEST_HEAD.size - 5 * 4
-    assert frame[target_length:target_length + 4] == (6).to_bytes(4, "big")
-    frame[target_length:target_length + 4] = (len(frame)).to_bytes(4, "big")
+    frame = bytearray(request_frame(_envelope(label="Account.deposit")))
+    label_length = FRAME_HEADER + REQUEST_HEAD.size - 3 * 4
+    assert frame[label_length:label_length + 4] == (15).to_bytes(4, "big")
+    frame[label_length:label_length + 4] = (len(frame)).to_bytes(4, "big")
     decoder = FrameDecoder()
     decoder.feed(bytes(frame))
     with pytest.raises(ProtocolError, match="runs past the end"):
@@ -858,7 +880,7 @@ def test_version_4_hello_is_refused():
     peer still speaking it is refused at HELLO, before any frame of
     that layout is read, and the refusal poisons the session."""
     hello = _frame_of(HELLO, encode_value({"version": 4, "node": "c"}))
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="unsupported wire version 4"):
         server.feed(hello[:2] + bytes([4]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
@@ -870,7 +892,7 @@ def test_version_5_hello_is_refused():
     a peer still speaking it is refused at HELLO, and the refusal
     poisons the session."""
     hello = _frame_of(HELLO, encode_value({"version": 5, "node": "c"}))
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="unsupported wire version 5"):
         server.feed(hello[:2] + bytes([5]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
@@ -883,7 +905,7 @@ def test_version_6_hello_is_refused():
     before any frame of that layout is read, and the refusal poisons
     the session."""
     hello = _frame_of(HELLO, encode_value({"version": 6, "node": "c"}))
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="unsupported wire version 6"):
         server.feed(hello[:2] + bytes([6]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
@@ -896,14 +918,32 @@ def test_version_7_hello_is_refused():
     at HELLO, before any of its replies is read, and the refusal
     poisons the session."""
     hello = _frame_of(HELLO, encode_value({"version": 7, "node": "c"}))
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="unsupported wire version 7"):
         server.feed(hello[:2] + bytes([7]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
         server.feed(b"more")
 
 
-@pytest.mark.parametrize("field", ["target", "binding", "label", "operation"])
+def test_version_8_hello_is_refused():
+    """Version 8's REQUEST header also held the attempt, QoS retries, a
+    oneway bit, a timeout, the target and the binding, and its HELLO
+    named the node: a peer still speaking it is refused at HELLO,
+    before any request of that layout is read, and the refusal poisons
+    the session."""
+    hello = _frame_of(HELLO, encode_value({"version": 8, "node": "c"}))
+    server = WireSession("server")
+    with pytest.raises(ProtocolError, match="unsupported wire version 8"):
+        server.feed(hello[:2] + bytes([8]) + hello[3:])
+    with pytest.raises(ProtocolError, match="poisoned"):
+        server.feed(b"more")
+    # a version-8 greeting inside a version-9 frame is refused as well
+    server = WireSession("server")
+    with pytest.raises(ProtocolError, match="peer speaks wire version 8, not 9"):
+        server.feed(hello)
+
+
+@pytest.mark.parametrize("field", ["label", "object_id", "operation"])
 def test_invalid_utf8_in_a_header_string_is_refused(field):
     frame = request_frame(_envelope(**{field: "zz-ok"}))
     assert frame.count(b"zz-ok") == 1
@@ -917,27 +957,37 @@ def test_invalid_utf8_in_a_header_string_is_refused(field):
 @pytest.mark.parametrize("oneway", [False, True])
 @pytest.mark.parametrize("nested", [False, True])
 def test_nested_bit_round_trips_beside_oneway(oneway, nested):
+    """The nested bit is the flags byte's only bit: a oneway QoS beside
+    it sets none, and the peer rebuilds the default QoS."""
     frame = request_frame(_envelope(qos=QoS(oneway=oneway)), nested=nested)
-    assert frame[FLAGS] == (1 if oneway else 0) | (2 if nested else 0)
+    assert frame[FLAGS] == (2 if nested else 0)
     _kind, (decoded, payload) = _decoded(frame)
     assert decoded is nested
-    assert Envelope.from_wire(payload).qos.oneway is oneway
+    assert Envelope.from_wire(payload).qos is DEFAULT_QOS
+
+
+@pytest.mark.parametrize("byte", [0x01, 0x03, 0x04, 0x80], ids=hex)
+def test_an_unknown_flag_bit_is_refused(byte):
+    """Nested (2) is the only flag bit: version 8's oneway bit (1) is
+    refused like any other, alone or beside nested."""
+    frame = bytearray(request_frame(_envelope()))
+    frame[FLAGS] = byte
+    decoder = FrameDecoder()
+    decoder.feed(bytes(frame))
+    with pytest.raises(ProtocolError, match=f"unknown request flag bits {byte:#04x}"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
 
 
 def test_malformed_flags_and_call_shape_are_refused():
-    good = request_frame(_envelope())
-    for offset, byte, match in (
-        (FLAGS, 4, "unknown request flag bits"),
-        (FLAGS + 1, 7, "malformed timeout"),
-    ):
-        frame = bytearray(good)
-        frame[offset] = byte
-        decoder = FrameDecoder()
-        decoder.feed(bytes(frame))
-        with pytest.raises(ProtocolError, match=match):
-            list(decoder.frames())
-        assert _poisoned(decoder)
-    head = REQUEST_HEAD.pack(1, 0, 0, 0, 0, 0.0, ABSENT, ABSENT, ABSENT, 0, 0)
+    frame = bytearray(request_frame(_envelope()))
+    frame[FLAGS] = 0xFF
+    decoder = FrameDecoder()
+    decoder.feed(bytes(frame))
+    with pytest.raises(ProtocolError, match="unknown request flag bits"):
+        list(decoder.frames())
+    assert _poisoned(decoder)
+    head = REQUEST_HEAD.pack(1, 0, ABSENT, 0, 0)
     for call in ([[], {}, {}], ((), {}, {}), ([], {})):
         decoder = FrameDecoder()
         decoder.feed(_frame_of(REQUEST, head + encode_value(call)))
@@ -951,10 +1001,6 @@ def test_malformed_flags_and_call_shape_are_refused():
     [
         {"correlation_id": 2**64},
         {"correlation_id": -1},
-        {"attempt": 2**32},
-        {"qos": QoS(retries=2**32)},
-        {"qos": QoS(timeout_ms=2**53 + 1)},
-        {"qos": QoS(timeout_ms="soon")},
     ],
     ids=repr,
 )
@@ -971,14 +1017,12 @@ def test_a_response_id_wider_than_its_header_is_refused_at_encode():
 
 
 def test_widest_ids_round_trip_unwrapped():
-    envelope = _envelope(correlation_id=2**64 - 1, attempt=2**32 - 1)
+    envelope = _envelope(correlation_id=2**64 - 1)
     _kind, (_nested, payload) = _decoded(request_frame(envelope))
-    hydrated = Envelope.from_wire(payload)
-    assert hydrated.correlation_id == 2**64 - 1
-    assert hydrated.attempt == 2**32 - 1
+    assert Envelope.from_wire(payload).correlation_id == 2**64 - 1
 
 
-@pytest.mark.parametrize("field", ["target", "binding", "label"])
+@pytest.mark.parametrize("field", ["label", "object_id", "operation"])
 @pytest.mark.parametrize("value", [None, ""])
 def test_none_and_empty_header_strings_stay_distinct(field, value):
     _kind, (_nested, payload) = _decoded(
@@ -988,13 +1032,30 @@ def test_none_and_empty_header_strings_stay_distinct(field, value):
     assert (getattr(Envelope.from_wire(payload), field) is None) == (value is None)
 
 
-@pytest.mark.parametrize("timeout_ms", [None, 500, 0, -3, 2**53, 500.0, 0.25, float("inf")])
-def test_timeout_round_trips_keeping_its_type(timeout_ms):
-    envelope = _envelope(qos=QoS(timeout_ms=timeout_ms))
-    _kind, (_nested, payload) = _decoded(request_frame(envelope))
-    hydrated = Envelope.from_wire(payload).qos.timeout_ms
-    assert hydrated == timeout_ms
-    assert type(hydrated) is type(timeout_ms)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"qos": QoS(oneway=True)},
+        {"qos": QoS(retries=2**32)},
+        {"qos": QoS(timeout_ms=2**53 + 1)},
+        {"qos": QoS(timeout_ms="soon")},
+        {"qos": QoS(timeout_ms=float("inf"))},
+        {"attempt": 2**32},
+        {"target": 7},
+        {"binding": b"branch-0/Bank/0"},
+    ],
+    ids=repr,
+)
+def test_the_callers_policy_stays_with_the_caller(fields):
+    """QoS, attempt, target and binding never reach the frame, however
+    wide or odd: the frame is the plain call's, byte for byte, and the
+    peer rebuilds the defaults."""
+    plain = _envelope(correlation_id=5)
+    frame = request_frame(_envelope(correlation_id=5, **fields))
+    assert frame == request_frame(plain)
+    hydrated = Envelope.from_wire(_decoded(frame)[1][1])
+    assert hydrated.qos is DEFAULT_QOS and hydrated.attempt == 0
+    assert hydrated.target is None and hydrated.binding is None
 
 
 def test_response_carries_a_success_only():
@@ -1003,7 +1064,7 @@ def test_response_carries_a_success_only():
     result itself.  An error REPLY differs in its outcome byte alone."""
     result = {"balance": [1.5, ObjectRefData("o", "T")]}
     frame = response_frame(11, result)
-    assert frame[:4] == b"RW" + bytes([8, REPLY])
+    assert frame[:4] == b"RW" + bytes([9, REPLY])
     assert frame[FRAME_HEADER:FRAME_HEADER + REPLY_HEAD.size] == struct.pack(">QB", 11, 0)
     assert decode_value(frame[FRAME_HEADER + REPLY_HEAD.size:]) == result
     kind, (correlation_id, error, decoded) = _decoded(frame)
@@ -1033,7 +1094,7 @@ def test_request_and_response_frames_have_no_tagged_payload_path():
 
 def test_version_2_hello_is_refused():
     hello = _frame_of(HELLO, encode_value({"version": 2, "node": "c"}))
-    server = WireSession("server", node="w")
+    server = WireSession("server")
     with pytest.raises(ProtocolError, match="unsupported wire version 2"):
         server.feed(hello[:2] + bytes([2]) + hello[3:])
     with pytest.raises(ProtocolError, match="poisoned"):
@@ -1049,13 +1110,10 @@ _FRAME_HEAD = struct.Struct(">2sBBI")
 
 def _reference_to_wire(envelope):
     """An envelope's positional form, read as the REQUEST framing read
-    it before frames were packed in one pass."""
-    qos = envelope.qos
+    it before frames were packed in one pass: the version-9 fields."""
     return (
-        envelope.correlation_id, envelope.attempt, qos.retries, qos.oneway,
-        qos.timeout_ms, envelope.target, envelope.binding, envelope.label,
-        envelope.object_id, envelope.operation,
-        (envelope.args, envelope.kwargs, envelope.context),
+        envelope.correlation_id, envelope.label, envelope.object_id,
+        envelope.operation, (envelope.args, envelope.kwargs, envelope.context),
     )
 
 
@@ -1085,21 +1143,11 @@ def _reference_frame(kind, parts):
 def _reference_request_frame(envelope, nested=False):
     """A REQUEST frame as it was built field list by field list: the
     bytes :func:`request_frame` must keep producing."""
-    (
-        correlation_id, attempt, retries, oneway, timeout_ms,
-        target, binding, label, object_id, operation, call,
-    ) = _reference_to_wire(envelope)
-    if timeout_ms is None:
-        timeout_kind, timeout = 0, 0.0
-    elif isinstance(timeout_ms, float):
-        timeout_kind, timeout = 2, timeout_ms
-    else:
-        timeout_kind, timeout = 1, float(timeout_ms)
+    correlation_id, label, object_id, operation, call = _reference_to_wire(envelope)
     parts = _reference_head_parts(
         REQUEST_HEAD,
-        (correlation_id, attempt, retries,
-         (1 if oneway else 0) | (2 if nested else 0), timeout_kind, timeout),
-        (target, binding, label, object_id, operation),
+        (correlation_id, 2 if nested else 0),
+        (label, object_id, operation),
     )
     parts.append(_reference_encode(call))
     return _reference_frame(REQUEST, parts)
@@ -1140,6 +1188,8 @@ _TIMEOUT = st.one_of(
 def test_request_frames_match_the_reference_framing(
     rng, texts, ids, timeout_ms, oneway, nested
 ):
+    """The caller's QoS, attempt, target and binding are drawn too, and
+    leave no trace in the bytes."""
     target, binding, label, object_id, operation = texts
     correlation_id, attempt, retries = ids
     envelope = Envelope(
@@ -1157,6 +1207,7 @@ def test_request_frames_match_the_reference_framing(
     )
     frame = request_frame(envelope, nested)
     assert frame == _reference_request_frame(envelope, nested)
+    assert _decoded(frame) == (REQUEST, (nested, _reference_to_wire(envelope)))
 
 
 @given(st.randoms(use_true_random=False), _U64, st.booleans())
@@ -1167,7 +1218,7 @@ def test_response_frames_match_the_reference_framing(rng, correlation_id, error)
     assert frame == _reference_response_frame(correlation_id, value, error)
 
 
-@pytest.mark.parametrize("field", ["target", "binding", "label", "object_id", "operation"])
+@pytest.mark.parametrize("field", ["label", "object_id", "operation"])
 @pytest.mark.parametrize("bad", [7, b"node-0", ["node-0"]], ids=repr)
 def test_a_non_string_header_field_is_refused(field, bad):
     """An int, a bytes or an unhashable list is no header string: it
