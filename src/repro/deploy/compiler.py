@@ -168,7 +168,7 @@ class DeploymentCompiler:
 
     # -- phase 2: materialization -------------------------------------------------
 
-    def deploy(self, spec: DeploymentSpec, metrics=None):
+    def deploy(self, spec: DeploymentSpec):
         """Materialize ``spec`` as a live :class:`Federation`."""
         from repro.core import MdaLifecycle, MiddlewareServices, ship
         from repro.runtime.federation import Federation
@@ -178,7 +178,6 @@ class DeploymentCompiler:
             seed=spec.seed,
             latency_ms=spec.sim_latency_ms,
             real_latency_s=spec.real_latency_ms / 1000.0,
-            metrics=metrics,
             delivery_workers=spec.delivery_workers,
             transport=spec.transport,
         )

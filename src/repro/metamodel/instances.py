@@ -54,6 +54,39 @@ class _RootsFeature:
 ROOTS_FEATURE = _RootsFeature()
 
 
+def _walk(slots, containment, children) -> Iterator["MObject"]:
+    """Depth-first over ``children``, each followed by its containment
+    subtree, then over what the ``containment`` references hold in
+    ``slots``: one generator however deep the tree, ``stack`` keeping
+    each open ancestor's place.  A list is copied when the walk reaches
+    it, so a child added to the object the caller was just handed is
+    still visited, and one added to a list already reached is not."""
+    refs = iter(containment)
+    children = iter(list(children))
+    stack = []
+    while True:
+        for child in children:
+            yield child
+            # descend into the child just handed
+            stack.append((slots, refs, children))
+            slots = child._slots
+            refs = iter(child._meta._shape().containment)
+            children = iter(())
+            break
+        else:
+            # this list is done: on to the next one holding anything, or
+            # back up to the parent's place
+            for ref in refs:
+                value = slots.get(ref.name)
+                if value is not None:
+                    children = iter(value._items[:] if ref.many else (value,))
+                    break
+            else:
+                if not stack:
+                    return
+                slots, refs, children = stack.pop()
+
+
 def _check_conformance(feature: MetaFeature, value) -> None:
     if not feature.type.is_instance(value):
         raise TypeConformanceError(
@@ -135,14 +168,7 @@ class MObject(NotificationMixin):
 
     def all_contents(self) -> Iterator["MObject"]:
         """Depth-first iteration over the containment subtree (self excluded)."""
-        for ref in self._meta._shape().containment:
-            value = self._slots.get(ref.name)
-            if value is None:
-                continue
-            children = value if ref.many else [value]
-            for child in list(children):
-                yield child
-                yield from child.all_contents()
+        return _walk(self._slots, self._meta._shape().containment, ())
 
     # -- notifications ---------------------------------------------------------
 
@@ -609,9 +635,7 @@ class ModelResource(NotificationMixin):
 
     def all_contents(self) -> Iterator[MObject]:
         """Every object in the resource, depth-first from each root."""
-        for root in list(self._roots):
-            yield root
-            yield from root.all_contents()
+        return _walk(None, (), self._roots)
 
     def objects_of(self, meta_class: MetaClass) -> Iterator[MObject]:
         """All instances (direct or via subclassing) of ``meta_class``."""

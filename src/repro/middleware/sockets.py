@@ -1,15 +1,15 @@
 """Socket IO for the sans-IO wire protocol: listeners, pools, transport.
 
 Everything protocol-shaped lives in :mod:`repro.middleware.wire` (frame
-codec, handshake) and, for errors, in :mod:`repro.middleware.bus`'s one
-error codec; this module owns the sockets and the threads:
+codec) and, for errors, in :mod:`repro.middleware.bus`'s one error
+codec; this module owns the sockets and the threads:
 
 * :class:`WireServer` — a listener (TCP or unix-domain) that runs one
-  :class:`~repro.middleware.wire.WireSession` per accepted connection,
+  :class:`~repro.middleware.wire.FrameDecoder` per accepted connection,
   hands decoded REQUEST/CONTROL frames to callbacks and answers each
   with one REPLY frame.
-* :class:`WireClient` — one handshaken client connection with blocking
-  send and await-reply steps.
+* :class:`WireClient` — one client connection with blocking send and
+  await-reply steps.
 * :class:`ConnectionPool` — per-endpoint reuse of idle client
   connections (dial on miss, at most ``_MAX_IDLE`` kept idle).
 * :class:`SocketTransport` — the :class:`~repro.middleware.transport.Transport`
@@ -33,10 +33,12 @@ error codec; this module owns the sockets and the threads:
 The sizes are constants, not settings: every decoder refuses frames
 over :data:`~repro.middleware.wire.DEFAULT_MAX_FRAME`, a listener
 backs up to ``_BACKLOG`` connections and a pool keeps ``_MAX_IDLE`` per
-endpoint.  A transport chooses only its socket timeout (``timeout_s``),
-and a client connection announces nothing but the wire version.  A
-socket whose dial or handshake fails is closed before the error
-propagates.
+endpoint.  A transport chooses only its socket timeout (``timeout_s``).
+A dial is the connect alone: every frame header carries the wire
+version, so no handshake precedes a connection's first REQUEST or
+CONTROL, and a peer that accepts and then misbehaves fails that first
+call as it would fail a pooled one.  A socket whose dial fails is
+closed before the error propagates.
 
 Endpoints are strings: ``tcp://127.0.0.1:9307`` or
 ``unix:///tmp/node-a.sock``.
@@ -66,8 +68,8 @@ from repro.middleware.wire import (
     CONTROL,
     REPLY,
     REQUEST,
-    WireSession,
-    encode_frame,
+    FrameDecoder,
+    control_frame,
     request_frame,
     response_frame,
 )
@@ -138,8 +140,11 @@ class WireServer:
     as one REPLY frame.  A handler that calls :meth:`stop_after_reply`
     closes the server once its reply is sent — how a management
     conversation ends a worker from the outside.  ``node`` names the
-    listener's threads.  A client that goes away mid-conversation, even
-    right after its HELLO, ends only its own connection.
+    listener's threads.  Each connection owns one
+    :class:`~repro.middleware.wire.FrameDecoder`, and a frame it refuses
+    (another wire version included) drops that connection alone.  A
+    client that goes away mid-conversation, even right after its first
+    request, ends only its own connection.
     """
 
     def __init__(
@@ -235,6 +240,10 @@ class WireServer:
                 conn, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed
+            # here, not on the serving thread: a dial returns before that
+            # thread runs, so stop() may close the connection first, and
+            # only the thread's reads and writes are guarded
+            conn.settimeout(None)
             with self._lock:
                 if self._closed:
                     with contextlib.suppress(OSError):
@@ -251,10 +260,8 @@ class WireServer:
             ).start()
 
     def _serve_connection(self, conn_id: int, conn: socket.socket) -> None:
-        session = WireSession("server")
-        greeted = False
+        decoder = FrameDecoder()
         try:
-            conn.settimeout(None)
             while True:
                 try:
                     data = conn.recv(_RECV_CHUNK)
@@ -263,7 +270,8 @@ class WireServer:
                 if not data:
                     return
                 try:
-                    session.feed(data)
+                    decoder.feed(data)
+                    frames = list(decoder.frames())
                 except ProtocolError:
                     # beyond resynchronization: drop the connection (the
                     # peer sees a disconnect, never a hung call)
@@ -271,13 +279,7 @@ class WireServer:
                         self.protocol_errors += 1
                     return
                 try:
-                    if not greeted:
-                        # the HELLO-OK; a handshaken session sends nothing unasked
-                        greeting = session.take_outbound()
-                        if greeting:
-                            conn.sendall(greeting)
-                        greeted = session.handshaken
-                    for kind, payload in session.events():
+                    for kind, payload in frames:
                         if self._serve_frame(conn, kind, payload):
                             return
                 except OSError:
@@ -289,7 +291,7 @@ class WireServer:
                 conn.close()
 
     def _serve_frame(self, conn, kind: int, payload: Any) -> bool:
-        """Answer one conversation frame with its REPLY; True ends the
+        """Answer one decoded frame with its REPLY; True ends the
         connection.
 
         A REQUEST runs through the request handler and answers its
@@ -344,25 +346,17 @@ class WireServer:
 
 
 class WireClient:
-    """One handshaken client connection (single caller at a time)."""
+    """One client connection (single caller at a time).
+
+    Constructing it only dials: nothing is sent or read until the first
+    :meth:`send`, so a peer that accepts and then misbehaves fails that
+    call, after its frame was written."""
 
     def __init__(self, endpoint: str, timeout_s: float = 10.0):
         self.endpoint = endpoint
-        self.session = WireSession("client")
+        self._decoder = FrameDecoder()
         # the dial leaves the socket under ``timeout_s``
         self._sock = _dial(endpoint, timeout_s)
-        try:
-            self._sock.sendall(self.session.greeting())
-            while not self.session.handshaken:
-                data = self._sock.recv(_RECV_CHUNK)
-                if not data:
-                    raise TransportError(
-                        f"peer at {endpoint} closed during handshake"
-                    )
-                self.session.feed(data)
-        except BaseException:
-            self._sock.close()
-            raise
 
     def send(self, frame: bytes) -> None:
         """Write one frame; raising means the frame was NOT fully written,
@@ -370,23 +364,23 @@ class WireClient:
         self._sock.sendall(frame)
 
     def await_reply(self) -> Tuple[int, Any]:
-        """Block for the next conversation frame from the peer.  Another
-        frame decoded beside it in the same read answers no call of this
-        connection, so it raises :class:`~repro.errors.ProtocolError`."""
-        session = self.session
-        events = session.events()
-        while not events:
+        """Block for the next frame from the peer.  Another frame decoded
+        beside it in the same read answers no call of this connection,
+        so it raises :class:`~repro.errors.ProtocolError`."""
+        decoder = self._decoder
+        frames = None
+        while not frames:
             data = self._sock.recv(_RECV_CHUNK)
             if not data:
                 raise TransportError(f"peer at {self.endpoint} disconnected")
-            session.feed(data)
-            events = session.events()
-        if len(events) > 1:
+            decoder.feed(data)
+            frames = list(decoder.frames())
+        if len(frames) > 1:
             raise ProtocolError(
-                f"peer at {self.endpoint} sent {len(events) - 1} frame(s) "
+                f"peer at {self.endpoint} sent {len(frames) - 1} frame(s) "
                 "beside its reply"
             )
-        return events[0]
+        return frames[0]
 
     def stale(self) -> bool:
         """True when the *idle* socket is readable: the peer closed it
@@ -534,7 +528,7 @@ class SocketTransport(Transport):
         """One management round trip (a worker's node-surface verb):
         the verb's value, or its error raised, as :meth:`_exchange`
         returns a routed call's — a CONTROL's REPLY answers id 0."""
-        return self._exchange(node, encode_frame(CONTROL, payload), 0)
+        return self._exchange(node, control_frame(payload), 0)
 
     def _exchange(self, node: str, frame: bytes, correlation_id: int) -> Any:
         """Send ``frame`` to ``node`` and return the value of the REPLY
@@ -554,7 +548,7 @@ class SocketTransport(Transport):
         the effect may have executed, so re-delivery is only safe once
         the failover element confirms the node is fail-stop dead.  A
         reply that breaks the protocol (undecodable, with another
-        conversation frame beside it in the same read, of another kind
+        frame beside it in the same read, of another kind
         than REPLY or answering another id) raises
         :class:`~repro.errors.ProtocolError`, which is not retryable, and
         the connection is closed, never pooled."""

@@ -30,8 +30,11 @@ REPLY answers every REQUEST and every CONTROL: the correlation id it
 answers (u64; a CONTROL carries no id, so its REPLY answers 0) and an
 outcome byte (0 result, 1 error), followed by one tagged value — the
 result, or the error in :func:`~repro.middleware.bus.error_to_wire`'s
-form with the sender's retry verdict.  HELLO and HELLO-OK payloads are
-``{"version": VERSION}``, and a CONTROL payload is one tagged value.
+form with the sender's retry verdict.  A CONTROL payload is one tagged
+value.  There is no handshake: a connection's first frame is its first
+REQUEST or CONTROL, and the version byte every frame header carries is
+the one version agreement — a frame of another version is refused
+before its payload is read.
 
 Each frame is built in one pass: its frame header and fixed header are
 one ``struct`` pack, joined once with the header strings and the
@@ -52,11 +55,8 @@ string nor ``None``, at encode time, instead of wrapping.
 
 :class:`FrameDecoder` is an incremental state machine: bytes arrive in
 arbitrary splits (half a header, three frames and a tail, ...) and
-complete frames come out.  :class:`WireSession` layers the
-handshake/conversation rules on top: HELLO/HELLO-OK version agreement
-first, then requests and control verbs answered by replies paired by
-correlation id, which a handshaken session queues in one plain loop
-per read.
+complete frames come out.  Each connection end owns one; pairing a
+REPLY with its call by correlation id is the IO owner's business.
 """
 
 from __future__ import annotations
@@ -69,9 +69,12 @@ from repro.middleware.bus import ObjectRefData
 from repro.middleware.envelope import Envelope
 
 MAGIC = b"RW"
+#: version 9 opened each connection with a handshake, an opening frame
+#: (kind 1) answered by an accept frame (kind 2), both carrying only
+#: the version every frame header already carries;
 #: version 8's REQUEST header also held the attempt, the QoS retries,
 #: a oneway flag bit (0x01), the timeout's kind and value, the target
-#: and the binding, and its HELLO and HELLO-OK named their nodes, all
+#: and the binding, and its handshake frames named their nodes, all
 #: unread by the peer;
 #: version 7 answered a REQUEST with a RESPONSE (kind 4, a success only)
 #: or an error frame (kind 6), and a CONTROL with an outcome-dict frame
@@ -82,7 +85,7 @@ MAGIC = b"RW"
 #: crossed in error frames; version 3 had no nested bit (its flags byte
 #: held the oneway flag alone); version 2 sent REQUEST and RESPONSE
 #: payloads as tagged dicts; version 1 also acked a oneway with kind 5
-VERSION = 9
+VERSION = 10
 
 #: every decoder refuses frames larger than this (a garbage length
 #: prefix must not make it buffer gigabytes before noticing)
@@ -98,23 +101,13 @@ _HEADER = struct.Struct(">2sBBI")
 
 # -- frame kinds -------------------------------------------------------------
 
-HELLO = 1  #: client greeting: {"version"}
-HELLO_OK = 2  #: server accept: {"version"}
 REQUEST = 3  #: one routed call: fixed header + the envelope's strings and call
 #: the outcome of a REQUEST or a CONTROL: fixed header (the correlation
 #: id it answers, the outcome byte) + the result or the error form
 REPLY = 4
 CONTROL = 7  #: one node-surface verb: {"verb", "args", "kwargs"}, empty ones omitted
 
-_KINDS = frozenset((HELLO, HELLO_OK, REQUEST, REPLY, CONTROL))
-
-KIND_NAMES = {
-    HELLO: "hello",
-    HELLO_OK: "hello_ok",
-    REQUEST: "request",
-    REPLY: "reply",
-    CONTROL: "control",
-}
+_KINDS = frozenset((REQUEST, REPLY, CONTROL))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +285,7 @@ def _decode_from(payload: bytes, offset: int, depth: int) -> Tuple[Any, int]:
 
 
 # ---------------------------------------------------------------------------
-# fixed headers: REQUEST and REPLY
+# frames: REQUEST and REPLY fixed headers, CONTROL
 # ---------------------------------------------------------------------------
 
 #: the header length of a string that is ``None`` (distinct from ``""``)
@@ -374,6 +367,13 @@ def response_frame(correlation_id: int, value: Any, error: bool = False) -> byte
     return head + payload
 
 
+def control_frame(payload: Any) -> bytes:
+    """A CONTROL frame carrying ``payload``, one node-surface verb, as
+    its one tagged value."""
+    body = encode_value(payload)
+    return _HEADER.pack(MAGIC, VERSION, CONTROL, len(body)) + body
+
+
 def _decode_request(payload: bytes) -> Tuple[bool, tuple]:
     """A REQUEST payload as ``(nested, the positional form
     Envelope.from_wire rebuilds)``."""
@@ -427,21 +427,6 @@ def _decode_reply(payload: bytes) -> Tuple[int, bool, Any]:
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(kind: int, payload_value: Any) -> bytes:
-    """One complete frame of a tagged-payload kind: header + encoded
-    payload.  REQUEST and REPLY frames have fixed headers and are
-    built by :func:`request_frame` / :func:`response_frame`."""
-    if kind not in _KINDS:
-        raise ProtocolError(f"unknown frame kind {kind!r}")
-    if kind == REQUEST or kind == REPLY:
-        raise ProtocolError(
-            f"{KIND_NAMES[kind]} frames have a fixed header: build them "
-            "with request_frame or response_frame"
-        )
-    payload = encode_value(payload_value)
-    return _HEADER.pack(MAGIC, VERSION, kind, len(payload)) + payload
-
-
 class FrameDecoder:
     """Incremental frame parser: feed bytes in, complete frames out.
 
@@ -450,7 +435,7 @@ class FrameDecoder:
     spread over many reads); :meth:`frames` yields every frame that has
     fully arrived and keeps the remainder buffered.  A REQUEST frame
     comes out as ``(nested bit, Envelope.from_wire form)``, a REPLY
-    frame as ``(correlation id, error, value)``, any other kind as its
+    frame as ``(correlation id, error, value)``, a CONTROL frame as its
     decoded tagged value.  A protocol violation (bad magic, unknown
     version/kind, a length over :data:`DEFAULT_MAX_FRAME`, an
     undecodable payload) raises :class:`~repro.errors.ProtocolError`
@@ -514,92 +499,3 @@ class FrameDecoder:
         except ProtocolError:
             self._poisoned = True
             raise
-
-
-# ---------------------------------------------------------------------------
-# the per-connection conversation
-# ---------------------------------------------------------------------------
-
-
-class WireSession:
-    """Sans-IO conversation state for one connection end.
-
-    Owns a :class:`FrameDecoder` plus the handshake rule: a client opens
-    with HELLO (:meth:`greeting`), a server answers HELLO-OK, and any
-    conversation frame before the handshake completes is a protocol
-    error.  Version agreement happens here — a peer speaking another
-    protocol version is refused before any envelope is interpreted.
-
-    The IO owner's loop is::
-
-        session.feed(sock.recv(...))          # bytes in
-        sock.sendall(session.take_outbound()) # bytes out (handshake replies),
-                                              # until session.handshaken
-        for kind, payload in session.events() # decoded conversation
-    """
-
-    def __init__(self, role: str):
-        if role not in ("client", "server"):
-            raise ProtocolError(f"unknown session role {role!r}")
-        self.role = role
-        self.handshaken = False
-        self._decoder = FrameDecoder()
-        self._outbound = bytearray()
-        self._events: List[Tuple[int, Any]] = []
-
-    # -- byte side -----------------------------------------------------------
-
-    def greeting(self) -> bytes:
-        """The client's opening HELLO (server sessions never greet)."""
-        if self.role != "client":
-            raise ProtocolError("only client sessions greet")
-        return encode_frame(HELLO, {"version": VERSION})
-
-    def feed(self, data: bytes) -> None:
-        """Buffer received bytes and decode every frame they complete.
-
-        Once the handshake is done, a conversation frame is queued for
-        :meth:`events` as it comes; a handshake frame, or any frame
-        before the handshake, runs the handshake rules."""
-        self._decoder.feed(data)
-        events = self._events
-        for frame in self._decoder.frames():
-            if self.handshaken and frame[0] not in (HELLO, HELLO_OK):
-                events.append(frame)
-            else:
-                self._handshake(*frame)
-
-    def take_outbound(self) -> bytes:
-        """Bytes the session decided to send (handshake replies); may be empty."""
-        data = bytes(self._outbound)
-        self._outbound.clear()
-        return data
-
-    def events(self) -> List[Tuple[int, Any]]:
-        """Conversation frames decoded since the last call."""
-        events, self._events = self._events, []
-        return events
-
-    # -- handshake rules -----------------------------------------------------
-
-    def _handshake(self, kind: int, payload: Any) -> None:
-        if kind == HELLO:
-            if self.role != "server" or self.handshaken:
-                raise ProtocolError("unexpected HELLO")
-            if not isinstance(payload, dict) or payload.get("version") != VERSION:
-                raise ProtocolError(
-                    f"peer speaks wire version "
-                    f"{payload.get('version') if isinstance(payload, dict) else payload!r}, "
-                    f"not {VERSION}"
-                )
-            self.handshaken = True
-            self._outbound.extend(encode_frame(HELLO_OK, {"version": VERSION}))
-            return
-        if kind == HELLO_OK:
-            if self.role != "client" or self.handshaken:
-                raise ProtocolError("unexpected HELLO-OK")
-            if not isinstance(payload, dict) or payload.get("version") != VERSION:
-                raise ProtocolError("handshake reply speaks another version")
-            self.handshaken = True
-            return
-        raise ProtocolError(f"{KIND_NAMES.get(kind, kind)} frame before handshake")

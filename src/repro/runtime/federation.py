@@ -96,6 +96,10 @@ from repro.runtime.observability import TRACE_KEY, Observability
 if TYPE_CHECKING:
     from repro.runtime.procfed import RemoteNode
 
+#: how long the migration gate waits: a freeze or a drain for the
+#: entries taken before it, a delivery for a frozen partition
+_GATE_TIMEOUT_S = 30.0
+
 
 class HashRing:
     """Consistent-hash ring with virtual nodes.
@@ -106,10 +110,11 @@ class HashRing:
     routing hashes each partition key once per topology.
     """
 
-    def __init__(self, replicas: int = 64):
-        if replicas < 1:
-            raise FederationError(f"ring needs >= 1 replica, got {replicas}")
-        self.replicas = replicas
+    #: virtual nodes per member: every partition's owner, and so every
+    #: scenario digest, depends on it
+    VIRTUAL_NODES = 64
+
+    def __init__(self):
         self._points: List[int] = []
         self._owners: Dict[int, str] = {}
         self._members: List[str] = []
@@ -130,7 +135,7 @@ class HashRing:
             raise FederationError(f"ring member {name!r} already present")
         self._owner_cache.clear()
         self._members.append(name)
-        for i in range(self.replicas):
+        for i in range(self.VIRTUAL_NODES):
             point = self._hash(f"{name}#{i}")
             # md5 collisions across member names are not expected; keep
             # first owner on the astronomically unlikely tie
@@ -145,7 +150,7 @@ class HashRing:
             raise FederationError(f"ring member {name!r} not present")
         self._owner_cache.clear()
         self._members.remove(name)
-        for i in range(self.replicas):
+        for i in range(self.VIRTUAL_NODES):
             point = self._hash(f"{name}#{i}")
             if self._owners.get(point) == name:
                 del self._owners[point]
@@ -221,9 +226,8 @@ class ShardedNamingService:
     half-migrated shard even while a migration rebinds names.
     """
 
-    def __init__(self, replicas: int = 64):
-        self._replicas = replicas
-        self._topology = _Topology(HashRing(replicas), {}, 0)  # guarded_by: _swap_lock
+    def __init__(self):
+        self._topology = _Topology(HashRing(), {}, 0)  # guarded_by: _swap_lock
         self._swap_lock = named_lock("naming.swap")
 
     # -- topology -----------------------------------------------------------
@@ -247,7 +251,7 @@ class ShardedNamingService:
         members = [m for m in self._topology.ring.members if m != drop]
         if add is not None:
             members.append(add)
-        ring = HashRing(self._replicas)
+        ring = HashRing()
         for member in members:
             ring.add(member)
         return ring
@@ -423,9 +427,9 @@ class _MigrationGate:
             ):
                 if waited_at is None:
                     waited_at = time.perf_counter()
-                if not self._cond.wait(timeout=30.0):
+                if not self._cond.wait(timeout=_GATE_TIMEOUT_S):
                     raise FederationError(
-                        "partition(s) stayed frozen for 30s: "
+                        f"partition(s) stayed frozen for {_GATE_TIMEOUT_S:g}s: "
                         f"{sorted(self._frozen & set(partitions))}"
                     )
             inflight = self._inflight
@@ -452,7 +456,7 @@ class _MigrationGate:
                 self._retired = [t for t in self._retired if t is not inflight]
             self._cond.notify_all()
 
-    def _wait_drained(self, partitions: set, timeout_s: float) -> bool:
+    def _wait_drained(self, partitions: set) -> bool:
         """Under ``_cond``: wait until no other thread holds an entry on
         ``partitions`` that it took before this wait began (this
         thread's own entries, all taken before, are discounted)."""
@@ -466,18 +470,18 @@ class _MigrationGate:
                 sum(table.get(p, 0) for table in tables) <= held.get(p, 0)
                 for p in partitions
             ),
-            timeout_s,
+            _GATE_TIMEOUT_S,
         )
 
-    def drain(self, partitions: Iterable[str], timeout_s: float) -> None:
+    def drain(self, partitions: Iterable[str]) -> None:
         """:meth:`freeze`'s wait without the freeze: a delivery entering
         meanwhile passes (on a dead node it fails fast), so a servant
         still running there may call into another of its partitions."""
         with self._cond:
-            if not self._wait_drained(set(partitions), timeout_s):
+            if not self._wait_drained(set(partitions)):
                 raise FederationError(
                     f"in-flight requests on {sorted(partitions)} did not drain "
-                    f"within {timeout_s}s"
+                    f"within {_GATE_TIMEOUT_S:g}s"
                 )
 
     def in_flight(self, partitions: Iterable[str]) -> int:
@@ -486,16 +490,16 @@ class _MigrationGate:
             return sum(table.get(p, 0) for p in partitions for table in tables)
 
     @contextlib.contextmanager
-    def freeze(self, partitions: Iterable[str], timeout_s: float = 30.0):
+    def freeze(self, partitions: Iterable[str]):
         frozen = set(partitions)
         with self._cond:
             self._frozen |= frozen
-            if not self._wait_drained(frozen, timeout_s):
+            if not self._wait_drained(frozen):
                 self._frozen -= frozen
                 self._cond.notify_all()
                 raise FederationError(
                     "in-flight requests on the moving shard did not "
-                    f"quiesce within {timeout_s}s"
+                    f"quiesce within {_GATE_TIMEOUT_S:g}s"
                 )
         try:
             yield
@@ -928,8 +932,6 @@ class Federation:
         seed: int = 0,
         latency_ms: float = 0.5,
         real_latency_s: float = 0.0,
-        metrics: Optional[MetricsRegistry] = None,
-        replicas: int = 64,
         delivery_workers: int = 2,
         transport: str = "inproc",
         socket_family: str = "tcp",
@@ -942,11 +944,11 @@ class Federation:
         self.clock = SimClock()
         self.seed = seed
         self.faults = FaultInjector(seed)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: tracing + event log + gauge sampling; knobs compiled from
         #: ObservabilitySpec, run-level tracing toggled by the harness
         self.observability = Observability(seed=seed)
-        self.naming = ShardedNamingService(replicas)
+        self.naming = ShardedNamingService()
         self.nodes: Dict[str, Union[Node, RemoteNode]] = {}
         self.latency_ms = latency_ms
         self.real_latency_s = real_latency_s
@@ -1208,7 +1210,6 @@ class Federation:
         workers: int = 0,
         seed: Optional[int] = None,
         deploy: Optional[Callable[[Node], Any]] = None,
-        drain_timeout_s: float = 30.0,
     ) -> Union[Node, RemoteNode]:
         """Add a node to the federation, migrating only what rehashes —
         the only way a node enters.
@@ -1229,9 +1230,7 @@ class Federation:
             self.reconcile()
             node = self._create_node(name, workers, seed)
             try:
-                moving, moved, total = self._adopt_moving_shards(
-                    node, deploy, drain_timeout_s
-                )
+                moving, moved, total = self._adopt_moving_shards(node, deploy)
             except BaseException:
                 if name not in self.nodes:  # never published: discard it
                     self._discard(node)
@@ -1240,9 +1239,7 @@ class Federation:
                 self._rebalanced("join", name, moved, sorted(moving), {"total": total})
             return node
 
-    def _adopt_moving_shards(
-        self, node: Union[Node, RemoteNode], deploy, drain_timeout_s: float
-    ):
+    def _adopt_moving_shards(self, node: Union[Node, RemoteNode], deploy):
         """Prepare the joiner off-ring, then move the partitions the new
         ring assigns to it; returns (moving partitions, moved, total)."""
         name = node.name
@@ -1265,7 +1262,7 @@ class Federation:
                 if next_ring.owner(partition) == name
             }
         moved = 0
-        with self._gate.freeze(moving, timeout_s=drain_timeout_s):
+        with self._gate.freeze(moving):
             shipped = []
             for partition, names in moving.items():
                 source = self.node(self.naming.owner_of(partition))
@@ -1282,7 +1279,7 @@ class Federation:
                 source.release(bound for bound, _t, _s in entries)
         return moving, moved, total
 
-    def retire(self, name: str, drain_timeout_s: float = 30.0) -> Dict[str, Any]:
+    def retire(self, name: str) -> Dict[str, Any]:
         """Gracefully remove a node: migrate its shard, then drop it.
 
         Every partition the retiree owns is frozen, quiesced, shipped to
@@ -1307,7 +1304,7 @@ class Federation:
             grouped = self._group_by_partition(self.naming.shard(name).list())
             total = len(self.naming.list())
             moved = 0
-            with self._gate.freeze(grouped, timeout_s=drain_timeout_s):
+            with self._gate.freeze(grouped):
                 for partition, pnames in sorted(grouped.items()):
                     target = self.node(survivors.owner(partition))
                     moved += len(target.import_states(node.export(sorted(pnames))))
@@ -1336,7 +1333,7 @@ class Federation:
         if self.replicas is not None:
             self.replicas.rebuild()
 
-    def kill(self, name: str, drain_timeout_s: float = 30.0) -> None:
+    def kill(self, name: str) -> None:
         """Fail-stop a node: requests already executing finish (and
         replicate), new routed calls see :class:`NodeDownError`.  A
         worker process is SIGKILLed instead, so its in-flight requests
@@ -1354,7 +1351,7 @@ class Federation:
             partitions = self._group_by_partition(self.naming.shard(name).list())
         node.kill()
         self.observability.emit("kill", node=name)
-        self._gate.drain(partitions, drain_timeout_s)
+        self._gate.drain(partitions)
 
     def fail_over(self, name: str, blocking: bool = True) -> bool:
         """Promote the standbys of a dead node's partitions.
@@ -1395,7 +1392,7 @@ class Federation:
             # thread): their effects — and replication syncs — must
             # land before the standby copies are taken, or the promoted
             # state silently loses them
-            self._gate.drain(grouped, 30.0)
+            self._gate.drain(grouped)
             moved = 0
             lost: List[str] = []
             for partition, pnames in sorted(grouped.items()):

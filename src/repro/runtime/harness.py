@@ -58,7 +58,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.analysis.witness import named_condition
 from repro.errors import InvocationTimeout, ReproError, ScenarioError
 from repro.runtime.federation import Federation, FederationClient
-from repro.runtime.metrics import MetricsRegistry, format_series_table
+from repro.runtime.metrics import format_series_table
 from repro.runtime.scenarios import (
     AsyncOp,
     Scenario,
@@ -341,9 +341,7 @@ class ScenarioRunner:
         """
         from repro.deploy.compiler import DeploymentCompiler
 
-        federation = DeploymentCompiler().deploy(
-            self.deployment, metrics=MetricsRegistry()
-        )
+        federation = DeploymentCompiler().deploy(self.deployment)
         if self.config.trace:
             federation.observability.enable_tracing()
         return federation

@@ -413,7 +413,7 @@ class TestFailover:
         drained = threading.Event()
 
         def drain():
-            gate.drain(["p-0"], 10.0)
+            gate.drain(["p-0"])
             drained.set()
 
         drainer = threading.Thread(target=drain)

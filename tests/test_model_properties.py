@@ -1,5 +1,6 @@
 """Property-based whole-model tests: random UML models survive every
-structural pipeline (validation, XMI round-trip, cloning, undo) unchanged."""
+structural pipeline (validation, XMI round-trip, cloning, undo) unchanged,
+and the flat containment walk visits what the recursive walk visited."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from repro.uml import (
     ensure_primitives,
     new_model,
 )
+from repro.uml.model import add_parameter
 from repro.xmi import parse_xmi, xmi_string
 
 _name = st.from_regex(r"[A-Z][a-z]{1,6}", fullmatch=True)
@@ -137,3 +139,87 @@ def test_transformation_undo_preserves_fingerprint(resource):
     assert model_fingerprint(resource) != before
     repo.undo()
     assert model_fingerprint(resource) == before
+
+
+# ---------------------------------------------------------------------------
+# the containment walk against the recursive reference
+# ---------------------------------------------------------------------------
+
+
+def _recursive_contents(obj):
+    """The reference walk: a generator per ancestor, each containment
+    list copied when the walk reaches it."""
+    for ref in obj.meta_class.containment_references():
+        value = obj._slots.get(ref.name)
+        if value is None:
+            continue
+        for child in list(value if ref.many else [value]):
+            yield child
+            yield from _recursive_contents(child)
+
+
+def _recursive_resource_contents(resource):
+    for root in resource.roots:
+        yield root
+        yield from _recursive_contents(root)
+
+
+def _twin(resource):
+    clones, _ = deep_clone(resource.roots)
+    twin = ModelResource(resource.name)
+    for clone in clones:
+        twin.add_root(clone)
+    return twin
+
+
+def _grow(obj, tag):
+    """Add one child to ``obj``, where its kind can hold one."""
+    kind = obj.meta_class.name
+    if kind in ("Model", "Package"):
+        add_class(obj, f"Grown{tag}")
+    elif kind == "Class":
+        add_attribute(obj, f"grown{tag}")
+    elif kind == "Operation":
+        add_parameter(obj, f"grown{tag}", None)
+
+
+def _walk_growing(contents, grow_handed, grow_container):
+    """The labels ``contents`` yields while its caller adds a child to
+    the object just handed at each position in ``grow_handed``, and one
+    to that object's container at each position in ``grow_container``."""
+    labels = []
+    for position, obj in enumerate(contents):
+        labels.append((obj.meta_class.name, obj._slots.get("name")))
+        if position in grow_handed:
+            _grow(obj, f"h{position}")
+        if position in grow_container and obj.container is not None:
+            _grow(obj.container, f"c{position}")
+    return labels
+
+
+_positions = st.sets(st.integers(0, 40), max_size=8)
+
+
+@given(random_models(), _positions, _positions)
+@settings(max_examples=40, deadline=None)
+def test_the_flat_walk_visits_what_the_recursive_walk_visits(
+    resource, grow_handed, grow_container
+):
+    """Same objects in the same order, from the resource and from every
+    object; and a caller that grows the model as it walks sees the same
+    walk: a child added to the object just handed is visited, one added
+    to a list already reached is not."""
+    assert list(resource.all_contents()) == list(
+        _recursive_resource_contents(resource)
+    )
+    for obj in resource.all_contents():
+        assert list(obj.all_contents()) == list(_recursive_contents(obj))
+    twin, flat_root, recursive_root = (_twin(resource) for _ in range(3))
+    assert _walk_growing(
+        resource.all_contents(), grow_handed, grow_container
+    ) == _walk_growing(_recursive_resource_contents(twin), grow_handed, grow_container)
+    assert _walk_growing(
+        flat_root.roots[0].all_contents(), grow_handed, grow_container
+    ) == _walk_growing(
+        _recursive_contents(recursive_root.roots[0]), grow_handed, grow_container
+    )

@@ -377,8 +377,9 @@ class TestProcessFailover:
             client = teller(fed)
             owner = fed.naming.owner_of("branch-0")
             worker = fed.node(owner)
-            # a short reply timeout on a fresh pooled connection (a dial
-            # to a stopped worker would hang in the handshake instead)
+            # a short reply timeout, which the next dial takes once the
+            # worker's pooled connections are dropped (a dial to a
+            # stopped worker connects too, and its call fails mid-call)
             fed.transport.pool.timeout_s = 1.0
             fed.transport.pool.invalidate(worker.endpoint)
             assert client.call("branch-0/Account/2", "getBalance") == 1000.0

@@ -33,7 +33,7 @@ from repro.middleware.sockets import (
     WireServer,
     parse_endpoint,
 )
-from repro.middleware.wire import WireSession
+from repro.middleware.wire import FrameDecoder
 from repro.runtime import Federation
 
 RETRY = QoS(retries=3)
@@ -82,17 +82,16 @@ def _envelope(target, operation="op"):
 class _ScriptedServer:
     """A raw listener speaking just enough wire protocol to misbehave.
 
-    Completes the HELLO handshake, then runs
-    ``script(conn, session, kind, payload)`` per conversation frame —
-    returning True closes the connection (the mid-call disconnect).
-    ``close_after_handshake`` drops each connection right after the
-    handshake instead (the peer-closed-while-idle case).  Connections
-    are served sequentially; the listener stays up until :meth:`close`.
+    Runs ``script(conn, kind, payload)`` per decoded frame — returning
+    True closes the connection (the mid-call disconnect).
+    ``close_on_accept`` drops each connection as soon as it is accepted
+    instead (the peer-closed-while-idle case).  Connections are served
+    sequentially; the listener stays up until :meth:`close`.
     """
 
-    def __init__(self, script, close_after_handshake=False):
+    def __init__(self, script, close_on_accept=False):
         self._script = script
-        self._close_after_handshake = close_after_handshake
+        self._close_on_accept = close_on_accept
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(8)
@@ -107,26 +106,22 @@ class _ScriptedServer:
             except OSError:
                 return  # listener closed
             try:
-                self._converse(conn)
+                if not self._close_on_accept:
+                    self._converse(conn)
             except OSError:
                 pass
             finally:
                 conn.close()
 
     def _converse(self, conn):
-        session = WireSession("server")
+        decoder = FrameDecoder()
         while True:
             data = conn.recv(65536)
             if not data:
                 return
-            session.feed(data)
-            greeting = session.take_outbound()
-            if greeting:
-                conn.sendall(greeting)
-            if session.handshaken and self._close_after_handshake:
-                return
-            for kind, payload in session.events():
-                if self._script(conn, session, kind, payload):
+            decoder.feed(data)
+            for kind, payload in decoder.frames():
+                if self._script(conn, kind, payload):
                     return
 
     def close(self):
@@ -207,7 +202,7 @@ class TestWireLayer:
         """A connection dropped after the request frame was written is
         the ambiguous case: NodeDownError, but never blind-retried and
         not retryable until failover confirms the node died."""
-        server = _ScriptedServer(lambda conn, session, kind, payload: True)
+        server = _ScriptedServer(lambda conn, kind, payload: True)
         try:
             transport = SocketTransport({"w": server.endpoint}.get)
             with pytest.raises(NodeDownError) as excinfo:
@@ -223,7 +218,7 @@ class TestWireLayer:
         from repro.middleware.envelope import Envelope
         from repro.middleware.wire import response_frame
 
-        def misreply(conn, session, kind, payload):
+        def misreply(conn, kind, payload):
             envelope = Envelope.from_wire(payload[1])
             wrong = envelope.correlation_id + 7
             conn.sendall(response_frame(wrong, 1))
@@ -246,7 +241,7 @@ class TestWireLayer:
         from repro.middleware.envelope import Envelope
         from repro.middleware.wire import response_frame
 
-        def double_reply(conn, session, kind, payload):
+        def double_reply(conn, kind, payload):
             envelope = Envelope.from_wire(payload[1])
             conn.sendall(
                 response_frame(envelope.correlation_id, 1)
@@ -273,7 +268,7 @@ class TestWireLayer:
     def test_a_stray_frame_beside_a_control_reply_fails_the_verb(self):
         from repro.middleware.wire import response_frame
 
-        def double_reply(conn, session, kind, payload):
+        def double_reply(conn, kind, payload):
             conn.sendall(response_frame(0, 1) + response_frame(0, 2))
             return False
 
@@ -294,7 +289,7 @@ class TestWireLayer:
         lost reply: ProtocolError, not retryable, and the connection is
         closed instead of pooled."""
 
-        def garbage(conn, session, kind, payload):
+        def garbage(conn, kind, payload):
             conn.sendall(b"XX" + bytes(14))
             return False
 
@@ -471,7 +466,7 @@ class TestWireLayer:
         from repro.middleware.envelope import Envelope
         from repro.middleware.wire import REQUEST, response_frame
 
-        def malformed(conn, session, kind, payload):
+        def malformed(conn, kind, payload):
             answered = Envelope.from_wire(payload[1]).correlation_id if kind == REQUEST else 0
             conn.sendall(response_frame(answered, "ValueError: no", error=True))
             return False
@@ -507,7 +502,7 @@ class TestWireLayer:
             WireClient, "close", lambda self: (closed.append(self), original(self))
         )
 
-        def misreply(conn, session, kind, payload):
+        def misreply(conn, kind, payload):
             if answered is None:
                 conn.sendall(request_frame(_envelope("c")))
             else:
@@ -551,7 +546,7 @@ class TestWireLayer:
         monkeypatch.setattr(
             WireClient, "close", lambda self: (closed.append(self), original(self))
         )
-        server = _ScriptedServer(lambda conn, session, kind, payload: True)
+        server = _ScriptedServer(lambda conn, kind, payload: True)
         try:
             transport = SocketTransport({"w": server.endpoint}.get)
             with pytest.raises(NodeDownError) as excinfo:
@@ -610,7 +605,7 @@ class TestWireLayer:
     def test_pool_discards_connections_closed_while_idle(self):
         """The checkout probe: a pooled connection the peer closed is
         discarded before any request bytes are risked on it."""
-        server = _ScriptedServer(script=None, close_after_handshake=True)
+        server = _ScriptedServer(script=None, close_on_accept=True)
         try:
             pool = ConnectionPool()
             client, pooled = pool.checkout(server.endpoint)
@@ -625,26 +620,29 @@ class TestWireLayer:
         finally:
             server.close()
 
-    def test_a_client_reset_right_after_its_hello_ends_only_its_connection(
+    def test_a_client_reset_right_after_its_first_request_ends_only_its_connection(
         self, monkeypatch
     ):
-        """A client that sends HELLO and resets (SO_LINGER 0) makes the
-        listener's HELLO-OK fail: that connection ends quietly, its
-        thread raises nothing, and the listener serves the next call."""
-        from repro.middleware.wire import HELLO, VERSION, encode_frame
+        """A client that sends a REQUEST as its first frame and resets
+        (SO_LINGER 0) before the reply makes the listener's REPLY fail:
+        that connection ends quietly, its thread raises nothing, and the
+        listener serves the next call."""
+        from repro.middleware.wire import request_frame
 
         raised = []
         monkeypatch.setattr(threading, "excepthook", raised.append)
-        server = WireServer(node="w", request_handler=lambda env: 1)
+        reset = threading.Event()
+        server = WireServer(node="w", request_handler=lambda env: reset.wait(5))
         endpoint = server.start()
         try:
             for _ in range(3):
                 probe = socket.create_connection(parse_endpoint(endpoint)[1])
-                probe.sendall(encode_frame(HELLO, {"version": VERSION}))
+                probe.sendall(request_frame(_envelope("w")))
                 probe.setsockopt(
                     socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
                 )
                 probe.close()
+            reset.set()
             deadline = time.monotonic() + 5
             while server._connections and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -653,11 +651,87 @@ class TestWireLayer:
                     thread.join(timeout=5)
             assert not server._connections
             transport = SocketTransport({"w": endpoint}.get)
-            assert transport.roundtrip("w", _envelope("w")) == 1
+            assert transport.roundtrip("w", _envelope("w")) is True
             transport.shutdown()
         finally:
             server.stop()
         assert raised == []
+
+    def test_a_connection_stopped_before_its_thread_runs_ends_quietly(
+        self, monkeypatch
+    ):
+        """A dial returns before the listener's thread for it runs, so a
+        stop can close the connection first: that thread then ends
+        quietly, raising nothing."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        stopped = threading.Event()
+        serve = WireServer._serve_connection
+
+        def after_stop(self, conn_id, conn):
+            stopped.wait(5)
+            serve(self, conn_id, conn)
+
+        monkeypatch.setattr(WireServer, "_serve_connection", after_stop)
+        server = WireServer(node="w", request_handler=lambda env: 1)
+        client = WireClient(server.start())
+        try:
+            deadline = time.monotonic() + 5
+            while not server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._connections
+        finally:
+            server.stop()
+            stopped.set()
+            client.close()
+        for thread in threading.enumerate():
+            if thread.name.startswith("wire-serve-w-"):
+                thread.join(timeout=5)
+        assert raised == []
+
+    def test_a_fresh_connection_opens_with_the_calls_request(self):
+        """No handshake: the first frame a raw listener reads from a
+        fresh connection is the call's own REQUEST, and the REPLY it
+        sends back is the call's result."""
+        from repro.middleware.wire import REQUEST, response_frame
+
+        first = []
+
+        def answer(conn, kind, payload):
+            first.append(kind)
+            correlation_id = payload[1][0] if kind == REQUEST else 0
+            conn.sendall(response_frame(correlation_id, "answered"))
+            return True
+
+        server = _ScriptedServer(answer)
+        try:
+            transport = SocketTransport({"w": server.endpoint}.get)
+            assert transport.roundtrip("w", _envelope("w")) == "answered"
+            assert first == [REQUEST]
+            assert transport.stats()["dials"] == 1
+            transport.shutdown()
+        finally:
+            server.close()
+
+    def test_a_dial_returns_at_once_against_a_silent_listener(self):
+        """``WireClient`` only dials: against a listener that never
+        writes it returns at once, having sent nothing."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
+        try:
+            started = time.monotonic()
+            client = WireClient(f"tcp://{host}:{port}", timeout_s=5.0)
+            assert time.monotonic() - started < 1.0
+            conn, _peer = listener.accept()
+            with conn:
+                conn.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    conn.recv(1)
+            client.close()
+        finally:
+            listener.close()
 
     def test_a_failed_unix_dial_closes_its_socket(self, tmp_path, monkeypatch):
         made = []
@@ -674,11 +748,12 @@ class TestWireLayer:
         assert dialled.fileno() == -1
 
     @pytest.mark.parametrize("peer", ["closes", "times out", "answers garbage"])
-    def test_a_failed_handshake_closes_its_socket(self, peer, monkeypatch):
+    def test_a_failed_first_call_closes_its_socket(self, peer, monkeypatch):
         """A listener that accepts and then closes, never answers, or
-        answers the HELLO with bytes that are no HELLO-OK: the client's
-        handshake fails, and the socket it dialled is closed before the
-        error reaches the caller."""
+        answers the first REQUEST with bytes that are no frame: the dial
+        succeeds and the first call fails after its frame was written —
+        mid-call for a close or a silence, a protocol error for garbage —
+        and the socket it dialled is closed, never pooled."""
         from repro.middleware import sockets
 
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -703,11 +778,19 @@ class TestWireLayer:
         monkeypatch.setattr(
             sockets, "_dial", lambda *args: dialled.append(dial(*args)) or dialled[-1]
         )
+        transport = SocketTransport({"w": f"tcp://{host}:{port}"}.get, timeout_s=0.3)
         try:
-            with pytest.raises((TransportError, OSError)):
-                WireClient(f"tcp://{host}:{port}", timeout_s=0.3)
+            if peer == "answers garbage":
+                with pytest.raises(ProtocolError, match="bad frame magic"):
+                    transport.roundtrip("w", _envelope("w"))
+            else:
+                with pytest.raises(NodeDownError) as excinfo:
+                    transport.roundtrip("w", _envelope("w"))
+                assert excinfo.value.mid_call and not excinfo.value.pre_effect
             assert len(dialled) == 1 and dialled[0].fileno() == -1
+            assert not transport.pool._idle.get(f"tcp://{host}:{port}")
         finally:
+            transport.shutdown()
             done.set()
             listening.join(timeout=5)
             listener.close()

@@ -10,8 +10,9 @@ angles:
   unknown versions/kinds, oversized lengths, truncated and trailing
   payloads all surface :class:`~repro.errors.ProtocolError` without
   crashing the decoder's owner;
-* conversation rules: handshake ordering, an error reply carrying the
-  sender-side retry classification across.
+* version agreement: a frame of any other wire version is refused from
+  its header alone (there is no handshake), and an error reply carries
+  the sender-side retry classification across.
 """
 
 import enum
@@ -41,18 +42,17 @@ from repro.middleware.bus import (
     error_to_wire as encode_fault,
 )
 from repro.middleware.envelope import DEFAULT_QOS, Envelope, QoS
+from repro.middleware import wire
 from repro.middleware.wire import (
+    CONTROL,
     DEFAULT_MAX_FRAME,
-    HELLO,
-    HELLO_OK,
     MAX_DEPTH,
     REPLY,
     REQUEST,
     VERSION,
     FrameDecoder,
-    WireSession,
+    control_frame,
     decode_value,
-    encode_frame,
     encode_value,
     request_frame,
     response_frame,
@@ -286,7 +286,7 @@ def test_frames_survive_arbitrary_splits():
 def test_interleaved_frames_in_one_read():
     """Three frames and a tail of a fourth in a single feed."""
     frames = [
-        encode_frame(HELLO, {"version": VERSION}),
+        control_frame({"verb": "ping"}),
         _request_frame(),
         response_frame(7, None),
     ]
@@ -294,7 +294,7 @@ def test_interleaved_frames_in_one_read():
     decoder = FrameDecoder()
     decoder.feed(b"".join(frames) + partial[: len(partial) // 2])
     kinds = [kind for kind, _payload in decoder.frames()]
-    assert kinds == [HELLO, REQUEST, REPLY]
+    assert kinds == [CONTROL, REQUEST, REPLY]
     assert decoder.pending() > 0  # the tail stays buffered
     decoder.feed(partial[len(partial) // 2:])
     assert [kind for kind, _ in decoder.frames()] == [REQUEST]
@@ -317,9 +317,11 @@ def test_unknown_version_is_refused():
 
 
 def test_unknown_kind_is_refused():
+    assert wire._KINDS == {REQUEST, REPLY, CONTROL}
+    # 1 and 2: version 9's HELLO and HELLO_OK, gone with the handshake;
     # 5: version 1's oneway receipt; 6 and 8: version 7's error frame
     # and control reply, each folded into REPLY
-    for kind in (42, 5, 6, 8):
+    for kind in (42, 1, 2, 5, 6, 8):
         frame = bytearray(_request_frame())
         frame[3] = kind  # kind byte
         decoder = FrameDecoder()
@@ -331,7 +333,7 @@ def test_unknown_kind_is_refused():
 def test_oversized_frame_is_rejected_from_the_header_alone():
     """A length prefix one byte over the limit is refused before any
     payload is buffered."""
-    header = encode_frame(HELLO, {})[:4] + (DEFAULT_MAX_FRAME + 1).to_bytes(4, "big")
+    header = control_frame({})[:4] + (DEFAULT_MAX_FRAME + 1).to_bytes(4, "big")
     decoder = FrameDecoder()
     decoder.feed(header)
     with pytest.raises(
@@ -382,52 +384,13 @@ def test_hostile_deep_frame_is_a_protocol_error_not_recursion():
     with ProtocolError — never escape as RecursionError and kill the
     serving connection thread."""
     payload = (b"l" + (1).to_bytes(4, "big")) * 200_000 + b"N"
-    header = encode_frame(HELLO, {})[:4] + len(payload).to_bytes(4, "big")
+    header = control_frame({})[:4] + len(payload).to_bytes(4, "big")
     decoder = FrameDecoder()
     decoder.feed(header + payload)
     with pytest.raises(ProtocolError, match="nests deeper"):
         list(decoder.frames())
     with pytest.raises(ProtocolError, match="poisoned"):
         decoder.feed(b"more")
-
-
-# ---------------------------------------------------------------------------
-# session handshake rules
-# ---------------------------------------------------------------------------
-
-
-def test_handshake_agrees_on_the_version_alone():
-    """HELLO and HELLO-OK carry the wire version and nothing else."""
-    client = WireSession("client")
-    server = WireSession("server")
-    greeting = client.greeting()
-    assert _decoded(greeting) == (HELLO, {"version": VERSION})
-    server.feed(greeting)
-    assert server.handshaken
-    accept = server.take_outbound()
-    assert _decoded(accept) == (HELLO_OK, {"version": VERSION})
-    client.feed(accept)
-    assert client.handshaken
-
-
-def test_conversation_before_handshake_is_refused():
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="before handshake"):
-        server.feed(_request_frame())
-
-
-def test_version_mismatch_is_refused_at_hello():
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="wire version"):
-        server.feed(encode_frame(HELLO, {"version": VERSION + 1}))
-
-
-def test_double_hello_is_refused():
-    server = WireSession("server")
-    server.feed(encode_frame(HELLO, {"version": VERSION}))
-    server.take_outbound()
-    with pytest.raises(ProtocolError, match="unexpected HELLO"):
-        server.feed(encode_frame(HELLO, {"version": VERSION}))
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +790,7 @@ def test_request_header_layout_is_pinned():
         attempt=1,
     )
     frame = request_frame(envelope)
-    assert frame[:4] == b"RW" + bytes([9, REQUEST])
+    assert frame[:4] == b"RW" + bytes([10, REQUEST])
     payload = frame[FRAME_HEADER:]
     assert REQUEST_HEAD.unpack_from(payload) == (9, 0, 0, 5, 7)
     strings = payload[REQUEST_HEAD.size:REQUEST_HEAD.size + 12]
@@ -873,74 +836,6 @@ def test_header_string_past_the_payload_end_is_refused():
     with pytest.raises(ProtocolError, match="runs past the end"):
         list(decoder.frames())
     assert _poisoned(decoder)
-
-
-def test_version_4_hello_is_refused():
-    """Version 4's RESPONSE header ended in two error-text lengths: a
-    peer still speaking it is refused at HELLO, before any frame of
-    that layout is read, and the refusal poisons the session."""
-    hello = _frame_of(HELLO, encode_value({"version": 4, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 4"):
-        server.feed(hello[:2] + bytes([4]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
-
-
-def test_version_5_hello_is_refused():
-    """Version 5's CONTROL payloads were per-verb dicts of named fields:
-    a peer still speaking it is refused at HELLO, and the refusal
-    poisons the session."""
-    hello = _frame_of(HELLO, encode_value({"version": 5, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 5"):
-        server.feed(hello[:2] + bytes([5]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
-
-
-def test_version_6_hello_is_refused():
-    """Version 6's REQUEST and RESPONSE headers held a message id beside
-    the correlation id: a peer still speaking it is refused at HELLO,
-    before any frame of that layout is read, and the refusal poisons
-    the session."""
-    hello = _frame_of(HELLO, encode_value({"version": 6, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 6"):
-        server.feed(hello[:2] + bytes([6]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
-
-
-def test_version_7_hello_is_refused():
-    """Version 7 answered a call with a success or an error frame and a
-    control verb with a third kind: a peer still speaking it is refused
-    at HELLO, before any of its replies is read, and the refusal
-    poisons the session."""
-    hello = _frame_of(HELLO, encode_value({"version": 7, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 7"):
-        server.feed(hello[:2] + bytes([7]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
-
-
-def test_version_8_hello_is_refused():
-    """Version 8's REQUEST header also held the attempt, QoS retries, a
-    oneway bit, a timeout, the target and the binding, and its HELLO
-    named the node: a peer still speaking it is refused at HELLO,
-    before any request of that layout is read, and the refusal poisons
-    the session."""
-    hello = _frame_of(HELLO, encode_value({"version": 8, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 8"):
-        server.feed(hello[:2] + bytes([8]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
-    # a version-8 greeting inside a version-9 frame is refused as well
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="peer speaks wire version 8, not 9"):
-        server.feed(hello)
 
 
 @pytest.mark.parametrize("field", ["label", "object_id", "operation"])
@@ -1064,7 +959,7 @@ def test_response_carries_a_success_only():
     result itself.  An error REPLY differs in its outcome byte alone."""
     result = {"balance": [1.5, ObjectRefData("o", "T")]}
     frame = response_frame(11, result)
-    assert frame[:4] == b"RW" + bytes([9, REPLY])
+    assert frame[:4] == b"RW" + bytes([10, REPLY])
     assert frame[FRAME_HEADER:FRAME_HEADER + REPLY_HEAD.size] == struct.pack(">QB", 11, 0)
     assert decode_value(frame[FRAME_HEADER + REPLY_HEAD.size:]) == result
     kind, (correlation_id, error, decoded) = _decoded(frame)
@@ -1087,18 +982,41 @@ def test_a_reply_with_an_unknown_outcome_is_refused():
 
 
 def test_request_and_response_frames_have_no_tagged_payload_path():
-    for kind in (REQUEST, REPLY):
-        with pytest.raises(ProtocolError, match="fixed header"):
-            encode_frame(kind, {"correlation_id": 1})
+    """REQUEST and REPLY frames have fixed headers and only their own
+    builders: the one tagged-payload builder writes a CONTROL, whatever
+    its payload holds."""
+    payload = {"correlation_id": 1}
+    assert _decoded(control_frame(payload)) == (CONTROL, payload)
+    assert not hasattr(wire, "encode_frame")
 
 
-def test_version_2_hello_is_refused():
-    hello = _frame_of(HELLO, encode_value({"version": 2, "node": "c"}))
-    server = WireSession("server")
-    with pytest.raises(ProtocolError, match="unsupported wire version 2"):
-        server.feed(hello[:2] + bytes([2]) + hello[3:])
-    with pytest.raises(ProtocolError, match="poisoned"):
-        server.feed(b"more")
+#: version 9's first frame on every connection: a HELLO (kind 1)
+#: carrying its version, which an older peer also sent its node in
+_HELLO_9 = _frame_of(1, encode_value({"version": 9}))
+
+
+@pytest.mark.parametrize("version", [v for v in range(1, 12) if v != VERSION])
+@pytest.mark.parametrize("kind", ["request", "reply", "control", "hello"])
+def test_a_frame_of_another_version_is_refused(kind, version):
+    """Every frame header carries the wire version, and it is the one
+    version check: a frame of any other version — each kind this
+    version speaks, and an older peer's opening HELLO — is refused from
+    its header alone, before a payload byte has arrived, and the
+    refusal poisons the decoder."""
+    frame = {
+        "request": _request_frame(),
+        "reply": response_frame(7, None),
+        "control": control_frame({"verb": "ping"}),
+        "hello": _HELLO_9,
+    }[kind]
+    decoder = FrameDecoder()
+    decoder.feed(frame[:2] + bytes([version]) + frame[3:FRAME_HEADER])
+    with pytest.raises(
+        ProtocolError,
+        match=rf"unsupported wire version {version} \(speaking {VERSION}\)",
+    ):
+        list(decoder.frames())
+    assert _poisoned(decoder)
 
 
 # ---------------------------------------------------------------------------
